@@ -8,7 +8,7 @@ numeric initialization, no RNG anywhere).
 The ``--jobs`` flag fans stream processing out over worker processes for
 ``verify`` and ``search --mode equal-poly``; results merge by the
 associative contract documented in ``search``.  ``CORONAPOLY_MAX_N`` in
-the environment supplies the default ``--max-n``.
+the environment supplies the default ``--max-n`` of the graph corpora.
 """
 
 from __future__ import annotations
@@ -257,10 +257,10 @@ def _iter_input_graphs(args, parser):
 
 def _cmd_verify(args, parser) -> int:
     stream = _iter_input_graphs(args, parser)
-    max_n = args.max_n if args.max_n is not None else _default_max_n(7)
     if args.suite == "hk":
-        result = suites.run_hk_suite(max_k=max_n if args.max_n is not None else 4)
+        result = suites.run_suite("hk", max_n=args.max_n)
     else:
+        max_n = args.max_n if args.max_n is not None else _default_max_n(suites.DEFAULT_MAX_N)
         graphs = stream if stream is not None else suites.default_corpus(max_n)
         if args.jobs > 1 and len(graphs) >= 64:
             work = [(args.suite, encode_graph6(g), args.tol) for g in graphs]
@@ -270,7 +270,7 @@ def _cmd_verify(args, parser) -> int:
                 args.suite, len(graphs), [m for m in messages if m is not None]
             )
         else:
-            result = suites.run_suite(args.suite, graphs, max_n, args.tol)
+            result = suites.run_suite(args.suite, graphs, tol=args.tol)
     if args.output == "json":
         print(json.dumps(result.to_json()))
     else:
@@ -335,7 +335,7 @@ def _cmd_search(args, parser) -> int:
                 g
                 for g in suites.default_corpus(args.max_n if args.max_n is not None else _default_max_n(8))
             ]
-        report = search.hamidoune_scan(stream, args.tol)
+        report = search.hamidoune_scan(stream)
         failed = not report.clean
         _emit(
             report.to_json(),
@@ -392,7 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named invariant suite")
     p.add_argument("--suite", choices=suites.SUITES, required=True)
-    p.add_argument("--max-n", type=int, help="corpus cap (default env CORONAPOLY_MAX_N or 7)")
+    p.add_argument(
+        "--max-n", type=int,
+        help="corpus cap (default env CORONAPOLY_MAX_N or 7); for --suite hk the largest k (default 4)",
+    )
     p.add_argument("--input", help="graph6 stream instead of the built-in catalog")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
@@ -409,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, help="internal corpus cap when no --input")
     p.add_argument("--max-skeleton", type=int, default=8)
     p.add_argument("--max-tree-order", type=int, default=14)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--evidence", help="write machine-readable JSONL evidence here")
     _add_output(p)

@@ -21,34 +21,10 @@ from typing import Callable, Sequence
 
 from .errors import ResourceLimitError
 from .graphs import Graph, _component_masks, is_forest
-from .polynomials import IntPolynomial
-from .polynomials import evaluate_exact as _evaluate_exact
+from .polynomials import IntPolynomial, add, mul, shift_add
 
 GENERAL_LIMIT = 40
 FOREST_LIMIT = 64
-
-evaluate_exact = _evaluate_exact
-
-# -- raw coefficient-list helpers (tuples, lowest degree first) -------------
-
-
-def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return tuple(out)
-
-
-def _add_with_shift(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """a + x*b."""
-    out = [0] * max(len(a), len(b) + 1)
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i + 1] += c
-    return tuple(out)
 
 
 def _path_poly(m: int) -> tuple[int, ...]:
@@ -58,13 +34,13 @@ def _path_poly(m: int) -> tuple[int, ...]:
     if m == 0:
         return prev
     for _ in range(m - 1):
-        prev, cur = cur, _add_with_shift(cur, prev)
+        prev, cur = cur, shift_add(cur, prev)
     return cur
 
 
 def _cycle_poly(m: int) -> tuple[int, ...]:
     """I(C_m) = I(P_{m-1}) + x I(P_{m-3}) for m >= 3."""
-    return _add_with_shift(_path_poly(m - 1), _path_poly(m - 3))
+    return shift_add(_path_poly(m - 1), _path_poly(m - 3))
 
 
 def _binomial_row(m: int) -> tuple[int, ...]:
@@ -100,7 +76,7 @@ def independence_polynomial(
     def solve(mask: int) -> tuple[int, ...]:
         result: tuple[int, ...] = (1,)
         for comp in _component_masks(masks, mask):
-            result = _mul(result, component(comp))
+            result = mul(result, component(comp))
         return result
 
     def component(comp: int) -> tuple[int, ...]:
@@ -121,7 +97,7 @@ def independence_polynomial(
         v = choose(masks, comp)
         without = solve(comp & ~(1 << v))
         closed = solve(comp & ~(masks[v] | (1 << v)))
-        return _add_with_shift(without, closed)
+        return shift_add(without, closed)
 
     full = (1 << g.n) - 1
     coeffs = solve(full) if g.n else (1,)
@@ -187,11 +163,11 @@ def independence_polynomial_tree(t: Graph) -> IntPolynomial:
             for w in t.adj[v]:
                 if w == parent[v]:
                     continue
-                e = _mul(e, _tuple_add(excl[w], incl[w]))
-                i = _mul(i, excl[w])
+                e = mul(e, add(excl[w], incl[w]))
+                i = mul(i, excl[w])
             excl[v] = e
             incl[v] = (0,) + i  # multiply by x
-        total = _mul(total, _tuple_add(excl[root], incl[root]))
+        total = mul(total, add(excl[root], incl[root]))
     result = IntPolynomial(total)
     if len(_FOREST_CACHE) >= _FOREST_CACHE_LIMIT:
         _FOREST_CACHE.clear()
@@ -201,15 +177,6 @@ def independence_polynomial_tree(t: Graph) -> IntPolynomial:
 
 _FOREST_CACHE: dict[bytes, IntPolynomial] = {}
 _FOREST_CACHE_LIMIT = 4096
-
-
-def _tuple_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return tuple(out)
 
 
 def count_stable_sets(g: Graph) -> int:

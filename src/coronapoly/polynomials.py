@@ -5,13 +5,17 @@ Coefficients are stored lowest degree first with no trailing zeros, so
 comes from a graph.  All arithmetic is exact: coefficients are Python
 ints, and evaluation accepts any ring element (int, Fraction, float,
 complex).  The zero polynomial has an empty coefficient tuple and
-degree -1.
+degree -1.  The module-level functions are the one integer kernel: they
+work on raw coefficient tuples, for the pivot engine and the root core.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
+
+Coeffs = tuple[int, ...]
 
 
 def _strip(coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -19,6 +23,82 @@ def _strip(coeffs: Sequence[int]) -> tuple[int, ...]:
     while n and coeffs[n - 1] == 0:
         n -= 1
     return tuple(coeffs[:n])
+
+
+def add(a: Coeffs, b: Coeffs) -> Coeffs:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _strip(out)
+
+
+def shift_add(a: Coeffs, b: Coeffs) -> Coeffs:
+    """a + x*b."""
+    return add(a, (0,) + b) if b else a
+
+
+def mul(a: Coeffs, b: Coeffs) -> Coeffs:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return tuple(out)
+
+
+def primitive(a: Coeffs) -> Coeffs:
+    """Divide out the content; every coefficient keeps its sign."""
+    g = gcd(*a)
+    return a if g <= 1 else tuple(c // g for c in a)
+
+
+def prem(a: Coeffs, b: Coeffs) -> Coeffs:
+    """Primitive part of a positive multiple of the remainder of a by b:
+    each step scales by |lc(b)|, never lc(b), so Sturm signs survive."""
+    db, scale, sign = len(b) - 1, abs(b[-1]), (1 if b[-1] > 0 else -1)
+    r = list(a)
+    while len(r) > db:
+        c = sign * r.pop()
+        if c:
+            k = len(r) - db
+            if scale != 1:
+                r = [scale * x for x in r]
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    return primitive(_strip(r))
+
+
+def exact_div(a: Coeffs, b: Coeffs) -> Coeffs:
+    """a / b for a primitive b dividing a, integral by Gauss's lemma;
+    raises ValueError when b does not divide a."""
+    db = len(b) - 1
+    r, q = list(a), []
+    while len(r) > db:
+        c, rem = divmod(r.pop(), b[-1])
+        if rem:
+            raise ValueError("inexact polynomial division")
+        k = len(r) - db
+        for i in range(db):
+            r[k + i] -= c * b[i]
+        q.append(c)
+    if any(r):
+        raise ValueError("inexact polynomial division")
+    return tuple(reversed(q))
+
+
+def sign_at(a: Coeffs, x) -> int:
+    """Sign of the polynomial at a rational x = u/v (int or Fraction), by
+    integer Horner on the homogeneous form sum a_k u^k v^(d-k), v > 0."""
+    u, v = x.numerator, x.denominator
+    acc, vk = 0, 1
+    for c in reversed(a):
+        acc = acc * u + c * vk
+        vk *= v
+    return (acc > 0) - (acc < 0)
 
 
 class IntPolynomial:
@@ -88,13 +168,7 @@ class IntPolynomial:
     # -- ring operations -------------------------------------------------------
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
+        return IntPolynomial(add(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial([-c for c in self.coeffs])
@@ -105,15 +179,7 @@ class IntPolynomial:
     def __mul__(self, other) -> "IntPolynomial":
         if isinstance(other, int):
             return IntPolynomial([other * c for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPolynomial.zero()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return IntPolynomial(out)
+        return IntPolynomial(mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -153,19 +219,11 @@ class IntPolynomial:
 
     def content(self) -> int:
         """GCD of the coefficients (0 for the zero polynomial)."""
-        from math import gcd
-
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
+        return gcd(*self.coeffs)
 
     def primitive_part(self) -> "IntPolynomial":
         """Divide out the content; sign of the leading coefficient is kept."""
-        g = self.content()
-        if g <= 1:
-            return self
-        return IntPolynomial([c // g for c in self.coeffs])
+        return IntPolynomial(primitive(self.coeffs))
 
     # -- serialization ----------------------------------------------------
 

@@ -1,8 +1,10 @@
 """Root analysis with an exact real side and a numeric complex side.
 
-Real roots are certified with integer Sturm chains (primitive-part
-scaling after every remainder step keeps coefficients bounded and signs
-intact) and Yun square-free decomposition for multiplicities; complex
+Real roots are certified in integer arithmetic alone: a pseudo-remainder
+primitive PRS gives the Sturm chains and the gcds behind Yun's
+square-free decomposition (scaling by |lc|, never lc, keeps the signs),
+and every sign test is a homogeneous integer evaluation at a rational
+point.  Fractions appear only as interval endpoints.  Complex
 roots are approximated by a deterministic Aberth simultaneous iteration
 with residual validation.  Every half-open membership test that appears
 in a bound (for instance xi_max < -1/(2n-1)) is decided by rational
@@ -32,8 +34,8 @@ from .graphs import (
     is_tree,
     is_well_covered,
 )
-from .indpoly import independence_polynomial, independence_polynomial_tree
-from .polynomials import IntPolynomial
+from .indpoly import FOREST_LIMIT, independence_polynomial, independence_polynomial_tree
+from .polynomials import IntPolynomial, exact_div, prem, primitive, sign_at
 
 # -- exact (1+x) structure ----------------------------------------------------
 
@@ -43,92 +45,40 @@ def multiplicity_of_minus_one(p: IntPolynomial) -> int:
     if not p:
         raise ValueError("zero polynomial")
     m = 0
-    q = p
-    while q.degree >= 1 and q(-1) == 0:
-        q = _divide_by_one_plus_x(q)
+    q = p.coeffs
+    while len(q) > 1 and sign_at(q, -1) == 0:
+        q = exact_div(q, (1, 1))
         m += 1
     return m
 
 
-def _divide_by_one_plus_x(p: IntPolynomial) -> IntPolynomial:
-    a = p.coeffs
-    d = p.degree
-    b = [0] * d
-    b[d - 1] = a[d]
-    for k in range(d - 1, 0, -1):
-        b[k - 1] = a[k] - b[k]
-    if a[0] - b[0] != 0:
-        raise ValueError("not divisible by (1+x)")
-    return IntPolynomial(b)
-
-
 def deflate_minus_one(p: IntPolynomial) -> IntPolynomial:
     """p / (1+x)^m with m = multiplicity_of_minus_one(p); exact quotient."""
-    q = p
+    q = p.coeffs
     for _ in range(multiplicity_of_minus_one(p)):
-        q = _divide_by_one_plus_x(q)
-    return q
+        q = exact_div(q, (1, 1))
+    return IntPolynomial(q)
 
 
-# -- rational polynomial helpers (lists of Fraction, lowest degree first) -----
+# -- gcd and square-free structure on the integer kernel ---------------------
 
 
-def _fstrip(a: list[Fraction]) -> list[Fraction]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """A primitive gcd by the primitive PRS (its sign is not normalised)."""
+    x, y = a.coeffs, b.coeffs
+    while y:
+        x, y = y, prem(x, y)
+    return IntPolynomial(primitive(x))
 
 
-def _ffrom(p: IntPolynomial) -> list[Fraction]:
-    return [Fraction(c) for c in p.coeffs]
+def _quo(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    return IntPolynomial(exact_div(a.coeffs, b.coeffs))
 
 
-def _fdivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    db = len(b) - 1
-    lb = b[-1]
-    for k in range(len(r) - 1 - db, -1, -1):
-        c = r[k + db] / lb
-        if c:
-            q[k] = c
-            for i, bc in enumerate(b):
-                r[k + i] -= c * bc
-    return _fstrip(q), _fstrip(r)
-
-
-def _fderiv(a: list[Fraction]) -> list[Fraction]:
-    return [i * c for i, c in enumerate(a)][1:]
-
-
-def _fgcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = list(a), list(b)
-    while b:
-        _, r = _fdivmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _to_primitive_int(a: list[Fraction]) -> IntPolynomial:
-    """Scale by a positive rational to a primitive integer polynomial
-    (signs preserved)."""
-    if not a:
-        return IntPolynomial.zero()
-    lcm = 1
-    for c in a:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in a]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    if g > 1:
-        ints = [c // g for c in ints]
-    return IntPolynomial(ints)
+def _normal(f: IntPolynomial) -> IntPolynomial:
+    """Primitive with positive leading coefficient."""
+    f = f.primitive_part()
+    return -f if f.leading < 0 else f
 
 
 @lru_cache(maxsize=4096)
@@ -136,14 +86,7 @@ def square_free_part(p: IntPolynomial) -> IntPolynomial:
     """p / gcd(p, p'), primitive with positive leading coefficient."""
     if not p:
         raise ValueError("zero polynomial")
-    fa = _ffrom(p)
-    g = _fgcd(fa, _fderiv(fa))
-    q, r = _fdivmod(fa, g)
-    assert not r
-    out = _to_primitive_int(q)
-    if out.leading < 0:
-        out = -out
-    return out
+    return _normal(_quo(p, _gcd(p, p.derivative())))
 
 
 @lru_cache(maxsize=4096)
@@ -163,31 +106,22 @@ def _yun(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return []
-    fa = _ffrom(p)
-    g = _fgcd(fa, _fderiv(fa))
-    c, _ = _fdivmod(fa, g)
-    d, _ = _fdivmod(_fderiv(fa), g)
-    d = _fstrip([dc - cc for dc, cc in zip_longest_fr(d, _fderiv(c))])
+    # c and d are always divided by the same factor, so d - c' is taken
+    # at one common scale, as over the rationals
+    dp = p.derivative()
+    g = _gcd(p, dp)
+    c = _quo(p, g)
+    d = _quo(dp, g) - c.derivative()
     out = []
     i = 1
-    while len(c) > 1:
-        f = _fgcd(c, d)
-        if len(f) > 1:
-            fi = _to_primitive_int(f)
-            if fi.leading < 0:
-                fi = -fi
-            out.append((fi, i))
-        c, _ = _fdivmod(c, f)
-        d2, _ = _fdivmod(d, f)
-        d = _fstrip([dc - cc for dc, cc in zip_longest_fr(d2, _fderiv(c))])
+    while c.degree >= 1:
+        f = _gcd(c, d)
+        if f.degree >= 1:
+            out.append((_normal(f), i))
+        c = _quo(c, f)
+        d = _quo(d, f) - c.derivative()
         i += 1
     return out
-
-
-def zip_longest_fr(a: list[Fraction], b: list[Fraction]):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else Fraction(0), b[i] if i < len(b) else Fraction(0))
 
 
 # -- Sturm chains ----------------------------------------------------------
@@ -201,10 +135,10 @@ def _sturm_chain_cached(p: IntPolynomial) -> tuple[IntPolynomial, ...]:
     if f1:
         chain.append(f1)
         while True:
-            _, r = _fdivmod(_ffrom(chain[-2]), _ffrom(chain[-1]))
+            r = prem(chain[-2].coeffs, chain[-1].coeffs)
             if not r:
                 break
-            chain.append(_to_primitive_int([-c for c in r]))
+            chain.append(-IntPolynomial(r))
     return tuple(chain)
 
 
@@ -214,28 +148,20 @@ def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
     return list(_sturm_chain_cached(p))
 
 
-def _variations(values: Iterable) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
 def _variations_at(chain: list[IntPolynomial], x: Fraction | None, sign_at_infinity: int) -> int:
     """Sign variations at x, or at -inf/+inf when x is None (sign_at_infinity = -1/+1)."""
     if x is not None:
-        return _variations(f(x) for f in chain)
-    vals = []
-    for f in chain:
-        s = 1 if f.leading > 0 else -1
-        if sign_at_infinity < 0 and f.degree % 2 == 1:
-            s = -s
-        vals.append(s)
-    return _variations(vals)
+        signs = [s for s in (sign_at(f.coeffs, x) for f in chain) if s]
+    else:
+        signs = [
+            (1 if f.leading > 0 else -1) * (sign_at_infinity if f.degree % 2 else 1)
+            for f in chain
+        ]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _remove_rational_root(q: IntPolynomial, r: Fraction) -> IntPolynomial:
-    quot, rem = _fdivmod(_ffrom(q), [-r, Fraction(1)])
-    assert not rem
-    return _to_primitive_int(quot)
+    return IntPolynomial(primitive(exact_div(q.coeffs, (-r.numerator, r.denominator))))
 
 
 def count_distinct_real_roots(
@@ -258,14 +184,14 @@ def count_distinct_real_roots(
     q = square_free_part(p)
     if q.degree < 1:
         return 0
+    if lo is not None and lo == hi:
+        return int(include_lo and include_hi and sign_at(q.coeffs, lo) == 0)
     extra = 0
     for point, include in ((lo, include_lo), (hi, include_hi)):
-        if point is not None and q(point) == 0:
+        if point is not None and sign_at(q.coeffs, point) == 0:
             q = _remove_rational_root(q, Fraction(point))
             if include:
                 extra += 1
-    if lo is not None and hi is not None and lo == hi:
-        return extra
     if q.degree < 1:
         return extra
     chain = sturm_chain(q)
@@ -297,6 +223,9 @@ def isolate_real_roots(p: IntPolynomial) -> list[tuple[tuple[Fraction, Fraction]
     chain = sturm_chain(q)
     var_cache: dict[Fraction, int] = {}
 
+    def is_root(x: Fraction) -> bool:
+        return sign_at(q.coeffs, x) == 0
+
     def var(x: Fraction) -> int:
         if x not in var_cache:
             var_cache[x] = _variations_at(chain, x, 0)
@@ -305,13 +234,13 @@ def isolate_real_roots(p: IntPolynomial) -> list[tuple[tuple[Fraction, Fraction]
     def inside(a: Fraction, b: Fraction) -> int:
         # V(a) - V(b) counts roots in (a, b]; drop b when it is itself a root
         # (V at a root equals V just right of it, so a is never counted)
-        return var(a) - var(b) - (1 if q(b) == 0 else 0)
+        return var(a) - var(b) - is_root(b)
 
     bound = cauchy_root_bound(q)
     intervals: list[tuple[Fraction, Fraction]] = []
     exact: list[Fraction] = []
     zero = Fraction(0)
-    if q(zero) == 0:
+    if is_root(zero):
         exact.append(zero)
     # split at 0 up front so intervals never straddle the origin
     stack = [
@@ -322,11 +251,11 @@ def isolate_real_roots(p: IntPolynomial) -> list[tuple[tuple[Fraction, Fraction]
         lo, hi, count = stack.pop()
         if count <= 0:
             continue
-        if count == 1 and q(lo) != 0 and q(hi) != 0:
+        if count == 1 and not is_root(lo) and not is_root(hi):
             intervals.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        if q(mid) == 0:
+        if is_root(mid):
             exact.append(mid)
         stack.append((lo, mid, inside(lo, mid)))
         stack.append((mid, hi, inside(mid, hi)))
@@ -334,7 +263,7 @@ def isolate_real_roots(p: IntPolynomial) -> list[tuple[tuple[Fraction, Fraction]
     yun = square_free_decomposition(p)
     out: list[tuple[tuple[Fraction, Fraction], int]] = []
     for r in exact:
-        mult = next(m for f, m in yun if f(r) == 0)
+        mult = next(m for f, m in yun if sign_at(f.coeffs, r) == 0)
         out.append(((r, r), mult))
     for lo, hi in intervals:
         mult = None
@@ -356,16 +285,16 @@ def refine_root_interval(
     """Shrink an isolating interval of a square-free f by sign bisection."""
     if lo == hi:
         return lo, hi
-    slo = f(lo)
-    if slo == 0 or f(hi) == 0:
+    slo = sign_at(f.coeffs, lo)
+    if slo == 0 or sign_at(f.coeffs, hi) == 0:
         raise ValueError("endpoints must not be roots")
     while hi - lo > width:
         mid = (lo + hi) / 2
-        smid = f(mid)
+        smid = sign_at(f.coeffs, mid)
         if smid == 0:
             return mid, mid
-        if (smid > 0) == (slo > 0):
-            lo, slo = mid, smid
+        if smid == slo:
+            lo = mid
         else:
             hi = mid
     return lo, hi
@@ -696,12 +625,12 @@ def _check_real_leg(p: IntPolynomial, q: IntPolynomial, notes: list[str]) -> tup
             continue
         if lo == hi:  # exact rational root of p
             image = _mobius(lo)
-            if q(image) != 0:
+            if sign_at(q.coeffs, image) != 0:
                 notes.append(f"rational root {lo} does not map to a root of the image")
                 ok = rational_ok = False
                 continue
             factor = next((f for f, m in yun_q if m == mult), None)
-            if factor is None or factor(image) != 0:
+            if factor is None or sign_at(factor.coeffs, image) != 0:
                 notes.append(f"rational root {lo} maps with wrong multiplicity")
                 ok = rational_ok = False
             continue
@@ -718,14 +647,14 @@ def _check_real_leg(p: IntPolynomial, q: IntPolynomial, notes: list[str]) -> tup
             if lo == hi:
                 break
         if lo == hi:
-            if q(_mobius(lo)) != 0:
+            if sign_at(q.coeffs, _mobius(lo)) != 0:
                 notes.append(f"rational root {lo} does not map to a root of the image")
                 ok = False
             continue
         matched = False
         for _ in range(80):
             ilo, ihi = _mobius(lo), _mobius(hi)
-            if sf_q(ilo) != 0 and sf_q(ihi) != 0:
+            if sign_at(sf_q.coeffs, ilo) != 0 and sign_at(sf_q.coeffs, ihi) != 0:
                 inside = count_distinct_real_roots(q, ilo, ihi, False, False)
                 if inside == 1:
                     factor = next((f for f, m in yun_q if m == mult), None)
@@ -738,7 +667,7 @@ def _check_real_leg(p: IntPolynomial, q: IntPolynomial, notes: list[str]) -> tup
                     break
             lo, hi = refine_root_interval(f_p, lo, hi, (hi - lo) / 4)
             if lo == hi:
-                matched = q(_mobius(lo)) == 0
+                matched = sign_at(q.coeffs, _mobius(lo)) == 0
                 break
         if not matched:
             notes.append(f"image of real root in ({lo}, {hi}) not found in deflation")
@@ -827,7 +756,7 @@ def verify_bounds(g: Graph, tol: float = 1e-9) -> RootReport:
         inner = Fraction(1, n)
         inner_ok = count_distinct_real_roots(p, -inner, Fraction(0), True, True) == 0
         outer_ok = count_distinct_real_roots(p, None, Fraction(-a), True, True) == 0
-        touch = p(-inner) == 0 or p(Fraction(-a)) == 0
+        touch = sign_at(p.coeffs, -inner) == 0 or sign_at(p.coeffs, -a) == 0
         complete = _is_complete(g)
         margin = math.inf
         ok_numeric = True
@@ -836,7 +765,7 @@ def verify_bounds(g: Graph, tol: float = 1e-9) -> RootReport:
         for x, _ in real_floats:
             margin = min(margin, abs(x) - 1 / n, a - abs(x))
         if complete:
-            passed = p(-inner) == 0
+            passed = sign_at(p.coeffs, -inner) == 0
             note = "complete graph: root on the inner boundary"
         else:
             passed = (
@@ -928,20 +857,26 @@ def verify_bounds(g: Graph, tol: float = 1e-9) -> RootReport:
 # -- iterated coronas ------------------------------------------------------------
 
 
+def check_hk_order(seed: Graph, k: int) -> None:
+    """Raise before any work unless H_k, the k-fold corona of `seed`
+    (2^k * n vertices), fits the forest engine."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    order = 2**k * seed.n
+    if order > FOREST_LIMIT:
+        raise ResourceLimitError(f"H_k would have {order} > {FOREST_LIMIT} vertices")
+
+
 def build_hk(seed: Graph, k: int) -> tuple[Graph, bool]:
     """Iterate the corona k times from a tree seed (not K_1) and verify
     exactly that -1/k is a root of the resulting well-covered tree."""
     if not is_tree(seed) or seed.n < 2:
         raise ValueError("seed must be a tree with at least two vertices")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if (2**k) * seed.n > 64:
-        raise ResourceLimitError(f"H_k would have {(2**k) * seed.n} > 64 vertices")
+    check_hk_order(seed, k)
     h = seed
     for _ in range(k):
         h = corona(h)
-    value = independence_polynomial_tree(h)(Fraction(-1, k))
-    return h, value == 0
+    return h, sign_at(independence_polynomial_tree(h).coeffs, Fraction(-1, k)) == 0
 
 
 def negative_tail_sign_check(g: Graph, samples: Iterable) -> bool:
@@ -955,7 +890,7 @@ def negative_tail_sign_check(g: Graph, samples: Iterable) -> bool:
         x = Fraction(x)
         if x >= -1:
             raise ValueError(f"sample {x} is not < -1")
-        v = q(x)
+        v = sign_at(q.coeffs, x)
         if v == 0 or (v < 0) != want_negative:
             return False
     return True

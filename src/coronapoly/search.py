@@ -367,15 +367,13 @@ class HamidouneReport:
 
 
 def hamidoune_scan(
-    items: Iterable[GraphLike], tol: float = 1e-9, contrast_examples: int = 10
+    items: Iterable[GraphLike], *, contrast_examples: int = 10
 ) -> HamidouneReport:
     """Exact all-real-root certificates for every claw-free graph in the
     stream (Sturm counts weighted by square-free multiplicity must exhaust
     the degree).  Non-claw-free graphs with nonreal roots are tallied for
     contrast, and every graph's (claw-free, real-rooted) verdict is kept on
-    the report.  `tol` is unused by the exact certificates and kept for
-    callers that post-process reports numerically."""
-    del tol
+    the report."""
     scanned = 0
     claw_free = 0
     failures: list[str] = []

@@ -13,17 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .canon import enumerate_graphs
+from .canon import GRAPH_ENUM_LIMIT, enumerate_graphs
 from .corona import (
     coefficient_monotonicity_check,
     corona_coefficients,
     corona_polynomial_identity,
     divisibility_check,
 )
+from .errors import ResourceLimitError
 from .graphs import Graph, alpha, complete_graph, corona, encode_graph6, parse_graph6
 from .indpoly import independence_polynomial
 from .roots import (
     build_hk,
+    check_hk_order,
     count_distinct_real_roots,
     multiplicity_of_minus_one,
     negative_tail_sign_check,
@@ -41,6 +43,9 @@ SUITES = (
     "hk",
     "no-root-below-minus-one",
 )
+
+DEFAULT_MAX_N = 7   # catalog cap of the graph suites when none is given
+DEFAULT_MAX_K = 4   # iterations of the hk suite when none is given
 
 _SIGN_SAMPLES = (Fraction(-3, 2), Fraction(-2), Fraction(-7, 3), Fraction(-100))
 
@@ -68,8 +73,16 @@ class SuiteResult:
         return f"suite {self.suite}: {self.checked} instances, {len(self.failures)} failures: {verdict}"
 
 
-def default_corpus(max_n: int) -> list[Graph]:
-    """Connected graphs on 1..max_n vertices from the built-in catalog."""
+def default_corpus(max_n: int | None = None) -> list[Graph]:
+    """Connected graphs on 1..max_n vertices (default DEFAULT_MAX_N) from
+    the built-in catalog; the catalog cap is checked before any work."""
+    if max_n is None:
+        max_n = DEFAULT_MAX_N
+    if max_n > GRAPH_ENUM_LIMIT:
+        raise ResourceLimitError(
+            f"built-in catalog capped at {GRAPH_ENUM_LIMIT} vertices; "
+            "ingest a graph6 stream for larger orders"
+        )
     out: list[Graph] = []
     for n in range(1, max_n + 1):
         out.extend(enumerate_graphs(n, connected=True))
@@ -143,10 +156,15 @@ def check_one_g6(args: tuple[str, str, float]) -> str | None:
     return check_one(suite, parse_graph6(g6), tol)
 
 
-def run_hk_suite(max_k: int = 4) -> SuiteResult:
-    """Iterated coronas of K_2: exact root at -1/k for k = 1..max_k."""
-    result = SuiteResult("hk", 0)
+def run_hk_suite(max_k: int | None = None) -> SuiteResult:
+    """Iterated coronas of K_2: exact root at -1/k for k = 1..max_k
+    (default DEFAULT_MAX_K).  H_max_k is checked against the forest cap
+    before any H_k is built."""
+    if max_k is None:
+        max_k = DEFAULT_MAX_K
     seed = complete_graph(2)
+    check_hk_order(seed, max_k)
+    result = SuiteResult("hk", 0)
     for k in range(1, max_k + 1):
         result.checked += 1
         _, ok = build_hk(seed, k)
@@ -158,11 +176,13 @@ def run_hk_suite(max_k: int = 4) -> SuiteResult:
 def run_suite(
     suite: str,
     graphs: list[Graph] | None = None,
-    max_n: int = 7,
+    max_n: int | None = None,
     tol: float = 1e-9,
 ) -> SuiteResult:
+    """Run a suite over `graphs`, or over the catalog up to `max_n`; for
+    "hk", `max_n` is the largest k instead."""
     if suite == "hk":
-        return run_hk_suite(max_k=max_n if max_n else 4)
+        return run_hk_suite(max_n)
     if graphs is None:
         graphs = default_corpus(max_n)
     result = SuiteResult(suite, 0)

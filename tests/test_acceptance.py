@@ -411,7 +411,7 @@ def test_criterion_15_conjecture_evidence_scans():
     assert c2.supporting_matches > 0
 
     claw_free = [g for g in connected_corpus() if is_claw_free(g)]
-    ham = hamidoune_scan(claw_free, NUMERIC_TOL)
+    ham = hamidoune_scan(claw_free)
     assert ham.clean
     assert ham.claw_free_count == len(claw_free)
     print(

@@ -147,6 +147,30 @@ def test_verify_resource_exit_code(capsys):
     assert "resource limit" in err
 
 
+def test_verify_hk_uses_the_suite_default(monkeypatch, capsys):
+    monkeypatch.delenv("CORONAPOLY_MAX_N", raising=False)
+    code, out, _ = run(capsys, "verify", "--suite", "hk")
+    assert code == 0
+    assert "4 instances" in out
+    # the corpus cap in the environment does not reach the hk iteration count
+    monkeypatch.setenv("CORONAPOLY_MAX_N", "7")
+    code, out, _ = run(capsys, "verify", "--suite", "hk")
+    assert code == 0
+    assert "4 instances" in out
+
+
+def test_verify_hk_cap_checked_before_building(monkeypatch, capsys):
+    from coronapoly import suites
+
+    def build_hk(*args):
+        raise AssertionError("H_k built before the cap was checked")
+
+    monkeypatch.setattr(suites, "build_hk", build_hk)
+    code, _, err = run(capsys, "verify", "--suite", "hk", "--max-n", "6")
+    assert code == 3
+    assert "resource limit" in err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["poly"])  # no input source

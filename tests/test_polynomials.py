@@ -1,8 +1,19 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from coronapoly.polynomials import IntPolynomial, evaluate_exact
+from coronapoly.polynomials import (
+    IntPolynomial,
+    add,
+    evaluate_exact,
+    exact_div,
+    mul,
+    prem,
+    primitive,
+    shift_add,
+    sign_at,
+)
 
 
 def test_ring_ops():
@@ -72,3 +83,71 @@ def test_coeff_beyond_degree_is_zero():
     p = IntPolynomial((1, 2))
     assert p.coeff(5) == 0
     assert p.coeff(1) == 2
+
+
+# -- the integer kernel --------------------------------------------------------
+
+
+def _rational_rem_sign(a, b):
+    """Signs of the coefficients of the remainder of a by b over Q."""
+    r = [Fraction(c) for c in a]
+    for k in range(len(r) - len(b), -1, -1):
+        c = r[k + len(b) - 1] / b[-1]
+        for i, bc in enumerate(b):
+            r[k + i] -= c * bc
+    r = r[: len(b) - 1]
+    while r and r[-1] == 0:
+        r.pop()
+    return [(c > 0) - (c < 0) for c in r]
+
+
+def test_kernel_ring_ops_strip():
+    assert add((1, 2, 3), (1, 0, -3)) == (2, 2)
+    assert add((1, -1), (-1, 1)) == ()
+    assert shift_add((1, 1), (1,)) == (1, 2)
+    assert shift_add((0, 0, 1), (0, -1)) == ()
+    assert shift_add((1, 2), ()) == (1, 2)
+    assert mul((1, 1), (1, -1)) == (1, 0, -1)
+    assert mul((), (1, 2)) == ()
+
+
+def test_primitive_keeps_signs():
+    assert primitive((4, -6, 2)) == (2, -3, 1)
+    assert primitive((-4, -6)) == (-2, -3)
+    assert primitive((3, 5)) == (3, 5)
+    assert primitive(()) == ()
+
+
+def test_prem_keeps_sign_with_negative_leading_coefficient():
+    # (x + 1) mod (-2x) is +1 over Q; scaling by lc = -2 would flip it
+    assert prem((1, 1), (0, -2)) == (1,)
+    # (x^3 + 2) mod (-3x^2 + x): remainder x/9 + 2 over Q
+    assert prem((2, 0, 0, 1), (0, 1, -3)) == (18, 1)
+    rng = random.Random(7)
+    for _ in range(200):
+        b = [rng.randint(-6, 6) for _ in range(rng.randint(1, 4))] + [rng.choice((-5, -3, -2, -1, 2, 4))]
+        a = [rng.randint(-9, 9) for _ in range(rng.randint(len(b), 8))] + [rng.choice((-2, 1, 3))]
+        r = prem(tuple(a), tuple(b))
+        assert [(c > 0) - (c < 0) for c in r] == _rational_rem_sign(a, b)
+        assert primitive(r) == r
+
+
+def test_exact_div():
+    assert exact_div((1, 2, 1), (1, 1)) == (1, 1)
+    assert exact_div((-6, 1, 1), (-2, 1)) == (3, 1)
+    assert exact_div((), (1, 1)) == ()
+    with pytest.raises(ValueError):
+        exact_div((1, 0, 1), (1, 1))      # nonzero remainder
+    with pytest.raises(ValueError):
+        exact_div((3, 10), (1, 3))        # floor steps would leave no remainder
+
+
+def test_sign_at_matches_fraction_evaluation():
+    rng = random.Random(11)
+    for _ in range(300):
+        p = IntPolynomial([rng.randint(-20, 20) for _ in range(rng.randint(0, 7))])
+        x = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+        v = p(x)
+        assert sign_at(p.coeffs, x) == (v > 0) - (v < 0)
+    assert sign_at((1, 4, 3), Fraction(-1, 3)) == 0
+    assert sign_at((2, -1), 3) == -1

@@ -374,3 +374,82 @@ def test_smallest_modulus_side():
         rho = min(abs(z) for z in zs)
         reals = [z for z in zs if abs(z.imag) < 1e-9]
         assert reals and math.isclose(min(abs(z) for z in reals), rho, rel_tol=1e-6)
+
+
+# -- sympy as an independent exact oracle (test-only) --------------------------
+
+_ENDPOINTS = [Fraction(v) for v in ("-2", "-1", "-1/2", "-1/3", "0", "1/4", "1/2", "1")]
+
+
+def _sympy_cross_check_polys(count):
+    """Seeded products with a negative or positive leading coefficient,
+    content > 1, repeated factors and rational roots on the endpoints."""
+    rng = random.Random(101)
+    off_grid = [Fraction(-3, 5), Fraction(2, 3), Fraction(-5, 2)]
+    out = []
+    while len(out) < count:
+        p = IntPolynomial((rng.choice((-1, 1)) * rng.randint(2, 6),))
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.random()
+            if kind < 0.55:
+                r = rng.choice(_ENDPOINTS + off_grid)
+                f = IntPolynomial((-r.numerator, r.denominator))
+            elif kind < 0.8:
+                f = IntPolynomial([rng.randint(-5, 5), rng.randint(-5, 5), rng.choice((-3, -2, -1, 1, 2, 3))])
+            else:
+                f = IntPolynomial([rng.randint(-4, 4) for _ in range(3)] + [rng.choice((-2, -1, 1, 2))])
+            p = p * f ** rng.randint(1, 3)
+        if p.degree >= 1:
+            out.append(p)
+    return out
+
+
+def test_exact_root_core_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def to_sympy(p):
+        return sympy.Poly(list(reversed(p.coeffs)), x, domain="ZZ")
+
+    def cmp(r, e):
+        q = sympy.Rational(e.numerator, e.denominator)
+        return 0 if r == q else (1 if bool(r > q) else -1)
+
+    for p in _sympy_cross_check_polys(60):
+        _, factors = to_sympy(p).sqf_list()
+        expect = set()
+        for fac, m in factors:
+            coeffs = tuple(int(c) for c in reversed(fac.all_coeffs()))
+            expect.add((IntPolynomial(coeffs).primitive_part().coeffs, m))
+        got = {(f.coeffs, m) for f, m in square_free_decomposition(p)}
+        # sympy's factors are primitive with a positive leading coefficient
+        assert {(f if f[-1] > 0 else tuple(-c for c in f), m) for f, m in expect} == got, p
+
+        roots = [(r, m) for fac, m in factors for r in fac.real_roots()]
+        assert count_distinct_real_roots(p) == len(roots)
+        # each root's position against each endpoint, decided once by sympy
+        side = [{e: cmp(r, e) for e in _ENDPOINTS} for r, _ in roots]
+        bounds = [None] + _ENDPOINTS
+        for lo in bounds:
+            for hi in bounds:
+                if lo is not None and hi is not None and lo > hi:
+                    continue
+                for inc_lo in (True, False):
+                    for inc_hi in (True, False):
+                        want = sum(
+                            1
+                            for s in side
+                            if (lo is None or s[lo] > 0 or (inc_lo and s[lo] == 0))
+                            and (hi is None or s[hi] < 0 or (inc_hi and s[hi] == 0))
+                        )
+                        got_n = count_distinct_real_roots(p, lo, hi, inc_lo, inc_hi)
+                        assert got_n == want, (p, lo, hi, inc_lo, inc_hi)
+
+        iso = isolate_real_roots(p)
+        assert len(iso) == len(roots)
+        for (lo, hi), m in iso:
+            if lo == hi:
+                held = [mr for r, mr in roots if cmp(r, lo) == 0]
+            else:
+                held = [mr for r, mr in roots if cmp(r, lo) > 0 and cmp(r, hi) < 0]
+            assert held == [m], (p, lo, hi, m)
