@@ -9,10 +9,20 @@ bit prefix.  General graphs are capped at 10 vertices; every claim that
 needs isomorphism verdicts at larger orders concerns forests only.
 
 The catalogs (`enumerate_trees`, `enumerate_graphs`) produce exactly one
-representative per isomorphism class via canonical augmentation.
+representative per isomorphism class via canonical augmentation.  The
+graph catalog grows its levels 1, 2, ..., n in one pass per process, each
+level memoised, so asking for every order up to n builds each level once.
+A parent graph g is extended by a new vertex with one neighbourhood per
+orbit of Aut(g) on the subsets of V(g) (orbit pruning in the sense of
+McKay & Piperno, *Practical graph isomorphism II*, JSC 2014): a skipped
+subset gives a graph isomorphic to one coded earlier from the same
+parent, so every level, and the representative kept for each class, is
+what coding all 2^|V(g)| subsets would give.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .errors import ResourceLimitError
 from .graphs import Graph, connected_components, is_connected, is_forest
@@ -180,12 +190,130 @@ def enumerate_trees(n: int) -> list[Graph]:
     return level
 
 
+def automorphism_group(g: Graph) -> tuple[list[tuple[int, ...]], int]:
+    """A strong generating set of Aut(g), as image tuples, and |Aut(g)|.
+
+    Sims' scheme over the base 0, 1, ..., n-1: going from the last base
+    point i down to the first, one automorphism fixing 0..i-1 is searched
+    for each image of i that the generators found so far do not already
+    reach.  The order is the product of those orbit lengths.  The search
+    maps each vertex only into its `_refined_colors` class.
+    """
+    n = g.n
+    colors = _refined_colors(g)
+    gens: list[tuple[int, ...]] = []
+    order = 1
+    for i in reversed(range(n)):
+        orbit = {i}
+        for v in range(i + 1, n):
+            if v in orbit or colors[v] != colors[i]:
+                continue
+            sigma = _find_automorphism(g.masks, colors, list(range(i)) + [v])
+            if sigma is not None:
+                gens.append(sigma)
+                orbit = _point_orbit(i, gens)
+        order *= len(orbit)
+    return gens, order
+
+
+def _find_automorphism(
+    masks: tuple[int, ...], colors: list[int], forced: list[int]
+) -> tuple[int, ...] | None:
+    """An automorphism mapping u to forced[u] for every u < len(forced)."""
+    n = len(masks)
+    perm = [0] * n
+
+    def place(u: int, used: int) -> bool:
+        if u == n:
+            return True
+        want = 0    # images of u's neighbours among 0..u-1
+        for x in range(u):
+            if (masks[u] >> x) & 1:
+                want |= 1 << perm[x]
+        for w in (forced[u],) if u < len(forced) else range(n):
+            if (used >> w) & 1 or colors[w] != colors[u] or masks[w] & used != want:
+                continue
+            perm[u] = w
+            if place(u + 1, used | (1 << w)):
+                return True
+        return False
+
+    return tuple(perm) if place(0, 0) else None
+
+
+def _point_orbit(point: int, gens: list[tuple[int, ...]]) -> set[int]:
+    orbit = {point}
+    stack = [point]
+    while stack:
+        v = stack.pop()
+        for sigma in gens:
+            w = sigma[v]
+            if w not in orbit:
+                orbit.add(w)
+                stack.append(w)
+    return orbit
+
+
+def _subset_orbit_minima(n: int, gens: list[tuple[int, ...]]) -> list[int]:
+    """The least mask in each orbit of <gens> on the subsets of 0..n-1,
+    in increasing order."""
+    size = 1 << n
+    if not gens:
+        return list(range(size))
+    images = []
+    for sigma in gens:
+        img = [0] * size
+        for s in range(1, size):
+            low = s & -s
+            img[s] = img[s ^ low] | (1 << sigma[low.bit_length() - 1])
+        images.append(img)
+    seen = bytearray(size)
+    minima = []
+    for s in range(size):
+        if seen[s]:
+            continue
+        minima.append(s)
+        seen[s] = 1
+        stack = [s]
+        while stack:
+            t = stack.pop()
+            for img in images:
+                u = img[t]
+                if not seen[u]:
+                    seen[u] = 1
+                    stack.append(u)
+    return minima
+
+
+@cache
+def _graph_level(n: int) -> tuple[Graph, ...]:
+    """Level n of the graph catalog, sorted by canonical code, grown once
+    per process from the memoised level n-1."""
+    if n == 1:
+        return (Graph(1),)
+    seen: dict[bytes, Graph] = {}
+    for g in _graph_level(n - 1):
+        base = list(g.edges())
+        gens, _ = automorphism_group(g)
+        for sub in _subset_orbit_minima(g.n, gens):
+            extra = [(i, g.n) for i in range(g.n) if (sub >> i) & 1]
+            cand = Graph(g.n + 1, base + extra)
+            code = canonical_code(cand)
+            if code not in seen:
+                seen[code] = cand
+    return tuple(seen[c] for c in sorted(seen))
+
+
 def enumerate_graphs(n: int, connected: bool = False) -> list[Graph]:
-    """One representative per isomorphism class of graphs on n vertices.
+    """One representative per isomorphism class of graphs on n vertices,
+    sorted by canonical code.
 
     Canonical augmentation: every class on n vertices arises from some
-    class on n-1 vertices by attaching a new vertex with one of the 2^(n-1)
-    possible neighborhoods.  Capped at 8 vertices; larger corpora are meant
+    class on n-1 vertices by attaching a new vertex.  Each parent g is
+    extended by the least neighbourhood mask of every Aut(g)-orbit of the
+    2^(n-1) subsets, and the first candidate seen with each code is kept.
+    Levels are memoised, so calling this for n = 1, 2, ..., N builds the
+    catalog up to N once.  Capped at 8 vertices; larger corpora are meant
     to be ingested from graph6 streams.
     """
     if n < 1:
@@ -195,18 +323,7 @@ def enumerate_graphs(n: int, connected: bool = False) -> list[Graph]:
             f"graph enumeration capped at {GRAPH_ENUM_LIMIT} vertices; "
             "ingest a graph6 stream for larger orders"
         )
-    level = [Graph(1)]
-    for size in range(2, n + 1):
-        seen: dict[bytes, Graph] = {}
-        for g in level:
-            base = list(g.edges())
-            for sub in range(1 << g.n):
-                extra = [(i, g.n) for i in range(g.n) if (sub >> i) & 1]
-                cand = Graph(g.n + 1, base + extra)
-                code = canonical_code(cand)
-                if code not in seen:
-                    seen[code] = cand
-        level = [seen[c] for c in sorted(seen)]
+    level = _graph_level(n)
     if connected:
         return [g for g in level if is_connected(g)]
-    return level
+    return list(level)

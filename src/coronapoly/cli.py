@@ -1,9 +1,10 @@
 """Command-line surface: compute, transform, analyze roots, verify, search.
 
 Exit codes: 0 success, 1 a verification failure or counterexample was
-found, 2 usage error, 3 a size cap was exceeded.  Every run is
-deterministic for fixed inputs and flags (fixed pivot rule, fixed
-numeric initialization, no RNG anywhere).
+found, 2 usage error, 3 a size cap was exceeded, 4 a numeric root
+iteration did not converge.  Every run is deterministic for fixed inputs
+and flags (fixed pivot rule, fixed numeric initialization, no RNG
+anywhere).
 
 The ``--jobs`` flag fans stream processing out over worker processes for
 ``verify`` and ``search --mode equal-poly``; results merge by the
@@ -20,7 +21,12 @@ import sys
 from multiprocessing import Pool
 
 from . import canon, corona as corona_mod, search, suites
-from .errors import GraphParseError, NotACoronaImage, ResourceLimitError
+from .errors import (
+    GraphParseError,
+    NotACoronaImage,
+    ResourceLimitError,
+    RootConvergenceError,
+)
 from .graphs import (
     Graph,
     centipede_graph,
@@ -256,10 +262,12 @@ def _iter_input_graphs(args, parser):
 
 
 def _cmd_verify(args, parser) -> int:
-    stream = _iter_input_graphs(args, parser)
     if args.suite == "hk":
+        if args.input:
+            parser.error("--suite hk builds its own instances and takes no --input")
         result = suites.run_suite("hk", max_n=args.max_n)
     else:
+        stream = _iter_input_graphs(args, parser)
         max_n = args.max_n if args.max_n is not None else _default_max_n(suites.DEFAULT_MAX_N)
         graphs = stream if stream is not None else suites.default_corpus(max_n)
         if args.jobs > 1 and len(graphs) >= 64:
@@ -331,10 +339,9 @@ def _cmd_search(args, parser) -> int:
     elif args.mode == "hamidoune":
         stream = _iter_input_graphs(args, parser)
         if stream is None:
-            stream = [
-                g
-                for g in suites.default_corpus(args.max_n if args.max_n is not None else _default_max_n(8))
-            ]
+            stream = suites.default_corpus(
+                args.max_n if args.max_n is not None else _default_max_n(8)
+            )
         report = search.hamidoune_scan(stream)
         failed = not report.clean
         _emit(
@@ -396,8 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-n", type=int,
         help="corpus cap (default env CORONAPOLY_MAX_N or 7); for --suite hk the largest k (default 4)",
     )
-    p.add_argument("--input", help="graph6 stream instead of the built-in catalog")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument(
+        "--input", help="graph6 stream instead of the built-in catalog (not with --suite hk)"
+    )
+    p.add_argument(
+        "--tol", type=float, default=1e-9,
+        help="numeric tolerance of the root legs (unused by --suite hk)",
+    )
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     _add_output(p)
     p.set_defaults(func=_cmd_verify)
@@ -428,6 +440,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"coronapoly: resource limit: {exc}", file=sys.stderr)
         return 3
+    except RootConvergenceError as exc:
+        print(f"coronapoly: root iteration did not converge: {exc}", file=sys.stderr)
+        return 4
     except GraphParseError as exc:
         print(f"coronapoly: parse error: {exc}", file=sys.stderr)
         return 2

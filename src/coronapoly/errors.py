@@ -29,3 +29,8 @@ class RootConvergenceError(Exception):
     def __init__(self, message: str, approximations):
         self.approximations = approximations
         super().__init__(message)
+
+    def __reduce__(self):
+        # the default rebuilds from args alone, which lack approximations, so
+        # an error raised in a worker process could not reach the parent
+        return type(self), (self.args[0], self.approximations)

@@ -75,7 +75,8 @@ class SuiteResult:
 
 def default_corpus(max_n: int | None = None) -> list[Graph]:
     """Connected graphs on 1..max_n vertices (default DEFAULT_MAX_N) from
-    the built-in catalog; the catalog cap is checked before any work."""
+    the built-in catalog, whose memoised levels make this one pass over
+    1..max_n; the catalog cap is checked before any work."""
     if max_n is None:
         max_n = DEFAULT_MAX_N
     if max_n > GRAPH_ENUM_LIMIT:

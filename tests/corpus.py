@@ -25,6 +25,8 @@ from coronapoly.indpoly import independence_polynomial
 
 @cache
 def graphs_exactly(n: int, connected: bool = False) -> tuple[Graph, ...]:
+    """Level n of the graph catalog.  ``enumerate_graphs`` memoises its
+    levels, so every n reads from one pass that builds each level once."""
     return tuple(enumerate_graphs(n, connected=connected))
 
 

@@ -128,3 +128,25 @@ def clique_cover_identity_holds(g: Graph, i: int, j: int) -> bool:
         sum(1 for t in by_size.get(j, []) if t & q == q) for q in by_size.get(i, [])
     )
     return total == comb(j, i) * s_j
+
+
+def unpruned_graph_levels(max_n: int) -> list[tuple[Graph, ...]]:
+    """Levels 1..max_n of the graph catalog by plain canonical augmentation:
+    every parent is extended by all 2^n neighbourhood subsets, in
+    increasing mask order, and the first candidate seen with each code is
+    kept; each level is sorted by code.  Unlike the rest of this module it
+    uses the package's ``canonical_code``, because it is the reference for
+    the orbit pruning of ``enumerate_graphs``, not for the codes."""
+    from coronapoly.canon import canonical_code
+
+    levels = [(Graph(1),)]
+    while len(levels) < max_n:
+        seen: dict[bytes, Graph] = {}
+        for g in levels[-1]:
+            base = list(g.edges())
+            for sub in range(1 << g.n):
+                extra = [(i, g.n) for i in range(g.n) if (sub >> i) & 1]
+                cand = Graph(g.n + 1, base + extra)
+                seen.setdefault(canonical_code(cand), cand)
+        levels.append(tuple(seen[c] for c in sorted(seen)))
+    return levels

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from coronapoly import canon
 from coronapoly.canon import (
     CONNECTED_GRAPH_COUNTS,
     GRAPH_COUNTS,
     TREE_COUNTS,
     are_isomorphic,
+    automorphism_group,
     canonical_code,
     enumerate_graphs,
     enumerate_trees,
@@ -14,6 +16,7 @@ from coronapoly.canon import (
 from coronapoly.errors import ResourceLimitError
 from coronapoly.graphs import Graph, cycle_graph, disjoint_union, path_graph
 from knowngraphs import EQUAL_TREES10_A, EQUAL_TREES10_B, PAIR5_A, PAIR5_B
+from oracles import unpruned_graph_levels
 
 
 def test_relabeling_invariance():
@@ -67,7 +70,7 @@ def test_tree_enumeration_range():
 
 
 def test_graph_counts_small():
-    for n in range(1, 7):
+    for n in range(1, 9):
         gs = enumerate_graphs(n)
         assert len(gs) == GRAPH_COUNTS[n]
         assert sum(1 for g in gs if len(g.adj) == n) == len(gs)
@@ -80,3 +83,41 @@ def test_graph_enumeration_caps():
         enumerate_graphs(9)
     with pytest.raises(ValueError):
         enumerate_graphs(0)
+
+
+def _networkx_automorphisms(g):
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return [tuple(m[v] for v in range(g.n)) for m in GraphMatcher(h, h).isomorphisms_iter()]
+
+
+def test_automorphism_group_orders_against_networkx():
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            gens, order = automorphism_group(g)
+            assert order == len(_networkx_automorphisms(g))
+            for sigma in gens:
+                assert sorted(sigma) == list(range(n))
+                assert all(g.has_edge(sigma[u], sigma[v]) for u, v in g.edges())
+
+
+def test_orbit_minima_use_the_whole_group():
+    # a subset is kept iff no automorphism maps it to a smaller mask
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            auts = _networkx_automorphisms(g)
+            expect = [
+                s for s in range(1 << n)
+                if all(s <= sum(1 << a[i] for i in range(n) if (s >> i) & 1) for a in auts)
+            ]
+            gens, _ = automorphism_group(g)
+            assert canon._subset_orbit_minima(n, gens) == expect
+
+
+def test_pruned_levels_equal_unpruned_reference():
+    for n, level in enumerate(unpruned_graph_levels(7), start=1):
+        assert [g.masks for g in enumerate_graphs(n)] == [g.masks for g in level]

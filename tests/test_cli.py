@@ -177,6 +177,31 @@ def test_usage_error_exit_code(capsys):
     assert info.value.code == 2
 
 
+def test_verify_hk_rejects_input_before_reading(tmp_path, capsys):
+    missing = tmp_path / "missing.g6"    # never created: opening it would fail
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--suite", "hk", "--input", str(missing)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "--suite hk builds its own instances and takes no --input" in err
+    assert "No such file" not in err and "parse error" not in err
+
+
+def test_root_convergence_exit_code(monkeypatch, capsys):
+    from coronapoly import roots
+    from coronapoly.errors import RootConvergenceError
+
+    def numeric_roots(*args, **kwargs):
+        raise RootConvergenceError("no convergence after 500 sweeps", [])
+
+    monkeypatch.setattr(roots, "numeric_roots", numeric_roots)
+    code, out, err = run(capsys, "roots", "--family", "cycle", "--n", "5")
+    assert code == 4
+    assert out == ""
+    assert err == "coronapoly: root iteration did not converge: no convergence after 500 sweeps\n"
+
+
 def test_search_equal_poly(tmp_path, capsys):
     from corpus import trees_exactly
 

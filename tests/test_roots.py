@@ -1,10 +1,11 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from coronapoly.errors import ResourceLimitError
+from coronapoly.errors import ResourceLimitError, RootConvergenceError
 from coronapoly.graphs import (
     Graph,
     complete_graph,
@@ -453,3 +454,11 @@ def test_exact_root_core_against_sympy():
             else:
                 held = [mr for r, mr in roots if cmp(r, lo) > 0 and cmp(r, hi) < 0]
             assert held == [m], (p, lo, hi, m)
+
+
+def test_root_convergence_error_survives_pickling():
+    # worker processes send their exceptions to the parent pickled
+    err = pickle.loads(pickle.dumps(RootConvergenceError("no convergence", [1 + 2j])))
+    assert type(err) is RootConvergenceError
+    assert str(err) == "no convergence"
+    assert err.approximations == [1 + 2j]
