@@ -6,10 +6,11 @@ iteration did not converge.  Every run is deterministic for fixed inputs
 and flags (fixed pivot rule, fixed numeric initialization, no RNG
 anywhere).
 
-The ``--jobs`` flag fans stream processing out over worker processes for
-``verify`` and ``search --mode equal-poly``; results merge by the
-associative contract documented in ``search``.  ``CORONAPOLY_MAX_N`` in
-the environment supplies the default ``--max-n`` of the graph corpora.
+Input is read lazily, line by line.  Each stream scan maps its per-graph
+work in order over ``--jobs`` worker processes once a stream has 64
+graphs.  A bad graph6 line is named by its line number; ``equal-poly``
+records it and exits 2 after its report.  ``CORONAPOLY_MAX_N`` in the
+environment supplies the default ``--max-n`` of the graph corpora.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager, nullcontext
+from itertools import chain, islice
 from multiprocessing import Pool
 
 from . import canon, corona as corona_mod, search, suites
@@ -28,16 +31,16 @@ from .errors import (
     RootConvergenceError,
 )
 from .graphs import (
-    Graph,
+    StreamItem,
     centipede_graph,
     complete_graph,
     complete_multipartite_graph,
     corona,
     cycle_graph,
     encode_graph6,
+    item_graph,
     parse_edge_list,
     path_graph,
-    read_graph6_stream,
     spider_graph,
     star_graph,
 )
@@ -102,30 +105,57 @@ def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", choices=("text", "json"), default="text")
 
 
+_CHUNK = 64     # items per worker task; shorter streams are not fanned out
+
+
+def _read_lines(path: str):
+    """(line number, line) of a file, or of stdin for "-", read lazily."""
+    with nullcontext(sys.stdin) if path == "-" else open(path, encoding="ascii") as fh:
+        yield from enumerate(fh, 1)
+
+
+def _graph6_items(path: str):
+    """One StreamItem per non-blank line of a graph6 stream, named by its line."""
+    return (StreamItem(f"line {n}", line) for n, line in _read_lines(path) if line.strip())
+
+
+@contextmanager
+def _scan_map(args: argparse.Namespace, default_max_n: int = 0):
+    """(mapper, stream) of a scan over --input, else the catalog up to
+    --max-n.  The mapper is the builtin map at --jobs 1 or for a stream of
+    under _CHUNK items (read ahead to tell), else an ordered Pool.imap."""
+    if args.input:
+        items = _graph6_items(args.input)
+    else:
+        max_n = args.max_n if args.max_n is not None else _default_max_n(default_max_n)
+        items = iter(suites.default_corpus(max_n))
+    head = list(islice(items, _CHUNK))
+    items = chain(head, items)
+    if args.jobs <= 1 or len(head) < _CHUNK:
+        yield map, items
+    else:
+        with Pool(args.jobs) as pool:
+            yield lambda fn, items: pool.imap(fn, items, _CHUNK), items
+
+
 def _graphs_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser):
     sources = sum(1 for flag in (args.family, args.input) if flag)
     if sources != 1:
         parser.error("exactly one input source required: --family or --input")
-    if args.family:
-        if args.family == "multipartite":
-            if not args.sizes:
-                parser.error("--family multipartite requires --sizes a,b,c")
-            sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
-            yield _FAMILIES[args.family](0, sizes)
-            return
+    if args.family == "multipartite":
+        if not args.sizes:
+            parser.error("--family multipartite requires --sizes a,b,c")
+        sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
+        yield _FAMILIES[args.family](0, sizes)
+    elif args.family:
         if args.n is None:
             parser.error(f"--family {args.family} requires --n")
         yield _FAMILIES[args.family](args.n, None)
-        return
-    if args.input == "-":
-        text = sys.stdin.read()
+    elif args.format == "edgelist":
+        yield parse_edge_list("".join(line for _, line in _read_lines(args.input)))
     else:
-        with open(args.input, "r", encoding="ascii") as fh:
-            text = fh.read()
-    if args.format == "edgelist":
-        yield parse_edge_list(text)
-    else:
-        yield from read_graph6_stream(text.splitlines())
+        for item in _graph6_items(args.input):
+            yield item_graph(item)[1]
 
 
 def _parse_coeffs(text: str) -> IntPolynomial:
@@ -220,7 +250,6 @@ def _cmd_roots(args, parser) -> int:
 
 
 def _cmd_gen(args, parser) -> int:
-    emitted = []
     if args.trees is not None:
         emitted = [(t, None) for t in canon.enumerate_trees(args.trees)]
     elif args.graphs is not None:
@@ -228,7 +257,6 @@ def _cmd_gen(args, parser) -> int:
             (g, None) for g in canon.enumerate_graphs(args.graphs, connected=args.connected)
         ]
     elif args.family:
-        graphs = list(_graphs_from_args(args, parser))
         sizes = (
             [int(tok) for tok in args.sizes.split(",") if tok.strip()]
             if args.sizes
@@ -236,7 +264,7 @@ def _cmd_gen(args, parser) -> int:
         )
         closed = _CLOSED_FORMS.get(args.family)
         emitted = []
-        for g in graphs:
+        for g in _graphs_from_args(args, parser):
             poly = closed(args.n, sizes) if closed else None
             emitted.append((g, poly if poly is not None else independence_polynomial(g)))
     else:
@@ -252,33 +280,14 @@ def _cmd_gen(args, parser) -> int:
     return 0
 
 
-def _iter_input_graphs(args, parser):
-    if args.input:
-        if args.input == "-":
-            return list(read_graph6_stream(sys.stdin))
-        with open(args.input, "r", encoding="ascii") as fh:
-            return list(read_graph6_stream(fh))
-    return None
-
-
 def _cmd_verify(args, parser) -> int:
     if args.suite == "hk":
         if args.input:
             parser.error("--suite hk builds its own instances and takes no --input")
         result = suites.run_suite("hk", max_n=args.max_n)
     else:
-        stream = _iter_input_graphs(args, parser)
-        max_n = args.max_n if args.max_n is not None else _default_max_n(suites.DEFAULT_MAX_N)
-        graphs = stream if stream is not None else suites.default_corpus(max_n)
-        if args.jobs > 1 and len(graphs) >= 64:
-            work = [(args.suite, encode_graph6(g), args.tol) for g in graphs]
-            with Pool(args.jobs) as pool:
-                messages = pool.map(suites.check_one_g6, work, chunksize=64)
-            result = suites.SuiteResult(
-                args.suite, len(graphs), [m for m in messages if m is not None]
-            )
-        else:
-            result = suites.run_suite(args.suite, graphs, tol=args.tol)
+        with _scan_map(args, suites.DEFAULT_MAX_N) as (mapper, stream):
+            result = suites.run_suite(args.suite, stream, tol=args.tol, mapper=mapper)
     if args.output == "json":
         print(json.dumps(result.to_json()))
     else:
@@ -289,73 +298,50 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_search(args, parser) -> int:
-    evidence_lines: list[str] = []
-    failed = False
     if args.mode == "equal-poly":
-        stream = _iter_input_graphs(args, parser)
-        if stream is None:
+        if not args.input:
             parser.error("search --mode equal-poly requires --input")
-        if args.jobs > 1 and len(stream) >= 64:
-            lines = [encode_graph6(g) for g in stream]
-            chunk = max(64, len(lines) // args.jobs)
-            chunks = [lines[i : i + chunk] for i in range(0, len(lines), chunk)]
-            with Pool(args.jobs) as pool:
-                parts = pool.map(search.partition_graphs, chunks)
-            merged = parts[0]
-            for part in parts[1:]:
-                merged = search.merge_partitions(merged, part)
-            report = search.report_from_partition(merged, source=args.input)
-        else:
-            report = search.group_by_polynomial(stream, source=args.input or "")
-        out = report.to_json() if args.output == "json" else report.summary_table()
-        print(json.dumps(out) if args.output == "json" else out)
+        with _scan_map(args) as (mapper, stream):
+            partition = search.partition_graphs(stream, mapper)
+        report = search.report_from_partition(partition, source=args.input)
+        status = 2 if partition[2] else 0   # a line that could not be classified
+        text = report.summary_table()
         evidence_lines = [json.dumps(c.to_json()) for c in report.nontrivial_classes()]
     elif args.mode == "spider-unique":
         report = search.spider_uniqueness_scan(args.max_skeleton)
-        failed = bool(report.violations)
-        _emit(
-            report.to_json(),
+        status = 1 if report.violations else 0
+        text = (
             f"spider uniqueness up to skeleton {report.max_skeleton}: "
             f"{report.skeletons_checked} skeletons, {len(report.matches)} star matches, "
             f"{report.skipped_multiplicity} filtered by multiplicity, "
-            f"{len(report.violations)} violations",
-            args.output,
+            f"{len(report.violations)} violations"
         )
         evidence_lines = [json.dumps(report.to_json())]
     elif args.mode == "conjecture2":
-        stream = _iter_input_graphs(args, parser)
-        if stream is None:
-            stream = suites.default_corpus(args.max_n if args.max_n is not None else _default_max_n(7))
-        report = search.conjecture2_scan(stream, args.max_tree_order)
-        failed = not report.clean
-        _emit(
-            report.to_json(),
+        with _scan_map(args, 7) as (mapper, stream):
+            report = search.conjecture2_scan(stream, args.max_tree_order, mapper)
+        status = 0 if report.clean else 1
+        text = (
             f"conjecture2: {report.graphs_scanned} connected graphs vs well-covered trees "
             f"<= {report.max_tree_order}; supporting {report.supporting_matches}, "
-            f"counterexamples {len(report.counterexamples)}",
-            args.output,
+            f"counterexamples {len(report.counterexamples)}"
         )
         evidence_lines = report.to_jsonl_lines()
-    elif args.mode == "hamidoune":
-        stream = _iter_input_graphs(args, parser)
-        if stream is None:
-            stream = suites.default_corpus(
-                args.max_n if args.max_n is not None else _default_max_n(8)
-            )
-        report = search.hamidoune_scan(stream)
-        failed = not report.clean
-        _emit(
-            report.to_json(),
+    else:  # hamidoune
+        with _scan_map(args, 8) as (mapper, stream):
+            report = search.hamidoune_scan(stream, mapper=mapper)
+        status = 0 if report.clean else 1
+        text = (
             f"hamidoune: {report.graphs_scanned} graphs, {report.claw_free_count} claw-free, "
             f"{len(report.failures)} failures, "
-            f"{report.nonreal_contrast_count} non-claw-free with nonreal roots",
-            args.output,
+            f"{report.nonreal_contrast_count} non-claw-free with nonreal roots"
         )
         evidence_lines = report.to_jsonl_lines()
+    _emit(report.to_json(), text, args.output)
     if args.evidence:
         with open(args.evidence, "w", encoding="utf-8") as fh:
             fh.write("\n".join(evidence_lines) + "\n")
-    return 1 if failed else 0
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,7 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol", type=float, default=1e-9,
         help="numeric tolerance of the root legs (unused by --suite hk)",
     )
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument(
+        "--jobs", type=int, default=os.cpu_count() or 1,
+        help="worker processes for streams of 64 or more graphs (unused by --suite hk)",
+    )
     _add_output(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -424,7 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, help="internal corpus cap when no --input")
     p.add_argument("--max-skeleton", type=int, default=8)
     p.add_argument("--max-tree-order", type=int, default=14)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument(
+        "--jobs", type=int, default=os.cpu_count() or 1,
+        help="worker processes for streams of 64 or more graphs (unused by spider-unique)",
+    )
     p.add_argument("--evidence", help="write machine-readable JSONL evidence here")
     _add_output(p)
     p.set_defaults(func=_cmd_search)

@@ -22,6 +22,10 @@ class NotACoronaImage(ValueError):
         self.value = value
         super().__init__(f"reconstructed s_{index} = {value} < 0: not a corona image")
 
+    def __reduce__(self):
+        # rebuilt from its two arguments, as RootConvergenceError below
+        return type(self), (self.index, self.value)
+
 
 class RootConvergenceError(Exception):
     """Simultaneous root iteration failed to converge; carries the best iterate."""

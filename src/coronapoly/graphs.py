@@ -17,7 +17,7 @@ Labeling conventions (frozen so golden outputs are stable):
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import GraphParseError, ResourceLimitError
 
@@ -146,6 +146,29 @@ def read_graph6_stream(lines: Iterable[str]) -> Iterator[Graph]:
             yield parse_graph6(line)
 
 
+class StreamItem(NamedTuple):
+    """A stream's graph or graph6 line, named "line N" or "item i" in errors."""
+    label: str
+    graph: Union[Graph, str]
+
+
+def label_items(items: Iterable) -> Iterator[StreamItem]:
+    """Name each item by its stream position unless it is a StreamItem."""
+    for idx, item in enumerate(items):
+        yield item if isinstance(item, StreamItem) else StreamItem(f"item {idx}", item)
+
+
+def item_graph(item: StreamItem) -> tuple[str, Graph]:
+    """Graph6 text (header dropped) and Graph of an item; parse errors name it."""
+    if isinstance(item.graph, Graph):
+        return encode_graph6(item.graph), item.graph
+    text = item.graph.strip().removeprefix(">>graph6<<")
+    try:
+        return text, parse_graph6(text)
+    except GraphParseError as exc:
+        raise GraphParseError(f"{item.label}: {exc}") from None
+
+
 def parse_edge_list(text: str) -> Graph:
     """First meaningful line is n, then one ``u v`` pair per line.
 
@@ -267,18 +290,6 @@ def complement(g: Graph) -> Graph:
         g.n,
         [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)],
     )
-
-
-def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
-    """Subgraph on the given vertices, relabeled 0..k-1 in the given order."""
-    index = {v: i for i, v in enumerate(vertices)}
-    edges = [
-        (index[u], index[v])
-        for u in vertices
-        for v in g.adj[u]
-        if u < v and v in index
-    ]
-    return Graph(len(vertices), edges)
 
 
 # -- connectivity and cycles --------------------------------------------------

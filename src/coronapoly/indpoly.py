@@ -43,12 +43,6 @@ def _cycle_poly(m: int) -> tuple[int, ...]:
     return shift_add(_path_poly(m - 1), _path_poly(m - 3))
 
 
-def _binomial_row(m: int) -> tuple[int, ...]:
-    from math import comb
-
-    return tuple(comb(m, k) for k in range(m + 1))
-
-
 # -- the decomposition engine ------------------------------------------------
 
 

@@ -1,34 +1,37 @@
 """Polynomial-equivalence classification and the conjecture evidence scans.
 
-Graphs stream through as graph6 strings (what the reports retain) or as
-Graph values.  Classification hashes the exact decimal coefficient
-vector, so two graphs land in one class iff their independence
-polynomials are identical as integer sequences.
+Graphs stream through as graph6 strings (what the reports retain), as
+Graph values or as ``graphs.StreamItem`` lines.  Classification hashes the
+exact decimal coefficient vector, so two graphs land in one class iff
+their independence polynomials are identical as integer sequences.
 
-Merge contract: ``partition_graphs`` over any split of a stream followed
-by ``merge_partitions`` equals the single-pass result; the merge is
-associative and commutative (dict union with list concatenation per
-polynomial key), which is what lets callers fan the stream map out over
-workers.  Scans report evidence only: a clean pass means "no
-counterexample up to the stated order", never more.
+Each stream scan is a picklable per-item function followed by a fold over
+its results in stream order.  The per-item map is the scan's ``mapper``
+argument: the builtin ``map`` by default, or any ordered parallel map such
+as ``Pool.imap``, which gives the same report.  Scans report evidence
+only: a clean pass means "no counterexample up to the stated order",
+never more.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .canon import canonical_code, enumerate_trees
 from .corona import spider_polynomial
-from .errors import ResourceLimitError
+from .errors import GraphParseError, ResourceLimitError
 from .graphs import (
     Graph,
+    StreamItem,
     corona,
     encode_graph6,
     is_connected,
     is_star,
     is_tree,
+    item_graph,
+    label_items,
     parse_graph6,
     path_graph,
     pendant_edges_form_perfect_matching,
@@ -38,13 +41,8 @@ from .indpoly import independence_polynomial, independence_polynomial_tree
 from .polynomials import IntPolynomial
 from .roots import all_roots_real, multiplicity_of_minus_one
 
-GraphLike = Union[Graph, str]
-
-
-def _as_pair(item: GraphLike) -> tuple[str, Graph]:
-    if isinstance(item, Graph):
-        return encode_graph6(item), item
-    return item.strip(), parse_graph6(item)
+GraphLike = Union[Graph, str, StreamItem]
+Mapper = Callable[..., Iterable]    # map(fn, items), in item order
 
 
 # -- equivalence classification -------------------------------------------
@@ -103,34 +101,30 @@ class EquivalenceReport:
         return "\n".join(lines)
 
 
+def _coefficient_key(item: StreamItem) -> tuple[tuple[int, ...] | None, str]:
+    """Per-item map of partition_graphs: (key, graph6), or (None, error)."""
+    try:
+        g6, g = item_graph(item)
+        return independence_polynomial(g).coeffs, g6
+    except GraphParseError as exc:  # already names the item
+        return None, str(exc)
+    except Exception as exc:  # per-graph failure; the stream continues
+        return None, f"{item.label}: {exc}"
+
+
 def partition_graphs(
-    items: Iterable[GraphLike],
+    items: Iterable[GraphLike], mapper: Mapper = map
 ) -> tuple[dict[tuple[int, ...], list[str]], int, list[str]]:
-    """Map each graph to its exact coefficient key.  Partial results merge
-    with ``merge_partitions``."""
+    """Map each graph to its exact coefficient key; an item that fails is
+    recorded in the error list and the stream continues."""
     buckets: dict[tuple[int, ...], list[str]] = {}
     errors: list[str] = []
-    seen = 0
-    for idx, item in enumerate(items):
-        try:
-            g6, g = _as_pair(item)
-            poly = independence_polynomial(g)
-        except Exception as exc:  # per-graph failure; the stream continues
-            errors.append(f"item {idx}: {exc}")
-            continue
-        seen += 1
-        buckets.setdefault(poly.coeffs, []).append(g6)
-    return buckets, seen, errors
-
-
-def merge_partitions(
-    a: tuple[dict, int, list[str]], b: tuple[dict, int, list[str]]
-) -> tuple[dict, int, list[str]]:
-    """Associative, commutative merge of partial partitions."""
-    buckets = {k: list(v) for k, v in a[0].items()}
-    for key, members in b[0].items():
-        buckets.setdefault(key, []).extend(members)
-    return buckets, a[1] + b[1], a[2] + b[2]
+    for key, text in mapper(_coefficient_key, label_items(items)):
+        if key is None:
+            errors.append(text)
+        else:
+            buckets.setdefault(key, []).append(text)
+    return buckets, sum(map(len, buckets.values())), errors
 
 
 def group_by_polynomial(
@@ -150,7 +144,7 @@ def report_from_partition(
     source: str = "",
     isomorphism_verdicts: bool = True,
 ) -> EquivalenceReport:
-    """Finalize a (possibly merged) partition into an EquivalenceReport."""
+    """Finalize a partition into an EquivalenceReport."""
     buckets, seen, errors = partition
     errors = list(errors)
     classes = []
@@ -257,12 +251,6 @@ def well_covered_trees(max_order: int) -> list[Graph]:
     return out
 
 
-def _is_well_covered_tree(g: Graph) -> bool:
-    if not is_tree(g):
-        return False
-    return g.n == 1 or pendant_edges_form_perfect_matching(g)
-
-
 @dataclass
 class Conjecture2Report:
     max_tree_order: int
@@ -297,8 +285,18 @@ class Conjecture2Report:
         return lines
 
 
+def _conjecture2_verdict(item: StreamItem) -> tuple[str, tuple[int, ...] | None, bool]:
+    """Per-item map of conjecture2_scan: (graph6, key or None if disconnected,
+    well-covered tree)."""
+    g6, g = item_graph(item)
+    if not is_connected(g):
+        return g6, None, False
+    well_covered_tree = is_tree(g) and (g.n == 1 or pendant_edges_form_perfect_matching(g))
+    return g6, independence_polynomial(g).coeffs, well_covered_tree
+
+
 def conjecture2_scan(
-    items: Iterable[GraphLike], max_tree_order: int
+    items: Iterable[GraphLike], max_tree_order: int, mapper: Mapper = map
 ) -> Conjecture2Report:
     """Evidence scan: every connected stream graph whose polynomial matches a
     well-covered tree's should itself be a well-covered tree.
@@ -314,16 +312,14 @@ def conjecture2_scan(
     skipped = 0
     supporting = 0
     counterexamples: list[dict] = []
-    for item in items:
-        g6, g = _as_pair(item)
-        if not is_connected(g):
+    for g6, key, well_covered_tree in mapper(_conjecture2_verdict, label_items(items)):
+        if key is None:
             skipped += 1
             continue
         scanned += 1
-        key = independence_polynomial(g).coeffs
         if key not in index:
             continue
-        if _is_well_covered_tree(g):
+        if well_covered_tree:
             supporting += 1
         else:
             counterexamples.append(
@@ -366,8 +362,14 @@ class HamidouneReport:
         return lines
 
 
+def _hamidoune_verdict(item: StreamItem) -> tuple[str, bool, bool]:
+    """Per-item map of hamidoune_scan: (graph6, claw-free, real-rooted)."""
+    g6, g = item_graph(item)
+    return g6, is_claw_free(g), all_roots_real(independence_polynomial(g))
+
+
 def hamidoune_scan(
-    items: Iterable[GraphLike], *, contrast_examples: int = 10
+    items: Iterable[GraphLike], *, contrast_examples: int = 10, mapper: Mapper = map
 ) -> HamidouneReport:
     """Exact all-real-root certificates for every claw-free graph in the
     stream (Sturm counts weighted by square-free multiplicity must exhaust
@@ -380,12 +382,8 @@ def hamidoune_scan(
     contrast: list[str] = []
     contrast_count = 0
     verdicts: list[tuple[str, bool, bool]] = []
-    for item in items:
-        g6, g = _as_pair(item)
+    for g6, cf, real_rooted in mapper(_hamidoune_verdict, label_items(items)):
         scanned += 1
-        p = independence_polynomial(g)
-        real_rooted = all_roots_real(p)
-        cf = is_claw_free(g)
         verdicts.append((g6, cf, real_rooted))
         if cf:
             claw_free += 1

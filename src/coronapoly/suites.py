@@ -3,15 +3,17 @@
 Each suite sweeps a graph corpus (an ingested graph6 stream, or the
 built-in catalog of connected graphs when none is given) and records a
 failure message per violated instance.  Everything here is exact; a
-suite passes iff no instance fails.  Per-graph checks are exposed as
-top-level functions of (suite, graph6) so the CLI can fan a stream out
-over worker processes and merge the results.
+suite passes iff no instance fails.  ``run_suite`` maps a picklable
+per-graph check over the stream with its ``mapper`` argument (the builtin
+``map``, or an ordered parallel map) and folds the results in order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from typing import Callable, Iterable
 
 from .canon import GRAPH_ENUM_LIMIT, enumerate_graphs
 from .corona import (
@@ -21,7 +23,7 @@ from .corona import (
     divisibility_check,
 )
 from .errors import ResourceLimitError
-from .graphs import Graph, alpha, complete_graph, corona, encode_graph6, parse_graph6
+from .graphs import Graph, alpha, complete_graph, corona, encode_graph6, item_graph, label_items
 from .indpoly import independence_polynomial
 from .roots import (
     build_hk,
@@ -151,10 +153,9 @@ def check_one(suite: str, g: Graph, tol: float = 1e-9) -> str | None:
     raise ValueError(f"unknown suite {suite!r}")
 
 
-def check_one_g6(args: tuple[str, str, float]) -> str | None:
-    """Picklable worker: (suite, graph6, tol) -> failure message or None."""
-    suite, g6, tol = args
-    return check_one(suite, parse_graph6(g6), tol)
+def _check_item(suite: str, tol: float, item) -> str | None:
+    """Per-item map of run_suite: check_one on one stream item."""
+    return check_one(suite, item_graph(item)[1], tol)
 
 
 def run_hk_suite(max_k: int | None = None) -> SuiteResult:
@@ -176,9 +177,10 @@ def run_hk_suite(max_k: int | None = None) -> SuiteResult:
 
 def run_suite(
     suite: str,
-    graphs: list[Graph] | None = None,
+    graphs: Iterable | None = None,
     max_n: int | None = None,
     tol: float = 1e-9,
+    mapper: Callable[..., Iterable] = map,
 ) -> SuiteResult:
     """Run a suite over `graphs`, or over the catalog up to `max_n`; for
     "hk", `max_n` is the largest k instead."""
@@ -187,9 +189,8 @@ def run_suite(
     if graphs is None:
         graphs = default_corpus(max_n)
     result = SuiteResult(suite, 0)
-    for g in graphs:
+    for msg in mapper(partial(_check_item, suite, tol), label_items(graphs)):
         result.checked += 1
-        msg = check_one(suite, g, tol)
         if msg is not None:
             result.failures.append(msg)
     return result

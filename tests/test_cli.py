@@ -222,24 +222,90 @@ def test_search_equal_poly(tmp_path, capsys):
     )
 
 
-def test_search_equal_poly_parallel_matches_serial(tmp_path, capsys):
+def _write_stream(path, lines):
+    path.write_text("".join(line + "\n" for line in lines))
+    return str(path)
+
+
+def _parse_error(line):
+    from coronapoly.errors import GraphParseError
+
+    with pytest.raises(GraphParseError) as info:
+        parse_graph6(line)
+    return str(info.value)
+
+
+def _bulk_lines():
     from corpus import graphs_upto
 
-    stream = tmp_path / "bulk.g6"
-    graphs = graphs_upto(6, connected=True)
-    stream.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
-    code, serial, _ = run(
-        capsys, "search", "--mode", "equal-poly", "--input", str(stream),
-        "--jobs", "1", "--output", "json",
-    )
+    lines = [encode_graph6(g) for g in graphs_upto(6, connected=True)]
+    assert len(lines) >= 64     # shorter streams are never fanned out
+    return lines
+
+
+STREAM_SCANS = {
+    "verify": ["verify", "--suite", "monotonicity"],
+    "equal-poly": ["search", "--mode", "equal-poly"],
+    "hamidoune": ["search", "--mode", "hamidoune"],
+    "conjecture2": ["search", "--mode", "conjecture2"],
+}
+
+
+@pytest.mark.parametrize("scan", STREAM_SCANS)
+def test_stream_scan_parallel_matches_serial(tmp_path, capsys, monkeypatch, scan):
+    from multiprocessing import Pool
+
+    from coronapoly import cli
+
+    pools = []
+
+    def counting_pool(*args):
+        pools.append(args)
+        return Pool(*args)
+
+    monkeypatch.setattr(cli, "Pool", counting_pool)
+    stream = _write_stream(tmp_path / "bulk.g6", _bulk_lines())
+    results = []
+    for jobs in ("1", "2"):
+        argv = [*STREAM_SCANS[scan], "--input", stream, "--jobs", jobs, "--output", "json"]
+        evidence = tmp_path / f"evidence-{jobs}.jsonl"
+        if scan != "verify":
+            argv += ["--evidence", str(evidence)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        results.append((out, evidence.read_bytes() if scan != "verify" else b""))
+    assert results[0] == results[1]
+    assert pools == [(2,)]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_equal_poly_records_a_bad_line(tmp_path, capsys, jobs):
+    lines = _bulk_lines()
+    clean = _write_stream(tmp_path / "clean.g6", lines)
+    # a blank line is skipped but still counted, so the bad one is line 42
+    dirty = _write_stream(tmp_path / "dirty.g6", lines[:40] + ["", "A!"] + lines[40:])
+    argv = ["search", "--mode", "equal-poly", "--jobs", jobs, "--output", "json"]
+    code, out, _ = run(capsys, *argv, "--input", clean)
     assert code == 0
-    code, parallel, _ = run(
-        capsys, "search", "--mode", "equal-poly", "--input", str(stream),
-        "--jobs", "2", "--output", "json",
-    )
-    assert code == 0
-    a, b = json.loads(serial), json.loads(parallel)
-    assert a["classes"] == b["classes"]
+    expect = json.loads(out)
+    code, out, _ = run(capsys, *argv, "--input", dirty)
+    assert code == 2
+    got = json.loads(out)
+    assert got["classes"] == expect["classes"]
+    assert got["graphs"] == expect["graphs"] == len(lines)
+    assert expect["errors"] == []
+    assert got["errors"] == [f"line 42: {_parse_error('A!')}"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("scan", ["verify", "hamidoune", "conjecture2"])
+def test_bad_line_exit_names_the_line(tmp_path, capsys, scan, jobs):
+    lines = _bulk_lines()
+    dirty = _write_stream(tmp_path / "dirty.g6", lines[:70] + ["", "A!"] + lines[70:])
+    code, out, err = run(capsys, *STREAM_SCANS[scan], "--input", dirty, "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert err == f"coronapoly: parse error: line 72: {_parse_error('A!')}\n"
 
 
 def test_family_parameter_error_exit_code(capsys):

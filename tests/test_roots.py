@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from coronapoly import errors
 from coronapoly.errors import ResourceLimitError, RootConvergenceError
 from coronapoly.graphs import (
     Graph,
@@ -456,9 +457,21 @@ def test_exact_root_core_against_sympy():
             assert held == [m], (p, lo, hi, m)
 
 
-def test_root_convergence_error_survives_pickling():
+_ERROR_ARGS = {
+    RootConvergenceError: ("no convergence", [1 + 2j]),
+    errors.NotACoronaImage: (2, -1),
+}
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)],
+    ids=lambda c: c.__name__,
+)
+def test_errors_survive_pickling(cls):
     # worker processes send their exceptions to the parent pickled
-    err = pickle.loads(pickle.dumps(RootConvergenceError("no convergence", [1 + 2j])))
-    assert type(err) is RootConvergenceError
-    assert str(err) == "no convergence"
-    assert err.approximations == [1 + 2j]
+    err = cls(*_ERROR_ARGS.get(cls, ("message",)))
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is cls
+    assert str(back) == str(err)
+    assert vars(back) == vars(err)

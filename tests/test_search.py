@@ -19,8 +19,6 @@ from coronapoly.search import (
     corona_equivalence_check,
     group_by_polynomial,
     hamidoune_scan,
-    merge_partitions,
-    partition_graphs,
     spider_uniqueness_scan,
     well_covered_trees,
 )
@@ -78,10 +76,11 @@ def test_verdicts_match_permutation_search():
 
 def test_partition_recovers_input_multiset():
     graphs = graphs_upto(5, connected=True) * 2
-    report = group_by_polynomial(graphs, isomorphism_verdicts=False)
+    # a graph6 header is not part of the member text
+    report = group_by_polynomial(graphs + [">>graph6<<A_"], isomorphism_verdicts=False)
     members = [m for c in report.classes for m in c.members]
-    assert sorted(members) == sorted(encode_graph6(g) for g in graphs)
-    assert report.graphs_seen == len(graphs)
+    assert sorted(members) == sorted([encode_graph6(g) for g in graphs] + ["A_"])
+    assert report.graphs_seen == len(graphs) + 1
 
 
 def test_order_independence():
@@ -94,22 +93,6 @@ def test_order_independence():
     assert [(c.coefficients, sorted(c.members)) for c in a.classes] == [
         (c.coefficients, sorted(c.members)) for c in b.classes
     ]
-
-
-def test_merge_contract():
-    graphs = [encode_graph6(g) for g in graphs_upto(6)]
-    whole = partition_graphs(graphs)
-    third = len(graphs) // 3
-    pieces = [
-        partition_graphs(graphs[:third]),
-        partition_graphs(graphs[third : 2 * third]),
-        partition_graphs(graphs[2 * third :]),
-    ]
-    merged = merge_partitions(merge_partitions(pieces[0], pieces[1]), pieces[2])
-    assert {k: sorted(v) for k, v in merged[0].items()} == {
-        k: sorted(v) for k, v in whole[0].items()
-    }
-    assert merged[1] == whole[1]
 
 
 def test_stream_errors_recorded_not_fatal():
