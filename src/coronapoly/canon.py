@@ -137,7 +137,7 @@ def _min_code_int(g: Graph, colors: list[int]) -> int:
     return best
 
 
-def canonical_code(g: Graph, limit: int = CANONICAL_LIMIT) -> bytes:
+def canonical_code(g: Graph) -> bytes:
     """Isomorphism-invariant byte code; equal codes iff isomorphic graphs."""
     if is_forest(g):
         if g.n > FOREST_CODE_LIMIT:
@@ -145,9 +145,9 @@ def canonical_code(g: Graph, limit: int = CANONICAL_LIMIT) -> bytes:
                 f"canonical code: forest on {g.n} > {FOREST_CODE_LIMIT} vertices"
             )
         return _forest_code(g)
-    if g.n > limit:
+    if g.n > CANONICAL_LIMIT:
         raise ResourceLimitError(
-            f"canonical code: general graph on {g.n} > {limit} vertices"
+            f"canonical code: general graph on {g.n} > {CANONICAL_LIMIT} vertices"
         )
     bits = _min_code_int(g, _refined_colors(g))
     width = (g.n * (g.n - 1) // 2 + 7) // 8

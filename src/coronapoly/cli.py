@@ -109,8 +109,13 @@ _CHUNK = 64     # items per worker task; shorter streams are not fanned out
 
 
 def _read_lines(path: str):
-    """(line number, line) of a file, or of stdin for "-", read lazily."""
-    with nullcontext(sys.stdin) if path == "-" else open(path, encoding="ascii") as fh:
+    """(line number, line) of a file, or of stdin for "-", read lazily.  A
+    non-ASCII byte in a file is kept (as a lone surrogate) for the parser
+    to reject with its line number."""
+    file = nullcontext(sys.stdin) if path == "-" else open(
+        path, encoding="ascii", errors="surrogateescape"
+    )
+    with file as fh:
         yield from enumerate(fh, 1)
 
 

@@ -87,7 +87,10 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise GraphParseError("empty graph6 string")
-    data = s.encode("ascii", errors="replace")
+    if not s.isascii():
+        off = next(i for i, ch in enumerate(s) if not ch.isascii())
+        raise GraphParseError(f"non-ASCII character at offset {off}")
+    data = s.encode("ascii")
     for off, b in enumerate(data):
         if not (63 <= b <= 126):
             raise GraphParseError(f"byte {b} out of range 63..126 at offset {off}")
@@ -391,14 +394,14 @@ def pendant_edges_form_perfect_matching(g: Graph) -> bool:
 # -- stable sets --------------------------------------------------------------
 
 
-def alpha(g: Graph, limit: int = ALPHA_LIMIT) -> int:
+def alpha(g: Graph) -> int:
     """Exact stability number via branch and bound.
 
     Pivot is the maximum-degree available vertex (lowest id on ties);
     the bound is a greedy clique cover of the available vertices.
     """
-    if g.n > limit:
-        raise ResourceLimitError(f"alpha: {g.n} vertices exceeds limit {limit}")
+    if g.n > ALPHA_LIMIT:
+        raise ResourceLimitError(f"alpha: {g.n} vertices exceeds limit {ALPHA_LIMIT}")
     masks = g.masks
     best = 0
 
@@ -444,12 +447,12 @@ def alpha(g: Graph, limit: int = ALPHA_LIMIT) -> int:
     return best
 
 
-def maximal_stable_sets(g: Graph, limit: int = WELL_COVERED_LIMIT) -> Iterator[int]:
+def maximal_stable_sets(g: Graph) -> Iterator[int]:
     """Yield every maximal stable set as a bitmask (Bron-Kerbosch with pivot
     on the complement adjacency)."""
-    if g.n > limit:
+    if g.n > WELL_COVERED_LIMIT:
         raise ResourceLimitError(
-            f"maximal stable sets: {g.n} vertices exceeds limit {limit}"
+            f"maximal stable sets: {g.n} vertices exceeds limit {WELL_COVERED_LIMIT}"
         )
     full = (1 << g.n) - 1
     nonadj = [full & ~m & ~(1 << v) for v, m in enumerate(g.masks)]
@@ -481,10 +484,10 @@ def maximal_stable_sets(g: Graph, limit: int = WELL_COVERED_LIMIT) -> Iterator[i
     yield from bk(0, full, 0)
 
 
-def is_well_covered(g: Graph, limit: int = WELL_COVERED_LIMIT) -> bool:
+def is_well_covered(g: Graph) -> bool:
     """True iff every maximal stable set has the same cardinality."""
     size = None
-    for s in maximal_stable_sets(g, limit):
+    for s in maximal_stable_sets(g):
         k = s.bit_count()
         if size is None:
             size = k
@@ -493,10 +496,10 @@ def is_well_covered(g: Graph, limit: int = WELL_COVERED_LIMIT) -> bool:
     return True
 
 
-def is_very_well_covered(g: Graph, limit: int = WELL_COVERED_LIMIT) -> bool:
+def is_very_well_covered(g: Graph) -> bool:
     if g.n == 0 or any(len(a) == 0 for a in g.adj):
         return False
-    if not is_well_covered(g, limit):
+    if not is_well_covered(g):
         return False
     return g.n == 2 * alpha(g)
 

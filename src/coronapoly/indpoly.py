@@ -48,18 +48,16 @@ def _cycle_poly(m: int) -> tuple[int, ...]:
 
 def independence_polynomial(
     g: Graph,
-    limit: int | None = None,
     pivot: Callable[[Sequence[int], int], int] | None = None,
 ) -> IntPolynomial:
     """Exact I(G;x); coefficient k counts the stable sets of size k.
 
-    `limit` defaults to 64 for forests and 40 otherwise.  `pivot` overrides
+    The cap is 64 vertices for forests and 40 otherwise.  `pivot` overrides
     the pivot rule (it receives the neighbor masks and the current vertex
     subset and must return a vertex in the subset); it exists so tests can
     confirm the result is pivot-independent.
     """
-    if limit is None:
-        limit = FOREST_LIMIT if is_forest(g) else GENERAL_LIMIT
+    limit = FOREST_LIMIT if is_forest(g) else GENERAL_LIMIT
     if g.n > limit:
         raise ResourceLimitError(
             f"independence polynomial: {g.n} vertices exceeds limit {limit}"

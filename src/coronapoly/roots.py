@@ -4,11 +4,17 @@ Real roots are certified in integer arithmetic alone: a pseudo-remainder
 primitive PRS gives the Sturm chains and the gcds behind Yun's
 square-free decomposition (scaling by |lc|, never lc, keeps the signs),
 and every sign test is a homogeneous integer evaluation at a rational
-point.  Fractions appear only as interval endpoints.  Complex
-roots are approximated by a deterministic Aberth simultaneous iteration
-with residual validation.  Every half-open membership test that appears
-in a bound (for instance xi_max < -1/(2n-1)) is decided by rational
-evaluation plus Sturm counts, never by floating point.
+point.  Fractions appear only as interval endpoints.  Every half-open
+membership test that appears in a bound (for instance
+xi_max < -1/(2n-1)) is decided by rational evaluation plus Sturm counts,
+never by floating point.
+
+Each polynomial gets one root pass (``root_report``): one exact isolation
+and one deterministic Aberth run per Yun factor.  The exact intervals
+decide realness, with no float threshold: a factor's approximations
+nearest the axis must fall one in each of its intervals, and the others
+must split evenly across the axis and are reported as exact conjugate
+pairs.  A mismatch raises RootConvergenceError.
 
 Complex-root checks are numeric only: the report schema marks them as
 "numeric-residual" certification, in contrast to the exact real side.
@@ -266,14 +272,9 @@ def isolate_real_roots(p: IntPolynomial) -> list[tuple[tuple[Fraction, Fraction]
         mult = next(m for f, m in yun if sign_at(f.coeffs, r) == 0)
         out.append(((r, r), mult))
     for lo, hi in intervals:
-        mult = None
-        for f, m in yun:
-            if f.degree >= 1 and count_distinct_real_roots(
-                f, lo, hi, include_lo=False, include_hi=False
-            ) == 1:
-                mult = m
-                break
-        assert mult is not None
+        # every factor divides q and no endpoint is a root of q, so only
+        # the factor holding the root changes sign across the interval
+        mult = next(m for f, m in yun if sign_at(f.coeffs, lo) != sign_at(f.coeffs, hi))
         out.append(((lo, hi), mult))
     out.sort(key=lambda item: (item[0][0], item[0][1]))
     return out
@@ -300,32 +301,6 @@ def refine_root_interval(
     return lo, hi
 
 
-def _float_root(f: IntPolynomial, lo: Fraction, hi: Fraction) -> float:
-    """Float view of the single root of square-free f inside (lo, hi):
-    exact bisection to ~1e-6, then Newton polish in float arithmetic."""
-    if lo != hi:
-        lo, hi = refine_root_interval(f, lo, hi, Fraction(1, 1 << 20))
-    if lo == hi:
-        return float(lo)
-    x = float(lo + hi) / 2
-    top = max(abs(c) for c in f.coeffs)
-    fs = [float(Fraction(c, top)) for c in f.coeffs]
-    flo, fhi = float(lo), float(hi)
-    for _ in range(4):
-        fv = 0.0
-        dv = 0.0
-        for c in reversed(fs):
-            dv = dv * x + fv
-            fv = fv * x + c
-        if dv == 0:
-            break
-        step = fv / dv
-        if not (flo - 1e-9 <= x - step <= fhi + 1e-9):
-            break
-        x -= step
-    return x
-
-
 def all_roots_real(p: IntPolynomial) -> bool:
     """Exact verdict: Sturm-counted real roots weighted by square-free
     multiplicity exhaust the degree."""
@@ -341,19 +316,20 @@ def all_roots_real(p: IntPolynomial) -> bool:
 
 
 _INIT_ANGLE_OFFSET = math.sqrt(2.0)  # fixed irrational rotation, no RNG
+_MAX_SWEEPS = 1000
 
 
-def numeric_roots(
-    p: IntPolynomial, tol: float = 1e-12, max_iter: int = 1000
-) -> list[complex]:
+def numeric_roots(p: IntPolynomial, tol: float = 1e-12) -> list[complex]:
     """Aberth simultaneous approximation of all roots (degree entries).
 
     Deterministic: starts on the Cauchy-bound circle rotated by a fixed
     irrational angle.  Convergence per root is declared when either the
     correction falls below tol or the residual reaches the evaluation
-    noise floor (which is the best achievable at a multiple root).  Every
-    approximation is validated against a coefficient-scaled residual;
-    conjugate symmetry is enforced on the way out.
+    noise floor (which is the best achievable at a multiple root).  One
+    last correction sweep then moves every root, those frozen at the noise
+    floor included, and every approximation is validated against a
+    coefficient-scaled residual.  Nothing is made real or conjugate here;
+    ``root_report`` decides that from the exact isolation.
     """
     d = p.degree
     if d < 1:
@@ -381,8 +357,19 @@ def numeric_roots(
             scale = scale * ax + abs(c)
         return pv, dv, scale
 
+    def correction(j: int, w: complex) -> complex:
+        """Aberth's correction of z[j], given its Newton step w = p/p'."""
+        s = 0 + 0j
+        for k in range(d):
+            if k != j:
+                diff = z[j] - z[k]
+                if diff != 0:
+                    s += 1 / diff
+        denom = 1 - w * s
+        return w if denom == 0 else w / denom
+
     converged = [False] * d
-    for _ in range(max_iter):
+    for _ in range(_MAX_SWEEPS):
         done = True
         for j in range(d):
             if converged[j]:
@@ -395,15 +382,7 @@ def numeric_roots(
                 z[j] *= 1.0 + 1e-8 + 1e-8j
                 done = False
                 continue
-            w = pv / dv
-            s = 0 + 0j
-            for k in range(d):
-                if k != j:
-                    diff = z[j] - z[k]
-                    if diff != 0:
-                        s += 1 / diff
-            denom = 1 - w * s
-            step = w if denom == 0 else w / denom
+            step = correction(j, pv / dv)
             z[j] -= step
             if abs(step) <= tol * max(1.0, abs(z[j])):
                 converged[j] = True
@@ -413,10 +392,13 @@ def numeric_roots(
             break
     else:
         raise RootConvergenceError(
-            f"no convergence after {max_iter} iterations", list(z)
+            f"no convergence after {_MAX_SWEEPS} iterations", list(z)
         )
 
-    z = _enforce_conjugate_symmetry(z)
+    for j in range(d):  # the last step of the roots frozen at the noise floor
+        pv, dv, _ = eval_both(z[j])
+        if dv != 0:
+            z[j] -= correction(j, pv / dv)
     resid_tol = max(tol * 1e3, 1e-9)
     for x in z:
         pv, _, scale = eval_both(x)
@@ -427,55 +409,12 @@ def numeric_roots(
     return sorted(z, key=lambda w: (w.real, w.imag))
 
 
-def _enforce_conjugate_symmetry(roots: list[complex]) -> list[complex]:
-    eps = 2.0 ** -52
-    real: list[complex] = []
-    pos: list[complex] = []
-    neg: list[complex] = []
-    for w in roots:
-        # pure iteration noise on a simple real root sits at machine scale
-        if abs(w.imag) <= 1e4 * eps * max(1.0, abs(w)):
-            real.append(complex(w.real, 0.0))
-        elif w.imag > 0:
-            pos.append(w)
-        else:
-            neg.append(w)
-    # genuine pairs are mutual nearest conjugates; realify whatever cannot pair
-    out = list(real)
-    while pos and neg:
-        best = None
-        for i, w in enumerate(pos):
-            for k, v in enumerate(neg):
-                dd = abs(w - v.conjugate())
-                if best is None or dd < best[0]:
-                    best = (dd, i, k)
-        dd, i, k = best
-        w, v = pos.pop(i), neg.pop(k)
-        if dd <= 1e-2 * max(1.0, abs(w)):
-            avg = (w + v.conjugate()) / 2
-            out.append(avg)
-            out.append(avg.conjugate())
-        else:
-            out.append(complex(w.real, 0.0))
-            out.append(complex(v.real, 0.0))
-    for w in pos + neg:
-        out.append(complex(w.real, 0.0))
-    return out
-
-
 def distinct_numeric_roots(
     p: IntPolynomial, tol: float = 1e-12
 ) -> list[tuple[complex, int]]:
-    """(approximation, exact multiplicity) per distinct root, obtained by
-    running the iteration on each square-free factor (simple roots, so the
-    numerics converge fully) and taking multiplicities from the exact
-    decomposition."""
-    out = []
-    for f, m in square_free_decomposition(p):
-        if f.degree >= 1:
-            for z in numeric_roots(f, tol):
-                out.append((z, m))
-    return out
+    """(approximation, exact multiplicity) per distinct root, as the root
+    pass of ``root_report`` finds them."""
+    return root_report(p, tol).distinct_roots()
 
 
 # -- reports -------------------------------------------------------------------
@@ -507,8 +446,15 @@ class RootReport:
     polynomial: IntPolynomial
     minus_one_multiplicity: int
     real_roots: list[tuple[Fraction, Fraction, int]]
-    complex_roots: list[tuple[float, float, int]]
+    complex_roots: list[tuple[float, float, int]]    # conjugate pairs, lower first
+    real_floats: list[float]                         # one inside each real_roots interval
     bounds: dict[str, BoundCheck] = field(default_factory=dict)
+
+    def distinct_roots(self) -> list[tuple[complex, int]]:
+        """(approximation, multiplicity) per distinct root, real ones first."""
+        return [
+            (complex(x), m) for x, (*_, m) in zip(self.real_floats, self.real_roots)
+        ] + [(complex(re, im), m) for re, im, m in self.complex_roots]
 
     def to_json(self) -> dict:
         return {
@@ -528,28 +474,47 @@ class RootReport:
         }
 
 
-def _root_data(p: IntPolynomial, tol: float):
-    """Exact real roots plus numeric nonreal approximations, per factor."""
+def root_report(p: IntPolynomial, tol: float = 1e-12) -> RootReport:
+    """The root pass: the exact isolation of p, then one Aberth run per
+    Yun factor.
+
+    Yun's factors have distinct multiplicities, so the k intervals of
+    multiplicity m hold the real roots of the factor of multiplicity m.
+    Its k approximations nearest the axis, by real part, must fall one in
+    each of them; a degenerate interval [r, r] gives float(r).  Its other
+    approximations must split evenly across the axis, and each one above
+    it is reported with its exact conjugate.  A mismatch raises
+    RootConvergenceError.
+    """
     real = isolate_real_roots(p)
+    floats = [0.0] * len(real)
     complexes: list[tuple[float, float, int]] = []
     for f, m in square_free_decomposition(p):
-        if f.degree < 1:
-            continue
-        n_real = count_distinct_real_roots(f)
-        approx = numeric_roots(f, tol)
-        approx.sort(key=lambda z: (abs(z.imag), z.real))
-        for z in approx[n_real:]:
-            complexes.append((z.real, z.imag, m))
-    return real, complexes
-
-
-def root_report(p: IntPolynomial, tol: float = 1e-12) -> RootReport:
-    real, complexes = _root_data(p, tol)
+        slots = [i for i, (_, mult) in enumerate(real) if mult == m]
+        approx = sorted(numeric_roots(f, tol), key=lambda z: abs(z.imag))
+        on_axis = sorted(approx[: len(slots)], key=lambda z: z.real)
+        for i, z in zip(slots, on_axis):
+            (lo, hi), _ = real[i]
+            floats[i] = float(lo) if lo == hi else z.real
+            if lo != hi and not lo <= z.real <= hi:
+                raise RootConvergenceError(
+                    f"approximation {z} of a real root lies outside [{lo}, {hi}]", approx
+                )
+        rest = approx[len(slots):]
+        upper = sorted((z for z in rest if z.imag > 0), key=lambda z: (z.imag, z.real))
+        if 2 * len(upper) != len(rest) or any(z.imag == 0 for z in rest):
+            raise RootConvergenceError(
+                f"the {len(rest)} nonreal approximations of a degree-{f.degree} "
+                "factor do not split evenly across the real axis", approx
+            )
+        for z in upper:
+            complexes += [(z.real, -z.imag, m), (z.real, z.imag, m)]
     return RootReport(
         polynomial=p,
         minus_one_multiplicity=multiplicity_of_minus_one(p),
         real_roots=[(lo, hi, m) for (lo, hi), m in real],
         complex_roots=complexes,
+        real_floats=floats,
     )
 
 
@@ -597,8 +562,9 @@ def root_bijection_check(g: Graph, tol: float = 1e-9) -> BijectionReport:
     if not profile_ok:
         notes.append(f"square-free profiles differ: {prof_p} vs {prof_q}")
 
-    real_ok, rational_ok = _check_real_leg(p, q, notes)
-    numeric_ok, worst = _check_numeric_leg(p, q, tol, notes)
+    report_p, report_q = root_report(p), root_report(q)
+    real_ok, rational_ok = _check_real_leg(p, q, report_p.real_roots, report_q.real_roots, notes)
+    numeric_ok, worst = _check_numeric_leg(report_p, report_q, tol, notes)
 
     passed = degree_ok and profile_ok and real_ok and rational_ok and numeric_ok
     return BijectionReport(
@@ -606,11 +572,15 @@ def root_bijection_check(g: Graph, tol: float = 1e-9) -> BijectionReport:
     )
 
 
-def _check_real_leg(p: IntPolynomial, q: IntPolynomial, notes: list[str]) -> tuple[bool, bool]:
+def _check_real_leg(
+    p: IntPolynomial,
+    q: IntPolynomial,
+    roots_p: list[tuple[Fraction, Fraction, int]],
+    roots_q: list[tuple[Fraction, Fraction, int]],
+    notes: list[str],
+) -> tuple[bool, bool]:
     if p.degree < 1:
         return True, True
-    roots_p = isolate_real_roots(p)
-    roots_q = isolate_real_roots(q)
     ok = True
     rational_ok = True
     if len(roots_p) != len(roots_q):
@@ -618,7 +588,7 @@ def _check_real_leg(p: IntPolynomial, q: IntPolynomial, notes: list[str]) -> tup
         return False, rational_ok
     sf_q = square_free_part(q)
     yun_q = square_free_decomposition(q)
-    for ((lo, hi), mult), ((qlo, qhi), qmult) in zip(roots_p, roots_q):
+    for (lo, hi, mult), (_, _, qmult) in zip(roots_p, roots_q):
         if mult != qmult:
             notes.append(f"multiplicity mismatch at interval ({lo}, {hi})")
             ok = False
@@ -634,12 +604,9 @@ def _check_real_leg(p: IntPolynomial, q: IntPolynomial, notes: list[str]) -> tup
                 notes.append(f"rational root {lo} maps with wrong multiplicity")
                 ok = rational_ok = False
             continue
-        # shrink until the Mobius image isolates exactly one root of q
-        f_p = next(
-            f for f, m in square_free_decomposition(p)
-            if m == mult and f.degree >= 1
-            and count_distinct_real_roots(f, lo, hi, False, False) == 1
-        )
+        # shrink until the Mobius image isolates exactly one root of q; Yun's
+        # factors have distinct multiplicities, so mult names the one to use
+        f_p = next(f for f, m in square_free_decomposition(p) if m == mult)
         # the map x/(1-x) is only monotone left of its pole at 1; graph
         # roots are negative, so pull the interval below it first
         while hi >= 1:
@@ -676,12 +643,10 @@ def _check_real_leg(p: IntPolynomial, q: IntPolynomial, notes: list[str]) -> tup
 
 
 def _check_numeric_leg(
-    p: IntPolynomial, q: IntPolynomial, tol: float, notes: list[str]
+    report_p: RootReport, report_q: RootReport, tol: float, notes: list[str]
 ) -> tuple[bool, float]:
-    if p.degree < 1:
-        return True, 0.0
-    source = [(_mobius(z), m) for z, m in distinct_numeric_roots(p)]
-    target = distinct_numeric_roots(q)
+    source = [(_mobius(z), m) for z, m in report_p.distinct_roots()]
+    target = report_q.distinct_roots()
     if len(source) != len(target):
         notes.append("distinct numeric root counts differ")
         return False, math.inf
@@ -736,19 +701,10 @@ def verify_bounds(g: Graph, tol: float = 1e-9) -> RootReport:
         raise ValueError("bound verification needs n >= 2")
     n = g.n
     p = independence_polynomial(g)
-    real, complexes = _root_data(p, min(tol, 1e-12))
-    report = RootReport(
-        polynomial=p,
-        minus_one_multiplicity=multiplicity_of_minus_one(p),
-        real_roots=[(lo, hi, m) for (lo, hi), m in real],
-        complex_roots=complexes,
-    )
+    report = root_report(p, min(tol, 1e-12))
     a = alpha(g)
-    nonreal_moduli = [math.hypot(re, im) for re, im, _ in complexes]
-
-    # a refined float for every distinct real root (exact data, float view)
-    sf = square_free_part(p)
-    real_floats = [((_float_root(sf, lo, hi)), m) for (lo, hi), m in real]
+    nonreal_moduli = [math.hypot(re, im) for re, im, _ in report.complex_roots]
+    real_floats = report.real_floats
 
     # annulus for well-covered graphs
     wc = is_well_covered(g)
@@ -759,10 +715,9 @@ def verify_bounds(g: Graph, tol: float = 1e-9) -> RootReport:
         touch = sign_at(p.coeffs, -inner) == 0 or sign_at(p.coeffs, -a) == 0
         complete = _is_complete(g)
         margin = math.inf
-        ok_numeric = True
         for r in nonreal_moduli:
             margin = min(margin, r - 1 / n, a - r)
-        for x, _ in real_floats:
+        for x in real_floats:
             margin = min(margin, abs(x) - 1 / n, a - abs(x))
         if complete:
             passed = sign_at(p.coeffs, -inner) == 0
@@ -788,7 +743,7 @@ def verify_bounds(g: Graph, tol: float = 1e-9) -> RootReport:
     has_real = count_distinct_real_roots(p) >= 1
     above_cap = count_distinct_real_roots(p, strict_cap, None, True, True)
     in_window = count_distinct_real_roots(p, lower, Fraction(0), True, False) >= 1
-    xi_max = max((x for x, _ in real_floats), default=None)
+    xi_max = max(real_floats, default=None)
     margin = None if xi_max is None else float(strict_cap) - xi_max
     report.bounds["xi_max_window"] = BoundCheck(
         "xi_max_window",
@@ -805,7 +760,7 @@ def verify_bounds(g: Graph, tol: float = 1e-9) -> RootReport:
         (r - float(floor) for r in nonreal_moduli), default=math.inf
     )
     real_margin = min(
-        (abs(x) - float(floor) for x, _ in real_floats), default=math.inf
+        (abs(x) - float(floor) for x in real_floats), default=math.inf
     )
     margin = min(complex_margin, real_margin)
     report.bounds["modulus_floor"] = BoundCheck(
@@ -840,9 +795,9 @@ def verify_bounds(g: Graph, tol: float = 1e-9) -> RootReport:
             "smallest_modulus_real_unique", True, False, None, "no real root"
         )
     else:
-        xi = max(x for x, _ in real_floats)
+        xi = max(real_floats)
         rho = abs(xi)
-        others = [abs(x) for x, _ in real_floats if x != xi] + nonreal_moduli
+        others = [abs(x) for x in real_floats if x != xi] + nonreal_moduli
         margin = min(others) - rho if others else math.inf
         passed = margin > tol if others else True
         report.bounds["smallest_modulus_real_unique"] = BoundCheck(

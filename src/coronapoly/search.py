@@ -32,7 +32,6 @@ from .graphs import (
     is_tree,
     item_graph,
     label_items,
-    parse_graph6,
     path_graph,
     pendant_edges_form_perfect_matching,
     is_claw_free,
@@ -101,65 +100,61 @@ class EquivalenceReport:
         return "\n".join(lines)
 
 
-def _coefficient_key(item: StreamItem) -> tuple[tuple[int, ...] | None, str]:
-    """Per-item map of partition_graphs: (key, graph6), or (None, error)."""
+def _coefficient_key(item: StreamItem) -> tuple[tuple[int, ...] | None, str, object]:
+    """Per-item map of partition_graphs: (key, graph6, hex canonical code or
+    the ResourceLimitError that blocked it), or (None, error, None)."""
     try:
         g6, g = item_graph(item)
-        return independence_polynomial(g).coeffs, g6
+        key = independence_polynomial(g).coeffs
     except GraphParseError as exc:  # already names the item
-        return None, str(exc)
+        return None, str(exc), None
     except Exception as exc:  # per-graph failure; the stream continues
-        return None, f"{item.label}: {exc}"
+        return None, f"{item.label}: {exc}", None
+    try:
+        return key, g6, canonical_code(g).hex()
+    except ResourceLimitError as exc:
+        return key, g6, exc
 
 
 def partition_graphs(
     items: Iterable[GraphLike], mapper: Mapper = map
-) -> tuple[dict[tuple[int, ...], list[str]], int, list[str]]:
-    """Map each graph to its exact coefficient key; an item that fails is
-    recorded in the error list and the stream continues."""
-    buckets: dict[tuple[int, ...], list[str]] = {}
+) -> tuple[dict[tuple[int, ...], list[tuple[str, object]]], int, list[str]]:
+    """Map each graph to its exact coefficient key, keeping its graph6 and
+    canonical code; an item that fails is recorded in the error list and
+    the stream continues."""
+    buckets: dict[tuple[int, ...], list[tuple[str, object]]] = {}
     errors: list[str] = []
-    for key, text in mapper(_coefficient_key, label_items(items)):
+    for key, text, code in mapper(_coefficient_key, label_items(items)):
         if key is None:
             errors.append(text)
         else:
-            buckets.setdefault(key, []).append(text)
+            buckets.setdefault(key, []).append((text, code))
     return buckets, sum(map(len, buckets.values())), errors
 
 
-def group_by_polynomial(
-    items: Iterable[GraphLike],
-    source: str = "",
-    isomorphism_verdicts: bool = True,
-) -> EquivalenceReport:
+def group_by_polynomial(items: Iterable[GraphLike], source: str = "") -> EquivalenceReport:
     """Partition a graph stream into classes of equal independence
     polynomial, with per-class isomorphism verdicts where computable."""
-    return report_from_partition(
-        partition_graphs(items), source, isomorphism_verdicts
-    )
+    return report_from_partition(partition_graphs(items), source)
 
 
 def report_from_partition(
-    partition: tuple[dict, int, list[str]],
-    source: str = "",
-    isomorphism_verdicts: bool = True,
+    partition: tuple[dict, int, list[str]], source: str = ""
 ) -> EquivalenceReport:
     """Finalize a partition into an EquivalenceReport."""
     buckets, seen, errors = partition
     errors = list(errors)
     classes = []
     for key in sorted(buckets, key=lambda k: (len(k), k)):
-        members = sorted(buckets[key])
-        verdict: bool | None = None
-        codes: list[str] | None = None
-        if isomorphism_verdicts:
-            try:
-                codes = [canonical_code(parse_graph6(m)).hex() for m in members]
-                verdict = len(set(codes)) == 1
-            except ResourceLimitError as exc:
-                codes = None
-                errors.append(f"isomorphism verdict skipped: {exc}")
-        classes.append(PolynomialClass(key, members, codes, verdict))
+        pairs = sorted(buckets[key], key=lambda pair: pair[0])
+        members = [g6 for g6, _ in pairs]
+        codes = [code for _, code in pairs]
+        blocked = next((c for c in codes if isinstance(c, ResourceLimitError)), None)
+        if blocked is None:
+            classes.append(PolynomialClass(key, members, codes, len(set(codes)) == 1))
+        else:
+            errors.append(f"isomorphism verdict skipped: {blocked}")
+            classes.append(PolynomialClass(key, members))
     return EquivalenceReport(classes, source, seen, errors)
 
 
@@ -362,6 +357,9 @@ class HamidouneReport:
         return lines
 
 
+_CONTRAST_EXAMPLES = 10   # non-claw-free nonreal-rooted graphs kept on the report
+
+
 def _hamidoune_verdict(item: StreamItem) -> tuple[str, bool, bool]:
     """Per-item map of hamidoune_scan: (graph6, claw-free, real-rooted)."""
     g6, g = item_graph(item)
@@ -369,7 +367,7 @@ def _hamidoune_verdict(item: StreamItem) -> tuple[str, bool, bool]:
 
 
 def hamidoune_scan(
-    items: Iterable[GraphLike], *, contrast_examples: int = 10, mapper: Mapper = map
+    items: Iterable[GraphLike], *, mapper: Mapper = map
 ) -> HamidouneReport:
     """Exact all-real-root certificates for every claw-free graph in the
     stream (Sturm counts weighted by square-free multiplicity must exhaust
@@ -391,7 +389,7 @@ def hamidoune_scan(
                 failures.append(g6)
         elif not real_rooted:
             contrast_count += 1
-            if len(contrast) < contrast_examples:
+            if len(contrast) < _CONTRAST_EXAMPLES:
                 contrast.append(g6)
     return HamidouneReport(
         scanned, claw_free, failures, contrast, contrast_count, verdicts

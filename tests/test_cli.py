@@ -298,6 +298,22 @@ def test_equal_poly_records_a_bad_line(tmp_path, capsys, jobs):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
+def test_equal_poly_records_a_non_ascii_line(tmp_path, capsys, jobs):
+    lines = _bulk_lines()
+    clean = _write_stream(tmp_path / "clean.g6", lines)
+    dirty = tmp_path / "dirty.g6"
+    dirty.write_bytes("".join(line + "\n" for line in lines[:40] + ["Aé"] + lines[40:]).encode())
+    argv = ["search", "--mode", "equal-poly", "--jobs", jobs, "--output", "json"]
+    code, out, _ = run(capsys, *argv, "--input", clean)
+    expect = json.loads(out)
+    code, out, err = run(capsys, *argv, "--input", str(dirty))
+    assert code == 2 and err == ""
+    got = json.loads(out)
+    assert got["classes"] == expect["classes"]
+    assert got["errors"] == ["line 41: non-ASCII character at offset 1"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("scan", ["verify", "hamidoune", "conjecture2"])
 def test_bad_line_exit_names_the_line(tmp_path, capsys, scan, jobs):
     lines = _bulk_lines()

@@ -108,6 +108,9 @@ def test_parse_graph6_errors():
         parse_graph6("")
     with pytest.raises(GraphParseError, match="padding"):
         parse_graph6("A" + chr(63 + 0b010000))  # bit beyond the single pair
+    # a non-ASCII character must not turn into a legal byte such as "?"
+    with pytest.raises(GraphParseError, match="non-ASCII character at offset 1"):
+        parse_graph6("Aé")
 
 
 def test_graph6_header_stripped():

@@ -378,6 +378,81 @@ def test_smallest_modulus_side():
         assert reals and math.isclose(min(abs(z) for z in reals), rho, rel_tol=1e-6)
 
 
+# -- the root pass: realness from the exact isolation ---------------------------
+
+
+def _break_pairing(zs):
+    """Reflect one nonreal approximation, so two lie below the axis unpaired."""
+    i = next(i for i, z in enumerate(zs) if z.imag > 1e-3)
+    return zs[:i] + [zs[i].conjugate()] + zs[i + 1:]
+
+
+def _push_off_interval(zs):
+    """Move the approximation nearest the axis far along it."""
+    i = min(range(len(zs)), key=lambda i: abs(zs[i].imag))
+    return zs[:i] + [zs[i] + 10] + zs[i + 1:]
+
+
+@pytest.mark.parametrize("corrupt", [_break_pairing, _push_off_interval])
+def test_root_pass_rejects_bad_approximations(monkeypatch, capsys, tmp_path, corrupt):
+    from coronapoly import roots
+    from coronapoly.cli import main
+    from coronapoly.graphs import encode_graph6
+
+    real_numeric_roots = roots.numeric_roots
+    monkeypatch.setattr(roots, "numeric_roots", lambda f, tol: corrupt(real_numeric_roots(f, tol)))
+    with pytest.raises(RootConvergenceError):
+        root_report(independence_polynomial(TREE8_NONREAL))
+    stream = tmp_path / "tree8.g6"
+    stream.write_text(encode_graph6(TREE8_NONREAL) + "\n")
+    assert main(["roots", "--input", str(stream)]) == 4
+    assert "root iteration did not converge" in capsys.readouterr().err
+
+
+def test_reported_roots_are_exact_pairs_and_inside_intervals():
+    # K4 minus an edge, plus K3: isolated as [-1/3, -1/3], which no float equals
+    third = Graph(7, [(0, 1), (0, 2), (0, 6), (1, 2), (1, 6), (3, 4), (3, 5), (4, 5)])
+    for g in graphs_upto(6) + [TREE8_NONREAL, third]:
+        rep = root_report(independence_polynomial(g))
+        for (lo, hi, _), x in zip(rep.real_roots, rep.real_floats, strict=True):
+            assert x == float(lo) if lo == hi else lo <= x <= hi, (g, lo, hi, x)
+        pairs = rep.complex_roots
+        assert len(pairs) % 2 == 0
+        for (re1, im1, m1), (re2, im2, m2) in zip(pairs[::2], pairs[1::2]):
+            assert (re1, im1, m1) == (re2, -im2, m2) and im2 > 0, (g, pairs)
+
+
+def _seeded_root_graphs():
+    """Twenty random trees on 12-14 vertices, twenty G(n, 0.4) on 8-12."""
+    rng = random.Random(47)
+    trees = [
+        Graph(n, [(v, rng.randrange(v)) for v in range(1, n)])
+        for n in (12 + i % 3 for i in range(20))
+    ]
+    dense = [
+        Graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.4])
+        for n in (8 + i % 5 for i in range(20))
+    ]
+    return trees + dense
+
+
+def test_root_floats_against_sympy_nroots():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for g in _seeded_root_graphs():
+        p = independence_polynomial(g)
+        ref = [
+            complex(r)
+            for f, _ in square_free_decomposition(p)
+            for r in sympy.Poly(list(reversed(f.coeffs)), x).nroots(n=30, maxsteps=200)
+        ]
+        rep = root_report(p)
+        got = rep.real_floats + [complex(re, im) for re, im, _ in rep.complex_roots]
+        assert len(got) == len(ref), (g, got, ref)
+        for z in got:
+            assert min(abs(z - r) for r in ref) <= 1e-12 * abs(z), (g, z, ref)
+
+
 # -- sympy as an independent exact oracle (test-only) --------------------------
 
 _ENDPOINTS = [Fraction(v) for v in ("-2", "-1", "-1/2", "-1/3", "0", "1/4", "1/2", "1")]

@@ -5,6 +5,7 @@ from coronapoly.graphs import (
     Graph,
     complete_graph,
     corona,
+    cycle_graph,
     disjoint_union,
     encode_graph6,
     is_tree,
@@ -77,7 +78,7 @@ def test_verdicts_match_permutation_search():
 def test_partition_recovers_input_multiset():
     graphs = graphs_upto(5, connected=True) * 2
     # a graph6 header is not part of the member text
-    report = group_by_polynomial(graphs + [">>graph6<<A_"], isomorphism_verdicts=False)
+    report = group_by_polynomial(graphs + [">>graph6<<A_"])
     members = [m for c in report.classes for m in c.members]
     assert sorted(members) == sorted([encode_graph6(g) for g in graphs] + ["A_"])
     assert report.graphs_seen == len(graphs) + 1
@@ -85,21 +86,33 @@ def test_partition_recovers_input_multiset():
 
 def test_order_independence():
     graphs = [encode_graph6(g) for g in graphs_upto(5)]
-    a = group_by_polynomial(graphs, isomorphism_verdicts=False)
+    a = group_by_polynomial(graphs)
     rng = random.Random(3)
     shuffled = graphs[:]
     rng.shuffle(shuffled)
-    b = group_by_polynomial(shuffled, isomorphism_verdicts=False)
+    b = group_by_polynomial(shuffled)
     assert [(c.coefficients, sorted(c.members)) for c in a.classes] == [
         (c.coefficients, sorted(c.members)) for c in b.classes
     ]
 
 
 def test_stream_errors_recorded_not_fatal():
-    report = group_by_polynomial(["A_", "!!notgraph6!!", "B?"], isomorphism_verdicts=False)
+    report = group_by_polynomial(["A_", "!!notgraph6!!", "B?"])
     assert report.graphs_seen == 2
     assert len(report.errors) == 1
 
+
+
+def test_isomorphism_verdict_skipped_over_the_code_cap():
+    # general graphs on 11 vertices are over the canonical-code cap of 10
+    c11 = cycle_graph(11)
+    relabelled = Graph(11, [(2 * u % 11, 2 * v % 11) for u, v in c11.edges()])
+    report = group_by_polynomial([c11, relabelled])
+    (cls,) = report.classes
+    assert len(cls.members) == 2 and cls.codes is None and cls.all_isomorphic is None
+    assert report.errors == [
+        "isomorphism verdict skipped: canonical code: general graph on 11 > 10 vertices"
+    ]
 
 def test_trees10_contains_known_class():
     report = group_by_polynomial(trees_exactly(10))
@@ -140,7 +153,7 @@ def test_equal_polynomial_closed_under_corona():
 def test_classes_closed_under_corona():
     # every equivalence class found at small order stays one class after
     # taking coronas of all members
-    report = group_by_polynomial(graphs_upto(6), isomorphism_verdicts=False)
+    report = group_by_polynomial(graphs_upto(6))
     for cls in report.nontrivial_classes():
         polys = {
             independence_polynomial(corona(parse_graph6(m))).coeffs
