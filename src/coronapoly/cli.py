@@ -21,7 +21,6 @@ import os
 import sys
 from contextlib import contextmanager, nullcontext
 from itertools import chain, islice
-from multiprocessing import Pool
 
 from . import canon, corona as corona_mod, search, suites
 from .errors import (
@@ -122,6 +121,13 @@ def _read_lines(path: str):
 def _graph6_items(path: str):
     """One StreamItem per non-blank line of a graph6 stream, named by its line."""
     return (StreamItem(f"line {n}", line) for n, line in _read_lines(path) if line.strip())
+
+
+def Pool(processes: int):
+    """multiprocessing.Pool, imported only when a scan opens one."""
+    from multiprocessing import Pool as pool
+
+    return pool(processes)
 
 
 @contextmanager

@@ -127,12 +127,6 @@ class IntPolynomial:
     def x(cls) -> "IntPolynomial":
         return cls((0, 1))
 
-    @classmethod
-    def monomial(cls, k: int, c: int = 1) -> "IntPolynomial":
-        if k < 0:
-            raise ValueError("negative exponent")
-        return cls((0,) * k + (c,))
-
     # -- basic structure -------------------------------------------------------
 
     @property

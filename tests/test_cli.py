@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coronapoly
 from coronapoly.cli import main
 from coronapoly.graphs import encode_graph6, parse_graph6, path_graph
 
@@ -276,6 +281,20 @@ def test_stream_scan_parallel_matches_serial(tmp_path, capsys, monkeypatch, scan
         results.append((out, evidence.read_bytes() if scan != "verify" else b""))
     assert results[0] == results[1]
     assert pools == [(2,)]
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # a fresh interpreter (no site hooks) imports the pool only when a scan opens one
+    src = str(Path(coronapoly.__file__).resolve().parents[1])
+    probe = "import sys, coronapoly.cli; print('multiprocessing' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

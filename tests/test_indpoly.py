@@ -18,6 +18,7 @@ from coronapoly.graphs import (
     path_graph,
     star_graph,
 )
+from coronapoly.graphs import _component_masks
 from coronapoly.indpoly import (
     count_stable_sets,
     independence_polynomial,
@@ -127,10 +128,90 @@ def test_pivot_independence():
         assert independence_polynomial(g, pivot=random_pivot) == independence_polynomial(g)
 
 
+def test_pivot_override_picks_the_vertex(monkeypatch):
+    # a counting pivot that applies the documented default rule: it must be
+    # called, give the default polynomial, and split into the very same
+    # subproblems as the default (so the default is the lowest-id vertex of
+    # largest degree, and the override is what picks v)
+    from coronapoly import indpoly
+
+    calls = []
+
+    def lowest_max_degree(masks, mask):
+        calls.append(mask)
+        bits = [v for v in range(mask.bit_length()) if (mask >> v) & 1]
+        return max(bits, key=lambda v: ((masks[v] & mask).bit_count(), -v))
+
+    seen = []
+
+    def recording(masks, mask):
+        seen.append(mask)
+        return _component_masks(masks, mask)
+
+    monkeypatch.setattr(indpoly, "_component_masks", recording)
+    rng = random.Random(37)
+    graphs = [complete_multipartite_graph([2, 3, 3]), cycle_graph(9), TREE10_REALROOTED]
+    for _ in range(10):
+        n = rng.randint(6, 12)
+        graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35]))
+    for g in graphs:
+        seen.clear()
+        default = independence_polynomial(g)
+        trace = list(seen)
+        seen.clear()
+        calls.clear()
+        assert independence_polynomial(g, pivot=lowest_max_degree) == default
+        assert seen == trace
+        if any(len(a) >= 3 for a in g.adj):
+            assert calls
+        assert default.coeffs == count_vector(g)
+
+
 def test_path_closed_form():
     for n in range(1, 21):
         expect = tuple(comb(n + 1 - j, j) for j in range((n + 1) // 2 + 1))
         assert independence_polynomial(path_graph(n)).coeffs == expect
+
+
+def test_cycle_closed_form():
+    # I(C_m) = sum_k m/(m-k) C(m-k, k) x^k
+    for m in range(3, 41):
+        expect = tuple(m * comb(m - k, k) // (m - k) for k in range(m // 2 + 1))
+        assert independence_polynomial(cycle_graph(m)).coeffs == expect
+
+
+def _hubbed_leaves(rng: random.Random) -> Graph:
+    """Paths, cycles, isolated vertices and K_2s, each joined at one vertex
+    to one of one or two hubs of degree >= 3, vertex ids shuffled: deleting
+    the hubs leaves every kind of closed-form leaf deep in the recursion."""
+    hubs = rng.randint(1, 2)
+    pieces, room = [], 22 - hubs
+    for left in range(3 * hubs + rng.randint(0, 2), 0, -1):
+        piece = rng.choice([Graph(1), path_graph(2), path_graph(rng.randint(3, 6)), cycle_graph(rng.randint(3, 7))])
+        if piece.n > room - left + 1:   # keep the oracle's enumeration small
+            piece = Graph(1)
+        pieces.append(piece)
+        room -= piece.n
+    union = disjoint_union(*pieces)
+    edges = list(union.edges())
+    offset = 0
+    for i, piece in enumerate(pieces):
+        hub = union.n + (i % hubs)
+        edges.append((hub, offset + rng.randrange(piece.n)))
+        offset += piece.n
+    if hubs == 2 and rng.random() < 0.5:
+        edges.append((union.n, union.n + 1))
+    n = union.n + hubs
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_closed_form_leaves_under_hubs():
+    rng = random.Random(43)
+    for _ in range(40):
+        g = _hubbed_leaves(rng)
+        assert independence_polynomial(g).coeffs == count_vector(g)
 
 
 def test_balanced_multipartite_closed_form():
