@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--tol", type=float, default=1e-9,
-        help="numeric tolerance of the root legs (unused by --suite hk)",
+        help="numeric tolerance of the complex-root bound verdicts (read only by --suite bounds)",
     )
     p.add_argument(
         "--jobs", type=int, default=os.cpu_count() or 1,

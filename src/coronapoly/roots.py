@@ -29,6 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
+from .corona import corona_polynomial_identity
 from .errors import ResourceLimitError, RootConvergenceError
 from .graphs import (
     Graph,
@@ -409,14 +410,6 @@ def numeric_roots(p: IntPolynomial, tol: float = 1e-12) -> list[complex]:
     return sorted(z, key=lambda w: (w.real, w.imag))
 
 
-def distinct_numeric_roots(
-    p: IntPolynomial, tol: float = 1e-12
-) -> list[tuple[complex, int]]:
-    """(approximation, exact multiplicity) per distinct root, as the root
-    pass of ``root_report`` finds them."""
-    return root_report(p, tol).distinct_roots()
-
-
 # -- reports -------------------------------------------------------------------
 
 
@@ -521,153 +514,50 @@ def root_report(p: IntPolynomial, tol: float = 1e-12) -> RootReport:
 # -- the root bijection --------------------------------------------------------
 
 
-def _mobius(x):
-    return x / (1 - x)
-
-
 @dataclass
 class BijectionReport:
     passed: bool
-    degree_ok: bool
-    multiplicity_profile_ok: bool
-    real_ok: bool
-    rational_ok: bool
-    numeric_ok: bool
-    max_numeric_mismatch: float
     notes: list[str] = field(default_factory=list)
 
 
-def root_bijection_check(g: Graph, tol: float = 1e-9) -> BijectionReport:
+def root_bijection_check(g: Graph) -> BijectionReport:
     """Verify that x -> x/(1-x) carries the roots of I(G) onto the roots of
-    the (1+x)-deflated I(G*), preserving multiplicity, realness and
-    rationality.
+    I(G*) other than -1, with multiplicity, and that -1 is a root of
+    I(G*) of multiplicity exactly n - alpha.
 
-    The real/rational legs are exact (interval images plus Sturm counts);
-    the complex leg matches numeric multisets within tol.  A failure
-    produces a report with passed=False, never an exception.
+    With p = I(G) of degree alpha, let h(y) = (1+y)^alpha p(y/(1+y)) =
+    sum_k s_k y^k (1+y)^(alpha-k).  The check is one integer identity,
+    with q = I(G*) computed by the engine on the corona itself:
+
+        q == (1+y)^(n-alpha) * h,   deg h = alpha,   h(-1) != 0.
+
+    Why that suffices: write p = c * prod (x - x_i)^(m_i) with
+    sum m_i = alpha.  Then h(y) = c * prod ((1-x_i) y - x_i)^(m_i), and
+    deg h = alpha means no x_i is 1, so h = h_top * prod (y - y_i)^(m_i)
+    with y_i = x_i/(1-x_i): the roots of h are the images of the roots of
+    p, with the same multiplicities.  h(-1) != 0 leaves the factor
+    (1+y)^(n-alpha) as the whole -1 part of q, so the roots of q other
+    than -1 are exactly those of h.  The map and its inverse
+    y -> y/(1+y) have rational coefficients, so a root is real, or
+    rational, iff its image is.
+
+    q is never derived from p, or the identity would prove nothing; it
+    is computed first, so the engine's cap on the corona (2n vertices)
+    fires before any other work.  A failed identity gives passed=False
+    with a note, never an exception.
     """
-    if g.n > 10:
-        raise ResourceLimitError("root bijection check capped at 10 vertices")
-    notes: list[str] = []
+    q = independence_polynomial(corona(g))
     p = independence_polynomial(g)
-    q = deflate_minus_one(independence_polynomial(corona(g)))
-
-    degree_ok = p.degree == q.degree
-    if not degree_ok:
-        notes.append(f"degree mismatch: {p.degree} vs {q.degree}")
-
-    prof_p = sorted((m, f.degree) for f, m in square_free_decomposition(p))
-    prof_q = sorted((m, f.degree) for f, m in square_free_decomposition(q))
-    profile_ok = prof_p == prof_q
-    if not profile_ok:
-        notes.append(f"square-free profiles differ: {prof_p} vs {prof_q}")
-
-    report_p, report_q = root_report(p), root_report(q)
-    real_ok, rational_ok = _check_real_leg(p, q, report_p.real_roots, report_q.real_roots, notes)
-    numeric_ok, worst = _check_numeric_leg(report_p, report_q, tol, notes)
-
-    passed = degree_ok and profile_ok and real_ok and rational_ok and numeric_ok
-    return BijectionReport(
-        passed, degree_ok, profile_ok, real_ok, rational_ok, numeric_ok, worst, notes
-    )
-
-
-def _check_real_leg(
-    p: IntPolynomial,
-    q: IntPolynomial,
-    roots_p: list[tuple[Fraction, Fraction, int]],
-    roots_q: list[tuple[Fraction, Fraction, int]],
-    notes: list[str],
-) -> tuple[bool, bool]:
-    if p.degree < 1:
-        return True, True
-    ok = True
-    rational_ok = True
-    if len(roots_p) != len(roots_q):
-        notes.append(f"real root counts differ: {len(roots_p)} vs {len(roots_q)}")
-        return False, rational_ok
-    sf_q = square_free_part(q)
-    yun_q = square_free_decomposition(q)
-    for (lo, hi, mult), (_, _, qmult) in zip(roots_p, roots_q):
-        if mult != qmult:
-            notes.append(f"multiplicity mismatch at interval ({lo}, {hi})")
-            ok = False
-            continue
-        if lo == hi:  # exact rational root of p
-            image = _mobius(lo)
-            if sign_at(q.coeffs, image) != 0:
-                notes.append(f"rational root {lo} does not map to a root of the image")
-                ok = rational_ok = False
-                continue
-            factor = next((f for f, m in yun_q if m == mult), None)
-            if factor is None or sign_at(factor.coeffs, image) != 0:
-                notes.append(f"rational root {lo} maps with wrong multiplicity")
-                ok = rational_ok = False
-            continue
-        # shrink until the Mobius image isolates exactly one root of q; Yun's
-        # factors have distinct multiplicities, so mult names the one to use
-        f_p = next(f for f, m in square_free_decomposition(p) if m == mult)
-        # the map x/(1-x) is only monotone left of its pole at 1; graph
-        # roots are negative, so pull the interval below it first
-        while hi >= 1:
-            lo, hi = refine_root_interval(f_p, lo, hi, (hi - lo) / 4)
-            if lo == hi:
-                break
-        if lo == hi:
-            if sign_at(q.coeffs, _mobius(lo)) != 0:
-                notes.append(f"rational root {lo} does not map to a root of the image")
-                ok = False
-            continue
-        matched = False
-        for _ in range(80):
-            ilo, ihi = _mobius(lo), _mobius(hi)
-            if sign_at(sf_q.coeffs, ilo) != 0 and sign_at(sf_q.coeffs, ihi) != 0:
-                inside = count_distinct_real_roots(q, ilo, ihi, False, False)
-                if inside == 1:
-                    factor = next((f for f, m in yun_q if m == mult), None)
-                    if factor is not None and count_distinct_real_roots(
-                        factor, ilo, ihi, False, False
-                    ) == 1:
-                        matched = True
-                    break
-                if inside == 0:
-                    break
-            lo, hi = refine_root_interval(f_p, lo, hi, (hi - lo) / 4)
-            if lo == hi:
-                matched = sign_at(q.coeffs, _mobius(lo)) == 0
-                break
-        if not matched:
-            notes.append(f"image of real root in ({lo}, {hi}) not found in deflation")
-            ok = False
-    return ok, rational_ok
-
-
-def _check_numeric_leg(
-    report_p: RootReport, report_q: RootReport, tol: float, notes: list[str]
-) -> tuple[bool, float]:
-    source = [(_mobius(z), m) for z, m in report_p.distinct_roots()]
-    target = report_q.distinct_roots()
-    if len(source) != len(target):
-        notes.append("distinct numeric root counts differ")
-        return False, math.inf
-    used = [False] * len(target)
-    worst = 0.0
-    for z, m in source:
-        best_k, best_d = -1, math.inf
-        for k, (w, mw) in enumerate(target):
-            if not used[k] and mw == m:
-                dd = abs(z - w)
-                if dd < best_d:
-                    best_k, best_d = k, dd
-        if best_k < 0:
-            notes.append(f"no multiplicity-{m} partner for mapped root {z}")
-            return False, math.inf
-        used[best_k] = True
-        worst = max(worst, best_d)
-    if worst > tol:
-        notes.append(f"numeric multiset mismatch {worst:.3e} > {tol:.1e}")
-        return False, worst
-    return True, worst
+    a = p.degree
+    h = corona_polynomial_identity(p, a)
+    notes: list[str] = []
+    if q != IntPolynomial((1, 1)) ** (g.n - a) * h:
+        notes.append(f"I(G*) != (1+y)^{g.n - a} h, where h(y) = (1+y)^{a} I(G; y/(1+y))")
+    if h.degree != a:
+        notes.append(f"deg h = {h.degree}, not alpha = {a}")
+    if sign_at(h.coeffs, -1) == 0:
+        notes.append("h(-1) = 0")
+    return BijectionReport(not notes, notes)
 
 
 # -- named bounds ---------------------------------------------------------------

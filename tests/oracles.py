@@ -4,11 +4,29 @@ Nothing here shares code with the package's computation paths: stable
 sets are enumerated by plain backtracking over vertex order (or literal
 subset filtering for tiny graphs), so these can certify the polynomial
 engine, the stability number and the well-coveredness predicates.
+
+Two helpers are deliberate exceptions.  ``unpruned_graph_levels`` uses
+the package's canonical codes.  ``root_matching_notes`` uses the
+package's root core (``root_report``, Sturm counts, interval refinement):
+it matches the roots of I(G) and of the deflated I(G*) one by one under
+x -> x/(1-x), a root-level cross-check of the integer identity behind
+``root_bijection_check``.
 """
 
+import math
+from fractions import Fraction
 from itertools import combinations
 
 from coronapoly.graphs import Graph
+from coronapoly.polynomials import IntPolynomial, sign_at
+from coronapoly.roots import (
+    RootReport,
+    count_distinct_real_roots,
+    refine_root_interval,
+    root_report,
+    square_free_decomposition,
+    square_free_part,
+)
 
 
 def stable_set_masks(g: Graph):
@@ -150,3 +168,123 @@ def unpruned_graph_levels(max_n: int) -> list[tuple[Graph, ...]]:
                 seen.setdefault(canonical_code(cand), cand)
         levels.append(tuple(seen[c] for c in sorted(seen)))
     return levels
+
+
+def _mobius(x):
+    return x / (1 - x)
+
+
+def root_matching_notes(p: IntPolynomial, q: IntPolynomial, tol: float = 1e-9) -> list[str]:
+    """Match the roots of p = I(G) with those of q, the (1+x)-deflated
+    I(G*), under x -> x/(1-x): degrees, square-free profiles, real roots
+    exactly (interval images plus Sturm counts) and the complex multisets
+    within tol.  Returns one note per mismatch; empty iff all match."""
+    notes: list[str] = []
+    if p.degree != q.degree:
+        notes.append(f"degree mismatch: {p.degree} vs {q.degree}")
+    prof_p = sorted((m, f.degree) for f, m in square_free_decomposition(p))
+    prof_q = sorted((m, f.degree) for f, m in square_free_decomposition(q))
+    if prof_p != prof_q:
+        notes.append(f"square-free profiles differ: {prof_p} vs {prof_q}")
+    report_p, report_q = root_report(p), root_report(q)
+    _check_real_leg(p, q, report_p.real_roots, report_q.real_roots, notes)
+    _check_numeric_leg(report_p, report_q, tol, notes)
+    return notes
+
+
+def _check_real_leg(
+    p: IntPolynomial,
+    q: IntPolynomial,
+    roots_p: list[tuple[Fraction, Fraction, int]],
+    roots_q: list[tuple[Fraction, Fraction, int]],
+    notes: list[str],
+) -> tuple[bool, bool]:
+    if p.degree < 1:
+        return True, True
+    ok = True
+    rational_ok = True
+    if len(roots_p) != len(roots_q):
+        notes.append(f"real root counts differ: {len(roots_p)} vs {len(roots_q)}")
+        return False, rational_ok
+    sf_q = square_free_part(q)
+    yun_q = square_free_decomposition(q)
+    for (lo, hi, mult), (_, _, qmult) in zip(roots_p, roots_q):
+        if mult != qmult:
+            notes.append(f"multiplicity mismatch at interval ({lo}, {hi})")
+            ok = False
+            continue
+        if lo == hi:  # exact rational root of p
+            image = _mobius(lo)
+            if sign_at(q.coeffs, image) != 0:
+                notes.append(f"rational root {lo} does not map to a root of the image")
+                ok = rational_ok = False
+                continue
+            factor = next((f for f, m in yun_q if m == mult), None)
+            if factor is None or sign_at(factor.coeffs, image) != 0:
+                notes.append(f"rational root {lo} maps with wrong multiplicity")
+                ok = rational_ok = False
+            continue
+        # shrink until the Mobius image isolates exactly one root of q; Yun's
+        # factors have distinct multiplicities, so mult names the one to use
+        f_p = next(f for f, m in square_free_decomposition(p) if m == mult)
+        # the map x/(1-x) is only monotone left of its pole at 1; graph
+        # roots are negative, so pull the interval below it first
+        while hi >= 1:
+            lo, hi = refine_root_interval(f_p, lo, hi, (hi - lo) / 4)
+            if lo == hi:
+                break
+        if lo == hi:
+            if sign_at(q.coeffs, _mobius(lo)) != 0:
+                notes.append(f"rational root {lo} does not map to a root of the image")
+                ok = False
+            continue
+        matched = False
+        for _ in range(80):
+            ilo, ihi = _mobius(lo), _mobius(hi)
+            if sign_at(sf_q.coeffs, ilo) != 0 and sign_at(sf_q.coeffs, ihi) != 0:
+                inside = count_distinct_real_roots(q, ilo, ihi, False, False)
+                if inside == 1:
+                    factor = next((f for f, m in yun_q if m == mult), None)
+                    if factor is not None and count_distinct_real_roots(
+                        factor, ilo, ihi, False, False
+                    ) == 1:
+                        matched = True
+                    break
+                if inside == 0:
+                    break
+            lo, hi = refine_root_interval(f_p, lo, hi, (hi - lo) / 4)
+            if lo == hi:
+                matched = sign_at(q.coeffs, _mobius(lo)) == 0
+                break
+        if not matched:
+            notes.append(f"image of real root in ({lo}, {hi}) not found in deflation")
+            ok = False
+    return ok, rational_ok
+
+
+def _check_numeric_leg(
+    report_p: RootReport, report_q: RootReport, tol: float, notes: list[str]
+) -> tuple[bool, float]:
+    source = [(_mobius(z), m) for z, m in report_p.distinct_roots()]
+    target = report_q.distinct_roots()
+    if len(source) != len(target):
+        notes.append("distinct numeric root counts differ")
+        return False, math.inf
+    used = [False] * len(target)
+    worst = 0.0
+    for z, m in source:
+        best_k, best_d = -1, math.inf
+        for k, (w, mw) in enumerate(target):
+            if not used[k] and mw == m:
+                dd = abs(z - w)
+                if dd < best_d:
+                    best_k, best_d = k, dd
+        if best_k < 0:
+            notes.append(f"no multiplicity-{m} partner for mapped root {z}")
+            return False, math.inf
+        used[best_k] = True
+        worst = max(worst, best_d)
+    if worst > tol:
+        notes.append(f"numeric multiset mismatch {worst:.3e} > {tol:.1e}")
+        return False, worst
+    return True, worst

@@ -43,6 +43,7 @@ from coronapoly.polynomials import IntPolynomial
 from coronapoly.roots import (
     build_hk,
     count_distinct_real_roots,
+    deflate_minus_one,
     multiplicity_of_minus_one,
     negative_tail_sign_check,
     root_bijection_check,
@@ -76,7 +77,7 @@ from knowngraphs import (
     TREE10_REALROOTED,
     TREE10_REALROOTED_POLY,
 )
-from oracles import count_vector
+from oracles import count_vector, root_matching_notes
 
 NUMERIC_TOL = 1e-9
 
@@ -268,12 +269,18 @@ def test_criterion_07_multiplicity_of_minus_one():
 
 
 def test_criterion_08_root_bijection():
+    # the exact identity, cross-checked root by root against the interval
+    # and numeric matching of the oracle
     checked = 0
     for g in connected_corpus():
         if g.n > 7:
             continue
-        report = root_bijection_check(g, NUMERIC_TOL)
-        assert report.passed, (encode_graph6(g), report.notes)
+        g6 = encode_graph6(g)
+        report = root_bijection_check(g)
+        assert report.passed, (g6, report.notes)
+        deflated = deflate_minus_one(corona_polys()[g6])
+        notes = root_matching_notes(skeleton_polys()[g6], deflated, NUMERIC_TOL)
+        assert not notes, (g6, notes)
         checked += 1
     print(f"criterion 08 PASS: root bijection verified on {checked} connected graphs (n <= 7)")
 

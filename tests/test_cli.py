@@ -8,7 +8,7 @@ import pytest
 
 import coronapoly
 from coronapoly.cli import main
-from coronapoly.graphs import encode_graph6, parse_graph6, path_graph
+from coronapoly.graphs import cycle_graph, encode_graph6, parse_graph6, path_graph
 
 
 def run(capsys, *argv):
@@ -122,6 +122,17 @@ def test_verify_stream_input(tmp_path, capsys):
     )
     assert code == 0
     assert "4 instances" in out
+
+
+def test_verify_bijection_past_ten_vertices(tmp_path, capsys):
+    # the bijection has no cap of its own: the corona's 22 vertices fit the engine
+    stream = tmp_path / "c11.g6"
+    stream.write_text(encode_graph6(cycle_graph(11)) + "\n")
+    code, out, _ = run(
+        capsys, "verify", "--suite", "bijection", "--input", str(stream), "--jobs", "1"
+    )
+    assert code == 0
+    assert "1 instances" in out
 
 
 def test_verify_parallel_jobs(tmp_path, capsys):

@@ -259,11 +259,34 @@ def test_all_roots_real():
 
 
 def test_bijection_reports():
-    for g in [complete_graph(2), star_graph(2), cycle_graph(5), path_graph(6)]:
+    for g in [complete_graph(2), star_graph(2), cycle_graph(5), path_graph(6), empty_graph(11)]:
         report = root_bijection_check(g)
         assert report.passed, report.notes
+    # the corona of K_21 has 42 vertices, past the engine's general cap
     with pytest.raises(ResourceLimitError):
-        root_bijection_check(empty_graph(11))
+        root_bijection_check(complete_graph(21))
+
+
+def test_root_matching_oracle_rejects_a_false_pair():
+    # criterion 08 runs the oracle only on true pairs; it must also see a
+    # pair whose roots do not correspond
+    from oracles import root_matching_notes
+
+    g = cycle_graph(5)
+    p = independence_polynomial(g)
+    assert root_matching_notes(p, deflate_minus_one(independence_polynomial(corona(g)))) == []
+    assert root_matching_notes(p, IntPolynomial((1, 7, 9))) != []
+
+
+def test_bijection_failure_is_a_report(monkeypatch):
+    from coronapoly import roots
+
+    # I(G*) of a different graph: same order, then a larger one
+    for other in (star_graph(3), path_graph(6)):
+        monkeypatch.setattr(roots, "corona", lambda g, other=other: corona(other))
+        report = root_bijection_check(path_graph(4))
+        assert not report.passed
+        assert report.notes and all(report.notes)
 
 
 def test_bijection_degree_bookkeeping():
@@ -363,8 +386,6 @@ def test_corona_polynomials_no_root_below_minus_one():
 def test_smallest_modulus_side():
     # the minimum-modulus root is real: compare against per-factor numerics
     # (simple roots there, so realness of the approximations is reliable)
-    from coronapoly.roots import distinct_numeric_roots
-
     for g in graphs_upto(5):
         if g.n < 2:
             continue
@@ -372,7 +393,7 @@ def test_smallest_modulus_side():
         report = verify_bounds(g)
         check = report.bounds["smallest_modulus_real_unique"]
         assert check.passed, (g, check)
-        zs = [z for z, _ in distinct_numeric_roots(p)]
+        zs = [z for z, _ in root_report(p).distinct_roots()]
         rho = min(abs(z) for z in zs)
         reals = [z for z in zs if abs(z.imag) < 1e-9]
         assert reals and math.isclose(min(abs(z) for z in reals), rho, rel_tol=1e-6)
