@@ -1,33 +1,33 @@
-"""Canonical codes and exhaustive catalogs of small graphs.
+"""Canonical codes, automorphism groups and exhaustive catalogs of small
+graphs.
 
 Two graphs receive equal codes iff they are isomorphic.  Forests (any
 size up to 64 vertices) are encoded by the classic rooted-at-center
-parenthesis string; general graphs are encoded by the minimum adjacency
-bit matrix over all vertex orderings, restricted (soundly) to orderings
-that sort an iterated-refinement coloring, with branch-and-bound on the
-bit prefix.  General graphs are capped at 10 vertices; every claim that
-needs isomorphism verdicts at larger orders concerns forests only.
+parenthesis string.  General graphs, up to 30 vertices, get the least
+adjacency bit string over the leaves of one individualization-refinement
+search (McKay, *Practical graph isomorphism*, 1981; McKay & Piperno,
+JSC 2014), which also yields generators and the order of Aut(g).
 
 The catalogs (`enumerate_trees`, `enumerate_graphs`) produce exactly one
 representative per isomorphism class via canonical augmentation.  The
 graph catalog grows its levels 1, 2, ..., n in one pass per process, each
 level memoised, so asking for every order up to n builds each level once.
 A parent graph g is extended by a new vertex with one neighbourhood per
-orbit of Aut(g) on the subsets of V(g) (orbit pruning in the sense of
-McKay & Piperno, *Practical graph isomorphism II*, JSC 2014): a skipped
-subset gives a graph isomorphic to one coded earlier from the same
-parent, so every level, and the representative kept for each class, is
-what coding all 2^|V(g)| subsets would give.
+orbit of Aut(g) on the subsets of V(g): a skipped subset gives a graph
+isomorphic to one coded earlier from the same parent, so every level, and
+the representative kept for each class, is what coding all 2^|V(g)|
+subsets would give.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from math import prod
 
 from .errors import ResourceLimitError
 from .graphs import Graph, connected_components, is_connected, is_forest
 
-CANONICAL_LIMIT = 10    # general graphs: brute-force minimum code
+CANONICAL_LIMIT = 30    # general graphs: individualization-refinement code
 FOREST_CODE_LIMIT = 64
 GRAPH_ENUM_LIMIT = 8
 TREE_ENUM_LIMIT = 16
@@ -81,60 +81,112 @@ def _forest_code(g: Graph) -> bytes:
 # -- general codes --------------------------------------------------------
 
 
-def _refined_colors(g: Graph) -> list[int]:
-    """Iterated neighborhood refinement, normalized to ranks 0..k-1."""
-    colors = [len(a) for a in g.adj]
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[w] for w in g.adj[v])))
-            for v in range(g.n)
-        ]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [rank[sigs[v]] for v in range(g.n)]
-        if new == colors:
-            return colors
-        colors = new
+def _refine(masks: tuple[int, ...], cells: list[int], queue: list[int]) -> list[int]:
+    """Refine the ordered partition `cells` (vertex bitmasks) to an
+    equitable one, taking splitters from `queue` first in, first out.  A
+    cell with unequal neighbour counts into the splitter is replaced by its
+    fragments in increasing count order, and they join the queue in that
+    order, less the first largest when the cell is not itself queued
+    (Hopcroft's rule).  Nothing depends on vertex labels."""
+    n = len(masks)
+    head = 0
+    while head < len(queue) and len(cells) < n:
+        s = queue[head]
+        head += 1
+        if s & (s - 1):
+            by_count: dict[int, int] = {}
+            for v, m in enumerate(masks):
+                k = (m & s).bit_count()
+                by_count[k] = by_count.get(k, 0) | 1 << v
+            classes = [by_count[k] for k in sorted(by_count)]
+        else:
+            nb = masks[s.bit_length() - 1]
+            classes = [~nb, nb]
+        out = []
+        for c in cells:
+            if c & (c - 1):
+                frags = [c & k for k in classes if c & k]
+                if len(frags) > 1:
+                    out += frags
+                    if c not in queue[head:]:
+                        frags.remove(max(frags, key=int.bit_count))
+                    queue += frags
+                    continue
+            out.append(c)
+        cells = out
+    return cells
 
 
-def _min_code_int(g: Graph, colors: list[int]) -> int:
-    """Minimum lower-triangle adjacency bit string over color-sorted orderings."""
+def _search(g: Graph) -> tuple[int, list[tuple[int, ...]], int]:
+    """The code bits, generators of Aut(g) and |Aut(g)|, from one
+    individualization-refinement search.
+
+    A node is an equitable ordered partition.  Its children individualize
+    each vertex of its first smallest non-singleton cell, save those that
+    an automorphism fixing the node's individualized vertices maps onto an
+    explored sibling.  A leaf's certificate is the lower-triangle adjacency
+    bit string in its vertex order; the code is the least one.  A leaf
+    matching the first or the best leaf gives an automorphism, and a first
+    leaf match resumes at the deepest first-path node above it.  |Aut(g)|
+    is the product, over first-path nodes, of the first child's orbit.
+    """
     n = g.n
-    req = sorted(colors)
-    by_color: dict[int, list[int]] = {}
-    for v in range(n):
-        by_color.setdefault(colors[v], []).append(v)
-    total_bits = n * (n - 1) // 2
     masks = g.masks
-    best: int | None = None
-    perm: list[int] = []
-    used = [False] * n
+    gens: list[tuple[list[int], int]] = []      # (images, fixed-point mask)
+    first_path: list[tuple[int, int]] = []       # (individualized mask, first child)
+    first = best = None                          # (certificate, order) of a leaf
 
-    def dfs(pos: int, cur: int, nbits: int) -> None:
-        nonlocal best
-        if pos == n:
-            if best is None or cur < best:
-                best = cur
-            return
-        for v in by_color[req[pos]]:
-            if used[v]:
-                continue
-            vm = masks[v]
-            row = 0
-            for u in perm:
-                row = (row << 1) | ((vm >> u) & 1)
-            ncur = (cur << pos) | row
-            nb = nbits + pos
-            if best is not None and ncur > (best >> (total_bits - nb)):
-                continue
-            used[v] = True
-            perm.append(v)
-            dfs(pos + 1, ncur, nb)
-            perm.pop()
-            used[v] = False
+    def orbit(v: int, fixed: int) -> int:
+        group = [p for p, f in gens if f & fixed == fixed]
+        seen, stack = 1 << v, [v]
+        while stack:
+            u = stack.pop()
+            for p in group:
+                if not (seen >> p[u]) & 1:
+                    seen |= 1 << p[u]
+                    stack.append(p[u])
+        return seen
 
-    dfs(0, 0, 0)
-    assert best is not None
-    return best
+    def explore(cells: list[int], fixed: int, depth: int, fp: int | None) -> int | None:
+        """`fp`: depth of the deepest first-path ancestor (None on the first
+        path).  Returns the depth to resume at after a first-leaf match."""
+        nonlocal first, best
+        if len(cells) == n:
+            order = [c.bit_length() - 1 for c in cells]
+            cert = 0
+            for i, v in enumerate(order):
+                for u in order[:i]:
+                    cert = (cert << 1) | ((masks[v] >> u) & 1)
+            if first is None:
+                first = best = (cert, order)
+            elif cert in (first[0], best[0]):
+                perm = [w for _, w in sorted(zip(first[1] if cert == first[0] else best[1], order))]
+                gens.append((perm, sum(1 << u for u in range(n) if perm[u] == u)))
+                return fp if cert == first[0] else None
+            elif cert < best[0]:
+                best = (cert, order)
+            return None
+        sizes = [c.bit_count() if c & (c - 1) else n + 1 for c in cells]
+        cell = cells[t := sizes.index(min(sizes))]
+        members = [v for v in range(n) if (cell >> v) & 1]
+        if fp is None:
+            first_path.append((fixed, members[0]))
+        done = 0
+        for v in members:
+            if done and orbit(v, fixed) & done:
+                continue
+            done |= 1 << v
+            child = cells[:t] + [1 << v, cell ^ 1 << v] + cells[t + 1:]
+            jump = explore(_refine(masks, child, [1 << v]), fixed | 1 << v, depth + 1,
+                           depth if fp is None and first is not None else fp)
+            if jump is not None and jump < depth:
+                return jump
+        return None
+
+    everything = (1 << n) - 1
+    explore(_refine(masks, [everything] if n else [], [everything]), 0, 0, None)
+    order = prod(orbit(v, fixed).bit_count() for fixed, v in first_path)
+    return best[0], [tuple(p) for p, _ in gens], order
 
 
 def canonical_code(g: Graph) -> bytes:
@@ -149,7 +201,7 @@ def canonical_code(g: Graph) -> bytes:
         raise ResourceLimitError(
             f"canonical code: general graph on {g.n} > {CANONICAL_LIMIT} vertices"
         )
-    bits = _min_code_int(g, _refined_colors(g))
+    bits = _search(g)[0]
     width = (g.n * (g.n - 1) // 2 + 7) // 8
     return b"G" + bytes([g.n]) + bits.to_bytes(width, "big")
 
@@ -170,8 +222,10 @@ def enumerate_trees(n: int) -> list[Graph]:
     (vertices sharing a whole-tree rooted code) and deduplicating by
     canonical code.  Deterministic: result sorted by code.
     """
-    if not (1 <= n <= TREE_ENUM_LIMIT):
-        raise ValueError(f"tree enumeration supports 1 <= n <= {TREE_ENUM_LIMIT}")
+    if n < 1:
+        raise ValueError("tree enumeration needs n >= 1")
+    if n > TREE_ENUM_LIMIT:
+        raise ResourceLimitError(f"tree enumeration capped at {TREE_ENUM_LIMIT} vertices")
     level = [Graph(1)]
     for size in range(2, n + 1):
         seen: dict[bytes, Graph] = {}
@@ -191,67 +245,10 @@ def enumerate_trees(n: int) -> list[Graph]:
 
 
 def automorphism_group(g: Graph) -> tuple[list[tuple[int, ...]], int]:
-    """A strong generating set of Aut(g), as image tuples, and |Aut(g)|.
-
-    Sims' scheme over the base 0, 1, ..., n-1: going from the last base
-    point i down to the first, one automorphism fixing 0..i-1 is searched
-    for each image of i that the generators found so far do not already
-    reach.  The order is the product of those orbit lengths.  The search
-    maps each vertex only into its `_refined_colors` class.
-    """
-    n = g.n
-    colors = _refined_colors(g)
-    gens: list[tuple[int, ...]] = []
-    order = 1
-    for i in reversed(range(n)):
-        orbit = {i}
-        for v in range(i + 1, n):
-            if v in orbit or colors[v] != colors[i]:
-                continue
-            sigma = _find_automorphism(g.masks, colors, list(range(i)) + [v])
-            if sigma is not None:
-                gens.append(sigma)
-                orbit = _point_orbit(i, gens)
-        order *= len(orbit)
+    """Generators of Aut(g), as image tuples, and |Aut(g)|, from the
+    search that also gives the canonical code."""
+    _, gens, order = _search(g)
     return gens, order
-
-
-def _find_automorphism(
-    masks: tuple[int, ...], colors: list[int], forced: list[int]
-) -> tuple[int, ...] | None:
-    """An automorphism mapping u to forced[u] for every u < len(forced)."""
-    n = len(masks)
-    perm = [0] * n
-
-    def place(u: int, used: int) -> bool:
-        if u == n:
-            return True
-        want = 0    # images of u's neighbours among 0..u-1
-        for x in range(u):
-            if (masks[u] >> x) & 1:
-                want |= 1 << perm[x]
-        for w in (forced[u],) if u < len(forced) else range(n):
-            if (used >> w) & 1 or colors[w] != colors[u] or masks[w] & used != want:
-                continue
-            perm[u] = w
-            if place(u + 1, used | (1 << w)):
-                return True
-        return False
-
-    return tuple(perm) if place(0, 0) else None
-
-
-def _point_orbit(point: int, gens: list[tuple[int, ...]]) -> set[int]:
-    orbit = {point}
-    stack = [point]
-    while stack:
-        v = stack.pop()
-        for sigma in gens:
-            w = sigma[v]
-            if w not in orbit:
-                orbit.add(w)
-                stack.append(w)
-    return orbit
 
 
 def _subset_orbit_minima(n: int, gens: list[tuple[int, ...]]) -> list[int]:

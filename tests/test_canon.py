@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from coronapoly.canon import (
     enumerate_trees,
 )
 from coronapoly.errors import ResourceLimitError
-from coronapoly.graphs import Graph, cycle_graph, disjoint_union, path_graph
+from coronapoly.graphs import Graph, complete_graph, cycle_graph, disjoint_union, path_graph
 from knowngraphs import EQUAL_TREES10_A, EQUAL_TREES10_B, PAIR5_A, PAIR5_B
 from oracles import unpruned_graph_levels
 
@@ -49,7 +50,7 @@ def test_forest_codes_cover_components():
 
 def test_code_limits():
     with pytest.raises(ResourceLimitError):
-        canonical_code(cycle_graph(11))
+        canonical_code(cycle_graph(31))
     # forests are fine well past the general cap
     canonical_code(path_graph(40))
 
@@ -65,7 +66,7 @@ def test_tree_counts():
 def test_tree_enumeration_range():
     with pytest.raises(ValueError):
         enumerate_trees(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ResourceLimitError):
         enumerate_trees(17)
 
 
@@ -85,13 +86,18 @@ def test_graph_enumeration_caps():
         enumerate_graphs(0)
 
 
+def _networkx_graph(nx, g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
 def _networkx_automorphisms(g):
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import GraphMatcher
 
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
+    h = _networkx_graph(nx, g)
     return [tuple(m[v] for v in range(g.n)) for m in GraphMatcher(h, h).isomorphisms_iter()]
 
 
@@ -121,3 +127,85 @@ def test_orbit_minima_use_the_whole_group():
 def test_pruned_levels_equal_unpruned_reference():
     for n, level in enumerate(unpruned_graph_levels(7), start=1):
         assert [g.masks for g in enumerate_graphs(n)] == [g.masks for g in level]
+
+
+def _cayley_z4_squared(steps):
+    """The Cayley graph of Z_4 x Z_4 with the given generating steps."""
+    edges = set()
+    for a in range(4):
+        for b in range(4):
+            for da, db in steps:
+                u, v = 4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4
+                edges.add((min(u, v), max(u, v)))
+    return Graph(16, sorted(edges))
+
+
+SHRIKHANDE = _cayley_z4_squared([(0, 1), (1, 0), (1, 1), (0, 3), (3, 0), (3, 3)])
+ROOK4 = _cayley_z4_squared([(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)])   # K_4 x K_4
+
+
+def _is_automorphism(g, sigma):
+    return sorted(sigma) == list(range(g.n)) and all(
+        g.has_edge(sigma[u], sigma[v]) for u, v in g.edges()
+    )
+
+
+def test_strongly_regular_pair_is_told_apart():
+    # both are SRG(16, 6, 2, 2): refinement alone cannot split either one
+    for g in (SHRIKHANDE, ROOK4):
+        assert {len(a) for a in g.adj} == {6}
+    assert canonical_code(SHRIKHANDE) != canonical_code(ROOK4)
+    for g, expect in ((SHRIKHANDE, 192), (ROOK4, 1152)):
+        gens, order = automorphism_group(g)
+        assert order == expect
+        assert all(_is_automorphism(g, sigma) for sigma in gens)
+
+
+def test_automorphism_group_closed_forms():
+    for n in range(1, 31):
+        gens, order = automorphism_group(complete_graph(n))
+        assert order == math.factorial(n)
+        assert all(sorted(sigma) == list(range(n)) for sigma in gens)
+    squares = {x * x % 13 for x in range(1, 13)}
+    paley13 = Graph(13, [(u, v) for u in range(13) for v in range(u + 1, 13) if v - u in squares])
+    assert automorphism_group(paley13)[1] == 13 * 6
+    triangles = disjoint_union(*[complete_graph(3)] * 10)
+    gens, order = automorphism_group(triangles)
+    assert order == 6 ** 10 * math.factorial(10)
+    assert all(_is_automorphism(triangles, sigma) for sigma in gens)
+
+
+def test_code_at_the_general_cap():
+    code = canonical_code(complete_graph(30))
+    # every one of the 435 lower-triangle bits is set
+    assert code == b"G" + bytes([30]) + ((1 << 435) - 1).to_bytes(55, "big")
+
+
+def _degree_preserving_swap(rng, edges):
+    """Replace edges {a, b}, {c, d} by {a, d}, {c, b}, when both are new."""
+    present = set(edges)
+    for _ in range(100):
+        (a, b), (c, d) = rng.sample(sorted(present), 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        new = {(min(a, d), max(a, d)), (min(c, b), max(c, b))}
+        if len({a, b, c, d}) == 4 and not new & present:
+            return sorted(present - {(a, b), (min(c, d), max(c, d))} | new)
+    return sorted(present)
+
+
+def test_codes_against_networkx_on_random_graphs():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(8)
+    for n in range(11, 31):
+        for p in (0.2, 0.5):
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            g = Graph(n, edges)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            relabelled = Graph(n, [(perm[u], perm[v]) for u, v in edges])
+            assert canonical_code(g) == canonical_code(relabelled)
+            for h in (relabelled, Graph(n, _degree_preserving_swap(rng, edges))):
+                assert sorted(map(len, g.adj)) == sorted(map(len, h.adj))
+                same = nx.is_isomorphic(_networkx_graph(nx, g), _networkx_graph(nx, h))
+                assert (canonical_code(g) == canonical_code(h)) == same

@@ -187,6 +187,12 @@ def test_verify_hk_cap_checked_before_building(monkeypatch, capsys):
     assert "resource limit" in err
 
 
+def test_gen_trees_over_the_cap_exit_code(capsys):
+    code, out, err = run(capsys, "gen", "--trees", "17")
+    assert code == 3
+    assert out == "" and "resource limit" in err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["poly"])  # no input source

@@ -104,14 +104,14 @@ def test_stream_errors_recorded_not_fatal():
 
 
 def test_isomorphism_verdict_skipped_over_the_code_cap():
-    # general graphs on 11 vertices are over the canonical-code cap of 10
-    c11 = cycle_graph(11)
-    relabelled = Graph(11, [(2 * u % 11, 2 * v % 11) for u, v in c11.edges()])
-    report = group_by_polynomial([c11, relabelled])
+    # general graphs on 31 vertices are over the canonical-code cap of 30
+    c31 = cycle_graph(31)
+    relabelled = Graph(31, [(2 * u % 31, 2 * v % 31) for u, v in c31.edges()])
+    report = group_by_polynomial([c31, relabelled])
     (cls,) = report.classes
     assert len(cls.members) == 2 and cls.codes is None and cls.all_isomorphic is None
     assert report.errors == [
-        "isomorphism verdict skipped: canonical code: general graph on 11 > 10 vertices"
+        "isomorphism verdict skipped: canonical code: general graph on 31 > 30 vertices"
     ]
 
 def test_trees10_contains_known_class():
