@@ -25,7 +25,7 @@ from functools import cache
 from math import prod
 
 from .errors import ResourceLimitError
-from .graphs import Graph, connected_components, is_connected, is_forest
+from .graphs import Graph, _mask_bits, connected_components, is_connected, is_forest
 
 CANONICAL_LIMIT = 30    # general graphs: individualization-refinement code
 FOREST_CODE_LIMIT = 64
@@ -42,18 +42,18 @@ CONNECTED_GRAPH_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 1111
 # -- forest codes ---------------------------------------------------------
 
 
-def _rooted_code(g: Graph, root: int) -> str:
+def _rooted_code(nbrs: list[list[int]], root: int) -> str:
     def rec(v: int, parent: int) -> str:
-        subs = sorted(rec(w, v) for w in g.adj[v] if w != parent)
+        subs = sorted(rec(w, v) for w in nbrs[v] if w != parent)
         return "(" + "".join(subs) + ")"
 
     return rec(root, -1)
 
 
-def _tree_centers(g: Graph, comp: list[int]) -> list[int]:
+def _tree_centers(nbrs: list[list[int]], comp: list[int]) -> list[int]:
     if len(comp) <= 2:
         return comp
-    deg = {v: len(g.adj[v]) for v in comp}
+    deg = {v: len(nbrs[v]) for v in comp}
     layer = [v for v in comp if deg[v] == 1]
     remaining = len(comp)
     while remaining > 2:
@@ -61,7 +61,7 @@ def _tree_centers(g: Graph, comp: list[int]) -> list[int]:
         nxt = []
         for v in layer:
             deg[v] = 0
-            for w in g.adj[v]:
+            for w in nbrs[v]:
                 if deg[w] > 1:
                     deg[w] -= 1
                     if deg[w] == 1:
@@ -71,9 +71,10 @@ def _tree_centers(g: Graph, comp: list[int]) -> list[int]:
 
 
 def _forest_code(g: Graph) -> bytes:
-    comps = connected_components(g)
+    nbrs = list(map(_mask_bits, g.masks))
     codes = sorted(
-        min(_rooted_code(g, c) for c in _tree_centers(g, comp)) for comp in comps
+        min(_rooted_code(nbrs, c) for c in _tree_centers(nbrs, comp))
+        for comp in connected_components(g)
     )
     return b"T" + bytes([g.n]) + "|".join(codes).encode("ascii")
 
@@ -230,13 +231,15 @@ def enumerate_trees(n: int) -> list[Graph]:
     for size in range(2, n + 1):
         seen: dict[bytes, Graph] = {}
         for t in level:
+            base = list(t.edges())
+            nbrs = list(map(_mask_bits, t.masks))
             orbit_reps: dict[str, int] = {}
             for v in range(t.n):
-                rc = _rooted_code(t, v)
+                rc = _rooted_code(nbrs, v)
                 if rc not in orbit_reps:
                     orbit_reps[rc] = v
             for v in orbit_reps.values():
-                t2 = Graph(t.n + 1, list(t.edges()) + [(v, t.n)])
+                t2 = Graph(t.n + 1, base + [(v, t.n)])
                 code = canonical_code(t2)
                 if code not in seen:
                     seen[code] = t2

@@ -86,7 +86,7 @@ def _default_max_n(fallback: int) -> int:
     try:
         return int(value)
     except ValueError:
-        raise SystemExit(f"coronapoly: bad CORONAPOLY_MAX_N {value!r}") from None
+        raise ValueError(f"bad CORONAPOLY_MAX_N {value!r}") from None
 
 
 def _add_graph_source(p: argparse.ArgumentParser) -> None:

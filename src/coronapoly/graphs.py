@@ -1,9 +1,11 @@
 """Simple undirected graphs on vertex set 0..n-1.
 
-Graphs are immutable after construction.  Every constructor rejects
-self-loops and collapses duplicate edges (set semantics); adjacency is
-stored both as sorted neighbor tuples and as per-vertex bitmasks, the
-latter driving all the set arithmetic in the predicates below.
+A graph stores only its order ``n`` and one neighbour bitmask per vertex
+(``masks[v]`` has bit w set iff vw is an edge); every predicate, the
+pivot engine and the canonical search work on these masks.  Construction
+rejects self-loops and out-of-range ids, and a duplicate edge collapses
+because setting a bit twice changes nothing.  ``adj``, the sorted
+neighbour tuples, is derived from the masks on demand.
 
 Labeling conventions (frozen so golden outputs are stable):
 
@@ -26,52 +28,53 @@ WELL_COVERED_LIMIT = 24   # maximal-stable-set enumeration
 
 
 class Graph:
-    """Immutable simple graph; ``adj[v]`` is the sorted neighbor tuple of v."""
+    """Immutable simple graph on 0..n-1; ``masks[v]`` is the neighbour
+    bitmask of v, and ``adj`` derives the sorted neighbour tuples."""
 
-    __slots__ = ("n", "adj", "masks")
+    __slots__ = ("n", "masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        neigh = [set() for _ in range(n)]
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n) or not (0 <= v < n):
                 raise ValueError(f"vertex id out of range in edge ({u}, {v})")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            neigh[u].add(v)
-            neigh[v].add(u)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", tuple(tuple(sorted(s)) for s in neigh))
-        object.__setattr__(
-            self, "masks", tuple(sum(1 << w for w in s) for s in neigh)
-        )
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        self.n = n
+        self.masks = tuple(masks)
 
     # -- structure ----------------------------------------------------------
 
     @property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(_mask_bits(m)) for m in self.masks)
+
+    @property
     def num_edges(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return sum(m.bit_count() for m in self.masks) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
+        for u, m in enumerate(self.masks):
+            for v in _mask_bits(m >> u + 1):
+                yield (u, u + 1 + v)
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.masks[u] >> v) & 1)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Graph):
-            return self.n == other.n and self.adj == other.adj
+            return self.n == other.n and self.masks == other.masks
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.n, self.adj))
+        return hash((self.n, self.masks))
 
     def __repr__(self) -> str:
         return f"Graph({self.n}, {sorted(self.edges())})"
@@ -353,6 +356,7 @@ def is_tree(g: Graph) -> bool:
 def girth(g: Graph):
     """Length of a shortest cycle; math.inf for forests."""
     best = math.inf
+    nbrs = list(map(_mask_bits, g.masks))
     for s in range(g.n):
         dist = {s: 0}
         parent = {s: -1}
@@ -362,7 +366,7 @@ def girth(g: Graph):
             for u in queue:
                 if 2 * dist[u] >= best:
                     continue
-                for w in g.adj[u]:
+                for w in nbrs[u]:
                     if w not in dist:
                         dist[w] = dist[u] + 1
                         parent[w] = u
@@ -497,7 +501,7 @@ def is_well_covered(g: Graph) -> bool:
 
 
 def is_very_well_covered(g: Graph) -> bool:
-    if g.n == 0 or any(len(a) == 0 for a in g.adj):
+    if g.n == 0 or not all(g.masks):
         return False
     if not is_well_covered(g):
         return False
@@ -506,17 +510,14 @@ def is_very_well_covered(g: Graph) -> bool:
 
 def is_claw_free(g: Graph) -> bool:
     """True iff no induced K_{1,3}."""
-    for v in range(g.n):
-        nb = g.adj[v]
-        nbmask = g.masks[v]
-        for i in range(len(nb)):
-            a = nb[i]
-            for j in range(i + 1, len(nb)):
-                b = nb[j]
-                if g.has_edge(a, b):
+    masks = g.masks
+    for nbmask in masks:
+        nb = _mask_bits(nbmask)
+        for i, a in enumerate(nb):
+            for b in nb[i + 1:]:
+                if (masks[a] >> b) & 1:
                     continue
-                third = nbmask & ~g.masks[a] & ~g.masks[b] & ~(1 << a) & ~(1 << b)
-                if third:
+                if nbmask & ~masks[a] & ~masks[b] & ~(1 << a) & ~(1 << b):
                     return False
     return True
 
@@ -525,5 +526,5 @@ def is_star(g: Graph) -> bool:
     """True iff g is K_{1,k} for some k >= 1."""
     if g.n < 2 or g.num_edges != g.n - 1:
         return False
-    degs = sorted(g.degree(v) for v in range(g.n))
+    degs = sorted(m.bit_count() for m in g.masks)
     return degs[-1] == g.n - 1 and all(d == 1 for d in degs[:-1])

@@ -23,7 +23,7 @@ from functools import cache, reduce
 from typing import Callable, Sequence
 
 from .errors import ResourceLimitError
-from .graphs import Graph, _component_masks, is_forest
+from .graphs import Graph, _component_masks, _mask_bits, is_forest
 from .polynomials import IntPolynomial, add, mul, shift_add
 
 GENERAL_LIMIT = 40
@@ -65,6 +65,13 @@ def independence_polynomial(
     `pivot` overrides the pivot rule (it receives the neighbor masks and
     the current vertex subset and must return a vertex in the subset); it
     exists so tests can confirm the result is pivot-independent.
+
+    There is no memo across calls: canonical hashing of arbitrary
+    subgraphs costs more than recomputation at these sizes.  Nor is there
+    a per-call memo of component masks: on the 34-40 vertex regular graphs
+    of the `poly-large` benchmark such a memo ran no measurably faster, and
+    it raised the tracemalloc peak of one call from 0.01 MB to as much as
+    0.46 MB, which counts against that benchmark's `peak_rss_mb`.
     """
     limit = FOREST_LIMIT if is_forest(g) else GENERAL_LIMIT
     if g.n > limit:
@@ -106,28 +113,14 @@ def independence_polynomial(
 
 def independence_polynomial_tree(t: Graph) -> IntPolynomial:
     """Rooted DP over a forest: per vertex, the pair (poly with the vertex
-    excluded, poly with it included).  Raises ValueError on a cycle.
-
-    Results are memoized per isomorphism class (bounded cache keyed by the
-    forest canonical code); the general engine deliberately carries no such
-    cache, since canonical hashing of arbitrary subgraphs costs more than
-    recomputation at these sizes.  Nor does it keep a per-call memo of
-    component masks: on the 34-40 vertex regular graphs of the `poly-large`
-    benchmark such a memo ran no measurably faster, and it raised the
-    tracemalloc peak of one call from 0.01 MB to as much as 0.46 MB, which
-    counts against that benchmark's `peak_rss_mb`."""
+    excluded, poly with it included).  Raises ValueError on a cycle."""
     if not is_forest(t):
         raise ValueError("input has a cycle; use independence_polynomial")
     if t.n > FOREST_LIMIT:
         raise ResourceLimitError(
             f"tree independence polynomial: {t.n} vertices exceeds {FOREST_LIMIT}"
         )
-    from .canon import canonical_code
-
-    key = canonical_code(t)
-    cached = _FOREST_CACHE.get(key)
-    if cached is not None:
-        return cached
+    nbrs = list(map(_mask_bits, t.masks))
     total: tuple[int, ...] = (1,)
     full = (1 << t.n) - 1
     for comp in _component_masks(t.masks, full):
@@ -139,7 +132,7 @@ def independence_polynomial_tree(t: Graph) -> IntPolynomial:
         while stack:
             v = stack.pop()
             order.append(v)
-            for w in t.adj[v]:
+            for w in nbrs[v]:
                 if w != parent[v]:
                     parent[w] = v
                     stack.append(w)
@@ -148,7 +141,7 @@ def independence_polynomial_tree(t: Graph) -> IntPolynomial:
         for v in reversed(order):
             e: tuple[int, ...] = (1,)
             i: tuple[int, ...] = (1,)
-            for w in t.adj[v]:
+            for w in nbrs[v]:
                 if w == parent[v]:
                     continue
                 e = mul(e, add(excl[w], incl[w]))
@@ -156,15 +149,7 @@ def independence_polynomial_tree(t: Graph) -> IntPolynomial:
             excl[v] = e
             incl[v] = (0,) + i  # multiply by x
         total = mul(total, add(excl[root], incl[root]))
-    result = IntPolynomial(total)
-    if len(_FOREST_CACHE) >= _FOREST_CACHE_LIMIT:
-        _FOREST_CACHE.clear()
-    _FOREST_CACHE[key] = result
-    return result
-
-
-_FOREST_CACHE: dict[bytes, IntPolynomial] = {}
-_FOREST_CACHE_LIMIT = 4096
+    return IntPolynomial(total)
 
 
 def count_stable_sets(g: Graph) -> int:

@@ -568,7 +568,7 @@ def _is_complete(g: Graph) -> bool:
 
 
 def _is_cycle7(g: Graph) -> bool:
-    return g.n == 7 and g.num_edges == 7 and all(len(a) == 2 for a in g.adj) and is_connected(g)
+    return g.n == 7 and all(m.bit_count() == 2 for m in g.masks) and is_connected(g)
 
 
 def verify_bounds(g: Graph, tol: float = 1e-9) -> RootReport:
@@ -592,7 +592,7 @@ def verify_bounds(g: Graph, tol: float = 1e-9) -> RootReport:
     n = g.n
     p = independence_polynomial(g)
     report = root_report(p, min(tol, 1e-12))
-    a = alpha(g)
+    a = p.degree
     nonreal_moduli = [math.hypot(re, im) for re, im, _ in report.complex_roots]
     real_floats = report.real_floats
 

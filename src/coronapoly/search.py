@@ -40,6 +40,8 @@ from .indpoly import independence_polynomial, independence_polynomial_tree
 from .polynomials import IntPolynomial
 from .roots import all_roots_real, multiplicity_of_minus_one
 
+SPIDER_SKELETON_LIMIT = 8
+
 GraphLike = Union[Graph, str, StreamItem]
 Mapper = Callable[..., Iterable]    # map(fn, items), in item order
 
@@ -194,8 +196,10 @@ def spider_uniqueness_scan(max_skeleton: int) -> SpiderScanReport:
     skipped up front (they cannot match: every spider polynomial has the
     multiplicity exactly 1), and the skip is itself validated.
     """
-    if max_skeleton > 8:
-        raise ValueError("spider uniqueness scan capped at skeleton order 8")
+    if max_skeleton > SPIDER_SKELETON_LIMIT:
+        raise ResourceLimitError(
+            f"spider uniqueness scan capped at skeleton order {SPIDER_SKELETON_LIMIT}"
+        )
     checked = 0
     skipped = 0
     matches: list[tuple[int, str]] = []

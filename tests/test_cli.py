@@ -193,6 +193,19 @@ def test_gen_trees_over_the_cap_exit_code(capsys):
     assert out == "" and "resource limit" in err
 
 
+def test_spider_unique_over_the_cap_exit_code(capsys):
+    code, out, err = run(capsys, "search", "--mode", "spider-unique", "--max-skeleton", "9")
+    assert code == 3
+    assert out == "" and "resource limit" in err
+
+
+def test_bad_env_max_n_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("CORONAPOLY_MAX_N", "abc")
+    code, out, err = run(capsys, "verify", "--suite", "multiplicity", "--jobs", "1")
+    assert code == 2
+    assert out == "" and err == "coronapoly: bad CORONAPOLY_MAX_N 'abc'\n"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["poly"])  # no input source
@@ -273,19 +286,25 @@ STREAM_SCANS = {
 }
 
 
-@pytest.mark.parametrize("scan", STREAM_SCANS)
-def test_stream_scan_parallel_matches_serial(tmp_path, capsys, monkeypatch, scan):
+@pytest.fixture
+def pools(monkeypatch):
+    """The arguments of every Pool the CLI opens."""
     from multiprocessing import Pool
 
     from coronapoly import cli
 
-    pools = []
+    calls = []
 
     def counting_pool(*args):
-        pools.append(args)
+        calls.append(args)
         return Pool(*args)
 
     monkeypatch.setattr(cli, "Pool", counting_pool)
+    return calls
+
+
+@pytest.mark.parametrize("scan", STREAM_SCANS)
+def test_stream_scan_parallel_matches_serial(tmp_path, capsys, pools, scan):
     stream = _write_stream(tmp_path / "bulk.g6", _bulk_lines())
     results = []
     for jobs in ("1", "2"):
@@ -297,6 +316,19 @@ def test_stream_scan_parallel_matches_serial(tmp_path, capsys, monkeypatch, scan
         assert code == 0
         results.append((out, evidence.read_bytes() if scan != "verify" else b""))
     assert results[0] == results[1]
+    assert pools == [(2,)]
+
+
+def test_catalog_scan_parallel_matches_serial(capsys, pools):
+    # a catalog scan sends Graph objects, not graph6 lines, through the pool
+    outs = []
+    for jobs in ("1", "2"):
+        argv = ["verify", "--suite", "multiplicity", "--max-n", "6", "--jobs", jobs]
+        code, out, _ = run(capsys, *argv, "--output", "json")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["checked"] == 143
     assert pools == [(2,)]
 
 

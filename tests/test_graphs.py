@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -61,6 +62,56 @@ def test_adjacency_symmetry_random():
             assert u not in g.adj[u]
             for v in g.adj[u]:
                 assert u in g.adj[v]
+
+
+def _edge_inputs():
+    """(graph, n, edge list it was built from), each edge possibly reversed,
+    repeated or out of order."""
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(0, 40)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+        edges += rng.sample(edges, len(edges) // 3)
+        rng.shuffle(edges)
+        yield Graph(n, edges), n, edges
+    cycle = [(i, (i + 1) % 5) for i in range(5)]
+    yield path_graph(7), 7, [(i, i + 1) for i in range(6)]
+    yield cycle_graph(9), 9, [(i, (i + 1) % 9) for i in range(9)]
+    yield complete_graph(6), 6, [(u, v) for u in range(6) for v in range(6) if u != v]
+    yield star_graph(5), 6, [(0, i) for i in range(1, 6)]
+    yield corona(cycle_graph(5)), 10, cycle + [(i, 5 + i) for i in range(5)]
+    parts = [0, 0, 1, 1, 1, 2]
+    yield complete_multipartite_graph([2, 3, 1]), 6, [
+        (u, v) for u in range(6) for v in range(6) if parts[u] != parts[v]
+    ]
+    edges = [(0, 1), (1, 0), (1, 2), (0, 1), (3, 2)]
+    yield parse_edge_list("4\n" + "".join(f"{u} {v}\n" for u, v in edges)), 4, edges
+
+
+def test_structure_matches_the_input_edge_list():
+    for g, n, edges in _edge_inputs():
+        ref = [set() for _ in range(n)]
+        for u, v in edges:
+            ref[u].add(v)
+            ref[v].add(u)
+        assert g.n == n
+        assert g.adj == tuple(tuple(sorted(s)) for s in ref)
+        assert g.num_edges == sum(map(len, ref)) // 2
+        assert [g.degree(v) for v in range(n)] == [len(s) for s in ref]
+        assert list(g.edges()) == sorted({(min(u, v), max(u, v)) for u, v in edges})
+        same = Graph(n, sorted(g.edges(), reverse=True))
+        assert same == g and hash(same) == hash(g)
+        if g.num_edges:
+            assert Graph(n, list(g.edges())[1:]) != g
+
+
+def test_pickle_round_trip():
+    assert Graph.__slots__ == ("n", "masks")
+    for g in (empty_graph(0), path_graph(5), corona(cycle_graph(6)), DENSE6_A):
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            h = pickle.loads(pickle.dumps(g, protocol))
+            assert h == g and hash(h) == hash(g) and h.masks == g.masks
 
 
 # -- graph6 ------------------------------------------------------------------
