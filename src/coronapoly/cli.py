@@ -30,6 +30,7 @@ from .errors import (
     RootConvergenceError,
 )
 from .graphs import (
+    GRAPH6_LIMIT,
     StreamItem,
     centipede_graph,
     complete_graph,
@@ -180,22 +181,31 @@ def _emit(obj: dict, text: str, mode: str) -> None:
     print(json.dumps(obj) if mode == "json" else text)
 
 
+def _check_graph6_output(n: int, what: str) -> None:
+    """Raise before any work when an output line would need graph6 for
+    more vertices than the short form holds."""
+    if n > GRAPH6_LIMIT:
+        raise ResourceLimitError(
+            f"{what}: graph6 output of {n} vertices exceeds limit {GRAPH6_LIMIT}"
+        )
+
+
 # -- command implementations -------------------------------------------------
 
 
 def _cmd_poly(args, parser) -> int:
+    as_json = args.output == "json"   # only JSON names the graph, in graph6
     for g in _graphs_from_args(args, parser):
+        if as_json:
+            _check_graph6_output(g.n, "poly --output json")
         p = independence_polynomial(g)
-        _emit(
-            {"graph": encode_graph6(g), "coefficients": p.to_json_coeffs()},
-            str(p),
-            args.output,
-        )
+        print(json.dumps({"graph": encode_graph6(g), "coefficients": p.to_json_coeffs()}) if as_json else p)
     return 0
 
 
 def _cmd_corona(args, parser) -> int:
     for g in _graphs_from_args(args, parser):
+        _check_graph6_output(2 * g.n, "corona")
         star = corona(g)
         p = independence_polynomial(star)
         _emit(
@@ -237,6 +247,7 @@ def _cmd_transform(args, parser) -> int:
 
 def _cmd_roots(args, parser) -> int:
     for g in _graphs_from_args(args, parser):
+        _check_graph6_output(g.n, "roots")
         report = verify_bounds(g, args.tol) if g.n >= 2 else root_report(
             independence_polynomial(g), args.tol
         )
@@ -276,6 +287,7 @@ def _cmd_gen(args, parser) -> int:
         closed = _CLOSED_FORMS.get(args.family)
         emitted = []
         for g in _graphs_from_args(args, parser):
+            _check_graph6_output(g.n, "gen")
             poly = closed(args.n, sizes) if closed else None
             emitted.append((g, poly if poly is not None else independence_polynomial(g)))
     else:

@@ -25,6 +25,7 @@ from .errors import GraphParseError, ResourceLimitError
 
 ALPHA_LIMIT = 40          # branch-and-bound stability number
 WELL_COVERED_LIMIT = 24   # maximal-stable-set enumeration
+GRAPH6_LIMIT = 62         # graph6 short form
 
 
 class Graph:
@@ -127,8 +128,8 @@ def parse_graph6(text: str) -> Graph:
 
 def encode_graph6(g: Graph) -> str:
     """Encode as canonical short-form graph6 (requires n <= 62)."""
-    if g.n > 62:
-        raise ValueError("graph6 short form supports at most 62 vertices")
+    if g.n > GRAPH6_LIMIT:
+        raise ValueError(f"graph6 short form supports at most {GRAPH6_LIMIT} vertices")
     out = [g.n + 63]
     acc = 0
     filled = 0
@@ -345,8 +346,13 @@ def is_connected(g: Graph) -> bool:
 
 
 def is_forest(g: Graph) -> bool:
+    edges = g.num_edges
+    # a forest on n >= 1 vertices has at most n - 1 edges; the empty graph
+    # (0 == 0 - 0) is one
+    if g.n and edges >= g.n:
+        return False
     full = (1 << g.n) - 1
-    return g.num_edges == g.n - len(_component_masks(g.masks, full))
+    return edges == g.n - len(_component_masks(g.masks, full))
 
 
 def is_tree(g: Graph) -> bool:

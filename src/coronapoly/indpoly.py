@@ -5,51 +5,105 @@
     I(G) = I(G - v) + x * I(G - N[v])
 
 on a maximum-degree pivot (lowest id on ties), multiplying over connected
-components.  One scan over a component's vertices gives its largest
-degree, its pivot and its number of degree-2 vertices; a component of
-largest degree at most 2 is a path or a cycle, and closes out as a cached
-leaf.  Path leaves are built once per length by the Fibonacci-style
-recurrence F(m+1) = F(m) + x F(m-1) so the explicit binomial formula
-elsewhere in the package remains an independent cross-check.
-``independence_polynomial_tree`` is a linear-time rooted DP for forests;
-the two implementations share no code and serve as mutual oracles.
+components.  A component of largest degree at most 2 is a path or a
+cycle, and closes out as a cached leaf.  Leaves are built once per length
+by the Fibonacci-style recurrence F(m+1) = F(m) + x F(m-1), so the
+explicit binomial formula elsewhere in the package remains an
+independent cross-check.
+
+The engine does its arithmetic on packed ints (Kronecker substitution):
+a polynomial with coefficients s_k is the one int sum s_k 2^(SLOT k), so
+a pivot step is one shift and one add, and the product over components is
+one multiplication, each a single big-int operation.  Every packed value
+is the polynomial of an induced subgraph, so its coefficients are
+non-negative counts below 2^SLOT and no slot borrows or overflows (the
+bound is argued in ``independence_polynomial``).  The result is unpacked
+once per call.  One flood fill per subproblem (``_split``) gives each
+component's mask, largest degree, pivot and degree-2 count.
+
+``independence_polynomial_tree`` is a linear-time rooted DP for forests
+on coefficient tuples; the two implementations share no code and serve
+as mutual oracles.
 
 No floating point anywhere: coefficients are Python ints.
 """
 
 from __future__ import annotations
 
-from functools import cache, reduce
 from typing import Callable, Sequence
 
 from .errors import ResourceLimitError
-from .graphs import Graph, _component_masks, _mask_bits, is_forest
-from .polynomials import IntPolynomial, add, mul, shift_add
+from .graphs import Graph, _mask_bits, connected_components, is_forest
+from .polynomials import IntPolynomial, add, mul  # tuple kernel: forest DP only
 
 GENERAL_LIMIT = 40
 FOREST_LIMIT = 64
 
-
-# m <= FOREST_LIMIT, so each leaf cache holds at most 65 tuples
-@cache
-def _path_poly(m: int) -> tuple[int, ...]:
-    """I(P_m) by the recurrence F(k+1) = F(k) + x F(k-1); F(0) = F(1) = 1."""
-    prev: tuple[int, ...] = (1,)   # F(1) = I(P_0)
-    cur: tuple[int, ...] = (1, 1)  # F(2) = I(P_1)
-    if m == 0:
-        return prev
-    for _ in range(m - 1):
-        prev, cur = cur, shift_add(cur, prev)
-    return cur
+# Bits per packed coefficient.  Every coefficient the engine forms counts
+# stable sets of an induced subgraph H, so it is at most
+# C(|H|, k) <= C(FOREST_LIMIT, FOREST_LIMIT // 2) < 2^64: raising
+# FOREST_LIMIT past 64 needs a wider slot.
+SLOT = 64
+_SLOT_MASK = (1 << SLOT) - 1
 
 
-@cache
-def _cycle_poly(m: int) -> tuple[int, ...]:
-    """I(C_m) = I(P_{m-1}) + x I(P_{m-3}) for m >= 3."""
-    return shift_add(_path_poly(m - 1), _path_poly(m - 3))
+def _leaf_tables() -> tuple[list[int], list[int]]:
+    """Packed I(P_m) and I(C_m) for m <= FOREST_LIMIT.  Paths follow
+    F(k+1) = F(k) + x F(k-1) with F(1) = I(P_0) = 1, F(2) = I(P_1) = 1 + x;
+    cycles follow I(C_m) = I(P_{m-1}) + x I(P_{m-3}) for m >= 3 (entries
+    below 3 are unused: such a component is a path)."""
+    paths = [1, 1 | 1 << SLOT]
+    for _ in range(FOREST_LIMIT - 1):
+        paths.append(paths[-1] + (paths[-2] << SLOT))
+    cycles = [0, 0, 0] + [paths[m - 1] + (paths[m - 3] << SLOT) for m in range(3, FOREST_LIMIT + 1)]
+    return paths, cycles
+
+
+_PATHS, _CYCLES = _leaf_tables()
+
+
+def _unpack(packed: int) -> list[int]:
+    coeffs = []
+    while packed:
+        coeffs.append(packed & _SLOT_MASK)
+        packed >>= SLOT
+    return coeffs
 
 
 # -- the decomposition engine ------------------------------------------------
+
+
+def _split(masks: Sequence[int], mask: int) -> list[tuple[int, int, int, int]]:
+    """(component mask, largest degree, pivot, degree-2 count) for each
+    connected component of the subgraph induced on `mask`, in order of
+    lowest vertex.  One flood fill visits each vertex once; its degree in
+    `mask` is its degree in its component.  The pivot is the lowest-id
+    vertex of largest degree, by explicit tie-break since the fill does
+    not visit vertices in id order."""
+    out = []
+    rest = mask
+    while rest:
+        comp = frontier = rest & -rest
+        best_v = best_d = -1
+        twos = 0
+        while frontier:
+            grow = 0
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                v = b.bit_length() - 1
+                nbrs = masks[v] & mask
+                grow |= nbrs
+                d = nbrs.bit_count()
+                if d > best_d or (d == best_d and v < best_v):
+                    best_v, best_d = v, d
+                if d == 2:
+                    twos += 1
+            frontier = grow & ~comp
+            comp |= frontier
+        out.append((comp, best_d, best_v, twos))
+        rest ^= comp
+    return out
 
 
 def independence_polynomial(
@@ -58,10 +112,19 @@ def independence_polynomial(
 ) -> IntPolynomial:
     """Exact I(G;x); coefficient k counts the stable sets of size k.
 
-    One scan over each component's vertices finds its largest degree, the
-    lowest-id vertex of that degree (the pivot) and its number of degree-2
-    vertices, which tells a path leaf from a cycle leaf; both leaves come
-    from caches.  The cap is 64 vertices for forests and 40 otherwise.
+    Each subproblem is a vertex mask; `_split` floods it once into
+    components, each with its largest degree, pivot (lowest-id vertex of
+    that degree) and number of degree-2 vertices, which tells a path leaf
+    from a cycle leaf.  Polynomials are packed ints with SLOT bits per
+    coefficient: a pivot step is I(G - v) + (I(G - N[v]) << SLOT) and the
+    product over components is int multiplication.  No slot borrows or
+    overflows: every packed value is I(H) of an induced subgraph H (a
+    product of components is I of their disjoint union), so every
+    coefficient is a count, non-negative and at most
+    C(|H|, k) <= C(64, 32) < 2^64.  A `pivot` override still splits into
+    induced subgraphs, so the argument holds for it too.
+
+    The cap is 64 vertices (FOREST_LIMIT) for forests and 40 otherwise.
     `pivot` overrides the pivot rule (it receives the neighbor masks and
     the current vertex subset and must return a vertex in the subset); it
     exists so tests can confirm the result is pivot-independent.
@@ -79,33 +142,23 @@ def independence_polynomial(
             f"independence polynomial: {g.n} vertices exceeds limit {limit}"
         )
     masks = g.masks
+    split = _split
 
-    def solve(mask: int) -> tuple[int, ...]:
-        if not mask:
-            return (1,)
-        return reduce(mul, map(component, _component_masks(masks, mask)))
+    def solve(mask: int) -> int:
+        product = 1
+        for comp, degree, v, twos in split(masks, mask):
+            if degree <= 2:
+                size = comp.bit_count()
+                product *= _CYCLES[size] if twos == size else _PATHS[size]
+                continue
+            if pivot is not None:
+                v = pivot(masks, comp)
+            without = solve(comp & ~(1 << v))
+            closed = solve(comp & ~(masks[v] | (1 << v)))
+            product *= without + (closed << SLOT)
+        return product
 
-    def component(comp: int) -> tuple[int, ...]:
-        best_v, best_d, twos = -1, -1, 0
-        scan = comp
-        while scan:
-            b = scan & -scan
-            scan ^= b
-            v = b.bit_length() - 1
-            d = (masks[v] & comp).bit_count()
-            if d > best_d:
-                best_v, best_d = v, d
-            if d == 2:
-                twos += 1
-        if best_d <= 2:
-            size = comp.bit_count()
-            return _cycle_poly(size) if twos == size else _path_poly(size)
-        v = best_v if pivot is None else pivot(masks, comp)
-        without = solve(comp & ~(1 << v))
-        closed = solve(comp & ~(masks[v] | (1 << v)))
-        return shift_add(without, closed)
-
-    return IntPolynomial(solve((1 << g.n) - 1))
+    return IntPolynomial(_unpack(solve((1 << g.n) - 1)))
 
 
 # -- forest specialization ----------------------------------------------------
@@ -122,9 +175,8 @@ def independence_polynomial_tree(t: Graph) -> IntPolynomial:
         )
     nbrs = list(map(_mask_bits, t.masks))
     total: tuple[int, ...] = (1,)
-    full = (1 << t.n) - 1
-    for comp in _component_masks(t.masks, full):
-        root = (comp & -comp).bit_length() - 1
+    for comp in connected_components(t):
+        root = comp[0]
         # iterative post-order
         order = []
         parent = {root: -1}

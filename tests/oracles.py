@@ -87,6 +87,24 @@ def brute_is_well_covered(g: Graph) -> bool:
     return len(sizes) == 1
 
 
+def union_find_is_forest(g: Graph) -> bool:
+    """Acyclic iff no edge joins two vertices already in one union-find set."""
+    parent = list(range(g.n))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in g.edges():
+        ru, rv = root(u), root(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
 def brute_is_claw_free(g: Graph) -> bool:
     for quad in combinations(range(g.n), 4):
         for center in quad:

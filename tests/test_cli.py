@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import coronapoly
 from coronapoly.cli import main
 from coronapoly.graphs import cycle_graph, encode_graph6, parse_graph6, path_graph
+from coronapoly.polynomials import IntPolynomial
 
 
 def run(capsys, *argv):
@@ -52,6 +54,44 @@ def test_corona_command(capsys):
     g6, poly = out.strip().split("\t")
     assert poly == "1 + 4x + 3x^2"
     assert parse_graph6(g6).n == 4
+
+
+def test_poly_text_runs_to_the_forest_cap(capsys):
+    code, out, err = run(capsys, "poly", "--family", "path", "--n", "64")
+    assert code == 0 and err == ""
+    assert out.strip() == str(IntPolynomial([comb(65 - j, j) for j in range(33)]))
+    code, out, err = run(capsys, "poly", "--family", "star", "--n", "63")
+    assert code == 0 and err == ""
+    assert out.strip() == str(IntPolynomial((1, 1)) ** 63 + IntPolynomial((0, 1)))
+
+
+def test_corona_at_the_graph6_cap(capsys):
+    code, out, _ = run(capsys, "corona", "--family", "path", "--n", "31", "--output", "json")
+    assert code == 0
+    assert parse_graph6(json.loads(out)["corona"]).n == 62
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("poly", "--family", "path", "--n", "63", "--output", "json"),
+        ("corona", "--family", "path", "--n", "32"),
+        ("corona", "--family", "path", "--n", "32", "--output", "json"),
+        ("roots", "--family", "path", "--n", "63"),
+        ("gen", "--family", "path", "--n", "63"),
+    ],
+)
+def test_graph6_output_cap_checked_before_any_work(monkeypatch, capsys, argv):
+    from coronapoly import cli
+
+    def work(*args):
+        raise AssertionError("computed before the graph6 output cap was checked")
+
+    monkeypatch.setattr(cli, "independence_polynomial", work)
+    monkeypatch.setattr(cli, "verify_bounds", work)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == "" and "resource limit" in err and "62" in err
 
 
 def test_transform_round_trip(capsys):

@@ -33,7 +33,12 @@ from coronapoly.graphs import (
 )
 from corpus import graphs_upto, trees_upto
 from knowngraphs import DENSE6_A, PAIR6_A
-from oracles import brute_alpha, brute_is_claw_free, brute_is_well_covered
+from oracles import (
+    brute_alpha,
+    brute_is_claw_free,
+    brute_is_well_covered,
+    union_find_is_forest,
+)
 
 
 def _random_graph(rng, n):
@@ -368,3 +373,26 @@ def test_forest_tree_flags():
     assert is_tree(path_graph(5))
     assert not is_forest(cycle_graph(4))
     assert is_connected(complete_graph(1))
+
+
+def test_is_forest_matches_union_find():
+    rng = random.Random(59)
+    graphs = [Graph(0), Graph(1), empty_graph(5), star_graph(6), cycle_graph(3)]
+    graphs.append(disjoint_union(cycle_graph(4), path_graph(3), Graph(1)))   # unicyclic plus a tree
+    graphs.append(disjoint_union(path_graph(4), star_graph(3), empty_graph(2)))
+    graphs.append(disjoint_union(complete_graph(4), empty_graph(6)))   # fewer edges than vertices
+    for _ in range(60):
+        n = rng.randint(0, 12)
+        graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < rng.choice([0.1, 0.2, 0.4])]))
+    for _ in range(20):
+        # a random tree, then maybe one extra edge (unicyclic) and a spare component
+        n = rng.randint(2, 12)
+        edges = [(v, rng.randrange(v)) for v in range(1, n)]
+        u, v = rng.sample(range(n), 2)
+        if rng.random() < 0.5 and (u, v) not in edges and (v, u) not in edges:
+            edges.append((u, v))
+        graphs.append(disjoint_union(Graph(n, edges), rng.choice([Graph(0), path_graph(3), cycle_graph(5)])))
+    flags = [union_find_is_forest(g) for g in graphs]
+    assert True in flags and False in flags
+    for g, flag in zip(graphs, flags):
+        assert is_forest(g) == flag, g

@@ -18,13 +18,14 @@ from coronapoly.graphs import (
     path_graph,
     star_graph,
 )
-from coronapoly.graphs import _component_masks
 from coronapoly.indpoly import (
+    FOREST_LIMIT,
+    SLOT,
     count_stable_sets,
     independence_polynomial,
     independence_polynomial_tree,
 )
-from coronapoly.polynomials import evaluate_exact
+from coronapoly.polynomials import IntPolynomial, evaluate_exact
 from corpus import graphs_upto, trees_upto
 from knowngraphs import (
     CHAIR_POLY,
@@ -143,12 +144,14 @@ def test_pivot_override_picks_the_vertex(monkeypatch):
         return max(bits, key=lambda v: ((masks[v] & mask).bit_count(), -v))
 
     seen = []
+    split = indpoly._split
 
     def recording(masks, mask):
         seen.append(mask)
-        return _component_masks(masks, mask)
+        return split(masks, mask)
 
-    monkeypatch.setattr(indpoly, "_component_masks", recording)
+    # _split receives every subproblem mask the engine solves
+    monkeypatch.setattr(indpoly, "_split", recording)
     rng = random.Random(37)
     graphs = [complete_multipartite_graph([2, 3, 3]), cycle_graph(9), TREE10_REALROOTED]
     for _ in range(10):
@@ -163,6 +166,7 @@ def test_pivot_override_picks_the_vertex(monkeypatch):
         assert independence_polynomial(g, pivot=lowest_max_degree) == default
         assert seen == trace
         if any(len(a) >= 3 for a in g.adj):
+            assert len(trace) >= 3   # the whole graph and both children of a pivot
             assert calls
         assert default.coeffs == count_vector(g)
 
@@ -254,6 +258,56 @@ def test_resource_limits():
         independence_polynomial(cycle_graph(41))
     # forests run past the general cap
     independence_polynomial(path_graph(50))
+
+
+def test_slot_holds_the_widest_coefficient():
+    # a coefficient of an n-vertex graph is at most C(n, n // 2); raising the
+    # forest cap past what SLOT bits hold must fail here
+    assert comb(FOREST_LIMIT, FOREST_LIMIT // 2) < 2**SLOT
+
+
+def test_packed_slots_at_the_forest_cap():
+    empty = independence_polynomial(empty_graph(64)).coeffs
+    assert empty == tuple(comb(64, k) for k in range(65))
+    assert max(empty) == comb(64, 32)
+    one_plus_x = IntPolynomial((1, 1))
+    assert independence_polynomial(star_graph(63)) == one_plus_x**63 + IntPolynomial((0, 1))
+    # 40 vertices with cycles: the general path, not the forest cap
+    k20_20 = complete_multipartite_graph([20, 20])
+    assert independence_polynomial(k20_20) == 2 * one_plus_x**20 - IntPolynomial((1,))
+    assert independence_polynomial(path_graph(64)).coeffs == tuple(comb(65 - j, j) for j in range(33))
+
+
+def test_random_forests_at_the_cap_match_the_tree_dp():
+    rng = random.Random(61)
+    for _ in range(12):
+        n = rng.randint(60, 64)
+        edges = [(v, rng.randrange(v)) for v in range(1, n) if rng.random() < 0.9]
+        perm = rng.sample(range(n), n)
+        forest = Graph(n, [(perm[u], perm[v]) for u, v in edges])
+        assert independence_polynomial(forest) == independence_polynomial_tree(forest)
+
+
+def _random_regular(rng: random.Random, n: int, d: int) -> Graph:
+    """A d-regular graph on an even n: d edge-disjoint random perfect matchings."""
+    edges: set[tuple[int, int]] = set()
+    for _ in range(d):
+        while True:
+            perm = rng.sample(range(n), n)
+            matching = {(min(a, b), max(a, b)) for a, b in zip(perm[::2], perm[1::2])}
+            if not matching & edges:
+                break
+        edges |= matching
+    return Graph(n, sorted(edges))
+
+
+def test_random_regular_graphs_match_the_oracle():
+    rng = random.Random(67)
+    for _ in range(9):
+        d = rng.randint(3, 5)
+        g = _random_regular(rng, rng.choice([14, 16, 18]), d)
+        assert all(g.degree(v) == d for v in range(g.n))
+        assert independence_polynomial(g).coeffs == count_vector(g)
 
 
 def test_degree_equals_alpha_on_trees():
