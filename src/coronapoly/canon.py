@@ -9,20 +9,26 @@ search (McKay, *Practical graph isomorphism*, 1981; McKay & Piperno,
 JSC 2014), which also yields generators and the order of Aut(g).
 
 The catalogs (`enumerate_trees`, `enumerate_graphs`) produce exactly one
-representative per isomorphism class via canonical augmentation.  The
-graph catalog grows its levels 1, 2, ..., n in one pass per process, each
-level memoised, so asking for every order up to n builds each level once.
-A parent graph g is extended by a new vertex with one neighbourhood per
-orbit of Aut(g) on the subsets of V(g): a skipped subset gives a graph
-isomorphic to one coded earlier from the same parent, so every level, and
-the representative kept for each class, is what coding all 2^|V(g)|
-subsets would give.
+representative per isomorphism class, each level memoised, so asking for
+every order up to n builds each level once.  The tree catalog attaches a
+leaf at one vertex per orbit and keeps the first tree seen with each
+code.  The graph catalog follows McKay's canonical construction path
+(*Isomorph-free exhaustive generation*, J. Algorithms 26, 1998; nauty's
+`geng`): a parent g is extended by a new vertex v with one neighbourhood
+per orbit of Aut(g) on the subsets of V(g), and a child is kept iff v
+lies in the Aut-orbit of a vertex chosen from the child's isomorphism
+class alone.  No codes are compared: every class comes out exactly once,
+and the one search of each kept child gives its generators, its
+canonical form, which is the representative kept, and (unless it is a
+forest) its code.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import cache
 from math import prod
+from operator import itemgetter
 
 from .errors import ResourceLimitError
 from .graphs import Graph, _mask_bits, connected_components, is_connected, is_forest
@@ -118,35 +124,42 @@ def _refine(masks: tuple[int, ...], cells: list[int], queue: list[int]) -> list[
     return cells
 
 
-def _search(g: Graph) -> tuple[int, list[tuple[int, ...]], int]:
-    """The code bits, generators of Aut(g) and |Aut(g)|, from one
-    individualization-refinement search.
+def _orbit(v: int, gens: Sequence[Sequence[int]]) -> int:
+    """The orbit of v under the group generated by `gens` (image
+    sequences), as a vertex mask."""
+    seen, stack = 1 << v, [v]
+    while stack:
+        u = stack.pop()
+        for p in gens:
+            if not (seen >> p[u]) & 1:
+                seen |= 1 << p[u]
+                stack.append(p[u])
+    return seen
+
+
+def _search(masks: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]], int, list[int]]:
+    """The code bits, generators of Aut(g), |Aut(g)| and the best leaf's
+    vertex order, from one individualization-refinement search of the
+    graph with neighbour masks `masks`.
 
     A node is an equitable ordered partition.  Its children individualize
     each vertex of its first smallest non-singleton cell, save those that
     an automorphism fixing the node's individualized vertices maps onto an
     explored sibling.  A leaf's certificate is the lower-triangle adjacency
-    bit string in its vertex order; the code is the least one.  A leaf
-    matching the first or the best leaf gives an automorphism, and a first
-    leaf match resumes at the deepest first-path node above it.  |Aut(g)|
-    is the product, over first-path nodes, of the first child's orbit.
+    bit string in its vertex order; the code is the least one, and the
+    graph relabelled by the best leaf's order (vertex i is order[i]) is
+    the canonical form, whose lower triangle is the code.  A leaf matching
+    the first or the best leaf gives an automorphism, and a first leaf
+    match resumes at the deepest first-path node above it.  |Aut(g)| is
+    the product, over first-path nodes, of the first child's orbit.
     """
-    n = g.n
-    masks = g.masks
+    n = len(masks)
     gens: list[tuple[list[int], int]] = []      # (images, fixed-point mask)
     first_path: list[tuple[int, int]] = []       # (individualized mask, first child)
     first = best = None                          # (certificate, order) of a leaf
 
     def orbit(v: int, fixed: int) -> int:
-        group = [p for p, f in gens if f & fixed == fixed]
-        seen, stack = 1 << v, [v]
-        while stack:
-            u = stack.pop()
-            for p in group:
-                if not (seen >> p[u]) & 1:
-                    seen |= 1 << p[u]
-                    stack.append(p[u])
-        return seen
+        return _orbit(v, [p for p, f in gens if f & fixed == fixed])
 
     def explore(cells: list[int], fixed: int, depth: int, fp: int | None) -> int | None:
         """`fp`: depth of the deepest first-path ancestor (None on the first
@@ -186,8 +199,8 @@ def _search(g: Graph) -> tuple[int, list[tuple[int, ...]], int]:
 
     everything = (1 << n) - 1
     explore(_refine(masks, [everything] if n else [], [everything]), 0, 0, None)
-    order = prod(orbit(v, fixed).bit_count() for fixed, v in first_path)
-    return best[0], [tuple(p) for p, _ in gens], order
+    size = prod(orbit(v, fixed).bit_count() for fixed, v in first_path)
+    return best[0], [tuple(p) for p, _ in gens], size, best[1]
 
 
 def canonical_code(g: Graph) -> bytes:
@@ -202,9 +215,12 @@ def canonical_code(g: Graph) -> bytes:
         raise ResourceLimitError(
             f"canonical code: general graph on {g.n} > {CANONICAL_LIMIT} vertices"
         )
-    bits = _search(g)[0]
-    width = (g.n * (g.n - 1) // 2 + 7) // 8
-    return b"G" + bytes([g.n]) + bits.to_bytes(width, "big")
+    return _general_code(g.n, _search(g.masks)[0])
+
+
+def _general_code(n: int, bits: int) -> bytes:
+    width = (n * (n - 1) // 2 + 7) // 8
+    return b"G" + bytes([n]) + bits.to_bytes(width, "big")
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -216,45 +232,52 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 # -- catalogs -------------------------------------------------------------
 
 
+@cache
+def _tree_level(n: int) -> tuple[Graph, ...]:
+    """Level n of the tree catalog, sorted by canonical code, grown once
+    per process from the memoised level n-1."""
+    if n == 1:
+        return (Graph(1),)
+    seen: dict[bytes, Graph] = {}
+    for t in _tree_level(n - 1):
+        base = list(t.edges())
+        nbrs = list(map(_mask_bits, t.masks))
+        orbit_reps: dict[str, int] = {}
+        for v in range(t.n):
+            rc = _rooted_code(nbrs, v)
+            if rc not in orbit_reps:
+                orbit_reps[rc] = v
+        for v in orbit_reps.values():
+            t2 = Graph(t.n + 1, base + [(v, t.n)])
+            code = canonical_code(t2)
+            if code not in seen:
+                seen[code] = t2
+    return tuple(seen[c] for c in sorted(seen))
+
+
 def enumerate_trees(n: int) -> list[Graph]:
     """One representative per isomorphism class of trees on n vertices.
 
     Grown by attaching a leaf at one vertex per automorphism orbit
     (vertices sharing a whole-tree rooted code) and deduplicating by
-    canonical code.  Deterministic: result sorted by code.
+    canonical code.  Deterministic: result sorted by code.  Levels are
+    memoised, so calling this for n = 1, 2, ..., N builds each level once.
     """
     if n < 1:
         raise ValueError("tree enumeration needs n >= 1")
     if n > TREE_ENUM_LIMIT:
         raise ResourceLimitError(f"tree enumeration capped at {TREE_ENUM_LIMIT} vertices")
-    level = [Graph(1)]
-    for size in range(2, n + 1):
-        seen: dict[bytes, Graph] = {}
-        for t in level:
-            base = list(t.edges())
-            nbrs = list(map(_mask_bits, t.masks))
-            orbit_reps: dict[str, int] = {}
-            for v in range(t.n):
-                rc = _rooted_code(nbrs, v)
-                if rc not in orbit_reps:
-                    orbit_reps[rc] = v
-            for v in orbit_reps.values():
-                t2 = Graph(t.n + 1, base + [(v, t.n)])
-                code = canonical_code(t2)
-                if code not in seen:
-                    seen[code] = t2
-        level = [seen[c] for c in sorted(seen)]
-    return level
+    return list(_tree_level(n))
 
 
 def automorphism_group(g: Graph) -> tuple[list[tuple[int, ...]], int]:
     """Generators of Aut(g), as image tuples, and |Aut(g)|, from the
     search that also gives the canonical code."""
-    _, gens, order = _search(g)
-    return gens, order
+    _, gens, size, _ = _search(g.masks)
+    return gens, size
 
 
-def _subset_orbit_minima(n: int, gens: list[tuple[int, ...]]) -> list[int]:
+def _subset_orbit_minima(n: int, gens: Sequence[tuple[int, ...]]) -> list[int]:
     """The least mask in each orbit of <gens> on the subsets of 0..n-1,
     in increasing order."""
     size = 1 << n
@@ -285,33 +308,90 @@ def _subset_orbit_minima(n: int, gens: list[tuple[int, ...]]) -> list[int]:
     return minima
 
 
+def _from_masks(masks: tuple[int, ...]) -> Graph:
+    """The graph with neighbour masks `masks`, which must be symmetric and
+    loop-free, without the edge-list round trip of `Graph(n, edges)`."""
+    g = Graph.__new__(Graph)
+    g.n, g.masks = len(masks), masks
+    return g
+
+
+def _canonical_child(masks: tuple[int, ...]) -> tuple | None:
+    """The `_search` of the graph `masks` when its last vertex v lies on the
+    canonical construction path, else None.
+
+    v must carry the largest invariant (degree, then the sorted neighbour
+    degrees, computed only for vertices tied on the top degree).  When v
+    alone does, it passes with no orbit test; otherwise v must lie in the
+    Aut-orbit of the first largest-invariant vertex of the best leaf's
+    order.  That orbit depends only on the isomorphism class, so each
+    class passes from exactly one parent and one Aut(parent)-orbit of
+    neighbourhoods.
+    """
+    v = len(masks) - 1
+    degree = [m.bit_count() for m in masks]
+    top = max(degree)
+    if degree[v] < top:
+        return None
+    tied = [u for u in range(v + 1) if degree[u] == top]
+    if len(tied) > 1:
+        invariant = {u: sorted(degree[w] for w in _mask_bits(masks[u])) for u in tied}
+        best = max(invariant.values())
+        if invariant[v] < best:
+            return None
+        tied = [u for u in tied if invariant[u] == best]
+    found = _search(masks)
+    if len(tied) > 1:
+        _, gens, _, order = found
+        m = next(u for u in order if u in tied)
+        if not (_orbit(m, gens) >> v) & 1:
+            return None
+    return found
+
+
 @cache
-def _graph_level(n: int) -> tuple[Graph, ...]:
-    """Level n of the graph catalog, sorted by canonical code, grown once
-    per process from the memoised level n-1."""
+def _graph_level(n: int) -> tuple[tuple[Graph, ...], tuple[tuple[tuple[int, ...], ...], ...]]:
+    """Level n of the graph catalog: every class once, in canonical form,
+    sorted by canonical code, and beside each graph generators of its
+    automorphism group, which level n+1 reads (none at the cap, where no
+    level does).  Grown once per process from the memoised level n-1."""
     if n == 1:
-        return (Graph(1),)
-    seen: dict[bytes, Graph] = {}
-    for g in _graph_level(n - 1):
-        base = list(g.edges())
-        gens, _ = automorphism_group(g)
-        for sub in _subset_orbit_minima(g.n, gens):
-            extra = [(i, g.n) for i in range(g.n) if (sub >> i) & 1]
-            cand = Graph(g.n + 1, base + extra)
-            code = canonical_code(cand)
-            if code not in seen:
-                seen[code] = cand
-    return tuple(seen[c] for c in sorted(seen))
+        return (Graph(1),), ((),)
+    v = n - 1
+    kept = []
+    for g, gens in zip(*_graph_level(v)):
+        top = max(m.bit_count() for m in g.masks)
+        for sub in _subset_orbit_minima(v, gens):
+            if sub.bit_count() < top:
+                continue        # a vertex of g has a larger degree than v
+            masks = tuple(m | ((sub >> i) & 1) << v for i, m in enumerate(g.masks)) + (sub,)
+            found = _canonical_child(masks)
+            if found is None:
+                continue
+            bits, child_gens, _, order = found
+            label = [0] * n
+            for i, u in enumerate(order):
+                label[u] = i
+            h = _from_masks(tuple(sum(1 << label[w] for w in _mask_bits(masks[u])) for u in order))
+            code = _forest_code(h) if is_forest(h) else _general_code(n, bits)   # canonical_code(h)
+            if n == GRAPH_ENUM_LIMIT:
+                child_gens = []     # no level reads them
+            kept.append((code, h, tuple(tuple(label[p[u]] for u in order) for p in child_gens)))
+    _, graphs, generators = zip(*sorted(kept, key=itemgetter(0)))
+    return graphs, generators
 
 
 def enumerate_graphs(n: int, connected: bool = False) -> list[Graph]:
     """One representative per isomorphism class of graphs on n vertices,
-    sorted by canonical code.
+    each in canonical form (relabelled by its best search leaf), sorted
+    by canonical code.
 
-    Canonical augmentation: every class on n vertices arises from some
-    class on n-1 vertices by attaching a new vertex.  Each parent g is
-    extended by the least neighbourhood mask of every Aut(g)-orbit of the
-    2^(n-1) subsets, and the first candidate seen with each code is kept.
+    Canonical construction path: every class on n vertices arises from
+    some class on n-1 vertices by attaching a new vertex v.  Each parent g
+    is extended by the least neighbourhood mask of every Aut(g)-orbit of
+    the 2^(n-1) subsets, and a child is kept iff v has the largest
+    invariant (degree, then sorted neighbour degrees) and lies in the
+    Aut-orbit of the first such vertex in the child's best leaf order.
     Levels are memoised, so calling this for n = 1, 2, ..., N builds the
     catalog up to N once.  Capped at 8 vertices; larger corpora are meant
     to be ingested from graph6 streams.
@@ -323,7 +403,7 @@ def enumerate_graphs(n: int, connected: bool = False) -> list[Graph]:
             f"graph enumeration capped at {GRAPH_ENUM_LIMIT} vertices; "
             "ingest a graph6 stream for larger orders"
         )
-    level = _graph_level(n)
+    level = list(_graph_level(n)[0])
     if connected:
         return [g for g in level if is_connected(g)]
-    return list(level)
+    return level

@@ -34,11 +34,6 @@ def add(a: Coeffs, b: Coeffs) -> Coeffs:
     return _strip(out)
 
 
-def shift_add(a: Coeffs, b: Coeffs) -> Coeffs:
-    """a + x*b."""
-    return add(a, (0,) + b) if b else a
-
-
 def mul(a: Coeffs, b: Coeffs) -> Coeffs:
     if not a or not b:
         return ()

@@ -591,13 +591,14 @@ def verify_bounds(g: Graph, tol: float = 1e-9) -> RootReport:
         raise ValueError("bound verification needs n >= 2")
     n = g.n
     p = independence_polynomial(g)
+    # before any root work: maximal-stable-set enumeration is capped
+    wc = is_well_covered(g)
     report = root_report(p, min(tol, 1e-12))
     a = p.degree
     nonreal_moduli = [math.hypot(re, im) for re, im, _ in report.complex_roots]
     real_floats = report.real_floats
 
     # annulus for well-covered graphs
-    wc = is_well_covered(g)
     if wc:
         inner = Fraction(1, n)
         inner_ok = count_distinct_real_roots(p, -inner, Fraction(0), True, True) == 0

@@ -172,7 +172,8 @@ def unpruned_graph_levels(max_n: int) -> list[tuple[Graph, ...]]:
     increasing mask order, and the first candidate seen with each code is
     kept; each level is sorted by code.  Unlike the rest of this module it
     uses the package's ``canonical_code``, because it is the reference for
-    the orbit pruning of ``enumerate_graphs``, not for the codes."""
+    the classes that ``enumerate_graphs`` generates by orbit pruning and
+    canonical construction path, not for the codes."""
     from coronapoly.canon import canonical_code
 
     levels = [(Graph(1),)]

@@ -15,7 +15,14 @@ from coronapoly.canon import (
     enumerate_trees,
 )
 from coronapoly.errors import ResourceLimitError
-from coronapoly.graphs import Graph, complete_graph, cycle_graph, disjoint_union, path_graph
+from coronapoly.graphs import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    is_connected,
+    path_graph,
+)
 from knowngraphs import EQUAL_TREES10_A, EQUAL_TREES10_B, PAIR5_A, PAIR5_B
 from oracles import unpruned_graph_levels
 
@@ -56,11 +63,14 @@ def test_code_limits():
 
 
 def test_tree_counts():
+    canon._tree_level.cache_clear()
     for n, expect in list(TREE_COUNTS.items())[:10]:
         trees = enumerate_trees(n)
         assert len(trees) == expect
         codes = {canonical_code(t) for t in trees}
         assert len(codes) == expect
+    # each level was grown once, from the memoised level below it
+    assert canon._tree_level.cache_info().misses == 10
 
 
 def test_tree_enumeration_range():
@@ -124,9 +134,32 @@ def test_orbit_minima_use_the_whole_group():
             assert canon._subset_orbit_minima(n, gens) == expect
 
 
+def _canonical_form(g):
+    """The graph whose lower-triangle adjacency bits, row by row, are the
+    search's least certificate for g."""
+    bits = canon._search(g.masks)[0]
+    k = g.n * (g.n - 1) // 2
+    edges = []
+    for i in range(1, g.n):
+        for j in range(i):
+            k -= 1
+            if (bits >> k) & 1:
+                edges.append((i, j))
+    return Graph(g.n, edges)
+
+
 def test_pruned_levels_equal_unpruned_reference():
     for n, level in enumerate(unpruned_graph_levels(7), start=1):
-        assert [g.masks for g in enumerate_graphs(n)] == [g.masks for g in level]
+        assert [g.masks for g in enumerate_graphs(n)] == [_canonical_form(g).masks for g in level]
+
+
+def test_level_eight_classes():
+    level = enumerate_graphs(8)
+    codes = [canonical_code(g) for g in level]
+    assert len(set(codes)) == len(codes) == GRAPH_COUNTS[8] == 12346
+    assert codes == sorted(codes)
+    assert sum(map(is_connected, level)) == CONNECTED_GRAPH_COUNTS[8] == 11117
+    assert all(_canonical_form(g) == g for g in level)
 
 
 def _cayley_z4_squared(steps):

@@ -277,6 +277,18 @@ def test_root_convergence_exit_code(monkeypatch, capsys):
     assert err == "coronapoly: root iteration did not converge: no convergence after 500 sweeps\n"
 
 
+def test_roots_well_covered_cap_before_root_work(monkeypatch, capsys):
+    from coronapoly import roots
+
+    def root_report(*args, **kwargs):
+        raise AssertionError("root work started before the well-covered cap was checked")
+
+    monkeypatch.setattr(roots, "root_report", root_report)
+    code, out, err = run(capsys, "roots", "--family", "star", "--n", "30")
+    assert code == 3
+    assert out == "" and "31 vertices exceeds limit 24" in err
+
+
 def test_search_equal_poly(tmp_path, capsys):
     from corpus import trees_exactly
 
