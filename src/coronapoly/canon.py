@@ -31,7 +31,7 @@ from math import prod
 from operator import itemgetter
 
 from .errors import ResourceLimitError
-from .graphs import Graph, _mask_bits, connected_components, is_connected, is_forest
+from .graphs import Graph, _from_masks, _mask_bits, connected_components, is_connected, is_forest
 
 CANONICAL_LIMIT = 30    # general graphs: individualization-refinement code
 FOREST_CODE_LIMIT = 64
@@ -48,12 +48,9 @@ CONNECTED_GRAPH_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 1111
 # -- forest codes ---------------------------------------------------------
 
 
-def _rooted_code(nbrs: list[list[int]], root: int) -> str:
-    def rec(v: int, parent: int) -> str:
-        subs = sorted(rec(w, v) for w in nbrs[v] if w != parent)
-        return "(" + "".join(subs) + ")"
-
-    return rec(root, -1)
+def _rooted_code(nbrs: list[list[int]], v: int, parent: int = -1) -> str:
+    subs = sorted(_rooted_code(nbrs, w, v) for w in nbrs[v] if w != parent)
+    return "(" + "".join(subs) + ")"
 
 
 def _tree_centers(nbrs: list[list[int]], comp: list[int]) -> list[int]:
@@ -199,6 +196,7 @@ def _search(masks: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]], int, li
 
     everything = (1 << n) - 1
     explore(_refine(masks, [everything] if n else [], [everything]), 0, 0, None)
+    del explore     # its closure refers to itself: break the cycle now
     size = prod(orbit(v, fixed).bit_count() for fixed, v in first_path)
     return best[0], [tuple(p) for p, _ in gens], size, best[1]
 
@@ -306,14 +304,6 @@ def _subset_orbit_minima(n: int, gens: Sequence[tuple[int, ...]]) -> list[int]:
                     seen[u] = 1
                     stack.append(u)
     return minima
-
-
-def _from_masks(masks: tuple[int, ...]) -> Graph:
-    """The graph with neighbour masks `masks`, which must be symmetric and
-    loop-free, without the edge-list round trip of `Graph(n, edges)`."""
-    g = Graph.__new__(Graph)
-    g.n, g.masks = len(masks), masks
-    return g
 
 
 def _canonical_child(masks: tuple[int, ...]) -> tuple | None:

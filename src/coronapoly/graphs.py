@@ -81,6 +81,14 @@ class Graph:
         return f"Graph({self.n}, {sorted(self.edges())})"
 
 
+def _from_masks(masks: tuple[int, ...]) -> Graph:
+    """The graph with neighbour masks `masks`, which must be symmetric and
+    loop-free, without the edge-list round trip of `Graph(n, edges)`."""
+    g = Graph.__new__(Graph)
+    g.n, g.masks = len(masks), masks
+    return g
+
+
 # -- text formats -------------------------------------------------------------
 
 
@@ -293,10 +301,8 @@ def disjoint_union(*graphs: Graph) -> Graph:
 
 
 def complement(g: Graph) -> Graph:
-    return Graph(
-        g.n,
-        [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)],
-    )
+    full = (1 << g.n) - 1
+    return _from_masks(tuple(full & ~m & ~(1 << v) for v, m in enumerate(g.masks)))
 
 
 # -- connectivity and cycles --------------------------------------------------
@@ -454,6 +460,7 @@ def alpha(g: Graph) -> int:
         rec(avail & ~(1 << pivot), size)
 
     rec((1 << g.n) - 1, 0)
+    del rec         # its closure refers to itself: break the cycle now
     return best
 
 
@@ -491,7 +498,10 @@ def maximal_stable_sets(g: Graph) -> Iterator[int]:
             p &= ~b
             x |= b
 
-    yield from bk(0, full, 0)
+    try:
+        yield from bk(0, full, 0)
+    finally:
+        del bk      # its closure refers to itself; callers may stop early
 
 
 def is_well_covered(g: Graph) -> bool:

@@ -158,7 +158,9 @@ def independence_polynomial(
             product *= without + (closed << SLOT)
         return product
 
-    return IntPolynomial(_unpack(solve((1 << g.n) - 1)))
+    packed = solve((1 << g.n) - 1)
+    del solve       # its closure refers to itself: break the cycle now
+    return IntPolynomial(_unpack(packed))
 
 
 # -- forest specialization ----------------------------------------------------

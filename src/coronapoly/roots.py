@@ -6,8 +6,8 @@ square-free decomposition (scaling by |lc|, never lc, keeps the signs),
 and every sign test is a homogeneous integer evaluation at a rational
 point.  Fractions appear only as interval endpoints.  Every half-open
 membership test that appears in a bound (for instance
-xi_max < -1/(2n-1)) is decided by rational evaluation plus Sturm counts,
-never by floating point.
+xi_max < -1/(2n-1)) compares an isolated extreme root with the rational,
+never a float.
 
 Each polynomial gets one root pass (``root_report``): one exact isolation
 and one deterministic Aberth run per Yun factor.  The exact intervals
@@ -167,10 +167,6 @@ def _variations_at(chain: list[IntPolynomial], x: Fraction | None, sign_at_infin
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _remove_rational_root(q: IntPolynomial, r: Fraction) -> IntPolynomial:
-    return IntPolynomial(primitive(exact_div(q.coeffs, (-r.numerator, r.denominator))))
-
-
 def count_distinct_real_roots(
     p: IntPolynomial,
     lo: Fraction | None = None,
@@ -180,9 +176,10 @@ def count_distinct_real_roots(
 ) -> int:
     """Number of distinct real roots in the interval (None endpoint = infinite).
 
-    Exact: endpoint roots are divided out of the square-free part and
-    re-added according to the inclusion flags, so half-open checks like
-    "no root in [a, b)" are certified by integer arithmetic alone.
+    Exact: V(lo) - V(hi) counts the roots in (lo, hi], as the sign
+    variations at a root equal those just right of it, and the flags add
+    a root at lo or drop one at hi, so half-open checks like "no root in
+    [a, b)" are certified by integer arithmetic alone.
     """
     if not p:
         raise ValueError("zero polynomial")
@@ -193,18 +190,13 @@ def count_distinct_real_roots(
         return 0
     if lo is not None and lo == hi:
         return int(include_lo and include_hi and sign_at(q.coeffs, lo) == 0)
-    extra = 0
-    for point, include in ((lo, include_lo), (hi, include_hi)):
-        if point is not None and sign_at(q.coeffs, point) == 0:
-            q = _remove_rational_root(q, Fraction(point))
-            if include:
-                extra += 1
-    if q.degree < 1:
-        return extra
     chain = sturm_chain(q)
-    v_lo = _variations_at(chain, lo, -1)
-    v_hi = _variations_at(chain, hi, +1)
-    return extra + v_lo - v_hi
+    count = _variations_at(chain, lo, -1) - _variations_at(chain, hi, +1)
+    if include_lo and lo is not None and sign_at(q.coeffs, lo) == 0:
+        count += 1
+    if not include_hi and hi is not None and sign_at(q.coeffs, hi) == 0:
+        count -= 1
+    return count
 
 
 def cauchy_root_bound(p: IntPolynomial) -> Fraction:
@@ -571,6 +563,20 @@ def _is_cycle7(g: Graph) -> bool:
     return g.n == 7 and all(m.bit_count() == 2 for m in g.masks) and is_connected(g)
 
 
+def _root_sign(q: IntPolynomial, root: tuple[Fraction, Fraction, int], c: Fraction) -> int:
+    """The sign of xi - c, for the one root xi of the square-free q in the
+    isolating interval `root` = (lo, hi, m) of ``RootReport.real_roots``:
+    a degenerate interval is xi itself, and an open one has non-root
+    endpoints, so q(c) has the sign of q(lo) iff no root lies in (lo, c]."""
+    lo, hi, _ = root
+    if lo == hi:
+        return (lo > c) - (lo < c)
+    if not lo < c < hi:
+        return 1 if c <= lo else -1
+    s = sign_at(q.coeffs, c)
+    return 0 if s == 0 else 1 if s == sign_at(q.coeffs, lo) else -1
+
+
 def verify_bounds(g: Graph, tol: float = 1e-9) -> RootReport:
     """Evaluate every applicable named root-location bound for I(G).
 
@@ -585,7 +591,8 @@ def verify_bounds(g: Graph, tol: float = 1e-9) -> RootReport:
     * ``smallest_modulus_real_unique``: the minimum-modulus root is real
       and no other root ties it (within tol).
 
-    The real legs are exact; inapplicable bounds report ``passed=None``.
+    The real legs are exact: each compares the isolated extreme real root
+    with a rational.  Inapplicable bounds report ``passed=None``.
     """
     if g.n < 2:
         raise ValueError("bound verification needs n >= 2")
@@ -596,28 +603,25 @@ def verify_bounds(g: Graph, tol: float = 1e-9) -> RootReport:
     report = root_report(p, min(tol, 1e-12))
     a = p.degree
     nonreal_moduli = [math.hypot(re, im) for re, im, _ in report.complex_roots]
-    real_floats = report.real_floats
+    real_moduli = [abs(x) for x in report.real_floats]
+    moduli = real_moduli + nonreal_moduli
+    # I(G; x) >= 1 for x >= 0, so every real root is negative: "no real
+    # root in [c, 0]" is xi_max < c, and "no real root <= c" is xi_min > c
+    q, real = square_free_part(p), report.real_roots
+    inner = Fraction(1, n)
+    inner_ok = not real or _root_sign(q, real[-1], -inner) < 0
 
     # annulus for well-covered graphs
     if wc:
-        inner = Fraction(1, n)
-        inner_ok = count_distinct_real_roots(p, -inner, Fraction(0), True, True) == 0
-        outer_ok = count_distinct_real_roots(p, None, Fraction(-a), True, True) == 0
-        touch = sign_at(p.coeffs, -inner) == 0 or sign_at(p.coeffs, -a) == 0
-        complete = _is_complete(g)
-        margin = math.inf
-        for r in nonreal_moduli:
-            margin = min(margin, r - 1 / n, a - r)
-        for x in real_floats:
-            margin = min(margin, abs(x) - 1 / n, a - abs(x))
-        if complete:
+        margin = min((min(r - 1 / n, a - r) for r in moduli), default=math.inf)
+        if _is_complete(g):
             passed = sign_at(p.coeffs, -inner) == 0
             note = "complete graph: root on the inner boundary"
         else:
+            # both real legs are strict, so no real root is on the boundary
             passed = (
                 inner_ok
-                and outer_ok
-                and not touch
+                and (not real or _root_sign(q, real[0], Fraction(-a)) > 0)
                 and all(r >= 1 / n - tol and r <= a + tol for r in nonreal_moduli)
             )
             note = ""
@@ -631,33 +635,24 @@ def verify_bounds(g: Graph, tol: float = 1e-9) -> RootReport:
     w = alpha(complement(g))
     lower = max(Fraction(-a, n), Fraction(-1, w))
     strict_cap = Fraction(-1, 2 * n - 1)
-    has_real = count_distinct_real_roots(p) >= 1
-    above_cap = count_distinct_real_roots(p, strict_cap, None, True, True)
-    in_window = count_distinct_real_roots(p, lower, Fraction(0), True, False) >= 1
-    xi_max = max(real_floats, default=None)
+    cap_ok = not real or _root_sign(q, real[-1], strict_cap) < 0
+    xi_max = max(report.real_floats, default=None)
     margin = None if xi_max is None else float(strict_cap) - xi_max
     report.bounds["xi_max_window"] = BoundCheck(
         "xi_max_window",
         True,
-        has_real and above_cap == 0 and in_window,
+        bool(real) and cap_ok and _root_sign(q, real[-1], lower) >= 0,
         margin,
-        "" if has_real else "no real root",
+        "" if real else "no real root",
     )
 
-    # modulus floor, real exact + complex numeric
+    # modulus floor, real exact (the cap's comparison) + complex numeric
     floor = Fraction(1, 2 * n - 1)
-    real_floor_ok = count_distinct_real_roots(p, -floor, floor, True, True) == 0
-    complex_margin = min(
-        (r - float(floor) for r in nonreal_moduli), default=math.inf
-    )
-    real_margin = min(
-        (abs(x) - float(floor) for x in real_floats), default=math.inf
-    )
-    margin = min(complex_margin, real_margin)
+    margin = min((r - float(floor) for r in moduli), default=math.inf)
     report.bounds["modulus_floor"] = BoundCheck(
         "modulus_floor",
         True,
-        real_floor_ok and complex_margin > 0,
+        cap_ok and all(r - float(floor) > 0 for r in nonreal_moduli),
         float(margin) if margin != math.inf else None,
     )
 
@@ -670,10 +665,9 @@ def verify_bounds(g: Graph, tol: float = 1e-9) -> RootReport:
         and not (n == 2 and g.num_edges == 1)
     )
     if applicable:
-        below = count_distinct_real_roots(p, None, Fraction(-1), True, False)
-        above = count_distinct_real_roots(p, Fraction(-1, n), None, True, True)
+        from_minus_one = not real or _root_sign(q, real[0], Fraction(-1)) >= 0
         report.bounds["real_window"] = BoundCheck(
-            "real_window", True, below == 0 and above == 0, None
+            "real_window", True, from_minus_one and inner_ok, None
         )
     else:
         report.bounds["real_window"] = BoundCheck(
@@ -681,14 +675,13 @@ def verify_bounds(g: Graph, tol: float = 1e-9) -> RootReport:
         )
 
     # smallest-modulus root real and unique
-    if not real_floats:
+    if not real_moduli:
         report.bounds["smallest_modulus_real_unique"] = BoundCheck(
             "smallest_modulus_real_unique", True, False, None, "no real root"
         )
     else:
-        xi = max(real_floats)
-        rho = abs(xi)
-        others = [abs(x) for x in real_floats if x != xi] + nonreal_moduli
+        rho = min(real_moduli)
+        others = [r for r in real_moduli if r != rho] + nonreal_moduli
         margin = min(others) - rho if others else math.inf
         passed = margin > tol if others else True
         report.bounds["smallest_modulus_real_unique"] = BoundCheck(

@@ -21,6 +21,7 @@ from .corona import (
     corona_coefficients,
     corona_polynomial_identity,
     divisibility_check,
+    inverse_corona_coefficients,
 )
 from .errors import ResourceLimitError
 from .graphs import Graph, alpha, complete_graph, corona, encode_graph6, item_graph, label_items
@@ -103,8 +104,6 @@ def check_one(suite: str, g: Graph, tol: float = 1e-9) -> str | None:
         direct = independence_polynomial(corona(g))
         if not (by_sum == by_identity == direct):
             return f"{encode_graph6(g)}: corona coefficient routes disagree"
-        from .corona import inverse_corona_coefficients
-
         if inverse_corona_coefficients(by_sum, n, s.degree) != s:
             return f"{encode_graph6(g)}: inverse transform does not round-trip"
         return None

@@ -5,12 +5,15 @@ sets are enumerated by plain backtracking over vertex order (or literal
 subset filtering for tiny graphs), so these can certify the polynomial
 engine, the stability number and the well-coveredness predicates.
 
-Two helpers are deliberate exceptions.  ``unpruned_graph_levels`` uses
+Three groups of helpers are deliberate exceptions.  ``unpruned_graph_levels`` uses
 the package's canonical codes.  ``root_matching_notes`` uses the
 package's root core (``root_report``, Sturm counts, interval refinement):
 it matches the roots of I(G) and of the deflated I(G*) one by one under
 x -> x/(1-x), a root-level cross-check of the integer identity behind
-``root_bijection_check``.
+``root_bijection_check``.  ``counted_real_legs`` and
+``counted_bound_verdicts`` decide the real legs of ``verify_bounds`` by
+one Sturm count on I(G) per leg, the reference for the package's
+comparisons with the isolated extreme roots.
 """
 
 import math
@@ -307,3 +310,47 @@ def _check_numeric_leg(
         notes.append(f"numeric multiset mismatch {worst:.3e} > {tol:.1e}")
         return False, worst
     return True, worst
+
+
+def counted_real_legs(p: IntPolynomial, n: int, w: int) -> dict[str, bool]:
+    """The real legs of ``verify_bounds`` for p = I(G), G on n vertices
+    with clique number w, each decided by one Sturm count (or one
+    evaluation) on p over the window that the bound names."""
+    a = p.degree
+    zero = Fraction(0)
+    inner = Fraction(1, n)
+    cap = Fraction(-1, 2 * n - 1)
+    lower = max(Fraction(-a, n), Fraction(-1, w))
+    return {
+        "annulus_inner": count_distinct_real_roots(p, -inner, zero, True, True) == 0,
+        "annulus_outer": count_distinct_real_roots(p, None, Fraction(-a), True, True) == 0,
+        "annulus_touch": sign_at(p.coeffs, -inner) == 0 or sign_at(p.coeffs, -a) == 0,
+        "has_real": count_distinct_real_roots(p) >= 1,
+        "xi_max_cap": count_distinct_real_roots(p, cap, None, True, True) == 0,
+        "xi_max_window": count_distinct_real_roots(p, lower, zero, True, False) >= 1,
+        "modulus_floor": count_distinct_real_roots(p, cap, -cap, True, True) == 0,
+        "real_window_below": count_distinct_real_roots(p, None, Fraction(-1), True, False) == 0,
+        "real_window_above": count_distinct_real_roots(p, -inner, None, True, True) == 0,
+    }
+
+
+def counted_bound_verdicts(
+    report: RootReport, n: int, w: int, tol: float = 1e-9
+) -> dict[str, bool]:
+    """The verdicts of ``verify_bounds`` on a well-covered, non-complete
+    graph that meets the hypotheses of ``real_window``, from
+    ``counted_real_legs`` and the report's nonreal moduli."""
+    p = report.polynomial
+    a = p.degree
+    legs = counted_real_legs(p, n, w)
+    nonreal = [math.hypot(re, im) for re, im, _ in report.complex_roots]
+    floor = Fraction(1, 2 * n - 1)
+    return {
+        "annulus": legs["annulus_inner"]
+        and legs["annulus_outer"]
+        and not legs["annulus_touch"]
+        and all(1 / n - tol <= r <= a + tol for r in nonreal),
+        "xi_max_window": legs["has_real"] and legs["xi_max_cap"] and legs["xi_max_window"],
+        "modulus_floor": legs["modulus_floor"] and all(r - float(floor) > 0 for r in nonreal),
+        "real_window": legs["real_window_below"] and legs["real_window_above"],
+    }

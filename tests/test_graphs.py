@@ -1,3 +1,4 @@
+import gc
 import math
 import pickle
 import random
@@ -8,6 +9,7 @@ from coronapoly.errors import GraphParseError, ResourceLimitError
 from coronapoly.graphs import (
     Graph,
     alpha,
+    complement,
     complete_graph,
     complete_multipartite_graph,
     corona,
@@ -265,6 +267,17 @@ def test_corona_pendant_matching():
         assert pendant_edges_form_perfect_matching(star)
 
 
+def test_complement_is_the_edge_list_definition():
+    rng = random.Random(19)
+    for n in range(13):
+        for _ in range(4):
+            g = _random_graph(rng, n)
+            h = complement(g)
+            non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+            assert h == Graph(n, non_edges), g
+            assert complement(h) == g
+
+
 # -- predicates -----------------------------------------------------------------
 
 
@@ -396,3 +409,37 @@ def test_is_forest_matches_union_find():
     assert True in flags and False in flags
     for g, flag in zip(graphs, flags):
         assert is_forest(g) == flag, g
+
+
+# -- memory ----------------------------------------------------------------------
+
+
+def _recursive_searches():
+    """One call per self-recursive search, each on input it has not seen."""
+    from coronapoly import canon, indpoly, roots
+
+    dense = _random_graph(random.Random(23), 9)
+    return {
+        "canonical_code": lambda: [canon.canonical_code(cycle_graph(12)) for _ in range(3)],
+        "forest_code": lambda: canon.canonical_code(corona(path_graph(7))),
+        "graph_level": lambda: canon._graph_level.__wrapped__(6),
+        "independence_polynomial": lambda: indpoly.independence_polynomial(dense),
+        "alpha": lambda: alpha(dense),
+        "is_well_covered": lambda: (is_well_covered(dense), is_well_covered(corona(path_graph(5)))),
+        "verify_bounds": lambda: roots.verify_bounds(corona(path_graph(4))),
+    }
+
+
+@pytest.mark.parametrize("name", list(_recursive_searches()))
+def test_recursive_searches_leave_no_garbage(name):
+    # a nested function that recurses by name keeps itself alive through its
+    # closure; each search must break that cycle, so a call frees everything
+    # by reference counting and leaves nothing for the cyclic collector
+    call = _recursive_searches()[name]
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -383,6 +383,109 @@ def test_corona_polynomials_no_root_below_minus_one():
         assert count_distinct_real_roots(q, None, Fraction(-1), include_hi=False) == 0
 
 
+def test_root_sign_reads_one_isolating_interval():
+    from coronapoly.roots import _root_sign, refine_root_interval
+
+    quadratic = IntPolynomial((1, 4, 2))        # roots -1 -+ 1/sqrt(2)
+    # -1/3 is isolated strictly inside an open interval, -1 as [-1, -1]
+    for p, rational, degenerate in [
+        (IntPolynomial((1, 3)) * quadratic, Fraction(-1, 3), False),
+        (ONE_PLUS_X * quadratic, Fraction(-1), True),
+    ]:
+        q = square_free_part(p)
+        for lo, hi in (span for span, _ in isolate_real_roots(p)):
+            assert _root_sign(q, (lo, hi, 1), lo - 1) == 1
+            assert _root_sign(q, (lo, hi, 1), hi + 1) == -1
+            if lo <= rational <= hi:
+                assert (lo == hi) == degenerate
+                assert _root_sign(q, (lo, hi, 1), rational) == 0
+                near = [rational]
+            else:
+                # the root lies strictly inside this narrow interval
+                near = list(refine_root_interval(q, lo, hi, Fraction(1, 2**40)))
+                assert near[0] < near[1]
+                assert _root_sign(q, (lo, hi, 1), near[0]) == 1
+                assert _root_sign(q, (lo, hi, 1), near[1]) == -1
+            if lo == hi:
+                continue
+            assert _root_sign(q, (lo, hi, 1), lo) == 1
+            assert _root_sign(q, (lo, hi, 1), hi) == -1
+            for k in range(1, 8):
+                c = lo + (hi - lo) * k / 8
+                want = 1 if c < near[0] else -1 if c > near[-1] else 0
+                assert _root_sign(q, (lo, hi, 1), c) == want, (p, lo, hi, c)
+    exact = (Fraction(-1), Fraction(-1), 2)
+    assert [_root_sign(ONE_PLUS_X, exact, c) for c in (-2, -1, 0)] == [1, 0, -1]
+
+
+def _crafted_polynomials(n: int, w: int) -> list[IntPolynomial]:
+    """Positive-coefficient polynomials for a skeleton on n vertices with
+    clique number w.  For each degree a = 1..8: products of linear factors
+    with a root exactly at -1/n, -1/(2n-1), -a, -1 or max(-a/n, -1/w),
+    filled to degree a with seeded factors (1 + kx), (j + x) and
+    quadratics; then seeded random polynomials of degree 2-8 with p(0) = 1."""
+    rng = random.Random(89)
+
+    def linear(r: Fraction) -> IntPolynomial:
+        return IntPolynomial((-r.numerator, r.denominator))
+
+    def filler(degree: int) -> IntPolynomial:
+        out = IntPolynomial.one()
+        while out.degree < degree:
+            kind = rng.random()
+            if degree - out.degree >= 2 and kind < 0.3:
+                b = rng.randint(1, 6)
+                out = out * IntPolynomial((1, b, rng.randint(1, b * b)))
+            elif kind < 0.75:
+                out = out * IntPolynomial((1, rng.randint(1, 2 * n + 2)))
+            else:
+                out = out * IntPolynomial((rng.randint(1, 10), 1))
+        return out
+
+    polys = []
+    for a in range(1, 9):
+        lower = max(Fraction(-a, n), Fraction(-1, w))
+        for r in (Fraction(-1, n), Fraction(-1, 2 * n - 1), Fraction(-a), Fraction(-1), lower):
+            polys += [linear(r) * filler(a - 1) for _ in range(4)]
+    for _ in range(120):
+        polys.append(IntPolynomial([1] + [rng.randint(1, 40) for _ in range(rng.randint(2, 8))]))
+    return polys
+
+
+def test_real_legs_against_sturm_counts(monkeypatch):
+    # on graphs the theorems hold, so only crafted polynomials make the real
+    # legs fail: each verdict must equal the one from Sturm counts on p
+    from coronapoly import roots
+    from oracles import brute_alpha, counted_bound_verdicts, counted_real_legs
+
+    skeleton = corona(path_graph(3))     # a tree: well-covered, girth >= 6
+    n = skeleton.n
+    non_edges = [(u, v) for v in range(n) for u in range(v) if not skeleton.has_edge(u, v)]
+    w = brute_alpha(Graph(n, non_edges))     # the clique number
+    seen_legs, seen_verdicts = set(), set()
+    for p in _crafted_polynomials(n, w):
+        monkeypatch.setattr(roots, "independence_polynomial", lambda g, p=p: p)
+        report = verify_bounds(skeleton)
+        assert report.bounds["annulus"].applicable and report.bounds["real_window"].applicable
+        want = counted_bound_verdicts(report, n, w)
+        assert {name: report.bounds[name].passed for name in want} == want, p
+        seen_legs |= set(counted_real_legs(p, n, w).items())
+        seen_verdicts |= set(want.items())
+    assert seen_legs == {(leg, v) for leg, _ in seen_legs for v in (True, False)}
+    assert seen_verdicts == {(name, v) for name, _ in seen_verdicts for v in (True, False)}
+
+
+def test_verify_bounds_makes_no_sturm_count(monkeypatch):
+    from coronapoly import roots
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("count_distinct_real_roots called")
+
+    monkeypatch.setattr(roots, "count_distinct_real_roots", refuse)
+    for g in [complete_graph(4), cycle_graph(7), corona(path_graph(3)), TREE8_NONREAL]:
+        assert verify_bounds(g).bounds
+
+
 def test_smallest_modulus_side():
     # the minimum-modulus root is real: compare against per-factor numerics
     # (simple roots there, so realness of the approximations is reliable)
