@@ -19,7 +19,8 @@ Labeling conventions (frozen so golden outputs are stable):
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import GraphParseError, ResourceLimitError
 
@@ -161,10 +162,9 @@ def read_graph6_stream(lines: Iterable[str]) -> Iterator[Graph]:
             yield parse_graph6(line)
 
 
-class StreamItem(NamedTuple):
-    """A stream's graph or graph6 line, named "line N" or "item i" in errors."""
-    label: str
-    graph: Union[Graph, str]
+# A stream's graph (Graph) or graph6 line (str), named "line N" or "item i"
+# in errors.
+StreamItem = namedtuple("StreamItem", "label graph")
 
 
 def label_items(items: Iterable) -> Iterator[StreamItem]:

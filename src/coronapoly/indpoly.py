@@ -30,7 +30,7 @@ No floating point anywhere: coefficients are Python ints.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import ResourceLimitError
 from .graphs import Graph, _mask_bits, connected_components, is_forest

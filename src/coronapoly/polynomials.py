@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 Coeffs = tuple[int, ...]
 

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 from .corona import corona_polynomial_identity
 from .errors import ResourceLimitError, RootConvergenceError
@@ -405,13 +405,13 @@ def numeric_roots(p: IntPolynomial, tol: float = 1e-12) -> list[complex]:
 # -- reports -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    name: str
-    applicable: bool
-    passed: bool | None          # None iff not applicable
-    margin: float | None = None
-    note: str = ""
+class BoundCheck(
+    namedtuple("BoundCheck", "name applicable passed margin note", defaults=(None, ""))
+):
+    """One named bound verdict: passed is None iff not applicable; margin is
+    a float or None.  Immutable."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -423,17 +423,30 @@ class BoundCheck:
         }
 
 
-@dataclass
 class RootReport:
     """Exact real-root data, numeric complex approximations, and named
     bound verdicts for one polynomial."""
 
-    polynomial: IntPolynomial
-    minus_one_multiplicity: int
-    real_roots: list[tuple[Fraction, Fraction, int]]
-    complex_roots: list[tuple[float, float, int]]    # conjugate pairs, lower first
-    real_floats: list[float]                         # one inside each real_roots interval
-    bounds: dict[str, BoundCheck] = field(default_factory=dict)
+    __slots__ = (
+        "polynomial", "minus_one_multiplicity", "real_roots", "complex_roots",
+        "real_floats", "bounds",
+    )
+
+    def __init__(
+        self,
+        polynomial: IntPolynomial,
+        minus_one_multiplicity: int,
+        real_roots: list[tuple[Fraction, Fraction, int]],
+        complex_roots: list[tuple[float, float, int]],   # conjugate pairs, lower first
+        real_floats: list[float],                        # one inside each real_roots interval
+        bounds: dict[str, BoundCheck] | None = None,
+    ):
+        self.polynomial = polynomial
+        self.minus_one_multiplicity = minus_one_multiplicity
+        self.real_roots = real_roots
+        self.complex_roots = complex_roots
+        self.real_floats = real_floats
+        self.bounds = {} if bounds is None else bounds
 
     def distinct_roots(self) -> list[tuple[complex, int]]:
         """(approximation, multiplicity) per distinct root, real ones first."""
@@ -506,10 +519,12 @@ def root_report(p: IntPolynomial, tol: float = 1e-12) -> RootReport:
 # -- the root bijection --------------------------------------------------------
 
 
-@dataclass
 class BijectionReport:
-    passed: bool
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("passed", "notes")
+
+    def __init__(self, passed: bool, notes: list[str] | None = None):
+        self.passed = passed
+        self.notes = [] if notes is None else notes
 
 
 def root_bijection_check(g: Graph) -> BijectionReport:

@@ -16,8 +16,7 @@ never more.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Union
+from collections.abc import Callable, Iterable
 
 from .canon import canonical_code, enumerate_trees
 from .corona import spider_polynomial
@@ -42,19 +41,24 @@ from .roots import all_roots_real, multiplicity_of_minus_one
 
 SPIDER_SKELETON_LIMIT = 8
 
-GraphLike = Union[Graph, str, StreamItem]
-Mapper = Callable[..., Iterable]    # map(fn, items), in item order
-
 
 # -- equivalence classification -------------------------------------------
 
 
-@dataclass
 class PolynomialClass:
-    coefficients: tuple[int, ...]
-    members: list[str]                      # graph6 strings
-    codes: list[str] | None = None          # hex canonical codes, aligned with members
-    all_isomorphic: bool | None = None      # None when codes were unavailable
+    __slots__ = ("coefficients", "members", "codes", "all_isomorphic")
+
+    def __init__(
+        self,
+        coefficients: tuple[int, ...],
+        members: list[str],                     # graph6 strings
+        codes: list[str] | None = None,         # hex canonical codes, aligned with members
+        all_isomorphic: bool | None = None,     # None when codes were unavailable
+    ):
+        self.coefficients = coefficients
+        self.members = members
+        self.codes = codes
+        self.all_isomorphic = all_isomorphic
 
     @property
     def polynomial(self) -> IntPolynomial:
@@ -69,12 +73,20 @@ class PolynomialClass:
         }
 
 
-@dataclass
 class EquivalenceReport:
-    classes: list[PolynomialClass]
-    source: str = ""
-    graphs_seen: int = 0
-    errors: list[str] = field(default_factory=list)
+    __slots__ = ("classes", "source", "graphs_seen", "errors")
+
+    def __init__(
+        self,
+        classes: list[PolynomialClass],
+        source: str = "",
+        graphs_seen: int = 0,
+        errors: list[str] | None = None,
+    ):
+        self.classes = classes
+        self.source = source
+        self.graphs_seen = graphs_seen
+        self.errors = [] if errors is None else errors
 
     def nontrivial_classes(self) -> list[PolynomialClass]:
         return [c for c in self.classes if len(c.members) > 1]
@@ -119,7 +131,7 @@ def _coefficient_key(item: StreamItem) -> tuple[tuple[int, ...] | None, str, obj
 
 
 def partition_graphs(
-    items: Iterable[GraphLike], mapper: Mapper = map
+    items: Iterable[Graph | str | StreamItem], mapper: Callable[..., Iterable] = map
 ) -> tuple[dict[tuple[int, ...], list[tuple[str, object]]], int, list[str]]:
     """Map each graph to its exact coefficient key, keeping its graph6 and
     canonical code; an item that fails is recorded in the error list and
@@ -134,7 +146,7 @@ def partition_graphs(
     return buckets, sum(map(len, buckets.values())), errors
 
 
-def group_by_polynomial(items: Iterable[GraphLike], source: str = "") -> EquivalenceReport:
+def group_by_polynomial(items: Iterable[Graph | str | StreamItem], source: str = "") -> EquivalenceReport:
     """Partition a graph stream into classes of equal independence
     polynomial, with per-class isomorphism verdicts where computable."""
     return report_from_partition(partition_graphs(items), source)
@@ -170,13 +182,24 @@ def corona_equivalence_check(g: Graph, h: Graph) -> bool:
 # -- spider uniqueness -------------------------------------------------------
 
 
-@dataclass
 class SpiderScanReport:
-    max_skeleton: int
-    skeletons_checked: int
-    matches: list[tuple[int, str]]          # (skeleton order, skeleton graph6)
-    skipped_multiplicity: int
-    violations: list[str]
+    __slots__ = (
+        "max_skeleton", "skeletons_checked", "matches", "skipped_multiplicity", "violations",
+    )
+
+    def __init__(
+        self,
+        max_skeleton: int,
+        skeletons_checked: int,
+        matches: list[tuple[int, str]],         # (skeleton order, skeleton graph6)
+        skipped_multiplicity: int,
+        violations: list[str],
+    ):
+        self.max_skeleton = max_skeleton
+        self.skeletons_checked = skeletons_checked
+        self.matches = matches
+        self.skipped_multiplicity = skipped_multiplicity
+        self.violations = violations
 
     def to_json(self) -> dict:
         return {
@@ -250,13 +273,25 @@ def well_covered_trees(max_order: int) -> list[Graph]:
     return out
 
 
-@dataclass
 class Conjecture2Report:
-    max_tree_order: int
-    graphs_scanned: int
-    skipped_disconnected: int
-    supporting_matches: int
-    counterexamples: list[dict]
+    __slots__ = (
+        "max_tree_order", "graphs_scanned", "skipped_disconnected", "supporting_matches",
+        "counterexamples",
+    )
+
+    def __init__(
+        self,
+        max_tree_order: int,
+        graphs_scanned: int,
+        skipped_disconnected: int,
+        supporting_matches: int,
+        counterexamples: list[dict],
+    ):
+        self.max_tree_order = max_tree_order
+        self.graphs_scanned = graphs_scanned
+        self.skipped_disconnected = skipped_disconnected
+        self.supporting_matches = supporting_matches
+        self.counterexamples = counterexamples
 
     @property
     def clean(self) -> bool:
@@ -295,7 +330,7 @@ def _conjecture2_verdict(item: StreamItem) -> tuple[str, tuple[int, ...] | None,
 
 
 def conjecture2_scan(
-    items: Iterable[GraphLike], max_tree_order: int, mapper: Mapper = map
+    items: Iterable[Graph | str | StreamItem], max_tree_order: int, mapper: Callable[..., Iterable] = map
 ) -> Conjecture2Report:
     """Evidence scan: every connected stream graph whose polynomial matches a
     well-covered tree's should itself be a well-covered tree.
@@ -327,15 +362,28 @@ def conjecture2_scan(
     return Conjecture2Report(max_tree_order, scanned, skipped, supporting, counterexamples)
 
 
-@dataclass
 class HamidouneReport:
-    graphs_scanned: int
-    claw_free_count: int
-    failures: list[str]                       # claw-free with a nonreal root
-    nonreal_contrast: list[str]               # not claw-free, nonreal roots
-    nonreal_contrast_count: int = 0
-    verdicts: list[tuple[str, bool, bool]] = field(default_factory=list)
-    # per-graph (graph6, claw_free, real_rooted); JSON carries the summary
+    __slots__ = (
+        "graphs_scanned", "claw_free_count", "failures", "nonreal_contrast",
+        "nonreal_contrast_count", "verdicts",
+    )
+
+    def __init__(
+        self,
+        graphs_scanned: int,
+        claw_free_count: int,
+        failures: list[str],                    # claw-free with a nonreal root
+        nonreal_contrast: list[str],            # not claw-free, nonreal roots
+        nonreal_contrast_count: int = 0,
+        verdicts: list[tuple[str, bool, bool]] | None = None,
+    ):
+        self.graphs_scanned = graphs_scanned
+        self.claw_free_count = claw_free_count
+        self.failures = failures
+        self.nonreal_contrast = nonreal_contrast
+        self.nonreal_contrast_count = nonreal_contrast_count
+        # per-graph (graph6, claw_free, real_rooted); JSON carries the summary
+        self.verdicts = [] if verdicts is None else verdicts
 
     @property
     def clean(self) -> bool:
@@ -371,7 +419,7 @@ def _hamidoune_verdict(item: StreamItem) -> tuple[str, bool, bool]:
 
 
 def hamidoune_scan(
-    items: Iterable[GraphLike], *, mapper: Mapper = map
+    items: Iterable[Graph | str | StreamItem], *, mapper: Callable[..., Iterable] = map
 ) -> HamidouneReport:
     """Exact all-real-root certificates for every claw-free graph in the
     stream (Sturm counts weighted by square-free multiplicity must exhaust

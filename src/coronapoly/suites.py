@@ -10,10 +10,9 @@ per-graph check over the stream with its ``mapper`` argument (the builtin
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable
 
 from .canon import GRAPH_ENUM_LIMIT, enumerate_graphs
 from .corona import (
@@ -53,11 +52,13 @@ DEFAULT_MAX_K = 4   # iterations of the hk suite when none is given
 _SIGN_SAMPLES = (Fraction(-3, 2), Fraction(-2), Fraction(-7, 3), Fraction(-100))
 
 
-@dataclass
 class SuiteResult:
-    suite: str
-    checked: int
-    failures: list[str] = field(default_factory=list)
+    __slots__ = ("suite", "checked", "failures")
+
+    def __init__(self, suite: str, checked: int, failures: list[str] | None = None):
+        self.suite = suite
+        self.checked = checked
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:

@@ -384,10 +384,21 @@ def test_catalog_scan_parallel_matches_serial(capsys, pools):
     assert pools == [(2,)]
 
 
-def test_cli_import_leaves_multiprocessing_unloaded():
-    # a fresh interpreter (no site hooks) imports the pool only when a scan opens one
+# Importing the CLI must not load the pool (a scan imports it when it opens
+# one), nor the costly stdlib behind dataclasses and typing; it must load
+# every package module that perfbench/traced.py wraps by name.
+_CLI_IMPORT = [
+    *((m, False) for m in ("multiprocessing", "dataclasses", "inspect", "typing", "ast", "dis")),
+    *((f"coronapoly.{m}", True)
+      for m in ("cli", "graphs", "canon", "indpoly", "polynomials", "roots", "suites", "search")),
+]
+
+
+@pytest.fixture(scope="module")
+def cli_import_modules():
+    # a fresh interpreter with no site hooks, probed once for every case
     src = str(Path(coronapoly.__file__).resolve().parents[1])
-    probe = "import sys, coronapoly.cli; print('multiprocessing' in sys.modules)"
+    probe = "import sys, coronapoly.cli; print(*sys.modules)"
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe],
         env={**os.environ, "PYTHONPATH": src},
@@ -395,7 +406,12 @@ def test_cli_import_leaves_multiprocessing_unloaded():
         text=True,
         check=True,
     )
-    assert done.stdout.strip() == "False"
+    return set(done.stdout.split())
+
+
+@pytest.mark.parametrize("module, loaded", _CLI_IMPORT, ids=[m for m, _ in _CLI_IMPORT])
+def test_cli_import_modules(cli_import_modules, module, loaded):
+    assert (module in cli_import_modules) == loaded
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
