@@ -93,6 +93,10 @@ def _from_masks(masks: tuple[int, ...]) -> Graph:
 # -- text formats -------------------------------------------------------------
 
 
+_GRAPH6_BYTES = bytes(range(63, 127))
+_SIX_BITS = {c: format(c - 63, "06b") for c in _GRAPH6_BYTES}   # graph6 byte -> its 6 bits
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode a one-line graph6 string (short form, n <= 62)."""
     s = text.strip()
@@ -104,9 +108,9 @@ def parse_graph6(text: str) -> Graph:
         off = next(i for i, ch in enumerate(s) if not ch.isascii())
         raise GraphParseError(f"non-ASCII character at offset {off}")
     data = s.encode("ascii")
-    for off, b in enumerate(data):
-        if not (63 <= b <= 126):
-            raise GraphParseError(f"byte {b} out of range 63..126 at offset {off}")
+    if data.translate(None, _GRAPH6_BYTES):     # some byte is out of range
+        off, b = next((off, b) for off, b in enumerate(data) if not 63 <= b <= 126)
+        raise GraphParseError(f"byte {b} out of range 63..126 at offset {off}")
     if data[0] == 126:
         raise GraphParseError("long-form length header at offset 0 (only n <= 62 supported)")
     n = data[0] - 63
@@ -118,21 +122,24 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(data) - 1 > need_bytes:
         raise GraphParseError(f"trailing garbage at offset {1 + need_bytes}")
-    edges = []
-    bit = 0
+    # column j of the upper triangle is bits j(j-1)/2 .. j(j+1)/2 - 1, row
+    # i first; reversed, the slice is the mask of j's neighbours below j
+    bits = "".join(map(_SIX_BITS.__getitem__, data[1:]))
+    pad = bits.find("1", need_bits)
+    if pad >= 0:
+        raise GraphParseError(f"nonzero padding bit at offset {1 + pad // 6}")
+    masks = [0] * n
+    start = 0
     for j in range(1, n):
-        for i in range(j):
-            byte = data[1 + bit // 6] - 63
-            if (byte >> (5 - bit % 6)) & 1:
-                edges.append((i, j))
-            bit += 1
-    # remaining pad bits must be zero
-    while bit < 6 * need_bytes:
-        byte = data[1 + bit // 6] - 63
-        if (byte >> (5 - bit % 6)) & 1:
-            raise GraphParseError(f"nonzero padding bit at offset {1 + bit // 6}")
-        bit += 1
-    return Graph(n, edges)
+        below = int(bits[start:start + j][::-1], 2)
+        start += j
+        masks[j] = below
+        bit_j = 1 << j
+        while below:
+            b = below & -below
+            below ^= b
+            masks[b.bit_length() - 1] |= bit_j
+    return _from_masks(tuple(masks))
 
 
 def encode_graph6(g: Graph) -> str:

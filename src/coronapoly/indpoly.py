@@ -4,12 +4,20 @@
 
     I(G) = I(G - v) + x * I(G - N[v])
 
-on a maximum-degree pivot (lowest id on ties), multiplying over connected
-components.  A component of largest degree at most 2 is a path or a
-cycle, and closes out as a cached leaf.  Leaves are built once per length
-by the Fibonacci-style recurrence F(m+1) = F(m) + x F(m-1), so the
-explicit binomial formula elsewhere in the package remains an
-independent cross-check.
+multiplying over connected components.  Call a vertex of degree >= 3 in
+its component a hub.  A component closes out as a leaf, with no
+recursion, when it has at most one hub:
+
+* no hub: a path or a cycle, a cached leaf.  Leaves are built once per
+  length by the Fibonacci-style recurrence F(m+1) = F(m) + x F(m-1), so
+  the explicit binomial formula elsewhere in the package remains an
+  independent cross-check;
+* one hub h: deleting h leaves paths (the arms), each joined to h at one
+  end or both, so I = I(G - h) + x I(G - N[h]) is two products of path
+  leaves.  The paper's spider corona(K_{1,n}) is one such leaf.
+
+Any other component is split on a pivot: the hub of largest degree, ties
+broken by the most hub neighbours and then by the lowest id.
 
 The engine does its arithmetic on packed ints (Kronecker substitution):
 a polynomial with coefficients s_k is the one int sum s_k 2^(SLOT k), so
@@ -18,8 +26,9 @@ one multiplication, each a single big-int operation.  Every packed value
 is the polynomial of an induced subgraph, so its coefficients are
 non-negative counts below 2^SLOT and no slot borrows or overflows (the
 bound is argued in ``independence_polynomial``).  The result is unpacked
-once per call.  One flood fill per subproblem (``_split``) gives each
-component's mask, largest degree, pivot and degree-2 count.
+once per call.  One flood fill per component gives its mask, its hubs and
+the hubs of largest degree; a hub leaf floods its arms once more, for
+connectivity only.
 
 ``independence_polynomial_tree`` is a linear-time rooted DP for forests
 on coefficient tuples; the two implementations share no code and serve
@@ -73,61 +82,44 @@ def _unpack(packed: int) -> list[int]:
 # -- the decomposition engine ------------------------------------------------
 
 
-def _split(masks: Sequence[int], mask: int) -> list[tuple[int, int, int, int]]:
-    """(component mask, largest degree, pivot, degree-2 count) for each
-    connected component of the subgraph induced on `mask`, in order of
-    lowest vertex.  One flood fill visits each vertex once; its degree in
-    `mask` is its degree in its component.  The pivot is the lowest-id
-    vertex of largest degree, by explicit tie-break since the fill does
-    not visit vertices in id order."""
-    out = []
-    rest = mask
-    while rest:
-        comp = frontier = rest & -rest
-        best_v = best_d = -1
-        twos = 0
-        while frontier:
-            grow = 0
-            while frontier:
-                b = frontier & -frontier
-                frontier ^= b
-                v = b.bit_length() - 1
-                nbrs = masks[v] & mask
-                grow |= nbrs
-                d = nbrs.bit_count()
-                if d > best_d or (d == best_d and v < best_v):
-                    best_v, best_d = v, d
-                if d == 2:
-                    twos += 1
-            frontier = grow & ~comp
-            comp |= frontier
-        out.append((comp, best_d, best_v, twos))
-        rest ^= comp
-    return out
-
-
 def independence_polynomial(
     g: Graph,
     pivot: Callable[[Sequence[int], int], int] | None = None,
 ) -> IntPolynomial:
     """Exact I(G;x); coefficient k counts the stable sets of size k.
 
-    Each subproblem is a vertex mask; `_split` floods it once into
-    components, each with its largest degree, pivot (lowest-id vertex of
-    that degree) and number of degree-2 vertices, which tells a path leaf
-    from a cycle leaf.  Polynomials are packed ints with SLOT bits per
-    coefficient: a pivot step is I(G - v) + (I(G - N[v]) << SLOT) and the
-    product over components is int multiplication.  No slot borrows or
+    Each subproblem is a vertex mask.  One flood fill per component C
+    gives its mask, the degree of each vertex in it, the mask of its
+    vertices of degree >= 3 (its hubs), the hubs of largest degree, and
+    whether any vertex has degree below 2.  C then closes in one of three
+    ways:
+
+    * no hub: a path or a cycle (every degree 2), a cached leaf;
+    * one hub h: a hub leaf.  Every other vertex of C has degree <= 2, so
+      C - h is a union of paths, its arms (a cycle there would have no
+      edge to h), and a vertex joined to h is an end of its arm.  An arm
+      of a vertices with e = |arm & N(h)| ends joined to h loses those
+      ends in C - N[h], so I(C) = prod I(P_a) + x prod I(P_(a-e)), with
+      the arm sizes from one connectivity-only flood of C - h;
+    * two or more hubs: a pivot step I(C - v) + x I(C - N[v]) on the hub
+      of largest degree, ties broken by the most hub neighbours and then
+      by the lowest id.
+
+    Polynomials are packed ints with SLOT bits per coefficient: a pivot
+    step is I(C - v) + (I(C - N[v]) << SLOT) and the product over
+    components or arms is int multiplication.  No slot borrows or
     overflows: every packed value is I(H) of an induced subgraph H (a
-    product of components is I of their disjoint union), so every
+    product of components or arms is I of their disjoint union, and the
+    two factors of a hub leaf are I(C - h) and I(C - N[h])), so every
     coefficient is a count, non-negative and at most
     C(|H|, k) <= C(64, 32) < 2^64.  A `pivot` override still splits into
     induced subgraphs, so the argument holds for it too.
 
     The cap is 64 vertices (FOREST_LIMIT) for forests and 40 otherwise.
-    `pivot` overrides the pivot rule (it receives the neighbor masks and
-    the current vertex subset and must return a vertex in the subset); it
-    exists so tests can confirm the result is pivot-independent.
+    `pivot` overrides the pivot rule on components with two or more hubs
+    (it receives the neighbor masks and the component's vertex mask and
+    must return a vertex in it); it exists so tests can confirm the result
+    is pivot-independent.
 
     There is no memo across calls: canonical hashing of arbitrary
     subgraphs costs more than recomputation at these sizes.  Nor is there
@@ -142,20 +134,71 @@ def independence_polynomial(
             f"independence polynomial: {g.n} vertices exceeds limit {limit}"
         )
     masks = g.masks
-    split = _split
+    nbr = {1 << v: m for v, m in enumerate(masks)}     # neighbour mask by bit
 
     def solve(mask: int) -> int:
         product = 1
-        for comp, degree, v, twos in split(masks, mask):
-            if degree <= 2:
+        rest = mask
+        while rest:
+            comp = frontier = rest & -rest
+            hubs = top = tops = ends = 0
+            while frontier:
+                grow = 0
+                while frontier:
+                    b = frontier & -frontier
+                    frontier ^= b
+                    nbrs = nbr[b] & mask
+                    grow |= nbrs
+                    d = nbrs.bit_count()
+                    if d > 2:
+                        hubs |= b
+                        if d > top:
+                            top, tops = d, b
+                        elif d == top:
+                            tops |= b
+                    elif d < 2:
+                        ends = b        # so C is not a cycle
+                frontier = grow & ~comp
+                comp |= frontier
+            rest ^= comp
+            if not hubs:
                 size = comp.bit_count()
-                product *= _CYCLES[size] if twos == size else _PATHS[size]
-                continue
-            if pivot is not None:
-                v = pivot(masks, comp)
-            without = solve(comp & ~(1 << v))
-            closed = solve(comp & ~(masks[v] | (1 << v)))
-            product *= without + (closed << SLOT)
+                product *= _PATHS[size] if ends else _CYCLES[size]
+            elif not hubs & (hubs - 1):
+                # hub leaf: flood the arms of comp - h
+                arms = comp ^ hubs
+                joined = nbr[hubs]
+                without = closed = 1
+                while arms:
+                    arm = frontier = arms & -arms
+                    while frontier:
+                        grow = 0
+                        while frontier:
+                            b = frontier & -frontier
+                            frontier ^= b
+                            grow |= nbr[b]
+                        frontier = grow & arms & ~arm
+                        arm |= frontier
+                    arms ^= arm
+                    a = arm.bit_count()
+                    without *= _PATHS[a]
+                    closed *= _PATHS[a - (arm & joined).bit_count()]
+                product *= without + (closed << SLOT)
+            else:
+                if pivot is not None:
+                    v = 1 << pivot(masks, comp)
+                elif tops & (tops - 1):
+                    # tie on the largest degree: most hub neighbours, then lowest id
+                    most = -1
+                    while tops:
+                        b = tops & -tops
+                        tops ^= b
+                        k = (nbr[b] & hubs).bit_count()
+                        if k > most:
+                            most, v = k, b
+                else:
+                    v = tops
+                product *= solve(comp ^ v) + (solve(comp & ~(nbr[v] | v)) << SLOT)
         return product
 
     packed = solve((1 << g.n) - 1)

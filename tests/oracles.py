@@ -13,13 +13,16 @@ x -> x/(1-x), a root-level cross-check of the integer identity behind
 ``root_bijection_check``.  ``counted_real_legs`` and
 ``counted_bound_verdicts`` decide the real legs of ``verify_bounds`` by
 one Sturm count on I(G) per leg, the reference for the package's
-comparisons with the isolated extreme roots.
+comparisons with the isolated extreme roots.  ``bitwise_parse_graph6`` is
+the graph6 decoder the package used before it read each column as one
+slice: one step per bit, edges into the ``Graph`` constructor.
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations
 
+from coronapoly.errors import GraphParseError
 from coronapoly.graphs import Graph
 from coronapoly.polynomials import IntPolynomial, sign_at
 from coronapoly.roots import (
@@ -70,6 +73,48 @@ def count_vector_subsets(g: Graph) -> tuple[int, ...]:
     while counts and counts[-1] == 0:
         counts.pop()
     return tuple(counts)
+
+
+def bitwise_parse_graph6(text: str) -> Graph:
+    """Decode short-form graph6 one upper-triangle bit at a time, with the
+    package's checks and messages."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise GraphParseError("empty graph6 string")
+    if not s.isascii():
+        off = next(i for i, ch in enumerate(s) if not ch.isascii())
+        raise GraphParseError(f"non-ASCII character at offset {off}")
+    data = s.encode("ascii")
+    for off, b in enumerate(data):
+        if not (63 <= b <= 126):
+            raise GraphParseError(f"byte {b} out of range 63..126 at offset {off}")
+    if data[0] == 126:
+        raise GraphParseError("long-form length header at offset 0 (only n <= 62 supported)")
+    n = data[0] - 63
+    need_bits = n * (n - 1) // 2
+    need_bytes = (need_bits + 5) // 6
+    if len(data) - 1 < need_bytes:
+        raise GraphParseError(
+            f"truncated: need {need_bytes} edge bytes for n={n}, got {len(data) - 1}"
+        )
+    if len(data) - 1 > need_bytes:
+        raise GraphParseError(f"trailing garbage at offset {1 + need_bytes}")
+    edges = []
+    bit = 0
+    for j in range(1, n):
+        for i in range(j):
+            byte = data[1 + bit // 6] - 63
+            if (byte >> (5 - bit % 6)) & 1:
+                edges.append((i, j))
+            bit += 1
+    while bit < 6 * need_bytes:
+        byte = data[1 + bit // 6] - 63
+        if (byte >> (5 - bit % 6)) & 1:
+            raise GraphParseError(f"nonzero padding bit at offset {1 + bit // 6}")
+        bit += 1
+    return Graph(n, edges)
 
 
 def brute_alpha(g: Graph) -> int:

@@ -9,7 +9,8 @@ import pytest
 
 import coronapoly
 from coronapoly.cli import main
-from coronapoly.graphs import cycle_graph, encode_graph6, parse_graph6, path_graph
+from coronapoly.corona import spider_polynomial
+from coronapoly.graphs import cycle_graph, encode_graph6, parse_graph6, path_graph, spider_graph
 from coronapoly.polynomials import IntPolynomial
 
 
@@ -23,6 +24,16 @@ def test_poly_family(capsys):
     code, out, _ = run(capsys, "poly", "--family", "path", "--n", "4")
     assert code == 0
     assert out.strip() == "1 + 4x + 3x^2"
+
+
+def test_poly_spiders_match_the_binomial_formula(capsys):
+    # corona(K_{1,n}) is one vertex of degree >= 3 with paths at it, a hub
+    # leaf of the engine; spider_polynomial is an independent binomial sum
+    for n in range(2, 32):
+        assert sum(len(a) >= 3 for a in spider_graph(n).adj) == 1
+        code, out, _ = run(capsys, "poly", "--family", "spider", "--n", str(n))
+        assert code == 0
+        assert out.strip() == str(spider_polynomial(n))
 
 
 def test_poly_json(capsys):

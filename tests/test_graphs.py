@@ -36,6 +36,7 @@ from coronapoly.graphs import (
 from corpus import graphs_upto, trees_upto
 from knowngraphs import DENSE6_A, PAIR6_A
 from oracles import (
+    bitwise_parse_graph6,
     brute_alpha,
     brute_is_claw_free,
     brute_is_well_covered,
@@ -183,6 +184,33 @@ def test_graph6_round_trip_at_size_cap():
     assert encode_graph6(parse_graph6(s)) == s
     with pytest.raises(ValueError):
         encode_graph6(_random_graph(rng, 63))
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphParseError as exc:
+        return str(exc)
+
+
+def test_parse_graph6_matches_the_bitwise_decoder():
+    # every order of the short form, sparse to dense, then each string
+    # corrupted: both decoders give the same graph or the same message
+    rng = random.Random(83)
+    for n in range(63):
+        for p in (0.05, 0.3, 0.7):
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            s = encode_graph6(g)
+            assert parse_graph6(s) == bitwise_parse_graph6(s) == g
+            at = rng.randrange(len(s))
+            corrupt = [
+                s[:-1],
+                s + chr(rng.randint(63, 126)),
+                s[:at] + chr(rng.randint(32, 127)) + s[at + 1:],
+                s[:-1] + chr(63 + rng.randrange(64)),   # last byte: pad bits too
+            ]
+            for text in corrupt:
+                assert _parse_outcome(parse_graph6, text) == _parse_outcome(bitwise_parse_graph6, text)
 
 
 # -- edge lists ----------------------------------------------------------------

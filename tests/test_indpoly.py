@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -129,46 +130,83 @@ def test_pivot_independence():
         assert independence_polynomial(g, pivot=random_pivot) == independence_polynomial(g)
 
 
-def test_pivot_override_picks_the_vertex(monkeypatch):
-    # a counting pivot that applies the documented default rule: it must be
-    # called, give the default polynomial, and split into the very same
-    # subproblems as the default (so the default is the lowest-id vertex of
-    # largest degree, and the override is what picks v)
-    from coronapoly import indpoly
+def _solved_masks(run):
+    """Call `run()` and return, in call order, the vertex mask of every
+    subproblem the engine solves: the argument of each call to its
+    recursion, the nested `solve(mask)`."""
+    seen = []
 
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "solve":
+            seen.append(frame.f_locals["mask"])
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, seen
+
+
+def _documented_rule(masks, mask):
+    """The default pivot: among the vertices of degree >= 3 (hubs), the
+    largest degree, then the most hub neighbours, then the lowest id."""
+    members = [v for v in range(mask.bit_length()) if (mask >> v) & 1]
+    hubs = sum(1 << v for v in members if (masks[v] & mask).bit_count() >= 3)
+    return max(members, key=lambda v: ((masks[v] & mask).bit_count(), (masks[v] & hubs).bit_count(), -v))
+
+
+def _lowest_max_degree(masks, mask):
+    """The previous default pivot: the lowest-id vertex of largest degree."""
+    members = [v for v in range(mask.bit_length()) if (mask >> v) & 1]
+    return max(members, key=lambda v: ((masks[v] & mask).bit_count(), -v))
+
+
+def test_pivot_override_picks_the_vertex():
+    # a recording pivot that applies the documented default rule: it must be
+    # called once per branched component, give the default polynomial, and
+    # split into the very same subproblems as the default (so the default
+    # follows the documented rule, and the override is what picks v)
     calls = []
 
-    def lowest_max_degree(masks, mask):
-        calls.append(mask)
-        bits = [v for v in range(mask.bit_length()) if (mask >> v) & 1]
-        return max(bits, key=lambda v: ((masks[v] & mask).bit_count(), -v))
-
-    seen = []
-    split = indpoly._split
-
     def recording(masks, mask):
-        seen.append(mask)
-        return split(masks, mask)
+        calls.append(mask)
+        return _documented_rule(masks, mask)
 
-    # _split receives every subproblem mask the engine solves
-    monkeypatch.setattr(indpoly, "_split", recording)
     rng = random.Random(37)
     graphs = [complete_multipartite_graph([2, 3, 3]), cycle_graph(9), TREE10_REALROOTED]
     for _ in range(10):
         n = rng.randint(6, 12)
         graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35]))
+    graphs.append(_random_regular(rng, 16, 4))
+    branched = 0
     for g in graphs:
-        seen.clear()
-        default = independence_polynomial(g)
-        trace = list(seen)
-        seen.clear()
+        default, trace = _solved_masks(lambda: independence_polynomial(g))
         calls.clear()
-        assert independence_polynomial(g, pivot=lowest_max_degree) == default
+        override, seen = _solved_masks(lambda: independence_polynomial(g, pivot=recording))
+        assert override == default
         assert seen == trace
-        if any(len(a) >= 3 for a in g.adj):
-            assert len(trace) >= 3   # the whole graph and both children of a pivot
-            assert calls
+        # the top call, then two subproblems per pivot step
+        assert len(trace) == 1 + 2 * len(calls)
+        for mask in calls:
+            hubs = [v for v in range(g.n) if (mask >> v) & 1 and (g.masks[v] & mask).bit_count() >= 3]
+            assert len(hubs) >= 2   # a single-hub component is a leaf, never a pivot
         assert default.coeffs == count_vector(g)
+        branched += bool(calls)
+    assert branched >= 8
+
+
+def test_default_pivot_prefers_hubs_next_to_hubs():
+    # hubs 0, 1 and 5 all have degree 3; 1 and 5 are adjacent, 0 has no hub
+    # neighbour: the old rule picks 0, the default picks 1
+    g = Graph(9, [(0, 2), (0, 3), (0, 4), (4, 1), (1, 5), (1, 6), (5, 7), (5, 8)])
+    full = (1 << g.n) - 1
+    assert _lowest_max_degree(g.masks, full) == 0
+    assert _documented_rule(g.masks, full) == 1
+    poly, trace = _solved_masks(lambda: independence_polynomial(g))
+    # one pivot step; both children close as hub leaves and path leaves
+    assert trace == [full, full & ~(1 << 1), full & ~(g.masks[1] | 1 << 1)]
+    assert poly.coeffs == count_vector(g)
 
 
 def test_path_closed_form():
@@ -216,6 +254,68 @@ def test_closed_form_leaves_under_hubs():
     for _ in range(40):
         g = _hubbed_leaves(rng)
         assert independence_polynomial(g).coeffs == count_vector(g)
+
+
+def _shuffled(rng: random.Random, n: int, edges) -> Graph:
+    perm = rng.sample(range(n), n)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _single_hub(rng: random.Random) -> Graph:
+    """One hub and 3-7 arms: paths of 1-6 vertices joined to the hub at one
+    end or, from 2 vertices up, at both ends (a triangle at 2), ids
+    shuffled."""
+    edges, n = [], 1          # the hub is vertex 0
+    for _ in range(rng.randint(3, 7)):
+        a = rng.randint(1, 6)
+        if n + a > 18:      # keep the oracle's enumeration small
+            a = 1
+        arm = list(range(n, n + a))
+        edges += [(0, arm[0])] + list(zip(arm, arm[1:]))
+        if a >= 2 and rng.random() < 0.5:
+            edges.append((0, arm[-1]))
+        n += a
+    return _shuffled(rng, n, edges)
+
+
+def test_hub_leaf_tadpoles_and_triangle_arms():
+    rng = random.Random(89)
+    for m in range(3, 12):
+        for tail in range(1, 8):
+            # a cycle C_m with a path of `tail` vertices at one cycle vertex:
+            # the rest of the cycle is an arm joined to the hub at both ends
+            edges = [(i, (i + 1) % m) for i in range(m)] + [(0, m)] + [(m + i, m + i + 1) for i in range(tail - 1)]
+            g = _shuffled(rng, m + tail, edges)
+            assert independence_polynomial(g).coeffs == count_vector(g)
+    for triangles in range(1, 6):
+        for pendants in range(3):
+            # triangles and pendant vertices at one hub: arms of size 2 with
+            # both vertices joined to the hub, and arms of size 1
+            edges = [(0, v) for v in range(1, 2 * triangles + pendants + 1)]
+            edges += [(2 * t + 1, 2 * t + 2) for t in range(triangles)]
+            n = 2 * triangles + pendants + 1
+            if n - 1 < 3:
+                continue
+            g = _shuffled(rng, n, edges)
+            assert independence_polynomial(g).coeffs == count_vector(g)
+
+
+def test_hub_leaf_random_single_hub_graphs():
+    rng = random.Random(97)
+    for _ in range(60):
+        g = _single_hub(rng)
+        assert sum(len(a) >= 3 for a in g.adj) == 1
+        assert independence_polynomial(g).coeffs == count_vector(g)
+
+
+def test_regular_graphs_match_the_lowest_id_pivot():
+    # 30-40 vertices is past the brute-force oracle; the previous pivot rule
+    # takes a different path through the same recurrence
+    rng = random.Random(101)
+    for d in (3, 4, 5):
+        for n in (30, 36):
+            g = _random_regular(rng, n, d)
+            assert independence_polynomial(g) == independence_polynomial(g, pivot=_lowest_max_degree)
 
 
 def test_balanced_multipartite_closed_form():
