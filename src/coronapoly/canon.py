@@ -31,7 +31,7 @@ from math import prod
 from operator import itemgetter
 
 from .errors import ResourceLimitError
-from .graphs import Graph, _from_masks, _mask_bits, connected_components, is_connected, is_forest
+from .graphs import Graph, _from_masks, _mask_bits, is_connected, is_forest
 
 CANONICAL_LIMIT = 30    # general graphs: individualization-refinement code
 FOREST_CODE_LIMIT = 64
@@ -53,33 +53,42 @@ def _rooted_code(nbrs: list[list[int]], v: int, parent: int = -1) -> str:
     return "(" + "".join(subs) + ")"
 
 
-def _tree_centers(nbrs: list[list[int]], comp: list[int]) -> list[int]:
-    if len(comp) <= 2:
-        return comp
-    deg = {v: len(nbrs[v]) for v in comp}
-    layer = [v for v in comp if deg[v] == 1]
-    remaining = len(comp)
-    while remaining > 2:
-        remaining -= len(layer)
+def _forest_code(g: Graph) -> bytes:
+    """Each tree's parenthesis code rooted at its center, from one
+    leaf-peeling pass over the masks.  Vertices are peeled in layers of
+    current leaves, and a vertex's rooted code is built when it is peeled,
+    from the sorted codes of its neighbours peeled before it.  A tree's
+    last layer is its center, alone, or two adjacent centers, and then the
+    smaller of the codes rooted at either is kept."""
+    left = list(g.masks)        # each vertex's neighbours not yet peeled
+    subs: list[list[str]] = [[] for _ in left]
+    trees = []
+    layer = [v for v, m in enumerate(left) if not m & (m - 1)]
+    while layer:
+        todo = sum(1 << v for v in layer)
         nxt = []
         for v in layer:
-            deg[v] = 0
-            for w in nbrs[v]:
-                if deg[w] > 1:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
+            if not todo >> v & 1:
+                continue        # the other center of a pair already closed
+            code = "(" + "".join(sorted(subs[v])) + ")"
+            if not left[v]:
+                trees.append(code)
+                continue
+            w = left[v].bit_length() - 1
+            if todo >> w & 1:   # two adjacent centers
+                todo ^= 1 << w
+                other = "(" + "".join(sorted(subs[w])) + ")"
+                trees.append(min(
+                    "(" + "".join(sorted(subs[v] + [other])) + ")",
+                    "(" + "".join(sorted(subs[w] + [code])) + ")",
+                ))
+                continue
+            subs[w].append(code)
+            left[w] ^= 1 << v
+            if left[w] and not left[w] & (left[w] - 1):
+                nxt.append(w)       # w is now a leaf
         layer = nxt
-    return layer
-
-
-def _forest_code(g: Graph) -> bytes:
-    nbrs = list(map(_mask_bits, g.masks))
-    codes = sorted(
-        min(_rooted_code(nbrs, c) for c in _tree_centers(nbrs, comp))
-        for comp in connected_components(g)
-    )
-    return b"T" + bytes([g.n]) + "|".join(codes).encode("ascii")
+    return b"T" + bytes([g.n]) + "|".join(sorted(trees)).encode("ascii")
 
 
 # -- general codes --------------------------------------------------------

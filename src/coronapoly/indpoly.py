@@ -128,11 +128,12 @@ def independence_polynomial(
     it raised the tracemalloc peak of one call from 0.01 MB to as much as
     0.46 MB, which counts against that benchmark's `peak_rss_mb`.
     """
-    limit = FOREST_LIMIT if is_forest(g) else GENERAL_LIMIT
-    if g.n > limit:
-        raise ResourceLimitError(
-            f"independence polynomial: {g.n} vertices exceeds limit {limit}"
-        )
+    if g.n > GENERAL_LIMIT:     # only forests go past the general cap
+        limit = FOREST_LIMIT if is_forest(g) else GENERAL_LIMIT
+        if g.n > limit:
+            raise ResourceLimitError(
+                f"independence polynomial: {g.n} vertices exceeds limit {limit}"
+            )
     masks = g.masks
     nbr = {1 << v: m for v, m in enumerate(masks)}     # neighbour mask by bit
 

@@ -96,6 +96,17 @@ def sign_at(a: Coeffs, x) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def sign_at_dyadic(a: Coeffs, u: int, k: int) -> int:
+    """Sign of the polynomial at the dyadic point u / 2^k (k >= 0), by
+    integer Horner on sum a_j u^j 2^(k(d-j)) with shifts for the powers
+    of two."""
+    acc = shift = 0
+    for c in reversed(a):
+        acc = acc * u + (c << shift)
+        shift += k
+    return (acc > 0) - (acc < 0)
+
+
 class IntPolynomial:
     """Immutable dense polynomial over the integers."""
 

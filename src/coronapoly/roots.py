@@ -1,20 +1,25 @@
 """Root analysis with an exact real side and a numeric complex side.
 
-Real roots are certified in integer arithmetic alone: a pseudo-remainder
-primitive PRS gives the Sturm chains and the gcds behind Yun's
-square-free decomposition (scaling by |lc|, never lc, keeps the signs),
-and every sign test is a homogeneous integer evaluation at a rational
-point.  Fractions appear only as interval endpoints.  Every half-open
-membership test that appears in a bound (for instance
-xi_max < -1/(2n-1)) compares an isolated extreme root with the rational,
-never a float.
+Real roots are certified in integer arithmetic alone.  Each polynomial
+gets one pseudo-remainder primitive PRS, its cached Sturm chain (scaling
+by |lc|, never lc, keeps the signs).  The chain ends in gcd(p, p') up to
+a constant, so the square-free part and Yun's first step read it there
+instead of running a PRS of their own.  Isolation scales the chain of the
+square-free part once by its Cauchy bound and bisects at dyadic points,
+each sign an integer Horner pass; Fractions appear only in the report,
+as interval endpoints.  Every half-open membership test that appears in
+a bound (for instance xi_max < -1/(2n-1)) compares an isolated extreme
+root with the rational, never a float.
 
-Each polynomial gets one root pass (``root_report``): one exact isolation
-and one deterministic Aberth run per Yun factor.  The exact intervals
-decide realness, with no float threshold: a factor's approximations
-nearest the axis must fall one in each of its intervals, and the others
-must split evenly across the axis and are reported as exact conjugate
-pairs.  A mismatch raises RootConvergenceError.
+Each polynomial gets one root pass (``root_report``): one exact isolation,
+then floats for each Yun factor.  A factor with as many isolated roots as
+its degree is real-rooted and gets no Aberth: each root's float is a
+float Newton iterate that exact signs certify to within |x| 2^-44 of the
+root.  A factor with nonreal roots gets one deterministic Aberth run, and
+the exact intervals decide realness, with no float threshold: its
+approximations nearest the axis must fall one in each of its intervals,
+and the others must split evenly across the axis and are reported as
+exact conjugate pairs.  A mismatch raises RootConvergenceError.
 
 Complex-root checks are numeric only: the report schema marks them as
 "numeric-residual" certification, in contrast to the exact real side.
@@ -42,7 +47,7 @@ from .graphs import (
     is_well_covered,
 )
 from .indpoly import FOREST_LIMIT, independence_polynomial, independence_polynomial_tree
-from .polynomials import IntPolynomial, exact_div, prem, primitive, sign_at
+from .polynomials import IntPolynomial, exact_div, prem, primitive, sign_at, sign_at_dyadic
 
 # -- exact (1+x) structure ----------------------------------------------------
 
@@ -67,7 +72,30 @@ def deflate_minus_one(p: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(q)
 
 
-# -- gcd and square-free structure on the integer kernel ---------------------
+# -- one PRS per polynomial: Sturm chains, gcds and square-free structure ---
+
+
+@lru_cache(maxsize=4096)
+def _sturm_chain_cached(p: IntPolynomial) -> tuple[IntPolynomial, ...]:
+    f0 = p.primitive_part()
+    chain = [f0]
+    f1 = f0.derivative().primitive_part()
+    if f1:
+        chain.append(f1)
+        while True:
+            r = prem(chain[-2].coeffs, chain[-1].coeffs)
+            if not r:
+                break
+            chain.append(-IntPolynomial(r))
+    return tuple(chain)
+
+
+def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
+    """Signed remainder chain of (p, p'), each element reduced to its
+    primitive part (positive scaling only, so the sign pattern survives).
+    It is the PRS of (p, p'), so its last member is gcd(p, p') up to a
+    constant; the square-free part and Yun's first step read it there."""
+    return list(_sturm_chain_cached(p))
 
 
 def _gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -93,7 +121,8 @@ def square_free_part(p: IntPolynomial) -> IntPolynomial:
     """p / gcd(p, p'), primitive with positive leading coefficient."""
     if not p:
         raise ValueError("zero polynomial")
-    return _normal(_quo(p, _gcd(p, p.derivative())))
+    g = sturm_chain(p)[-1]
+    return _normal(p if g.degree == 0 else _quo(p, g))
 
 
 @lru_cache(maxsize=4096)
@@ -113,10 +142,12 @@ def _yun(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return []
+    g = sturm_chain(p)[-1]
+    if g.degree == 0:
+        return [(_normal(p), 1)]    # p is square-free
     # c and d are always divided by the same factor, so d - c' is taken
     # at one common scale, as over the rationals
     dp = p.derivative()
-    g = _gcd(p, dp)
     c = _quo(p, g)
     d = _quo(dp, g) - c.derivative()
     out = []
@@ -131,28 +162,7 @@ def _yun(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
     return out
 
 
-# -- Sturm chains ----------------------------------------------------------
-
-
-@lru_cache(maxsize=4096)
-def _sturm_chain_cached(p: IntPolynomial) -> tuple[IntPolynomial, ...]:
-    f0 = p.primitive_part()
-    chain = [f0]
-    f1 = f0.derivative().primitive_part()
-    if f1:
-        chain.append(f1)
-        while True:
-            r = prem(chain[-2].coeffs, chain[-1].coeffs)
-            if not r:
-                break
-            chain.append(-IntPolynomial(r))
-    return tuple(chain)
-
-
-def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
-    """Signed remainder chain of (p, p'), each element reduced to its
-    primitive part (positive scaling only, so the sign pattern survives)."""
-    return list(_sturm_chain_cached(p))
+# -- counting and isolating real roots ---------------------------------------
 
 
 def _variations_at(chain: list[IntPolynomial], x: Fraction | None, sign_at_infinity: int) -> int:
@@ -204,7 +214,7 @@ def cauchy_root_bound(p: IntPolynomial) -> Fraction:
     if p.degree < 1:
         raise ValueError("need degree >= 1")
     lead = abs(p.leading)
-    return 1 + max(Fraction(abs(c), lead) for c in p.coeffs[:-1])
+    return Fraction(lead + max(map(abs, p.coeffs[:-1])), lead)
 
 
 def isolate_real_roots(p: IntPolynomial) -> list[tuple[tuple[Fraction, Fraction], int]]:
@@ -213,63 +223,79 @@ def isolate_real_roots(p: IntPolynomial) -> list[tuple[tuple[Fraction, Fraction]
 
     Exact rational roots come back as degenerate intervals [r, r]; the
     others as open intervals whose endpoints are not roots.
+
+    The Sturm chain of q = square_free_part(p) is scaled once by q's
+    Cauchy bound B = a/b: each member f becomes f(B y) b^deg(f), so the
+    roots lie at y in (-1, 1), split at 0 up front so that no interval
+    straddles the origin.  Bisection runs at dyadic points u/2^k, each
+    sign one integer Horner pass (``sign_at_dyadic``), and each stack
+    entry carries its endpoints' variation counts and root flags, so a
+    step is one chain evaluation.  Fractions x = B u/2^k appear only in
+    the result.
     """
     if not p:
         raise ValueError("zero polynomial")
     if p.degree < 1:
         return []
     q = square_free_part(p)
-    chain = sturm_chain(q)
-    var_cache: dict[Fraction, int] = {}
-
-    def is_root(x: Fraction) -> bool:
-        return sign_at(q.coeffs, x) == 0
-
-    def var(x: Fraction) -> int:
-        if x not in var_cache:
-            var_cache[x] = _variations_at(chain, x, 0)
-        return var_cache[x]
-
-    def inside(a: Fraction, b: Fraction) -> int:
-        # V(a) - V(b) counts roots in (a, b]; drop b when it is itself a root
-        # (V at a root equals V just right of it, so a is never counted)
-        return var(a) - var(b) - is_root(b)
-
     bound = cauchy_root_bound(q)
-    intervals: list[tuple[Fraction, Fraction]] = []
-    exact: list[Fraction] = []
-    zero = Fraction(0)
-    if is_root(zero):
-        exact.append(zero)
-    # split at 0 up front so intervals never straddle the origin
-    stack = [
-        (-bound, zero, inside(-bound, zero)),
-        (zero, bound, inside(zero, bound)),
+    a, b = bound.numerator, bound.denominator
+    apow, bpow = [1], [1]
+    for _ in range(q.degree):
+        apow.append(apow[-1] * a)
+        bpow.append(bpow[-1] * b)
+    scaled = [
+        primitive(tuple(c * apow[j] * bpow[f.degree - j] for j, c in enumerate(f.coeffs)))
+        for f in sturm_chain(q)
     ]
+
+    def at(u: int, k: int) -> tuple[int, bool]:
+        """Sign variations of the scaled chain at y = u/2^k, and whether
+        q vanishes there (V at a root equals V just right of it)."""
+        signs = [sign_at_dyadic(f, u, k) for f in scaled]
+        nonzero = [s for s in signs if s]
+        return sum(s != t for s, t in zip(nonzero, nonzero[1:])), signs[0] == 0
+
+    # (u, k, w) for the root u/2^k when w = 0, the interval (u/2^k, (u+1)/2^k) when w = 1
+    found = []
+    zero = at(0, 0)
+    if zero[1]:
+        found.append((0, 0, 0))
+    # (u, k, at(lo), at(hi)) for the interval [u/2^k, (u+1)/2^k]
+    stack = [(-1, 0, at(-1, 0), zero), (0, 0, zero, at(1, 0))]
     while stack:
-        lo, hi, count = stack.pop()
+        u, k, lo, hi = stack.pop()
+        # V(lo) - V(hi) counts roots in (lo, hi]; drop hi when it is a root
+        count = lo[0] - hi[0] - hi[1]
         if count <= 0:
             continue
-        if count == 1 and not is_root(lo) and not is_root(hi):
-            intervals.append((lo, hi))
+        if count == 1 and not lo[1] and not hi[1]:
+            found.append((u, k, 1))
             continue
-        mid = (lo + hi) / 2
-        if is_root(mid):
-            exact.append(mid)
-        stack.append((lo, mid, inside(lo, mid)))
-        stack.append((mid, hi, inside(mid, hi)))
+        u, k = 2 * u, k + 1
+        mid = at(u + 1, k)
+        if mid[1]:
+            found.append((u + 1, k, 0))
+        stack.append((u, k, lo, mid))
+        stack.append((u + 1, k, mid, hi))
 
+    # no two results share a lower end: endpoints of intervals are not roots
+    deepest = max((k for _, k, _ in found), default=0)
+    found.sort(key=lambda item: item[0] << (deepest - item[1]))
     yun = square_free_decomposition(p)
     out: list[tuple[tuple[Fraction, Fraction], int]] = []
-    for r in exact:
-        mult = next(m for f, m in yun if sign_at(f.coeffs, r) == 0)
-        out.append(((r, r), mult))
-    for lo, hi in intervals:
-        # every factor divides q and no endpoint is a root of q, so only
-        # the factor holding the root changes sign across the interval
-        mult = next(m for f, m in yun if sign_at(f.coeffs, lo) != sign_at(f.coeffs, hi))
+    for u, k, w in found:
+        lo = Fraction(a * u, b << k)
+        hi = Fraction(a * (u + 1), b << k) if w else lo
+        if len(yun) == 1:
+            mult = yun[0][1]
+        elif w:
+            # every factor divides q and no endpoint is a root of q, so only
+            # the factor holding the root changes sign across the interval
+            mult = next(m for f, m in yun if sign_at(f.coeffs, lo) != sign_at(f.coeffs, hi))
+        else:
+            mult = next(m for f, m in yun if sign_at(f.coeffs, lo) == 0)
         out.append(((lo, hi), mult))
-    out.sort(key=lambda item: (item[0][0], item[0][1]))
     return out
 
 
@@ -295,14 +321,92 @@ def refine_root_interval(
 
 
 def all_roots_real(p: IntPolynomial) -> bool:
-    """Exact verdict: Sturm-counted real roots weighted by square-free
-    multiplicity exhaust the degree."""
+    """Exact verdict: the distinct real roots of each square-free Yun
+    factor, read from its Sturm chain at -inf and +inf and weighted by
+    multiplicity, exhaust the degree."""
     if not p:
         raise ValueError("zero polynomial")
     total = 0
     for f, m in square_free_decomposition(p):
-        total += m * count_distinct_real_roots(f)
+        chain = sturm_chain(f)
+        total += m * (_variations_at(chain, None, -1) - _variations_at(chain, None, +1))
     return total == p.degree
+
+
+# -- real floats: Newton in floats, certified by exact signs -----------------
+
+
+_NEWTON_STEPS = 100
+_CERTIFY_BITS = (52, 50, 44)    # certificate windows, tightest first
+
+
+def _newton(rev: list[float], a: float, b: float, positive_at_a: bool) -> float:
+    """Safeguarded float Newton on the coefficients `rev` (highest degree
+    first) inside the bracket [a, b]: each iterate replaces the bracket
+    end whose float sign it shares, and a step that leaves the bracket is
+    replaced by its midpoint.  Stops when a step moves less than an ulp or
+    the bracket holds no float between its ends."""
+    x = 0.5 * (a + b)
+    for _ in range(_NEWTON_STEPS):
+        pv = dv = 0.0
+        for c in rev:
+            dv = dv * x + pv
+            pv = pv * x + c
+        if pv == 0.0:
+            return x
+        if (pv > 0.0) == positive_at_a:
+            a = x
+        else:
+            b = x
+        nxt = x - pv / dv if dv else math.inf     # no slope: bisect
+        if abs(nxt - x) <= 2.0**-52 * abs(x):
+            return nxt
+        if not a < nxt < b:
+            nxt = 0.5 * (a + b)
+            if not a < nxt < b:
+                return x
+        x = nxt
+    return x
+
+
+def _certified(f: IntPolynomial, x: float, lo: Fraction, hi: Fraction, s_lo: int) -> bool:
+    """Whether lo < x < hi and the one root of f in (lo, hi), where f has
+    the sign s_lo at lo, lies within |x| 2^-e of x for some e in
+    _CERTIFY_BITS: f changes sign across [x(1 - 2^-e), x(1 + 2^-e)]
+    clipped to (lo, hi).  Exact integer tests at dyadic points."""
+    n, d = x.as_integer_ratio()
+    shift = d.bit_length() - 1
+    if not (lo.numerator << shift < n * lo.denominator
+            and n * hi.denominator < hi.numerator << shift):
+        return False
+    for e in _CERTIFY_BITS:
+        k = shift + e
+        left, right = sorted((n * ((1 << e) - 1), n * ((1 << e) + 1)))
+        # an end beyond lo or hi is clipped to it, where the sign is known
+        below, above = s_lo, -s_lo
+        if left * lo.denominator > lo.numerator << k:
+            below = sign_at_dyadic(f.coeffs, left, k)
+        if right * hi.denominator < hi.numerator << k:
+            above = sign_at_dyadic(f.coeffs, right, k)
+        if below == s_lo and above == -s_lo:
+            return True
+    return False
+
+
+def _real_root_float(f: IntPolynomial, lo: Fraction, hi: Fraction) -> float:
+    """A float x within |x| 2^-44 of the one root of the square-free f in
+    its open isolating interval (lo, hi): a ``_newton`` iterate that
+    ``_certified`` accepts, else the midpoint of (lo, hi) refined by
+    ``refine_root_interval`` to a relative width of 2^-53."""
+    s_lo = sign_at(f.coeffs, lo)
+    top = max(map(abs, f.coeffs))
+    x = _newton([c / top for c in reversed(f.coeffs)], float(lo), float(hi), s_lo > 0)
+    if math.isfinite(x) and _certified(f, x, lo, hi, s_lo):
+        return x
+    # the interval never straddles 0, so min(|lo|, |hi|) <= |xi|
+    while lo != hi and hi - lo > min(abs(lo), abs(hi)) / 2**53:
+        lo, hi = refine_root_interval(f, lo, hi, (hi - lo) / 2**8)
+    return float((lo + hi) / 2)
 
 
 # -- numeric roots -------------------------------------------------------------
@@ -329,6 +433,10 @@ def numeric_roots(p: IntPolynomial, tol: float = 1e-12) -> list[complex]:
         raise ValueError("need degree >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    zeros = next(i for i, c in enumerate(p.coeffs) if c)
+    if zeros:   # x^zeros divides p: exact roots at 0, Aberth on the rest
+        rest = numeric_roots(IntPolynomial(p.coeffs[zeros:]), tol) if zeros < d else []
+        return sorted(rest + [0j] * zeros, key=lambda w: (w.real, w.imag))
     top = max(abs(c) for c in p.coeffs)
     a = [float(Fraction(c, top)) for c in p.coeffs]
     lead = abs(a[-1])
@@ -473,22 +581,29 @@ class RootReport:
 
 
 def root_report(p: IntPolynomial, tol: float = 1e-12) -> RootReport:
-    """The root pass: the exact isolation of p, then one Aberth run per
-    Yun factor.
+    """The root pass: the exact isolation of p, then floats for each Yun
+    factor.
 
     Yun's factors have distinct multiplicities, so the k intervals of
-    multiplicity m hold the real roots of the factor of multiplicity m.
-    Its k approximations nearest the axis, by real part, must fall one in
-    each of them; a degenerate interval [r, r] gives float(r).  Its other
-    approximations must split evenly across the axis, and each one above
-    it is reported with its exact conjugate.  A mismatch raises
-    RootConvergenceError.
+    multiplicity m hold the real roots of the factor f of multiplicity m;
+    a degenerate interval [r, r] gives float(r).  When k = deg f, f is
+    real-rooted and needs no Aberth: each open interval gives a certified
+    float (``_real_root_float``).  Otherwise one Aberth run on f: its k
+    approximations nearest the axis, by real part, must fall one in each
+    of its intervals, and its other approximations must split evenly
+    across the axis, each one above it reported with its exact conjugate.
+    A mismatch raises RootConvergenceError.
     """
     real = isolate_real_roots(p)
     floats = [0.0] * len(real)
     complexes: list[tuple[float, float, int]] = []
     for f, m in square_free_decomposition(p):
         slots = [i for i, (_, mult) in enumerate(real) if mult == m]
+        if len(slots) == f.degree:
+            for i in slots:
+                (lo, hi), _ = real[i]
+                floats[i] = float(lo) if lo == hi else _real_root_float(f, lo, hi)
+            continue
         approx = sorted(numeric_roots(f, tol), key=lambda z: abs(z.imag))
         on_axis = sorted(approx[: len(slots)], key=lambda z: z.real)
         for i, z in zip(slots, on_axis):

@@ -5,7 +5,7 @@ sets are enumerated by plain backtracking over vertex order (or literal
 subset filtering for tiny graphs), so these can certify the polynomial
 engine, the stability number and the well-coveredness predicates.
 
-Three groups of helpers are deliberate exceptions.  ``unpruned_graph_levels`` uses
+Some helpers are deliberate exceptions.  ``unpruned_graph_levels`` uses
 the package's canonical codes.  ``root_matching_notes`` uses the
 package's root core (``root_report``, Sturm counts, interval refinement):
 it matches the roots of I(G) and of the deflated I(G*) one by one under
@@ -16,6 +16,11 @@ one Sturm count on I(G) per leg, the reference for the package's
 comparisons with the isolated extreme roots.  ``bitwise_parse_graph6`` is
 the graph6 decoder the package used before it read each column as one
 slice: one step per bit, edges into the ``Graph`` constructor.
+``center_rooted_forest_code`` is the forest encoder the package used
+before its one-pass leaf peeling: centers first, then one recursive
+encoding from each.  ``fraction_isolate_real_roots`` is the real-root
+isolation the package used before it bisected at dyadic points: the
+same Sturm chain (the package's), bisected at Fraction midpoints.
 """
 
 import math
@@ -27,11 +32,13 @@ from coronapoly.graphs import Graph
 from coronapoly.polynomials import IntPolynomial, sign_at
 from coronapoly.roots import (
     RootReport,
+    cauchy_root_bound,
     count_distinct_real_roots,
     refine_root_interval,
     root_report,
     square_free_decomposition,
     square_free_part,
+    sturm_chain,
 )
 
 
@@ -399,3 +406,102 @@ def counted_bound_verdicts(
         "modulus_floor": legs["modulus_floor"] and all(r - float(floor) > 0 for r in nonreal),
         "real_window": legs["real_window_below"] and legs["real_window_above"],
     }
+
+
+def _rooted_code(nbrs: list[list[int]], v: int, parent: int = -1) -> str:
+    subs = sorted(_rooted_code(nbrs, w, v) for w in nbrs[v] if w != parent)
+    return "(" + "".join(subs) + ")"
+
+
+def _tree_centers(nbrs: list[list[int]], comp: list[int]) -> list[int]:
+    if len(comp) <= 2:
+        return comp
+    deg = {v: len(nbrs[v]) for v in comp}
+    layer = [v for v in comp if deg[v] == 1]
+    remaining = len(comp)
+    while remaining > 2:
+        remaining -= len(layer)
+        nxt = []
+        for v in layer:
+            deg[v] = 0
+            for w in nbrs[v]:
+                if deg[w] > 1:
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        nxt.append(w)
+        layer = nxt
+    return layer
+
+
+def center_rooted_forest_code(g: Graph) -> bytes:
+    """The forest code as the package computed it before its one-pass leaf
+    peeling: find each tree's centers by peeling leaves, then encode the
+    tree recursively from each center and keep the smaller code."""
+    nbrs = [[w for w in range(g.n) if m >> w & 1] for m in g.masks]
+    seen: set[int] = set()
+    codes = []
+    for s in range(g.n):
+        if s in seen:
+            continue
+        comp, stack = [], [s]
+        seen.add(s)
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in nbrs[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        codes.append(min(_rooted_code(nbrs, c) for c in _tree_centers(nbrs, sorted(comp))))
+    return b"T" + bytes([g.n]) + "|".join(sorted(codes)).encode("ascii")
+
+
+def fraction_isolate_real_roots(p: IntPolynomial) -> list[tuple[tuple[Fraction, Fraction], int]]:
+    """``isolate_real_roots`` as the package computed it before it scaled
+    the Sturm chain to dyadic points: bisection of [-B, 0] and [0, B], B
+    the Cauchy bound of the square-free part q, at Fraction midpoints, each
+    point's sign variations evaluated once and cached by value."""
+    if p.degree < 1:
+        return []
+    q = square_free_part(p)
+    chain = sturm_chain(q)
+    var_cache: dict[Fraction, int] = {}
+
+    def is_root(x: Fraction) -> bool:
+        return sign_at(q.coeffs, x) == 0
+
+    def var(x: Fraction) -> int:
+        if x not in var_cache:
+            signs = [s for s in (sign_at(f.coeffs, x) for f in chain) if s]
+            var_cache[x] = sum(a != b for a, b in zip(signs, signs[1:]))
+        return var_cache[x]
+
+    def inside(a: Fraction, b: Fraction) -> int:
+        return var(a) - var(b) - is_root(b)
+
+    bound = cauchy_root_bound(q)
+    intervals: list[tuple[Fraction, Fraction]] = []
+    exact: list[Fraction] = []
+    zero = Fraction(0)
+    if is_root(zero):
+        exact.append(zero)
+    stack = [(-bound, zero, inside(-bound, zero)), (zero, bound, inside(zero, bound))]
+    while stack:
+        lo, hi, count = stack.pop()
+        if count <= 0:
+            continue
+        if count == 1 and not is_root(lo) and not is_root(hi):
+            intervals.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        if is_root(mid):
+            exact.append(mid)
+        stack.append((lo, mid, inside(lo, mid)))
+        stack.append((mid, hi, inside(mid, hi)))
+
+    yun = square_free_decomposition(p)
+    out = [((r, r), next(m for f, m in yun if sign_at(f.coeffs, r) == 0)) for r in exact]
+    for lo, hi in intervals:
+        mult = next(m for f, m in yun if sign_at(f.coeffs, lo) != sign_at(f.coeffs, hi))
+        out.append(((lo, hi), mult))
+    return sorted(out)

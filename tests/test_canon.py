@@ -24,7 +24,7 @@ from coronapoly.graphs import (
     path_graph,
 )
 from knowngraphs import EQUAL_TREES10_A, EQUAL_TREES10_B, PAIR5_A, PAIR5_B
-from oracles import unpruned_graph_levels
+from oracles import center_rooted_forest_code, unpruned_graph_levels
 
 
 def test_relabeling_invariance():
@@ -53,6 +53,22 @@ def test_forest_codes_cover_components():
     f2 = disjoint_union(path_graph(2), path_graph(3))
     assert canonical_code(f1) == canonical_code(f2)
     assert canonical_code(f1) != canonical_code(path_graph(5))
+
+
+def test_forest_code_matches_center_rooted_encoder():
+    # one leaf-peeling pass against centers-then-recursion, byte for byte:
+    # every tree on at most 14 vertices, then seeded relabelled forests
+    trees = [t for n in range(1, 15) for t in enumerate_trees(n)]
+    assert len(trees) == sum(TREE_COUNTS[n] for n in range(1, 15))
+    for t in trees:
+        assert canon._forest_code(t) == center_rooted_forest_code(t), list(t.edges())
+    rng = random.Random(163)
+    for _ in range(3000):
+        n = rng.randint(0, 40)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        f = Graph(n, [(perm[v], perm[rng.randrange(v)]) for v in range(1, n) if rng.random() < 0.8])
+        assert canon._forest_code(f) == center_rooted_forest_code(f), list(f.edges())
 
 
 def test_code_limits():

@@ -282,7 +282,9 @@ def test_root_convergence_exit_code(monkeypatch, capsys):
         raise RootConvergenceError("no convergence after 500 sweeps", [])
 
     monkeypatch.setattr(roots, "numeric_roots", numeric_roots)
-    code, out, err = run(capsys, "roots", "--family", "cycle", "--n", "5")
+    # I(K_{1,3}) = 1 + 4x + 3x^2 + x^3 has two nonreal roots, so its root
+    # pass reaches Aberth (a real-rooted polynomial such as I(C_5) does not)
+    code, out, err = run(capsys, "roots", "--family", "star", "--n", "3")
     assert code == 4
     assert out == ""
     assert err == "coronapoly: root iteration did not converge: no convergence after 500 sweeps\n"

@@ -360,6 +360,23 @@ def test_resource_limits():
     independence_polynomial(path_graph(50))
 
 
+def test_forest_test_only_past_the_general_cap(monkeypatch):
+    from coronapoly import indpoly
+
+    calls = []
+    real_is_forest = indpoly.is_forest
+    monkeypatch.setattr(indpoly, "is_forest", lambda g: calls.append(g.n) or real_is_forest(g))
+    for g in (path_graph(40), cycle_graph(40), empty_graph(3)):
+        independence_polynomial(g)
+    assert calls == []
+    with pytest.raises(ResourceLimitError, match="^independence polynomial: 41 vertices exceeds limit 40$"):
+        independence_polynomial(cycle_graph(41))
+    with pytest.raises(ResourceLimitError, match="^independence polynomial: 65 vertices exceeds limit 64$"):
+        independence_polynomial(path_graph(65))
+    independence_polynomial(path_graph(64))
+    assert calls == [41, 65, 64]
+
+
 def test_slot_holds_the_widest_coefficient():
     # a coefficient of an n-vertex graph is at most C(n, n // 2); raising the
     # forest cap past what SLOT bits hold must fail here

@@ -14,6 +14,7 @@ from coronapoly.graphs import (
     corona,
     cycle_graph,
     empty_graph,
+    is_connected,
     path_graph,
     star_graph,
 )
@@ -242,6 +243,17 @@ def test_numeric_roots():
     assert nonreal
     for z in nonreal:
         assert any(abs(w - z.conjugate()) < 1e-9 for w in nonreal)
+
+
+def test_numeric_roots_take_zero_roots_exactly():
+    # x (2x^4 - 3x^3 - 2x - 3): Aberth alone stopped at -1e-80j, whose
+    # scale-relative residual at the root 0 is about 1, and raised
+    f = IntPolynomial((0, -3, -2, 0, -3, 2))
+    zs = numeric_roots(f)
+    assert len(zs) == 5 and zs.count(0j) == 1
+    rep = root_report(f ** 3 * IntPolynomial((-1, 2)))
+    assert (Fraction(0), Fraction(0), 3) in rep.real_roots
+    assert numeric_roots(IntPolynomial((0, 0, 5))) == [0j, 0j]
 
 
 def test_numeric_roots_validation():
@@ -674,3 +686,121 @@ def test_errors_survive_pickling(cls):
     assert type(back) is cls
     assert str(back) == str(err)
     assert vars(back) == vars(err)
+
+
+# -- the integer root core: dyadic isolation and certified real floats ----------
+
+
+def _bounds_strata_graphs():
+    """Three seeded connected G(n, p) for each n in 8..14 and p in 0.3,
+    0.5, 0.7: the strata of the benchmark's bounds workload."""
+    rng = random.Random(151)
+    out = []
+    for n in range(8, 15):
+        for p in (0.3, 0.5, 0.7):
+            kept = 0
+            while kept < 3:
+                g = Graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+                if is_connected(g):
+                    out.append(g)
+                    kept += 1
+    return out
+
+
+_LINEAR_ROOTS = [Fraction(v) for v in ("0", "1", "-1", "2", "-3", "1/2", "-3/2", "2/3", "-1/3")]
+
+
+def _isolation_polys():
+    """Integer polynomials with rational roots at dyadic and non-dyadic
+    points: every product of two or three distinct linear factors with
+    roots in _LINEAR_ROOTS, 0 among them, with alternating leading signs
+    (several put a root on a bisection midpoint); then seeded products
+    with repeated factors, content and negative leading coefficients."""
+    from itertools import combinations
+
+    def linear(r: Fraction) -> IntPolynomial:
+        return IntPolynomial((-r.numerator, r.denominator))
+
+    out = []
+    for k in (2, 3):
+        for rs in combinations(_LINEAR_ROOTS, k):
+            p = IntPolynomial((-1,) if len(out) % 2 else (1,))
+            for r in rs:
+                p = p * linear(r)
+            out.append(p)
+    rng = random.Random(157)
+    while len(out) < 200:
+        p = IntPolynomial((rng.choice((-3, -2, -1, 1, 2, 3)),))
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.6:
+                f = linear(rng.choice(_LINEAR_ROOTS))
+            else:
+                f = IntPolynomial([rng.randint(-6, 6) for _ in range(rng.randint(2, 4))] + [rng.choice((-2, -1, 1, 2))])
+            p = p * f ** rng.randint(1, 3)
+        if p.degree >= 1:
+            out.append(p)
+    return out
+
+
+def test_isolation_matches_fraction_bisection():
+    # the dyadic bisection of the scaled chain gives the intervals and
+    # multiplicities of the Fraction bisection on the unscaled one, exactly
+    from oracles import fraction_isolate_real_roots
+
+    polys = [independence_polynomial(g) for g in _bounds_strata_graphs()] + _isolation_polys()
+    exact_hits = 0
+    for p in polys:
+        got = isolate_real_roots(p)
+        assert got == fraction_isolate_real_roots(p), p
+        exact_hits += sum(1 for (lo, hi), _ in got if lo == hi != 0)
+    assert exact_hits >= 20    # rational roots found at bisection midpoints
+
+
+def _real_rooted_floats(p):
+    """(float, Yun factor) for each real root of p whose factor is
+    real-rooted, so its float comes from Newton, not Aberth."""
+    rep = root_report(p)
+    out = []
+    for f, m in square_free_decomposition(p):
+        slots = [i for i, (*_, mult) in enumerate(rep.real_roots) if mult == m]
+        if len(slots) == f.degree:
+            out += [(rep.real_floats[i], f) for i in slots]
+    return out
+
+
+def test_real_floats_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    polys = [independence_polynomial(g) for g in _bounds_strata_graphs()] + _isolation_polys()
+    checked = 0
+    with mpmath.workdps(60):
+        for p in polys:
+            refs = {}
+            for x, f in _real_rooted_floats(p):
+                if f not in refs:
+                    refs[f] = mpmath.polyroots(list(reversed(f.coeffs)), maxsteps=200, extraprec=200)
+                xi = min(refs[f], key=lambda r: abs(x - r))
+                assert abs(x - xi) <= abs(xi) * mpmath.mpf(2) ** -44, (p, x, xi)
+                checked += 1
+    assert checked >= 400
+
+
+def test_path_roots_need_no_aberth(monkeypatch):
+    # I(P_n) is real-rooted, with roots -1/(4 cos^2(j pi/(n+2))), j = 1..(n+1)//2;
+    # Aberth did not converge on several of these polynomials
+    mpmath = pytest.importorskip("mpmath")
+    from coronapoly import roots
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numeric_roots called")
+
+    monkeypatch.setattr(roots, "numeric_roots", refuse)
+    for n in range(45, 65):
+        rep = root_report(independence_polynomial(path_graph(n)))
+        assert len(rep.real_roots) == (n + 1) // 2 and not rep.complex_roots
+        with mpmath.workdps(60):
+            closed = sorted(
+                -1 / (4 * mpmath.cos(j * mpmath.pi / (n + 2)) ** 2) for j in range(1, (n + 1) // 2 + 1)
+            )
+            for (lo, hi, m), x, xi in zip(rep.real_roots, rep.real_floats, closed):
+                assert m == 1 and lo < x < hi, (n, lo, hi, x)
+                assert abs(x - xi) <= abs(xi) * mpmath.mpf(2) ** -44, (n, x, xi)
