@@ -211,7 +211,16 @@ def _search(masks: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]], int, li
 
 
 def canonical_code(g: Graph) -> bytes:
-    """Isomorphism-invariant byte code; equal codes iff isomorphic graphs."""
+    """Isomorphism-invariant byte code; equal codes iff isomorphic graphs.
+
+    That equal codes mean isomorphic graphs does not rest on the search
+    being canonical: a general code is b"G", n, then the lower-triangle
+    adjacency bits of g relabelled by a permutation (the best leaf's
+    order), so it spells out a relabelling of g; a forest code is b"T", n,
+    then the sorted center-rooted parenthesis codes of its trees, each of
+    which determines its rooted tree (an isolated vertex is "()").
+    So graphs with equal codes share every isomorphism invariant, the
+    independence polynomial included."""
     if is_forest(g):
         if g.n > FOREST_CODE_LIMIT:
             raise ResourceLimitError(

@@ -395,18 +395,35 @@ def _certified(f: IntPolynomial, x: float, lo: Fraction, hi: Fraction, s_lo: int
 
 def _real_root_float(f: IntPolynomial, lo: Fraction, hi: Fraction) -> float:
     """A float x within |x| 2^-44 of the one root of the square-free f in
-    its open isolating interval (lo, hi): a ``_newton`` iterate that
-    ``_certified`` accepts, else the midpoint of (lo, hi) refined by
-    ``refine_root_interval`` to a relative width of 2^-53."""
+    its open isolating interval (lo, hi) from ``isolate_real_roots``: a
+    ``_newton`` iterate that ``_certified`` accepts, else the midpoint of
+    (lo, hi) bisected to a relative width of 2^-53.
+
+    The bisection runs in y = x / w, w = hi - lo.  An isolating interval
+    is (u w, (u + 1) w) for an integer u, so its points are dyadic in y;
+    each sign is one integer Horner pass (``sign_at_dyadic``) on
+    f(w y) b^deg(f), where w = a/b, which has the signs of f."""
     s_lo = sign_at(f.coeffs, lo)
     top = max(map(abs, f.coeffs))
     x = _newton([c / top for c in reversed(f.coeffs)], float(lo), float(hi), s_lo > 0)
     if math.isfinite(x) and _certified(f, x, lo, hi, s_lo):
         return x
-    # the interval never straddles 0, so min(|lo|, |hi|) <= |xi|
-    while lo != hi and hi - lo > min(abs(lo), abs(hi)) / 2**53:
-        lo, hi = refine_root_interval(f, lo, hi, (hi - lo) / 2**8)
-    return float((lo + hi) / 2)
+    w = hi - lo
+    a, b = w.numerator, w.denominator
+    u, rest = divmod(lo, w)
+    if rest:
+        raise ValueError("not an isolating interval: its ends are not multiples of its width")
+    k, d = 0, f.degree
+    scaled = [c * a**j * b ** (d - j) for j, c in enumerate(f.coeffs)]
+    # (u/2^k, (u+1)/2^k) never straddles 0, so min(|u|, |u+1|)/2^k <= |xi|/w
+    while min(abs(u), abs(u + 1)) < 1 << 53:
+        u, k = 2 * u, k + 1
+        s_mid = sign_at_dyadic(scaled, u + 1, k)
+        if s_mid == 0:
+            return float(Fraction(a * (u + 1), b << k))
+        if s_mid == s_lo:
+            u += 1
+    return float(Fraction(a * (2 * u + 1), b << (k + 1)))
 
 
 # -- numeric roots -------------------------------------------------------------

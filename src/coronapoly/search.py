@@ -3,7 +3,11 @@
 Graphs stream through as graph6 strings (what the reports retain), as
 Graph values or as ``graphs.StreamItem`` lines.  Classification hashes the
 exact decimal coefficient vector, so two graphs land in one class iff
-their independence polynomials are identical as integer sequences.
+their independence polynomials are identical as integer sequences.  Each
+item's canonical code is computed first, and the polynomial only once
+per code in each process: equal codes mean relabellings of one graph,
+so a stream of relabelled copies costs one engine run per isomorphism
+class.
 
 Each stream scan is a picklable per-item function followed by a fold over
 its results in stream order.  The per-item map is the scan's ``mapper``
@@ -16,6 +20,7 @@ never more.
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from collections.abc import Callable, Iterable
 
 from .canon import canonical_code, enumerate_trees
@@ -114,20 +119,41 @@ class EquivalenceReport:
         return "\n".join(lines)
 
 
+_KEY_TABLE_SIZE = 4096      # codes whose coefficient key is kept, per process
+_key_by_code: OrderedDict[bytes, tuple[int, ...]] = OrderedDict()
+
+
 def _coefficient_key(item: StreamItem) -> tuple[tuple[int, ...] | None, str, object]:
     """Per-item map of partition_graphs: (key, graph6, hex canonical code or
-    the ResourceLimitError that blocked it), or (None, error, None)."""
+    the ResourceLimitError that blocked it), or (None, error, None).
+
+    The canonical code comes first, and the key is looked up by it in a
+    per-process table of the last _KEY_TABLE_SIZE codes used, so the
+    engine runs once per isomorphism class rather than once per item.
+    That holds whatever the search's canonicity, since equal codes always
+    mean relabellings of one graph (see ``canonical_code``), and relabelled
+    graphs have one polynomial.  A code blocked by its cap leaves the key
+    to the engine, uncached; a graph over the engine's cap is an error
+    record, whether or not its code was blocked too.
+    """
     try:
         g6, g = item_graph(item)
-        key = independence_polynomial(g).coeffs
+        try:
+            code = canonical_code(g)
+        except ResourceLimitError as exc:
+            return independence_polynomial(g).coeffs, g6, exc
+        key = _key_by_code.get(code)
+        if key is None:
+            key = _key_by_code[code] = independence_polynomial(g).coeffs
+            if len(_key_by_code) > _KEY_TABLE_SIZE:
+                _key_by_code.popitem(last=False)
+        else:
+            _key_by_code.move_to_end(code)
+        return key, g6, code.hex()
     except GraphParseError as exc:  # already names the item
         return None, str(exc), None
     except Exception as exc:  # per-graph failure; the stream continues
         return None, f"{item.label}: {exc}", None
-    try:
-        return key, g6, canonical_code(g).hex()
-    except ResourceLimitError as exc:
-        return key, g6, exc
 
 
 def partition_graphs(
@@ -135,7 +161,10 @@ def partition_graphs(
 ) -> tuple[dict[tuple[int, ...], list[tuple[str, object]]], int, list[str]]:
     """Map each graph to its exact coefficient key, keeping its graph6 and
     canonical code; an item that fails is recorded in the error list and
-    the stream continues."""
+    the stream continues.  The key is computed once per canonical code in
+    each process (``_coefficient_key``), which is sound because equal
+    codes are relabellings of one graph; with a parallel mapper each
+    worker keeps its own table, and the fold is the same."""
     buckets: dict[tuple[int, ...], list[tuple[str, object]]] = {}
     errors: list[str] = []
     for key, text, code in mapper(_coefficient_key, label_items(items)):

@@ -9,6 +9,7 @@ graphs is out of desk scale, so beyond 8 the corpus is generated, not
 enumerated.
 """
 
+import random
 from functools import cache
 
 from coronapoly.canon import enumerate_graphs, enumerate_trees
@@ -93,3 +94,16 @@ def well_covered_catalog(max_n: int = 10) -> tuple[Graph, ...]:
                         batch.append(disjoint_union(ga, gb))
         out.extend(batch)
     return tuple(out)
+
+
+def relabelled_copies(bases, copies: int, seed: int) -> list[Graph]:
+    """Each base `copies` times, each copy under a seeded random vertex
+    relabelling, in a seeded shuffled order."""
+    rng = random.Random(seed)
+    out = []
+    for g in bases:
+        for _ in range(copies):
+            perm = rng.sample(range(g.n), g.n)
+            out.append(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+    rng.shuffle(out)
+    return out

@@ -21,6 +21,9 @@ before its one-pass leaf peeling: centers first, then one recursive
 encoding from each.  ``fraction_isolate_real_roots`` is the real-root
 isolation the package used before it bisected at dyadic points: the
 same Sturm chain (the package's), bisected at Fraction midpoints.
+``general_code_masks`` and ``forest_code_graph`` read a canonical code
+back into the graph it spells out, which shows that equal codes mean
+isomorphic graphs whatever the canonical search does.
 """
 
 import math
@@ -505,3 +508,45 @@ def fraction_isolate_real_roots(p: IntPolynomial) -> list[tuple[tuple[Fraction, 
         mult = next(m for f, m in yun if sign_at(f.coeffs, lo) != sign_at(f.coeffs, hi))
         out.append(((lo, hi), mult))
     return sorted(out)
+
+
+def general_code_masks(code: bytes) -> tuple[int, ...]:
+    """The neighbour masks of the canonical form a general code spells
+    out: b"G", n, then the lower-triangle adjacency bits row by row, the
+    first pair (1, 0) in the highest bit."""
+    assert code[:1] == b"G"
+    n = code[1]
+    bits = int.from_bytes(code[2:], "big")
+    k = n * (n - 1) // 2
+    assert bits >> k == 0
+    masks = [0] * n
+    for i in range(1, n):
+        for j in range(i):
+            k -= 1
+            if bits >> k & 1:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return tuple(masks)
+
+
+def forest_code_graph(code: bytes) -> Graph:
+    """The forest a forest code spells out: b"T", n, then one parenthesis
+    string per tree, joined by "|"; each "(" opens a new vertex, a child
+    of the innermost open one."""
+    assert code[:1] == b"T"
+    n = code[1]
+    edges = []
+    count = 0
+    for tree in code[2:].decode("ascii").split("|"):
+        open_vertices: list[int] = []
+        for ch in tree:
+            if ch == "(":
+                if open_vertices:
+                    edges.append((open_vertices[-1], count))
+                open_vertices.append(count)
+                count += 1
+            else:
+                open_vertices.pop()
+        assert not open_vertices
+    assert count == n
+    return Graph(n, edges)

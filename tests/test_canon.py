@@ -17,14 +17,21 @@ from coronapoly.canon import (
 from coronapoly.errors import ResourceLimitError
 from coronapoly.graphs import (
     Graph,
+    _from_masks,
     complete_graph,
     cycle_graph,
     disjoint_union,
     is_connected,
     path_graph,
 )
+from coronapoly.indpoly import independence_polynomial
 from knowngraphs import EQUAL_TREES10_A, EQUAL_TREES10_B, PAIR5_A, PAIR5_B
-from oracles import center_rooted_forest_code, unpruned_graph_levels
+from oracles import (
+    center_rooted_forest_code,
+    forest_code_graph,
+    general_code_masks,
+    unpruned_graph_levels,
+)
 
 
 def test_relabeling_invariance():
@@ -153,15 +160,7 @@ def test_orbit_minima_use_the_whole_group():
 def _canonical_form(g):
     """The graph whose lower-triangle adjacency bits, row by row, are the
     search's least certificate for g."""
-    bits = canon._search(g.masks)[0]
-    k = g.n * (g.n - 1) // 2
-    edges = []
-    for i in range(1, g.n):
-        for j in range(i):
-            k -= 1
-            if (bits >> k) & 1:
-                edges.append((i, j))
-    return Graph(g.n, edges)
+    return _from_masks(general_code_masks(canon._general_code(g.n, canon._search(g.masks)[0])))
 
 
 def test_pruned_levels_equal_unpruned_reference():
@@ -258,3 +257,33 @@ def test_codes_against_networkx_on_random_graphs():
                 assert sorted(map(len, g.adj)) == sorted(map(len, h.adj))
                 same = nx.is_isomorphic(_networkx_graph(nx, g), _networkx_graph(nx, h))
                 assert (canonical_code(g) == canonical_code(h)) == same
+
+
+def test_codes_decode_to_their_graphs():
+    # a code spells out a relabelling of its graph, so equal codes mean one
+    # polynomial even if the search were not canonical
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(16)
+    graphs = []
+    for n in range(2, 31):
+        for p in (0.15, 0.5, 0.85):
+            graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+    for _ in range(60):
+        n = rng.randint(0, 62)
+        perm = rng.sample(range(n), n)
+        # each vertex joins an earlier one or stays a new root: isolated vertices too
+        graphs.append(Graph(n, [(perm[v], perm[rng.randrange(v)]) for v in range(1, n) if rng.random() < 0.85]))
+    # two-centre trees: even paths and a double star, relabelled
+    for t in (path_graph(2), path_graph(10), path_graph(62),
+              Graph(12, [(0, 1)] + [(i % 2, i) for i in range(2, 12)])):
+        perm = rng.sample(range(t.n), t.n)
+        graphs.append(Graph(t.n, [(perm[u], perm[v]) for u, v in t.edges()]))
+    kinds = set()
+    for g in graphs:
+        code = canonical_code(g)
+        kinds.add(code[:1])
+        h = _from_masks(general_code_masks(code)) if code[:1] == b"G" else forest_code_graph(code)
+        assert nx.is_isomorphic(_networkx_graph(nx, g), _networkx_graph(nx, h)), list(g.edges())
+        assert independence_polynomial(h) == independence_polynomial(g)
+        assert canonical_code(h) == code
+    assert kinds == {b"G", b"T"}

@@ -397,6 +397,26 @@ def test_catalog_scan_parallel_matches_serial(capsys, pools):
     assert pools == [(2,)]
 
 
+def test_equal_poly_parallel_matches_serial_on_copies(tmp_path, capsys, pools):
+    # each worker keeps its own per-code table; the fold must not notice
+    from corpus import graphs_exactly, relabelled_copies
+
+    bases = graphs_exactly(6, connected=True)[::8]
+    lines = [encode_graph6(g) for g in relabelled_copies(bases, 6, 11)]
+    lines += lines[:20]     # verbatim duplicates too
+    assert len(lines) >= 64 and len(set(lines)) < len(lines)
+    stream = _write_stream(tmp_path / "copies.g6", lines)
+    outs = []
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, "search", "--mode", "equal-poly", "--input", stream,
+                           "--jobs", jobs, "--output", "json")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["graphs"] == len(lines)
+    assert pools == [(2,)]
+
+
 # Importing the CLI must not load the pool (a scan imports it when it opens
 # one), nor the costly stdlib behind dataclasses and typing; it must load
 # every package module that perfbench/traced.py wraps by name.

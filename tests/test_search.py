@@ -1,6 +1,11 @@
 import json
 import random
+from collections import OrderedDict
 
+import pytest
+
+from coronapoly import search
+from coronapoly.cli import main
 from coronapoly.graphs import (
     Graph,
     complete_graph,
@@ -23,7 +28,7 @@ from coronapoly.search import (
     spider_uniqueness_scan,
     well_covered_trees,
 )
-from corpus import graphs_upto, trees_exactly
+from corpus import graphs_exactly, graphs_upto, relabelled_copies, trees_exactly
 from knowngraphs import (
     C4_PLUS_K1,
     CHAIR_TREE,
@@ -113,6 +118,77 @@ def test_isomorphism_verdict_skipped_over_the_code_cap():
     assert report.errors == [
         "isomorphism verdict skipped: canonical code: general graph on 31 > 30 vertices"
     ]
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """The order of every graph whose polynomial equal-poly computes, from
+    an empty per-code table."""
+    calls = []
+
+    def counted(g, *args, **kwargs):
+        calls.append(g.n)
+        return independence_polynomial(g, *args, **kwargs)
+
+    monkeypatch.setattr(search, "independence_polynomial", counted)
+    monkeypatch.setattr(search, "_key_by_code", OrderedDict())
+    return calls
+
+
+def test_one_polynomial_per_code(tmp_path, capsys, engine_calls):
+    bases = random.Random(5).sample(graphs_exactly(7, connected=True), 12)
+    stream = tmp_path / "copies.g6"
+    stream.write_text("".join(encode_graph6(g) + "\n" for g in relabelled_copies(bases, 8, 6)))
+    argv = ["search", "--mode", "equal-poly", "--jobs", "1", "--output", "json"]
+    assert main([*argv, "--input", str(stream)]) == 0
+    assert len(engine_calls) == len(bases)
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["graphs"] == 96 and payload["errors"] == []
+    expect = sorted(independence_polynomial(g).to_json_coeffs() for g in bases)
+    got = [c["polynomial"] for c in payload["classes"] for _ in range(len(c["members"]) // 8)]
+    assert sorted(got) == expect
+    assert all(c["all_isomorphic"] is (len(c["members"]) == 8) for c in payload["classes"])
+
+
+def test_known_pairs_stay_apart_through_the_table(engine_calls):
+    pairs = [(PAIR5_A, PAIR5_B), (PAIR6_A, PAIR6_B), (DENSE6_A, DENSE6_B),
+             (EQUAL_TREES10_A, EQUAL_TREES10_B), (CHAIR_TREE, C4_PLUS_K1)]
+    report = group_by_polynomial(relabelled_copies([g for pair in pairs for g in pair], 3, 7))
+    assert len(engine_calls) == 2 * len(pairs)
+    assert len(report.classes) == len(pairs)
+    for cls in report.classes:
+        assert len(cls.members) == 6 and len(set(cls.codes)) == 2
+        assert cls.all_isomorphic is False
+
+
+def test_table_is_bounded_and_least_recently_used(monkeypatch, engine_calls):
+    monkeypatch.setattr(search, "_KEY_TABLE_SIZE", 3)
+    b0, b1, b2, b3 = (cycle_graph(n) for n in (4, 5, 6, 7))
+    # b0 is used again before b3 arrives, so b1 is the one evicted
+    report = group_by_polynomial([b0, b1, b2, b0, b3, b0, b1])
+    assert engine_calls == [4, 5, 6, 7, 5]
+    assert len(search._key_by_code) == 3
+    assert [len(c.members) for c in report.classes] == [3, 2, 1, 1]
+
+
+def test_codes_over_their_cap_skip_the_table(engine_calls):
+    # a general graph on 31-40 vertices has no code: its polynomial is the
+    # engine's every time, and its class gets no verdict
+    c40 = cycle_graph(40)
+    relabelled = Graph(40, [(3 * u % 40, 3 * v % 40) for u, v in c40.edges()])
+    report = group_by_polynomial([c40, relabelled, c40])
+    assert engine_calls == [40, 40, 40] and not search._key_by_code
+    (cls,) = report.classes
+    assert cls.coefficients == independence_polynomial(c40).coeffs
+    assert len(cls.members) == 3 and cls.codes is None and cls.all_isomorphic is None
+    assert report.errors == [
+        "isomorphism verdict skipped: canonical code: general graph on 40 > 30 vertices"
+    ]
+    # one vertex more is over the engine's cap too: an error record
+    report = group_by_polynomial([cycle_graph(41)])
+    assert report.classes == [] and report.graphs_seen == 0
+    assert report.errors == ["item 0: independence polynomial: 41 vertices exceeds limit 40"]
+
 
 def test_trees10_contains_known_class():
     report = group_by_polynomial(trees_exactly(10))
