@@ -2,15 +2,17 @@
 
 Exit codes: 0 success, 1 a verification failure or counterexample was
 found, 2 usage error, 3 a size cap was exceeded, 4 a numeric root
-iteration did not converge.  Every run is deterministic for fixed inputs
-and flags (fixed pivot rule, fixed numeric initialization, no RNG
-anywhere).
+iteration did not converge, 5 a worker process died.  Every run is
+deterministic for fixed inputs and flags (fixed pivot rule, fixed numeric
+initialization, no RNG anywhere).
 
-Input is read lazily, line by line.  Each stream scan maps its per-graph
-work in order over ``--jobs`` worker processes once a stream has 64
-graphs.  A bad graph6 line is named by its line number; ``equal-poly``
-records it and exits 2 after its report.  ``CORONAPOLY_MAX_N`` in the
-environment supplies the default ``--max-n`` of the graph corpora.
+Input is read lazily, line by line.  Every stream command (``poly``,
+``corona``, ``roots``, ``verify`` and the ``search`` scans) maps its
+per-graph work in order over ``--jobs`` forked worker processes once a
+stream has 64 graphs; a worker that dies ends the command with exit 5.
+A bad graph6 line is named by its line number; ``equal-poly`` records it
+and exits 2 after its report.  ``CORONAPOLY_MAX_N`` in the environment
+supplies the default ``--max-n`` of the graph corpora.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager, nullcontext
+from functools import partial
 from itertools import chain, islice
 
 from . import canon, corona as corona_mod, search, suites
@@ -31,6 +34,7 @@ from .errors import (
 )
 from .graphs import (
     GRAPH6_LIMIT,
+    Graph,
     StreamItem,
     centipede_graph,
     complete_graph,
@@ -105,7 +109,24 @@ def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", choices=("text", "json"), default="text")
 
 
-_CHUNK = 64     # items per worker task; shorter streams are not fanned out
+_MIN_FORK = 64          # shorter streams are not fanned out
+_READ_AHEAD = 4096      # items read ahead to size the chunks
+_CHUNKS_PER_WORKER = 4  # Pool.map's rule; also the chunks in flight per worker
+
+
+def _default_jobs() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _add_jobs(p: argparse.ArgumentParser, default: int, note: str = "") -> None:
+    p.add_argument(
+        "--jobs", type=int, default=default,
+        help=f"worker processes for streams of {_MIN_FORK} or more graphs{note} "
+        f"(default {default}: the CPUs this process may run on)",
+    )
 
 
 def _read_lines(path: str):
@@ -124,33 +145,179 @@ def _graph6_items(path: str):
     return (StreamItem(f"line {n}", line) for n, line in _read_lines(path) if line.strip())
 
 
-def Pool(processes: int):
-    """multiprocessing.Pool, imported only when a scan opens one."""
-    from multiprocessing import Pool as pool
+class WorkerLost(Exception):
+    """A worker process of a parallel scan ended without returning its chunk."""
 
-    return pool(processes)
+
+def _send(fd: int, data: bytes) -> None:
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_exactly(fd: int, size: int) -> bytes | None:
+    parts = []
+    while size:
+        part = os.read(fd, min(size, 1 << 20))
+        if not part:
+            return None
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
+
+
+def _recv(fd: int) -> bytes | None:
+    """One message written by _send, or None at the end of the pipe (or
+    of a message cut short)."""
+    header = _read_exactly(fd, 8)
+    return None if header is None else _read_exactly(fd, int.from_bytes(header, "little"))
+
+
+def _serve(fn, tasks: int, results: int) -> None:
+    """A worker's loop: map fn over each pickled chunk and write back its
+    results and the error that stopped it, until the task pipe closes."""
+    import pickle   # already loaded by the parent
+
+    while (data := _recv(tasks)) is not None:
+        done, error = [], None
+        try:
+            for item in pickle.loads(data):
+                done.append(fn(item))
+        except Exception as exc:
+            error = exc
+        _send(results, pickle.dumps((done, error), pickle.HIGHEST_PROTOCOL))
+
+
+def _fork_worker(fn, procs: list) -> tuple[int, int, int]:
+    """(pid, task pipe, result pipe) of one new worker; `procs` are the
+    workers already running, whose pipe ends the new one must not hold."""
+    tasks, task_end = os.pipe()
+    result_end, results = os.pipe()
+    pid = os.fork()
+    if pid == 0:    # the worker leaves only through os._exit
+        status = 1
+        try:
+            for fd in (task_end, result_end, *(fd for _, *fds in procs for fd in fds)):
+                os.close(fd)
+            _serve(fn, tasks, results)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(tasks)
+    os.close(results)
+    return pid, task_end, result_end
+
+
+def _fork_map(fn, items, workers: int, size: int):
+    """fn over items in stream order, in chunks of `size` items spread over
+    `workers` forked processes.
+
+    A chunk is written only to an idle worker, one that is blocked reading
+    its task pipe, so no write can deadlock whatever the chunk size.  At
+    most _CHUNKS_PER_WORKER chunks per worker are out at a time.  An error
+    raised at item k is raised here after every result before k.  Workers
+    are reaped when the map ends and killed first when it ends early; one
+    that dies raises WorkerLost."""
+    import pickle
+    import select
+    import signal
+
+    items = iter(items)
+    sys.stdout.flush()      # a worker must not inherit buffered output
+    sys.stderr.flush()
+    procs, finished = [], False
+    try:
+        for _ in range(workers):
+            procs.append(_fork_worker(fn, procs))
+        idle = list(procs)
+        busy = {}       # result pipe -> (chunk index, worker)
+        returned = {}   # chunk index -> (results, error)
+        sent = yielded = 0
+        more = True
+        while more or busy or returned:
+            while more and idle and sent - yielded < _CHUNKS_PER_WORKER * workers:
+                chunk = list(islice(items, size))
+                if not chunk:
+                    more = False
+                    break
+                proc = idle.pop()
+                try:
+                    _send(proc[1], pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL))
+                except BrokenPipeError:
+                    raise WorkerLost(f"worker process {proc[0]} died") from None
+                busy[proc[2]] = sent, proc
+                sent += 1
+            while yielded in returned:
+                results, error = returned.pop(yielded)
+                yielded += 1
+                yield from results
+                if error is not None:
+                    raise error
+            for fd in select.select(list(busy), [], [])[0] if busy else ():
+                index, proc = busy.pop(fd)
+                data = _recv(fd)
+                if data is None:
+                    raise WorkerLost(f"worker process {proc[0]} died before returning its chunk")
+                returned[index] = pickle.loads(data)
+                idle.append(proc)
+        finished = True
+    finally:
+        for pid, task_end, result_end in procs:
+            os.close(task_end)      # the worker's end of input
+            os.close(result_end)
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _, _ in procs]
+    for (pid, _, _), status in zip(procs, statuses):
+        if status:
+            code = os.waitstatus_to_exitcode(status)
+            raise WorkerLost(f"worker process {pid} died with exit code {code}")
 
 
 @contextmanager
-def _scan_map(args: argparse.Namespace, default_max_n: int = 0):
-    """(mapper, stream) of a scan over --input, else the catalog up to
-    --max-n.  The mapper is the builtin map at --jobs 1 or for a stream of
-    under _CHUNK items (read ahead to tell), else an ordered Pool.imap."""
-    if args.input:
-        items = _graph6_items(args.input)
-    else:
-        max_n = args.max_n if args.max_n is not None else _default_max_n(default_max_n)
-        items = iter(suites.default_corpus(max_n))
-    head = list(islice(items, _CHUNK))
-    items = chain(head, items)
-    if args.jobs <= 1 or len(head) < _CHUNK:
+def _scan_map(items, jobs: int):
+    """(mapper, items) of a scan.  The mapper is the builtin map at --jobs 1,
+    without os.fork or for a stream of under _MIN_FORK items (read ahead to
+    tell), else _fork_map.  Chunks follow Pool.map's rule, about
+    _CHUNKS_PER_WORKER per worker, on up to _READ_AHEAD items read ahead.
+    A scan that ends early leaves no worker behind."""
+    if jobs <= 1 or not hasattr(os, "fork"):
         yield map, items
-    else:
-        with Pool(args.jobs) as pool:
-            yield lambda fn, items: pool.imap(fn, items, _CHUNK), items
+        return
+    items = iter(items)
+    head = list(islice(items, _READ_AHEAD))
+    items = chain(head, items)
+    if len(head) < _MIN_FORK:
+        yield map, items
+        return
+    size = -(-len(head) // (_CHUNKS_PER_WORKER * jobs))
+    workers = min(jobs, -(-len(head) // size))     # no more workers than chunks
+    maps = []
+
+    def mapper(fn, stream):
+        maps.append(_fork_map(fn, stream, workers, size))
+        return maps[-1]
+
+    try:
+        yield mapper, items
+    finally:
+        for m in maps:
+            m.close()
+
+
+def _scan_items(args: argparse.Namespace, default_max_n: int = 0):
+    """The graphs of a verify or search scan: --input, else the catalog up
+    to --max-n."""
+    if args.input:
+        return _graph6_items(args.input)
+    max_n = args.max_n if args.max_n is not None else _default_max_n(default_max_n)
+    return suites.default_corpus(max_n)
 
 
 def _graphs_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser):
+    """The input of poly, corona, roots and gen: a Graph for --family or an
+    edge list, else one StreamItem per graph6 line, parsed by the per-item
+    work (see _graph)."""
     sources = sum(1 for flag in (args.family, args.input) if flag)
     if sources != 1:
         parser.error("exactly one input source required: --family or --input")
@@ -166,8 +333,12 @@ def _graphs_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser)
     elif args.format == "edgelist":
         yield parse_edge_list("".join(line for _, line in _read_lines(args.input)))
     else:
-        for item in _graph6_items(args.input):
-            yield item_graph(item)[1]
+        yield from _graph6_items(args.input)
+
+
+def _graph(item) -> Graph:
+    """The Graph of an item of _graphs_from_args."""
+    return item_graph(item)[1] if isinstance(item, StreamItem) else item
 
 
 def _parse_coeffs(text: str) -> IntPolynomial:
@@ -193,31 +364,45 @@ def _check_graph6_output(n: int, what: str) -> None:
 # -- command implementations -------------------------------------------------
 
 
-def _cmd_poly(args, parser) -> int:
-    as_json = args.output == "json"   # only JSON names the graph, in graph6
-    for g in _graphs_from_args(args, parser):
-        if as_json:
-            _check_graph6_output(g.n, "poly --output json")
-        p = independence_polynomial(g)
-        print(json.dumps({"graph": encode_graph6(g), "coefficients": p.to_json_coeffs()}) if as_json else p)
+def _print_each(args, parser, fn) -> int:
+    """Print fn's text for each input graph, mapped over --jobs workers."""
+    with _scan_map(_graphs_from_args(args, parser), args.jobs) as (mapper, items):
+        for text in mapper(fn, items):
+            print(text)
     return 0
+
+
+def _poly_text(as_json: bool, item) -> str:
+    g = _graph(item)
+    if not as_json:     # only JSON names the graph, in graph6
+        return str(independence_polynomial(g))
+    _check_graph6_output(g.n, "poly --output json")
+    p = independence_polynomial(g)
+    return json.dumps({"graph": encode_graph6(g), "coefficients": p.to_json_coeffs()})
+
+
+def _cmd_poly(args, parser) -> int:
+    return _print_each(args, parser, partial(_poly_text, args.output == "json"))
+
+
+def _corona_text(as_json: bool, item) -> str:
+    g = _graph(item)
+    _check_graph6_output(2 * g.n, "corona")
+    star = corona(g)
+    p = independence_polynomial(star)
+    if not as_json:
+        return f"{encode_graph6(star)}\t{p}"
+    return json.dumps(
+        {
+            "skeleton": encode_graph6(g),
+            "corona": encode_graph6(star),
+            "coefficients": p.to_json_coeffs(),
+        }
+    )
 
 
 def _cmd_corona(args, parser) -> int:
-    for g in _graphs_from_args(args, parser):
-        _check_graph6_output(2 * g.n, "corona")
-        star = corona(g)
-        p = independence_polynomial(star)
-        _emit(
-            {
-                "skeleton": encode_graph6(g),
-                "corona": encode_graph6(star),
-                "coefficients": p.to_json_coeffs(),
-            },
-            f"{encode_graph6(star)}\t{p}",
-            args.output,
-        )
-    return 0
+    return _print_each(args, parser, partial(_corona_text, args.output == "json"))
 
 
 def _cmd_transform(args, parser) -> int:
@@ -245,30 +430,35 @@ def _cmd_transform(args, parser) -> int:
     return 0
 
 
+def _roots_text(tol: float, as_json: bool, item) -> str:
+    g = _graph(item)
+    _check_graph6_output(g.n, "roots")
+    report = verify_bounds(g, tol) if g.n >= 2 else root_report(
+        independence_polynomial(g), tol
+    )
+    if as_json:
+        payload = report.to_json()
+        payload["graph"] = encode_graph6(g)
+        return json.dumps(payload)
+    lines = [
+        f"graph {encode_graph6(g)}: I = {report.polynomial}",
+        f"  multiplicity of -1: {report.minus_one_multiplicity}",
+    ]
+    for lo, hi, m in report.real_roots:
+        where = f"= {lo}" if lo == hi else f"in ({lo}, {hi})"
+        lines.append(f"  real root {where}, multiplicity {m}")
+    for re, im, m in report.complex_roots:
+        lines.append(f"  complex root ~ {re:.12g} {im:+.12g}i, multiplicity {m}")
+    for b in report.bounds.values():
+        state = "N/A" if not b.applicable else ("pass" if b.passed else "FAIL")
+        margin = "" if b.margin is None else f" margin={b.margin:.3e}"
+        note = f" ({b.note})" if b.note else ""
+        lines.append(f"  bound {b.name}: {state}{margin}{note}")
+    return "\n".join(lines)
+
+
 def _cmd_roots(args, parser) -> int:
-    for g in _graphs_from_args(args, parser):
-        _check_graph6_output(g.n, "roots")
-        report = verify_bounds(g, args.tol) if g.n >= 2 else root_report(
-            independence_polynomial(g), args.tol
-        )
-        if args.output == "json":
-            payload = report.to_json()
-            payload["graph"] = encode_graph6(g)
-            print(json.dumps(payload))
-        else:
-            print(f"graph {encode_graph6(g)}: I = {report.polynomial}")
-            print(f"  multiplicity of -1: {report.minus_one_multiplicity}")
-            for lo, hi, m in report.real_roots:
-                where = f"= {lo}" if lo == hi else f"in ({lo}, {hi})"
-                print(f"  real root {where}, multiplicity {m}")
-            for re, im, m in report.complex_roots:
-                print(f"  complex root ~ {re:.12g} {im:+.12g}i, multiplicity {m}")
-            for b in report.bounds.values():
-                state = "N/A" if not b.applicable else ("pass" if b.passed else "FAIL")
-                margin = "" if b.margin is None else f" margin={b.margin:.3e}"
-                note = f" ({b.note})" if b.note else ""
-                print(f"  bound {b.name}: {state}{margin}{note}")
-    return 0
+    return _print_each(args, parser, partial(_roots_text, args.tol, args.output == "json"))
 
 
 def _cmd_gen(args, parser) -> int:
@@ -309,7 +499,7 @@ def _cmd_verify(args, parser) -> int:
             parser.error("--suite hk builds its own instances and takes no --input")
         result = suites.run_suite("hk", max_n=args.max_n)
     else:
-        with _scan_map(args, suites.DEFAULT_MAX_N) as (mapper, stream):
+        with _scan_map(_scan_items(args, suites.DEFAULT_MAX_N), args.jobs) as (mapper, stream):
             result = suites.run_suite(args.suite, stream, tol=args.tol, mapper=mapper)
     if args.output == "json":
         print(json.dumps(result.to_json()))
@@ -321,49 +511,50 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_search(args, parser) -> int:
+    # the text and the evidence lines are built only when they are written
     if args.mode == "equal-poly":
         if not args.input:
             parser.error("search --mode equal-poly requires --input")
-        with _scan_map(args) as (mapper, stream):
+        with _scan_map(_scan_items(args), args.jobs) as (mapper, stream):
             partition = search.partition_graphs(stream, mapper)
         report = search.report_from_partition(partition, source=args.input)
         status = 2 if partition[2] else 0   # a line that could not be classified
-        text = report.summary_table()
-        evidence_lines = [json.dumps(c.to_json()) for c in report.nontrivial_classes()]
+        text = report.summary_table
+        evidence = lambda: [json.dumps(c.to_json()) for c in report.nontrivial_classes()]
     elif args.mode == "spider-unique":
         report = search.spider_uniqueness_scan(args.max_skeleton)
         status = 1 if report.violations else 0
-        text = (
+        text = lambda: (
             f"spider uniqueness up to skeleton {report.max_skeleton}: "
             f"{report.skeletons_checked} skeletons, {len(report.matches)} star matches, "
             f"{report.skipped_multiplicity} filtered by multiplicity, "
             f"{len(report.violations)} violations"
         )
-        evidence_lines = [json.dumps(report.to_json())]
+        evidence = lambda: [json.dumps(report.to_json())]
     elif args.mode == "conjecture2":
-        with _scan_map(args, 7) as (mapper, stream):
+        with _scan_map(_scan_items(args, 7), args.jobs) as (mapper, stream):
             report = search.conjecture2_scan(stream, args.max_tree_order, mapper)
         status = 0 if report.clean else 1
-        text = (
+        text = lambda: (
             f"conjecture2: {report.graphs_scanned} connected graphs vs well-covered trees "
             f"<= {report.max_tree_order}; supporting {report.supporting_matches}, "
             f"counterexamples {len(report.counterexamples)}"
         )
-        evidence_lines = report.to_jsonl_lines()
+        evidence = report.to_jsonl_lines
     else:  # hamidoune
-        with _scan_map(args, 8) as (mapper, stream):
+        with _scan_map(_scan_items(args, 8), args.jobs) as (mapper, stream):
             report = search.hamidoune_scan(stream, mapper=mapper)
         status = 0 if report.clean else 1
-        text = (
+        text = lambda: (
             f"hamidoune: {report.graphs_scanned} graphs, {report.claw_free_count} claw-free, "
             f"{len(report.failures)} failures, "
             f"{report.nonreal_contrast_count} non-claw-free with nonreal roots"
         )
-        evidence_lines = report.to_jsonl_lines()
-    _emit(report.to_json(), text, args.output)
+        evidence = report.to_jsonl_lines
+    print(json.dumps(report.to_json()) if args.output == "json" else text())
     if args.evidence:
         with open(args.evidence, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(evidence_lines) + "\n")
+            fh.write("\n".join(evidence()) + "\n")
     return status
 
 
@@ -373,14 +564,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact independence polynomials, corona transforms, and root certificates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    jobs = _default_jobs()
 
     p = sub.add_parser("poly", help="print I(G;x) for each input graph")
     _add_graph_source(p)
+    _add_jobs(p, jobs)
     _add_output(p)
     p.set_defaults(func=_cmd_poly)
 
     p = sub.add_parser("corona", help="print G* (graph6) and I(G*;x)")
     _add_graph_source(p)
+    _add_jobs(p, jobs)
     _add_output(p)
     p.set_defaults(func=_cmd_corona)
 
@@ -394,6 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roots", help="root report with bound verdicts")
     _add_graph_source(p)
+    _add_jobs(p, jobs)
     _add_output(p)
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=_cmd_roots)
@@ -419,10 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol", type=float, default=1e-9,
         help="numeric tolerance of the complex-root bound verdicts (read only by --suite bounds)",
     )
-    p.add_argument(
-        "--jobs", type=int, default=os.cpu_count() or 1,
-        help="worker processes for streams of 64 or more graphs (unused by --suite hk)",
-    )
+    _add_jobs(p, jobs, ", --input or the catalog (unused by --suite hk)")
     _add_output(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -436,10 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, help="internal corpus cap when no --input")
     p.add_argument("--max-skeleton", type=int, default=8)
     p.add_argument("--max-tree-order", type=int, default=14)
-    p.add_argument(
-        "--jobs", type=int, default=os.cpu_count() or 1,
-        help="worker processes for streams of 64 or more graphs (unused by spider-unique)",
-    )
+    _add_jobs(p, jobs, ", --input or the catalog (unused by spider-unique)")
     p.add_argument("--evidence", help="write machine-readable JSONL evidence here")
     _add_output(p)
     p.set_defaults(func=_cmd_search)
@@ -464,6 +653,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"coronapoly: {exc}", file=sys.stderr)
         return 2
+    except WorkerLost as exc:
+        print(f"coronapoly: {exc}", file=sys.stderr)
+        return 5
     except BrokenPipeError:
         return 0
 

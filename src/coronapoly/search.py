@@ -9,10 +9,11 @@ per code in each process: equal codes mean relabellings of one graph,
 so a stream of relabelled copies costs one engine run per isomorphism
 class.
 
-Each stream scan is a picklable per-item function followed by a fold over
-its results in stream order.  The per-item map is the scan's ``mapper``
-argument: the builtin ``map`` by default, or any ordered parallel map such
-as ``Pool.imap``, which gives the same report.  Scans report evidence
+Each stream scan is a per-item function followed by a fold over its
+results in stream order.  The per-item map is the scan's ``mapper``
+argument: the builtin ``map`` by default, or any ordered parallel map,
+such as the CLI's forked workers under ``--jobs``, which gives the same
+report.  Scans report evidence
 only: a clean pass means "no counterexample up to the stated order",
 never more.
 """

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 from math import comb
@@ -351,41 +352,80 @@ STREAM_SCANS = {
 }
 
 
+# the commands that print one text per graph, in text and in JSON
+PRINT_STREAMS = {
+    f"{command}{suffix}": [command, *output]
+    for command in ("poly", "corona", "roots")
+    for suffix, output in (("", []), ("-json", ["--output", "json"]))
+}
+
+
 @pytest.fixture
 def pools(monkeypatch):
-    """The arguments of every Pool the CLI opens."""
-    from multiprocessing import Pool
-
+    """The number of workers each fan-out of the CLI forks, one entry per
+    fan-out."""
     from coronapoly import cli
 
-    calls = []
+    fork, fork_map, fanouts = os.fork, cli._fork_map, []
 
-    def counting_pool(*args):
-        calls.append(args)
-        return Pool(*args)
+    def counting_map(*args):
+        fanouts.append(0)
+        return fork_map(*args)
 
-    monkeypatch.setattr(cli, "Pool", counting_pool)
-    return calls
+    def counting_fork():
+        pid = fork()
+        if pid:
+            fanouts[-1] += 1
+        return pid
+
+    monkeypatch.setattr(cli, "_fork_map", counting_map)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return fanouts
 
 
-@pytest.mark.parametrize("scan", STREAM_SCANS)
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every process the CLI forks."""
+    fork, pids = os.fork, []
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):    # neither running nor a zombie
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("scan", [*STREAM_SCANS, *PRINT_STREAMS])
 def test_stream_scan_parallel_matches_serial(tmp_path, capsys, pools, scan):
     stream = _write_stream(tmp_path / "bulk.g6", _bulk_lines())
     results = []
     for jobs in ("1", "2"):
-        argv = [*STREAM_SCANS[scan], "--input", stream, "--jobs", jobs, "--output", "json"]
+        if scan in STREAM_SCANS:
+            argv = [*STREAM_SCANS[scan], "--input", stream, "--jobs", jobs, "--output", "json"]
+        else:
+            argv = [*PRINT_STREAMS[scan], "--input", stream, "--jobs", jobs]
         evidence = tmp_path / f"evidence-{jobs}.jsonl"
-        if scan != "verify":
+        if argv[0] == "search":
             argv += ["--evidence", str(evidence)]
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        results.append((out, evidence.read_bytes() if scan != "verify" else b""))
+        results.append((out, evidence.read_bytes() if argv[0] == "search" else b""))
     assert results[0] == results[1]
-    assert pools == [(2,)]
+    assert pools == [2]
 
 
 def test_catalog_scan_parallel_matches_serial(capsys, pools):
-    # a catalog scan sends Graph objects, not graph6 lines, through the pool
+    # a catalog scan sends Graph objects, not graph6 lines, to the workers
     outs = []
     for jobs in ("1", "2"):
         argv = ["verify", "--suite", "multiplicity", "--max-n", "6", "--jobs", jobs]
@@ -394,7 +434,7 @@ def test_catalog_scan_parallel_matches_serial(capsys, pools):
         outs.append(out)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["checked"] == 143
-    assert pools == [(2,)]
+    assert pools == [2]
 
 
 def test_equal_poly_parallel_matches_serial_on_copies(tmp_path, capsys, pools):
@@ -414,14 +454,120 @@ def test_equal_poly_parallel_matches_serial_on_copies(tmp_path, capsys, pools):
         outs.append(out)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["graphs"] == len(lines)
-    assert pools == [(2,)]
+    assert pools == [2]
 
 
-# Importing the CLI must not load the pool (a scan imports it when it opens
-# one), nor the costly stdlib behind dataclasses and typing; it must load
-# every package module that perfbench/traced.py wraps by name.
+def test_parallel_stdin_matches_serial_and_prints_once(tmp_path):
+    # a real process reading a pipe: output printed before the workers are
+    # forked sits in stdout's buffer, and must reach the pipe once
+    src = str(Path(coronapoly.__file__).resolve().parents[1])
+    probe = "import sys; from coronapoly.cli import main; print('start'); sys.exit(main(sys.argv[1:]))"
+    lines = _bulk_lines()
+    outs = []
+    for jobs in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", probe, "poly", "--input", "-", "--jobs", jobs],
+            input="".join(line + "\n" for line in lines),
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0 and done.stderr == ""
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert outs[1].startswith("start\n") and outs[1].count("start") == 1
+    assert len(outs[1].splitlines()) == len(lines) + 1
+
+
+@pytest.mark.parametrize("command", ["poly", "corona", "roots"])
+def test_bad_line_mid_chunk_matches_serial(tmp_path, capsys, pools, command):
+    lines = _bulk_lines()
+    # 144 lines over 2 workers are 8 chunks of 18: line 41 is the 5th of the third
+    dirty = _write_stream(tmp_path / "dirty.g6", lines[:40] + ["A!"] + lines[40:])
+    serial = run(capsys, command, "--input", dirty, "--jobs", "1")
+    assert run(capsys, command, "--input", dirty, "--jobs", "2") == serial
+    assert pools == [2]
+    code, out, err = serial
+    assert code == 2
+    assert err == f"coronapoly: parse error: line 41: {_parse_error('A!')}\n"
+    head = _write_stream(tmp_path / "head.g6", lines[:40])
+    assert out == run(capsys, command, "--input", head, "--jobs", "1")[1]
+
+
+def test_no_more_workers_than_chunks(tmp_path, capsys, monkeypatch, pools):
+    from coronapoly import cli
+
+    monkeypatch.setattr(cli, "_MIN_FORK", 2)
+    stream = _write_stream(tmp_path / "three.g6", _bulk_lines()[:3])
+    serial = run(capsys, "poly", "--input", stream, "--jobs", "1")
+    assert run(capsys, "poly", "--input", stream, "--jobs", "4") == serial
+    assert pools == [3]
+
+
+def test_killed_worker_fails_loudly(tmp_path, capsys, monkeypatch, forks):
+    from coronapoly import cli
+
+    lines = _bulk_lines()
+    stream = _write_stream(tmp_path / "bulk.g6", lines)
+    parent, engine = os.getpid(), cli.independence_polynomial
+
+    def engine_killed_at_line_51(g):
+        if os.getpid() != parent and encode_graph6(g) == lines[50]:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return engine(g)
+
+    monkeypatch.setattr(cli, "independence_polynomial", engine_killed_at_line_51)
+    code, out, err = run(capsys, "poly", "--input", stream, "--jobs", "2")
+    assert code == 5
+    assert err.startswith("coronapoly: worker process ") and err.count("\n") == 1
+    assert "died" in err and "Traceback" not in err
+    assert len(out.splitlines()) <= 50      # never the whole stream
+    assert len(forks) == 2
+    assert_reaped(forks)
+
+
+class _StdoutGone:
+    """A stdout that raises `error` at its second line."""
+
+    def __init__(self, error):
+        self.error, self.lines = error, 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        if self.lines > 1:
+            raise self.error
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("end", ["broken pipe", "interrupt", "bad line"])
+def test_no_worker_left_after_an_early_exit(tmp_path, monkeypatch, forks, end):
+    lines = _bulk_lines()
+    if end == "bad line":
+        lines = lines[:70] + ["A!"] + lines[70:]
+    argv = ["poly", "--input", _write_stream(tmp_path / "bulk.g6", lines), "--jobs", "2"]
+    if end == "bad line":
+        assert main(argv) == 2
+    elif end == "broken pipe":
+        monkeypatch.setattr(sys, "stdout", _StdoutGone(BrokenPipeError))
+        assert main(argv) == 0
+    else:
+        monkeypatch.setattr(sys, "stdout", _StdoutGone(KeyboardInterrupt))
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    assert len(forks) == 2
+    assert_reaped(forks)
+
+
+# Importing the CLI must load neither multiprocessing nor pickle (a scan
+# imports pickle when it forks workers), nor the costly stdlib behind
+# dataclasses and typing; it must load every package module that
+# perfbench/traced.py wraps by name.
 _CLI_IMPORT = [
-    *((m, False) for m in ("multiprocessing", "dataclasses", "inspect", "typing", "ast", "dis")),
+    *((m, False)
+      for m in ("multiprocessing", "pickle", "dataclasses", "inspect", "typing", "ast", "dis")),
     *((f"coronapoly.{m}", True)
       for m in ("cli", "graphs", "canon", "indpoly", "polynomials", "roots", "suites", "search")),
 ]
