@@ -17,10 +17,12 @@ code.  The graph catalog follows McKay's canonical construction path
 `geng`): a parent g is extended by a new vertex v with one neighbourhood
 per orbit of Aut(g) on the subsets of V(g), and a child is kept iff v
 lies in the Aut-orbit of a vertex chosen from the child's isomorphism
-class alone.  No codes are compared: every class comes out exactly once,
-and the one search of each kept child gives its generators, its
-canonical form, which is the representative kept, and (unless it is a
-forest) its code.
+class alone.  No codes are compared, and a child is searched only when
+v ties another vertex on the cheap invariant that chooses that vertex.
+A level comes out in generation order, each child kept as generated;
+the generators of a level's automorphism groups are found only when the
+next level is built, from the tie searches and one search per other
+graph.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import cache
 from math import prod
-from operator import itemgetter
 
 from .errors import ResourceLimitError
 from .graphs import Graph, _from_masks, _mask_bits, is_connected, is_forest
@@ -231,12 +232,8 @@ def canonical_code(g: Graph) -> bytes:
         raise ResourceLimitError(
             f"canonical code: general graph on {g.n} > {CANONICAL_LIMIT} vertices"
         )
-    return _general_code(g.n, _search(g.masks)[0])
-
-
-def _general_code(n: int, bits: int) -> bytes:
-    width = (n * (n - 1) // 2 + 7) // 8
-    return b"G" + bytes([n]) + bits.to_bytes(width, "big")
+    width = (g.n * (g.n - 1) // 2 + 7) // 8
+    return b"G" + bytes([g.n]) + _search(g.masks)[0].to_bytes(width, "big")
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -324,13 +321,14 @@ def _subset_orbit_minima(n: int, gens: Sequence[tuple[int, ...]]) -> list[int]:
     return minima
 
 
-def _canonical_child(masks: tuple[int, ...]) -> tuple | None:
-    """The `_search` of the graph `masks` when its last vertex v lies on the
-    canonical construction path, else None.
+def _canonical_child(masks: tuple[int, ...]) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
+    """Whether the last vertex v of the graph `masks` lies on the canonical
+    construction path, and the generators of Aut(graph) when that took a
+    search (else None).
 
     v must carry the largest invariant (degree, then the sorted neighbour
     degrees, computed only for vertices tied on the top degree).  When v
-    alone does, it passes with no orbit test; otherwise v must lie in the
+    alone does, it passes with no search; otherwise v must lie in the
     Aut-orbit of the first largest-invariant vertex of the best leaf's
     order.  That orbit depends only on the isomorphism class, so each
     class passes from exactly one parent and one Aut(parent)-orbit of
@@ -340,66 +338,73 @@ def _canonical_child(masks: tuple[int, ...]) -> tuple | None:
     degree = [m.bit_count() for m in masks]
     top = max(degree)
     if degree[v] < top:
-        return None
+        return False, None
     tied = [u for u in range(v + 1) if degree[u] == top]
     if len(tied) > 1:
         invariant = {u: sorted(degree[w] for w in _mask_bits(masks[u])) for u in tied}
         best = max(invariant.values())
         if invariant[v] < best:
-            return None
+            return False, None
         tied = [u for u in tied if invariant[u] == best]
-    found = _search(masks)
-    if len(tied) > 1:
-        _, gens, _, order = found
-        m = next(u for u in order if u in tied)
-        if not (_orbit(m, gens) >> v) & 1:
-            return None
-    return found
+    if len(tied) == 1:
+        return True, None
+    _, gens, _, order = _search(masks)
+    m = next(u for u in order if u in tied)
+    return bool((_orbit(m, gens) >> v) & 1), tuple(gens)
 
 
 @cache
-def _graph_level(n: int) -> tuple[tuple[Graph, ...], tuple[tuple[tuple[int, ...], ...], ...]]:
-    """Level n of the graph catalog: every class once, in canonical form,
-    sorted by canonical code, and beside each graph generators of its
-    automorphism group, which level n+1 reads (none at the cap, where no
-    level does).  Grown once per process from the memoised level n-1."""
+def _graph_level(n: int) -> tuple[tuple[Graph, ...], tuple[tuple[tuple[int, ...], ...] | None, ...]]:
+    """Level n of the graph catalog, every class once, in generation order:
+    parents in level order, then each parent's orbit-minimum neighbourhoods
+    in increasing mask order.  A child is kept as generated, its parent's
+    labelling plus vertex n-1 joined to the neighbourhood.  Beside each
+    graph: the generators of its automorphism group when its acceptance
+    took a search, else None (always None at the cap, where no level reads
+    them).  Grown once per process from the memoised level n-1."""
     if n == 1:
-        return (Graph(1),), ((),)
+        return (Graph(1),), (None,)
     v = n - 1
-    kept = []
-    for g, gens in zip(*_graph_level(v)):
+    graphs, searched = [], []
+    for g, gens in zip(_graph_level(v)[0], _level_generators(v)):
         top = max(m.bit_count() for m in g.masks)
         for sub in _subset_orbit_minima(v, gens):
             if sub.bit_count() < top:
                 continue        # a vertex of g has a larger degree than v
             masks = tuple(m | ((sub >> i) & 1) << v for i, m in enumerate(g.masks)) + (sub,)
-            found = _canonical_child(masks)
-            if found is None:
-                continue
-            bits, child_gens, _, order = found
-            label = [0] * n
-            for i, u in enumerate(order):
-                label[u] = i
-            h = _from_masks(tuple(sum(1 << label[w] for w in _mask_bits(masks[u])) for u in order))
-            code = _forest_code(h) if is_forest(h) else _general_code(n, bits)   # canonical_code(h)
-            if n == GRAPH_ENUM_LIMIT:
-                child_gens = []     # no level reads them
-            kept.append((code, h, tuple(tuple(label[p[u]] for u in order) for p in child_gens)))
-    _, graphs, generators = zip(*sorted(kept, key=itemgetter(0)))
-    return graphs, generators
+            kept, child_gens = _canonical_child(masks)
+            if kept:
+                graphs.append(_from_masks(masks))
+                searched.append(None if n == GRAPH_ENUM_LIMIT else child_gens)
+    return tuple(graphs), tuple(searched)
+
+
+@cache
+def _level_generators(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Generators of Aut(g) for each graph g of level n, in level order:
+    those of the search that accepted g, else those of one search now.
+    Only level n+1 reads them, so this never runs at the cap."""
+    graphs, searched = _graph_level(n)
+    return tuple(
+        tuple(_search(g.masks)[1]) if gens is None else gens
+        for g, gens in zip(graphs, searched)
+    )
 
 
 def enumerate_graphs(n: int, connected: bool = False) -> list[Graph]:
     """One representative per isomorphism class of graphs on n vertices,
-    each in canonical form (relabelled by its best search leaf), sorted
-    by canonical code.
+    in generation order, each kept as generated.
 
     Canonical construction path: every class on n vertices arises from
     some class on n-1 vertices by attaching a new vertex v.  Each parent g
     is extended by the least neighbourhood mask of every Aut(g)-orbit of
     the 2^(n-1) subsets, and a child is kept iff v has the largest
-    invariant (degree, then sorted neighbour degrees) and lies in the
-    Aut-orbit of the first such vertex in the child's best leaf order.
+    invariant (degree, then sorted neighbour degrees) and, when another
+    vertex ties v on it, lies in the Aut-orbit of the first such vertex in
+    the child's best leaf order.  Parents come in the order of level n-1
+    and each parent's neighbourhoods in increasing mask order, and a child
+    keeps its parent's labelling, with v = n-1 joined to its
+    neighbourhood; so the order and the labelling depend on nothing but n.
     Levels are memoised, so calling this for n = 1, 2, ..., N builds the
     catalog up to N once.  Capped at 8 vertices; larger corpora are meant
     to be ingested from graph6 streams.

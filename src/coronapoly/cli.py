@@ -132,10 +132,14 @@ def _add_jobs(p: argparse.ArgumentParser, default: int, note: str = "") -> None:
 def _read_lines(path: str):
     """(line number, line) of a file, or of stdin for "-", read lazily.  A
     non-ASCII byte in a file is kept (as a lone surrogate) for the parser
-    to reject with its line number."""
-    file = nullcontext(sys.stdin) if path == "-" else open(
-        path, encoding="ascii", errors="surrogateescape"
-    )
+    to reject with its line number.  A path that cannot be opened is a
+    usage error (ValueError)."""
+    try:
+        file = nullcontext(sys.stdin) if path == "-" else open(
+            path, encoding="ascii", errors="surrogateescape"
+        )
+    except OSError as exc:
+        raise ValueError(f"cannot read --input {path}: {exc.strerror}") from None
     with file as fh:
         yield from enumerate(fh, 1)
 

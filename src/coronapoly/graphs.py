@@ -512,7 +512,20 @@ def maximal_stable_sets(g: Graph) -> Iterator[int]:
 
 
 def is_well_covered(g: Graph) -> bool:
-    """True iff every maximal stable set has the same cardinality."""
+    """True iff every maximal stable set has the same cardinality.
+
+    A graph whose pendant edges form a perfect matching, such as every
+    corona G*, is well-covered at any order: a maximal stable set takes
+    exactly one end of each pendant edge.  It has at least n/2 vertices of
+    degree 1, which is checked first.  Any other graph has its maximal
+    stable sets enumerated, up to WELL_COVERED_LIMIT vertices."""
+    n = g.n
+    if (
+        n % 2 == 0
+        and 2 * sum(m.bit_count() == 1 for m in g.masks) >= n
+        and pendant_edges_form_perfect_matching(g)
+    ):
+        return True
     size = None
     for s in maximal_stable_sets(g):
         k = s.bit_count()

@@ -320,10 +320,12 @@ def refine_root_interval(
     return lo, hi
 
 
+@lru_cache(maxsize=4096)
 def all_roots_real(p: IntPolynomial) -> bool:
     """Exact verdict: the distinct real roots of each square-free Yun
     factor, read from its Sturm chain at -inf and +inf and weighted by
-    multiplicity, exhaust the degree."""
+    multiplicity, exhaust the degree.  Cached per polynomial: a catalog
+    scan meets each one many times."""
     if not p:
         raise ValueError("zero polynomial")
     total = 0

@@ -157,24 +157,48 @@ def test_orbit_minima_use_the_whole_group():
             assert canon._subset_orbit_minima(n, gens) == expect
 
 
-def _canonical_form(g):
-    """The graph whose lower-triangle adjacency bits, row by row, are the
-    search's least certificate for g."""
-    return _from_masks(general_code_masks(canon._general_code(g.n, canon._search(g.masks)[0])))
-
-
 def test_pruned_levels_equal_unpruned_reference():
+    # the same classes as plain augmentation, compared as code multisets
     for n, level in enumerate(unpruned_graph_levels(7), start=1):
-        assert [g.masks for g in enumerate_graphs(n)] == [_canonical_form(g).masks for g in level]
+        assert sorted(map(canonical_code, enumerate_graphs(n))) == list(map(canonical_code, level))
+
+
+def _clear_graph_levels():
+    canon._graph_level.cache_clear()
+    canon._level_generators.cache_clear()
 
 
 def test_level_eight_classes():
     level = enumerate_graphs(8)
-    codes = [canonical_code(g) for g in level]
-    assert len(set(codes)) == len(codes) == GRAPH_COUNTS[8] == 12346
-    assert codes == sorted(codes)
+    assert len(set(map(canonical_code, level))) == len(level) == GRAPH_COUNTS[8] == 12346
     assert sum(map(is_connected, level)) == CONNECTED_GRAPH_COUNTS[8] == 11117
-    assert all(_canonical_form(g) == g for g in level)
+    # generation order depends on nothing a fresh build could change
+    _clear_graph_levels()
+    assert [g.masks for g in enumerate_graphs(8)] == [g.masks for g in level]
+
+
+def test_children_keep_their_parents_labelling():
+    # deleting the last vertex gives back a parent of the level below, mask
+    # for mask; parents come in level order, and each parent's
+    # neighbourhoods in increasing mask order
+    for n in range(2, 9):
+        parents = {g.masks: i for i, g in enumerate(enumerate_graphs(n - 1))}
+        last = 1 << (n - 1)
+        keys = []
+        for g in enumerate_graphs(n):
+            parent = tuple(m & ~last for m in g.masks[:-1])
+            assert parent in parents
+            keys.append((parents[parent], g.masks[-1]))
+        assert keys == sorted(set(keys))
+
+
+def test_searches_only_on_invariant_ties(monkeypatch):
+    calls = []
+    search = canon._search
+    monkeypatch.setattr(canon, "_search", lambda masks: calls.append(masks) or search(masks))
+    _clear_graph_levels()
+    assert len(enumerate_graphs(7)) == GRAPH_COUNTS[7]
+    assert len(calls) == 630
 
 
 def _cayley_z4_squared(steps):

@@ -11,7 +11,7 @@ import pytest
 import coronapoly
 from coronapoly.cli import main
 from coronapoly.corona import spider_polynomial
-from coronapoly.graphs import cycle_graph, encode_graph6, parse_graph6, path_graph, spider_graph
+from coronapoly.graphs import corona, cycle_graph, encode_graph6, parse_graph6, path_graph, spider_graph
 from coronapoly.polynomials import IntPolynomial
 
 
@@ -275,6 +275,23 @@ def test_verify_hk_rejects_input_before_reading(tmp_path, capsys):
     assert "No such file" not in err and "parse error" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("poly",),
+    ("poly", "--format", "edgelist"),
+    ("roots", "--jobs", "2"),
+    ("verify", "--suite", "bounds", "--jobs", "1"),
+    ("search", "--mode", "equal-poly"),
+    ("search", "--mode", "hamidoune", "--jobs", "2"),
+], ids=["poly", "poly-edgelist", "roots-jobs2", "verify-bounds", "equal-poly", "hamidoune-jobs2"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_input_is_a_usage_error(tmp_path, capsys, argv, kind):
+    path = tmp_path / "missing.g6" if kind == "missing" else tmp_path
+    reason = "No such file or directory" if kind == "missing" else "Is a directory"
+    code, out, err = run(capsys, *argv, "--input", str(path))
+    assert code == 2
+    assert out == "" and err == f"coronapoly: cannot read --input {path}: {reason}\n"
+
+
 def test_root_convergence_exit_code(monkeypatch, capsys):
     from coronapoly import roots
     from coronapoly.errors import RootConvergenceError
@@ -301,6 +318,16 @@ def test_roots_well_covered_cap_before_root_work(monkeypatch, capsys):
     code, out, err = run(capsys, "roots", "--family", "star", "--n", "30")
     assert code == 3
     assert out == "" and "31 vertices exceeds limit 24" in err
+
+
+def test_roots_on_a_corona_past_the_enumeration_cap(tmp_path, capsys):
+    # 30 vertices: the pendant matching makes the corona well-covered, so
+    # the root work runs (the star above, on 31 vertices, still exits 3)
+    stream = tmp_path / "corona15.g6"
+    stream.write_text(encode_graph6(corona(path_graph(15))) + "\n")
+    code, out, err = run(capsys, "roots", "--input", str(stream))
+    assert code == 0 and err == ""
+    assert "bound modulus_floor: pass" in out and "FAIL" not in out
 
 
 def test_search_equal_poly(tmp_path, capsys):

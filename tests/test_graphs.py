@@ -7,6 +7,7 @@ import pytest
 
 from coronapoly.errors import GraphParseError, ResourceLimitError
 from coronapoly.graphs import (
+    WELL_COVERED_LIMIT,
     Graph,
     alpha,
     complement,
@@ -355,6 +356,33 @@ def test_well_covered_against_oracle():
         assert is_well_covered(g) == brute_is_well_covered(g)
 
 
+def _enumerated_well_covered(g):
+    """Well-coveredness from the maximal stable sets alone, past the
+    pendant-matching test that `is_well_covered` makes first."""
+    return len({s.bit_count() for s in maximal_stable_sets(g)}) == 1
+
+
+def test_pendant_matching_graphs_are_well_covered_past_the_cap():
+    # a maximal stable set takes one end of each pendant edge, so a graph
+    # whose pendant edges form a perfect matching (every corona) is
+    # well-covered: the enumeration agrees below the cap, and no cap applies
+    rng = random.Random(41)
+    for n in range(1, 13):
+        star = corona(_random_graph(rng, n))
+        assert is_well_covered(star) and _enumerated_well_covered(star)
+    for n in range(13, 21):
+        star = corona(_random_graph(rng, n))
+        assert star.n > WELL_COVERED_LIMIT
+        assert is_well_covered(star) and is_very_well_covered(star)
+    # a K_2 component has two leaves, so more than n/2 in all
+    assert is_well_covered(disjoint_union(corona(cycle_graph(12)), complete_graph(2)))
+    # many leaves, but no pendant perfect matching: the cap still holds
+    for g in (star_graph(25), disjoint_union(corona(cycle_graph(12)), path_graph(3), Graph(1))):
+        assert g.n % 2 == 0 and 2 * sum(len(a) == 1 for a in g.adj) >= g.n
+        with pytest.raises(ResourceLimitError):
+            is_well_covered(g)
+
+
 def test_maximal_stable_sets_are_maximal():
     g = PAIR6_A
     sets = list(maximal_stable_sets(g))
@@ -395,7 +423,7 @@ def test_tree_well_covered_iff_pendant_matching():
         if t.n == 1:
             assert is_well_covered(t)
             continue
-        assert is_well_covered(t) == pendant_edges_form_perfect_matching(t)
+        assert _enumerated_well_covered(t) == pendant_edges_form_perfect_matching(t)
 
 
 def test_girth6_well_covered_iff_pendant_matching():
@@ -405,7 +433,7 @@ def test_girth6_well_covered_iff_pendant_matching():
             continue
         if g.n == 7 and girth(g) == 7 and g.num_edges == 7:
             continue
-        assert is_well_covered(g) == pendant_edges_form_perfect_matching(g)
+        assert _enumerated_well_covered(g) == pendant_edges_form_perfect_matching(g)
 
 
 def test_forest_tree_flags():

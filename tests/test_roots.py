@@ -343,6 +343,18 @@ def test_bounds_hold_on_small_corpus():
             assert not (b.applicable and b.passed is False), (g, b)
 
 
+def test_bounds_on_coronas_past_the_enumeration_cap():
+    # 26-40 vertices: well-coveredness from the pendant matching, then the
+    # paper's bounds on I(G*)
+    rng = random.Random(43)
+    for n in range(13, 21):
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
+        report = verify_bounds(corona(g))
+        assert report.bounds["annulus"].applicable   # well-covered
+        for b in report.bounds.values():
+            assert not (b.applicable and b.passed is False), (g, b)
+
+
 def test_report_schema():
     report = verify_bounds(corona(star_graph(2)))
     payload = report.to_json()

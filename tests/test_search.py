@@ -296,6 +296,23 @@ def test_hamidoune_scan_small():
     assert sub.claw_free_count == 0
 
 
+def test_hamidoune_verdicts_read_the_cache():
+    # 996 connected graphs on at most 7 vertices share 176 polynomials
+    from coronapoly import roots
+    from coronapoly.suites import default_corpus
+
+    corpus = default_corpus(7)
+    roots.all_roots_real.cache_clear()
+    report = hamidoune_scan(corpus)
+    info = roots.all_roots_real.cache_info()
+    assert info.hits >= 820 and info.hits + info.misses == len(corpus) == 996
+    uncached = roots.all_roots_real.__wrapped__
+    assert [real for _, _, real in report.verdicts] == [
+        uncached(independence_polynomial(g)) for g in corpus
+    ]
+    assert (report.claw_free_count, report.nonreal_contrast_count) == (264, 252)
+
+
 def test_hamidoune_paths_and_cycles():
     from coronapoly.graphs import cycle_graph
 
