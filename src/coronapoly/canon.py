@@ -21,8 +21,7 @@ class alone.  No codes are compared, and a child is searched only when
 v ties another vertex on the cheap invariant that chooses that vertex.
 A level comes out in generation order, each child kept as generated;
 the generators of a level's automorphism groups are found only when the
-next level is built, from the tie searches and one search per other
-graph.
+next level is built, one search per graph.
 """
 
 from __future__ import annotations
@@ -321,10 +320,9 @@ def _subset_orbit_minima(n: int, gens: Sequence[tuple[int, ...]]) -> list[int]:
     return minima
 
 
-def _canonical_child(masks: tuple[int, ...]) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
+def _canonical_child(masks: tuple[int, ...]) -> bool:
     """Whether the last vertex v of the graph `masks` lies on the canonical
-    construction path, and the generators of Aut(graph) when that took a
-    search (else None).
+    construction path.
 
     v must carry the largest invariant (degree, then the sorted neighbour
     degrees, computed only for vertices tied on the top degree).  When v
@@ -338,57 +336,49 @@ def _canonical_child(masks: tuple[int, ...]) -> tuple[bool, tuple[tuple[int, ...
     degree = [m.bit_count() for m in masks]
     top = max(degree)
     if degree[v] < top:
-        return False, None
+        return False
     tied = [u for u in range(v + 1) if degree[u] == top]
     if len(tied) > 1:
         invariant = {u: sorted(degree[w] for w in _mask_bits(masks[u])) for u in tied}
         best = max(invariant.values())
         if invariant[v] < best:
-            return False, None
+            return False
         tied = [u for u in tied if invariant[u] == best]
     if len(tied) == 1:
-        return True, None
+        return True
     _, gens, _, order = _search(masks)
     m = next(u for u in order if u in tied)
-    return bool((_orbit(m, gens) >> v) & 1), tuple(gens)
+    return bool((_orbit(m, gens) >> v) & 1)
 
 
 @cache
-def _graph_level(n: int) -> tuple[tuple[Graph, ...], tuple[tuple[tuple[int, ...], ...] | None, ...]]:
+def _graph_level(n: int) -> tuple[Graph, ...]:
     """Level n of the graph catalog, every class once, in generation order:
     parents in level order, then each parent's orbit-minimum neighbourhoods
     in increasing mask order.  A child is kept as generated, its parent's
-    labelling plus vertex n-1 joined to the neighbourhood.  Beside each
-    graph: the generators of its automorphism group when its acceptance
-    took a search, else None (always None at the cap, where no level reads
-    them).  Grown once per process from the memoised level n-1."""
+    labelling plus vertex n-1 joined to the neighbourhood.  Grown once per
+    process from the memoised level n-1."""
     if n == 1:
-        return (Graph(1),), (None,)
+        return (Graph(1),)
     v = n - 1
-    graphs, searched = [], []
-    for g, gens in zip(_graph_level(v)[0], _level_generators(v)):
+    graphs = []
+    for g, gens in zip(_graph_level(v), _level_generators(v)):
         top = max(m.bit_count() for m in g.masks)
         for sub in _subset_orbit_minima(v, gens):
             if sub.bit_count() < top:
                 continue        # a vertex of g has a larger degree than v
             masks = tuple(m | ((sub >> i) & 1) << v for i, m in enumerate(g.masks)) + (sub,)
-            kept, child_gens = _canonical_child(masks)
-            if kept:
+            if _canonical_child(masks):
                 graphs.append(_from_masks(masks))
-                searched.append(None if n == GRAPH_ENUM_LIMIT else child_gens)
-    return tuple(graphs), tuple(searched)
+    return tuple(graphs)
 
 
 @cache
 def _level_generators(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Generators of Aut(g) for each graph g of level n, in level order:
-    those of the search that accepted g, else those of one search now.
-    Only level n+1 reads them, so this never runs at the cap."""
-    graphs, searched = _graph_level(n)
-    return tuple(
-        tuple(_search(g.masks)[1]) if gens is None else gens
-        for g, gens in zip(graphs, searched)
-    )
+    """Generators of Aut(g) for each graph g of level n, in level order,
+    one search per graph.  Only level n+1 reads them, so this never runs
+    at the cap."""
+    return tuple(tuple(_search(g.masks)[1]) for g in _graph_level(n))
 
 
 def enumerate_graphs(n: int, connected: bool = False) -> list[Graph]:
@@ -416,7 +406,7 @@ def enumerate_graphs(n: int, connected: bool = False) -> list[Graph]:
             f"graph enumeration capped at {GRAPH_ENUM_LIMIT} vertices; "
             "ingest a graph6 stream for larger orders"
         )
-    level = list(_graph_level(n)[0])
+    level = list(_graph_level(n))
     if connected:
         return [g for g in level if is_connected(g)]
     return level

@@ -747,8 +747,10 @@ def verify_bounds(g: Graph, tol: float = 1e-9) -> RootReport:
         raise ValueError("bound verification needs n >= 2")
     n = g.n
     p = independence_polynomial(g)
-    # before any root work: maximal-stable-set enumeration is capped
+    # before any root work: maximal-stable-set enumeration and the clique
+    # number (alpha of the complement) are capped
     wc = is_well_covered(g)
+    w = alpha(complement(g))
     report = root_report(p, min(tol, 1e-12))
     a = p.degree
     nonreal_moduli = [math.hypot(re, im) for re, im, _ in report.complex_roots]
@@ -781,7 +783,6 @@ def verify_bounds(g: Graph, tol: float = 1e-9) -> RootReport:
         report.bounds["annulus"] = BoundCheck("annulus", False, None, None, "not well-covered")
 
     # xi_max window
-    w = alpha(complement(g))
     lower = max(Fraction(-a, n), Fraction(-1, w))
     strict_cap = Fraction(-1, 2 * n - 1)
     cap_ok = not real or _root_sign(q, real[-1], strict_cap) < 0

@@ -423,7 +423,7 @@ def test_tree_well_covered_iff_pendant_matching():
         if t.n == 1:
             assert is_well_covered(t)
             continue
-        assert _enumerated_well_covered(t) == pendant_edges_form_perfect_matching(t)
+        assert is_well_covered(t) == _enumerated_well_covered(t) == pendant_edges_form_perfect_matching(t)
 
 
 def test_girth6_well_covered_iff_pendant_matching():
@@ -433,7 +433,7 @@ def test_girth6_well_covered_iff_pendant_matching():
             continue
         if g.n == 7 and girth(g) == 7 and g.num_edges == 7:
             continue
-        assert _enumerated_well_covered(g) == pendant_edges_form_perfect_matching(g)
+        assert is_well_covered(g) == _enumerated_well_covered(g) == pendant_edges_form_perfect_matching(g)
 
 
 def test_forest_tree_flags():

@@ -355,6 +355,20 @@ def test_bounds_on_coronas_past_the_enumeration_cap():
             assert not (b.applicable and b.passed is False), (g, b)
 
 
+def test_bounds_check_their_caps_before_root_work(monkeypatch):
+    # a 42-vertex forest corona: I(G) and well-coveredness are known, but
+    # the clique number (alpha of the complement) is capped at 40 vertices,
+    # so the call must stop before the root pass
+    from coronapoly import roots
+
+    def no_root_work(*args, **kwargs):
+        raise AssertionError("root work ran before the cap check")
+
+    monkeypatch.setattr(roots, "root_report", no_root_work)
+    with pytest.raises(ResourceLimitError, match="alpha"):
+        verify_bounds(corona(path_graph(21)))
+
+
 def test_report_schema():
     report = verify_bounds(corona(star_graph(2)))
     payload = report.to_json()
