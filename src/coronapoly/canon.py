@@ -17,11 +17,12 @@ code.  The graph catalog follows McKay's canonical construction path
 `geng`): a parent g is extended by a new vertex v with one neighbourhood
 per orbit of Aut(g) on the subsets of V(g), and a child is kept iff v
 lies in the Aut-orbit of a vertex chosen from the child's isomorphism
-class alone.  No codes are compared, and a child is searched only when
-v ties another vertex on the cheap invariant that chooses that vertex.
-A level comes out in generation order, each child kept as generated;
-the generators of a level's automorphism groups are found only when the
-next level is built, one search per graph.
+class alone.  No codes are compared.  The parent's degrees decide most
+neighbourhoods outright; a child whose v ties another vertex on degree
+has its neighbour degrees compared, and it is searched only when v ties
+on those too.  A level comes out in generation order, each child kept
+as generated; the generators of a level's automorphism groups are found
+only when the next level is built, one search per graph.
 """
 
 from __future__ import annotations
@@ -289,12 +290,13 @@ def automorphism_group(g: Graph) -> tuple[list[tuple[int, ...]], int]:
     return gens, size
 
 
-def _subset_orbit_minima(n: int, gens: Sequence[tuple[int, ...]]) -> list[int]:
-    """The least mask in each orbit of <gens> on the subsets of 0..n-1,
-    in increasing order."""
+def _subset_orbit_minima(n: int, gens: Sequence[tuple[int, ...]], least: int) -> list[int]:
+    """The least mask in each orbit of <gens> on the subsets of 0..n-1
+    with at least `least` members, in increasing order.  An orbit keeps
+    its subsets' size, so smaller subsets are skipped with their orbits."""
     size = 1 << n
     if not gens:
-        return list(range(size))
+        return [s for s in range(size) if s.bit_count() >= least]
     images = []
     for sigma in gens:
         img = [0] * size
@@ -305,7 +307,7 @@ def _subset_orbit_minima(n: int, gens: Sequence[tuple[int, ...]]) -> list[int]:
     seen = bytearray(size)
     minima = []
     for s in range(size):
-        if seen[s]:
+        if seen[s] or s.bit_count() < least:
             continue
         minima.append(s)
         seen[s] = 1
@@ -320,34 +322,31 @@ def _subset_orbit_minima(n: int, gens: Sequence[tuple[int, ...]]) -> list[int]:
     return minima
 
 
-def _canonical_child(masks: tuple[int, ...]) -> bool:
+def _canonical_child(masks: tuple[int, ...], tied: int) -> bool:
     """Whether the last vertex v of the graph `masks` lies on the canonical
-    construction path.
+    construction path, given `tied`: the other vertices of v's degree,
+    which is the largest, as a non-empty mask.
 
     v must carry the largest invariant (degree, then the sorted neighbour
-    degrees, computed only for vertices tied on the top degree).  When v
-    alone does, it passes with no search; otherwise v must lie in the
-    Aut-orbit of the first largest-invariant vertex of the best leaf's
-    order.  That orbit depends only on the isomorphism class, so each
-    class passes from exactly one parent and one Aut(parent)-orbit of
-    neighbourhoods.
+    degrees).  When v alone does, it passes with no search; otherwise v
+    must lie in the Aut-orbit of the first largest-invariant vertex of the
+    best leaf's order.  That orbit depends only on the isomorphism class,
+    so each class passes from exactly one parent and one Aut(parent)-orbit
+    of neighbourhoods.
     """
     v = len(masks) - 1
-    degree = [m.bit_count() for m in masks]
-    top = max(degree)
-    if degree[v] < top:
-        return False
-    tied = [u for u in range(v + 1) if degree[u] == top]
-    if len(tied) > 1:
-        invariant = {u: sorted(degree[w] for w in _mask_bits(masks[u])) for u in tied}
-        best = max(invariant.values())
-        if invariant[v] < best:
+    own = sorted(masks[w].bit_count() for w in _mask_bits(masks[v]))
+    ties = [v]
+    for u in _mask_bits(tied):
+        other = sorted(masks[w].bit_count() for w in _mask_bits(masks[u]))
+        if other > own:
             return False
-        tied = [u for u in tied if invariant[u] == best]
-    if len(tied) == 1:
+        if other == own:
+            ties.append(u)
+    if len(ties) == 1:
         return True
     _, gens, _, order = _search(masks)
-    m = next(u for u in order if u in tied)
+    m = next(u for u in order if u in ties)
     return bool((_orbit(m, gens) >> v) & 1)
 
 
@@ -357,18 +356,33 @@ def _graph_level(n: int) -> tuple[Graph, ...]:
     parents in level order, then each parent's orbit-minimum neighbourhoods
     in increasing mask order.  A child is kept as generated, its parent's
     labelling plus vertex n-1 joined to the neighbourhood.  Grown once per
-    process from the memoised level n-1."""
+    process from the memoised level n-1.
+
+    The parent's degrees decide most neighbourhoods S.  With k = |S| and t
+    the parent's largest degree, v = n-1 has the child's largest degree
+    iff k >= t and, at k = t, S misses every degree-t vertex.  Then v ties
+    on degree with the degree-t vertices and the degree-(t-1) vertices in
+    S (k = t), or with the degree-t vertices in S (k = t+1), and with no
+    vertex at k > t+1; only a tied child goes on to `_canonical_child`."""
     if n == 1:
         return (Graph(1),)
     v = n - 1
     graphs = []
     for g, gens in zip(_graph_level(v), _level_generators(v)):
-        top = max(m.bit_count() for m in g.masks)
-        for sub in _subset_orbit_minima(v, gens):
-            if sub.bit_count() < top:
-                continue        # a vertex of g has a larger degree than v
+        degree = [m.bit_count() for m in g.masks]
+        t = max(degree)
+        top = sum(1 << u for u, d in enumerate(degree) if d == t)
+        below = sum(1 << u for u, d in enumerate(degree) if d == t - 1)
+        for sub in _subset_orbit_minima(v, gens, t):
+            k = sub.bit_count()
+            if k == t:
+                if sub & top:
+                    continue        # a degree-t vertex would outgrow v
+                tied = top | below & sub
+            else:
+                tied = top & sub if k == t + 1 else 0
             masks = tuple(m | ((sub >> i) & 1) << v for i, m in enumerate(g.masks)) + (sub,)
-            if _canonical_child(masks):
+            if not tied or _canonical_child(masks, tied):
                 graphs.append(_from_masks(masks))
     return tuple(graphs)
 

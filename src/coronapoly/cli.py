@@ -42,7 +42,7 @@ from .graphs import (
     corona,
     cycle_graph,
     encode_graph6,
-    item_graph,
+    item_parse,
     parse_edge_list,
     path_graph,
     spider_graph,
@@ -125,7 +125,8 @@ def _add_jobs(p: argparse.ArgumentParser, default: int, note: str = "") -> None:
     p.add_argument(
         "--jobs", type=int, default=default,
         help=f"worker processes for streams of {_MIN_FORK} or more graphs{note} "
-        f"(default {default}: the CPUs this process may run on)",
+        f"(default {default}: the CPUs this process may run on; a larger value is "
+        "clamped to that)",
     )
 
 
@@ -280,11 +281,13 @@ def _fork_map(fn, items, workers: int, size: int):
 
 @contextmanager
 def _scan_map(items, jobs: int):
-    """(mapper, items) of a scan.  The mapper is the builtin map at --jobs 1,
-    without os.fork or for a stream of under _MIN_FORK items (read ahead to
-    tell), else _fork_map.  Chunks follow Pool.map's rule, about
+    """(mapper, items) of a scan.  `jobs` is clamped to the CPUs this
+    process may run on.  The mapper is the builtin map at one job, without
+    os.fork or for a stream of under _MIN_FORK items (read ahead to tell),
+    else _fork_map.  Chunks follow Pool.map's rule, about
     _CHUNKS_PER_WORKER per worker, on up to _READ_AHEAD items read ahead.
     A scan that ends early leaves no worker behind."""
+    jobs = min(jobs, _default_jobs())
     if jobs <= 1 or not hasattr(os, "fork"):
         yield map, items
         return
@@ -342,7 +345,7 @@ def _graphs_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser)
 
 def _graph(item) -> Graph:
     """The Graph of an item of _graphs_from_args."""
-    return item_graph(item)[1] if isinstance(item, StreamItem) else item
+    return item_parse(item) if isinstance(item, StreamItem) else item
 
 
 def _parse_coeffs(text: str) -> IntPolynomial:

@@ -180,15 +180,29 @@ def label_items(items: Iterable) -> Iterator[StreamItem]:
         yield item if isinstance(item, StreamItem) else StreamItem(f"item {idx}", item)
 
 
+def item_graph6(graph: Graph | str) -> str:
+    """Graph6 text of an item's graph: a Graph is encoded, a line loses its
+    surrounding whitespace and ``>>graph6<<`` header."""
+    if isinstance(graph, Graph):
+        return encode_graph6(graph)
+    return graph.strip().removeprefix(">>graph6<<")
+
+
 def item_graph(item: StreamItem) -> tuple[str, Graph]:
     """Graph6 text (header dropped) and Graph of an item; parse errors name it."""
+    text = item_graph6(item.graph)
     if isinstance(item.graph, Graph):
-        return encode_graph6(item.graph), item.graph
-    text = item.graph.strip().removeprefix(">>graph6<<")
+        return text, item.graph
     try:
         return text, parse_graph6(text)
     except GraphParseError as exc:
         raise GraphParseError(f"{item.label}: {exc}") from None
+
+
+def item_parse(item: StreamItem) -> Graph:
+    """The Graph of an item, as item_graph gives it, without encoding a
+    Graph item to graph6."""
+    return item.graph if isinstance(item.graph, Graph) else item_graph(item)[1]
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -545,15 +559,19 @@ def is_very_well_covered(g: Graph) -> bool:
 
 
 def is_claw_free(g: Graph) -> bool:
-    """True iff no induced K_{1,3}."""
+    """True iff no induced K_{1,3}: no vertex has neighbours a < b < c
+    that are pairwise non-adjacent.  For each neighbour a, b runs over the
+    later neighbours not adjacent to a, and c over those after b."""
     masks = g.masks
-    for nbmask in masks:
-        nb = _mask_bits(nbmask)
-        for i, a in enumerate(nb):
-            for b in nb[i + 1:]:
-                if (masks[a] >> b) & 1:
-                    continue
-                if nbmask & ~masks[a] & ~masks[b] & ~(1 << a) & ~(1 << b):
+    for nb in masks:
+        while nb:
+            low = nb & -nb
+            nb ^= low
+            free = nb & ~masks[low.bit_length() - 1]
+            while free:
+                low = free & -free
+                free ^= low
+                if free & ~masks[low.bit_length() - 1]:
                     return False
     return True
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from collections import OrderedDict
 from collections.abc import Callable, Iterable
+from itertools import tee
 
 from .canon import canonical_code, enumerate_trees
 from .corona import spider_polynomial
@@ -36,6 +37,8 @@ from .graphs import (
     is_star,
     is_tree,
     item_graph,
+    item_graph6,
+    item_parse,
     label_items,
     path_graph,
     pendant_edges_form_perfect_matching,
@@ -395,7 +398,7 @@ def conjecture2_scan(
 class HamidouneReport:
     __slots__ = (
         "graphs_scanned", "claw_free_count", "failures", "nonreal_contrast",
-        "nonreal_contrast_count", "verdicts",
+        "nonreal_contrast_count", "_verdicts",
     )
 
     def __init__(
@@ -405,15 +408,22 @@ class HamidouneReport:
         failures: list[str],                    # claw-free with a nonreal root
         nonreal_contrast: list[str],            # not claw-free, nonreal roots
         nonreal_contrast_count: int = 0,
-        verdicts: list[tuple[str, bool, bool]] | None = None,
+        verdicts: list[tuple[Graph | str, bool, bool]] | None = None,
     ):
         self.graphs_scanned = graphs_scanned
         self.claw_free_count = claw_free_count
         self.failures = failures
         self.nonreal_contrast = nonreal_contrast
         self.nonreal_contrast_count = nonreal_contrast_count
-        # per-graph (graph6, claw_free, real_rooted); JSON carries the summary
-        self.verdicts = [] if verdicts is None else verdicts
+        # per-graph (graph, claw_free, real_rooted), the graph a Graph or
+        # graph6 text; JSON carries the summary
+        self._verdicts = [] if verdicts is None else verdicts
+
+    @property
+    def verdicts(self) -> list[tuple[str, bool, bool]]:
+        """Per-graph (graph6, claw_free, real_rooted), in stream order;
+        a Graph is encoded to graph6 only here."""
+        return [(item_graph6(g), cf, rr) for g, cf, rr in self._verdicts]
 
     @property
     def clean(self) -> bool:
@@ -442,10 +452,10 @@ class HamidouneReport:
 _CONTRAST_EXAMPLES = 10   # non-claw-free nonreal-rooted graphs kept on the report
 
 
-def _hamidoune_verdict(item: StreamItem) -> tuple[str, bool, bool]:
-    """Per-item map of hamidoune_scan: (graph6, claw-free, real-rooted)."""
-    g6, g = item_graph(item)
-    return g6, is_claw_free(g), all_roots_real(independence_polynomial(g))
+def _hamidoune_verdict(item: StreamItem) -> tuple[bool, bool]:
+    """Per-item map of hamidoune_scan: (claw-free, real-rooted)."""
+    g = item_parse(item)
+    return is_claw_free(g), all_roots_real(independence_polynomial(g))
 
 
 def hamidoune_scan(
@@ -455,24 +465,28 @@ def hamidoune_scan(
     stream (Sturm counts weighted by square-free multiplicity must exhaust
     the degree).  Non-claw-free graphs with nonreal roots are tallied for
     contrast, and every graph's (claw-free, real-rooted) verdict is kept on
-    the report."""
+    the report.  The map returns the two verdicts only; the fold pairs
+    them with the stream's items and encodes a Graph to graph6 only for a
+    failure, a contrast example or a read of the report's verdicts."""
     scanned = 0
     claw_free = 0
     failures: list[str] = []
     contrast: list[str] = []
     contrast_count = 0
-    verdicts: list[tuple[str, bool, bool]] = []
-    for g6, cf, real_rooted in mapper(_hamidoune_verdict, label_items(items)):
+    verdicts: list[tuple[Graph | str, bool, bool]] = []
+    items, todo = tee(label_items(items))
+    # the map first: it ends the pairing, so a forked map runs to its end
+    for (cf, real_rooted), item in zip(mapper(_hamidoune_verdict, todo), items):
         scanned += 1
-        verdicts.append((g6, cf, real_rooted))
+        verdicts.append((item.graph, cf, real_rooted))
         if cf:
             claw_free += 1
             if not real_rooted:
-                failures.append(g6)
+                failures.append(item_graph6(item.graph))
         elif not real_rooted:
             contrast_count += 1
             if len(contrast) < _CONTRAST_EXAMPLES:
-                contrast.append(g6)
+                contrast.append(item_graph6(item.graph))
     return HamidouneReport(
         scanned, claw_free, failures, contrast, contrast_count, verdicts
     )

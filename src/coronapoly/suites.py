@@ -23,7 +23,7 @@ from .corona import (
     inverse_corona_coefficients,
 )
 from .errors import ResourceLimitError
-from .graphs import Graph, alpha, complete_graph, corona, encode_graph6, item_graph, label_items
+from .graphs import Graph, alpha, complete_graph, corona, encode_graph6, item_parse, label_items
 from .indpoly import independence_polynomial
 from .roots import (
     build_hk,
@@ -156,7 +156,7 @@ def check_one(suite: str, g: Graph, tol: float = 1e-9) -> str | None:
 
 def _check_item(suite: str, tol: float, item) -> str | None:
     """Per-item map of run_suite: check_one on one stream item."""
-    return check_one(suite, item_graph(item)[1], tol)
+    return check_one(suite, item_parse(item), tol)
 
 
 def run_hk_suite(max_k: int | None = None) -> SuiteResult:

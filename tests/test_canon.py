@@ -154,7 +154,11 @@ def test_orbit_minima_use_the_whole_group():
                 if all(s <= sum(1 << a[i] for i in range(n) if (s >> i) & 1) for a in auts)
             ]
             gens, _ = automorphism_group(g)
-            assert canon._subset_orbit_minima(n, gens) == expect
+            # an orbit keeps subset size: a floor drops the smaller subsets only
+            for least in range(n + 2):
+                assert canon._subset_orbit_minima(n, gens, least) == [
+                    s for s in expect if s.bit_count() >= least
+                ]
 
 
 def test_pruned_levels_equal_unpruned_reference():
@@ -201,6 +205,21 @@ def test_searches_only_on_invariant_ties(monkeypatch):
     # 534 tie searches on levels 2-7, and one generator search for each of
     # the 208 graphs of levels 1-6; level 7's generators are never built
     assert len(calls) == 742
+
+
+def test_parent_degrees_decide_most_children(monkeypatch):
+    # of the 2,589 neighbourhoods at least as large as the parent's top
+    # degree, the parent's degree masks decide 1,553: only 1,036 children
+    # tie v on degree and reach the neighbour-degree invariant
+    calls = []
+    child = canon._canonical_child
+    monkeypatch.setattr(
+        canon, "_canonical_child", lambda masks, tied: calls.append(tied) or child(masks, tied)
+    )
+    _clear_graph_levels()
+    assert len(enumerate_graphs(7)) == GRAPH_COUNTS[7]
+    assert len(calls) == 1036
+    assert all(calls)
 
 
 def _cayley_z4_squared(steps):

@@ -407,13 +407,17 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(cli, "_fork_map", counting_map)
     monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(cli, "_default_jobs", lambda: 4)   # whatever the host's CPUs
     return fanouts
 
 
 @pytest.fixture
 def forks(monkeypatch):
     """The pid of every process the CLI forks."""
+    from coronapoly import cli
+
     fork, pids = os.fork, []
+    monkeypatch.setattr(cli, "_default_jobs", lambda: 4)   # whatever the host's CPUs
 
     def recording_fork():
         pid = fork()
@@ -530,6 +534,29 @@ def test_no_more_workers_than_chunks(tmp_path, capsys, monkeypatch, pools):
     serial = run(capsys, "poly", "--input", stream, "--jobs", "1")
     assert run(capsys, "poly", "--input", stream, "--jobs", "4") == serial
     assert pools == [3]
+
+
+def test_jobs_clamped_to_the_cpus(tmp_path, capsys, monkeypatch):
+    # --jobs 1000 on a 144-line stream would be 144 workers of one line
+    # each; the stub map forks nothing
+    from coronapoly import cli
+
+    handed = []
+
+    def stub_map(fn, items, workers, size):
+        handed.append(workers)
+        yield from map(fn, items)
+
+    monkeypatch.setattr(cli, "_default_jobs", lambda: 3)
+    monkeypatch.setattr(cli, "_fork_map", stub_map)
+    monkeypatch.setattr(os, "fork", None)   # a fork would fail the test
+    stream = _write_stream(tmp_path / "bulk.g6", _bulk_lines())
+    serial = run(capsys, "poly", "--input", stream, "--jobs", "1")
+    assert run(capsys, "poly", "--input", stream, "--jobs", "1000") == serial
+    assert handed == [3]
+    with pytest.raises(SystemExit):
+        main(["poly", "--help"])
+    assert "clamped to that" in " ".join(capsys.readouterr().out.split())
 
 
 def test_killed_worker_fails_loudly(tmp_path, capsys, monkeypatch, forks):

@@ -406,8 +406,23 @@ def test_claw_free():
     assert not is_claw_free(star_graph(3))
     assert is_claw_free(path_graph(7))
     assert is_claw_free(cycle_graph(7))
-    for g in graphs_upto(6):
+    # every graph on at most 7 vertices, disconnected ones included
+    catalog = graphs_upto(7)
+    assert len(catalog) == 1252
+    for g in catalog:
         assert is_claw_free(g) == brute_is_claw_free(g)
+
+
+def test_claw_free_on_random_graphs():
+    rng = random.Random(13)
+    seen = set()
+    for n in range(1, 17):
+        for p in (0.2, 0.5, 0.8):
+            for _ in range(3):
+                g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+                seen.add(is_claw_free(g))
+                assert is_claw_free(g) == brute_is_claw_free(g)
+    assert seen == {True, False}
 
 
 def test_is_star():

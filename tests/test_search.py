@@ -313,6 +313,45 @@ def test_hamidoune_verdicts_read_the_cache():
     assert (report.claw_free_count, report.nonreal_contrast_count) == (264, 252)
 
 
+def test_hamidoune_report_same_from_graphs_and_graph6():
+    # the catalog's Graph items are encoded only when the report is read;
+    # the same graphs as graph6 lines, some with a header, give its bytes
+    from coronapoly.suites import default_corpus
+
+    corpus = default_corpus(6)
+    texts = [encode_graph6(g) for g in corpus]
+    lines = [(">>graph6<<" if i % 2 else "") + t + "\n" for i, t in enumerate(texts)]
+    from_graphs, from_text = hamidoune_scan(corpus), hamidoune_scan(lines)
+    assert from_graphs.to_json() == from_text.to_json()
+    assert from_graphs.to_jsonl_lines() == from_text.to_jsonl_lines()
+    for report in (from_graphs, from_text):
+        assert [g6 for g6, _, _ in report.verdicts] == texts
+        assert all(type(cf) is type(rr) is bool for _, cf, rr in report.verdicts)
+    assert from_graphs.graphs_scanned == len(corpus) == 143
+
+
+def test_hamidoune_evidence_same_at_two_jobs(tmp_path, monkeypatch):
+    from coronapoly import cli
+
+    monkeypatch.setattr(cli, "_default_jobs", lambda: 2)
+    workers, fork_map = [], cli._fork_map
+
+    def counting_map(fn, items, n, size):
+        workers.append(n)
+        return fork_map(fn, items, n, size)
+
+    monkeypatch.setattr(cli, "_fork_map", counting_map)
+    evidence = []
+    for jobs in ("1", "2"):
+        path = tmp_path / f"evidence-{jobs}.jsonl"
+        argv = ["search", "--mode", "hamidoune", "--max-n", "6", "--jobs", jobs]
+        assert main([*argv, "--evidence", str(path)]) == 0
+        evidence.append(path.read_bytes())
+    assert workers == [2]
+    assert evidence[0] == evidence[1]
+    assert len(evidence[0].splitlines()) == 1 + 143
+
+
 def test_hamidoune_paths_and_cycles():
     from coronapoly.graphs import cycle_graph
 
