@@ -7,12 +7,14 @@ deterministic for fixed inputs and flags (fixed pivot rule, fixed numeric
 initialization, no RNG anywhere).
 
 Input is read lazily, line by line.  Every stream command (``poly``,
-``corona``, ``roots``, ``verify`` and the ``search`` scans) maps its
-per-graph work in order over ``--jobs`` forked worker processes once a
-stream has 64 graphs; a worker that dies ends the command with exit 5.
-A bad graph6 line is named by its line number; ``equal-poly`` records it
-and exits 2 after its report.  ``CORONAPOLY_MAX_N`` in the environment
-supplies the default ``--max-n`` of the graph corpora.
+``corona``, ``roots``, ``verify`` and the ``search`` scans) runs its
+per-graph work through ``graphs.map_items``, in order over ``--jobs``
+forked worker processes once a stream has 64 graphs; a worker that dies
+ends the command with exit 5.  A graph6 line is parsed by that work and
+named in output by its own text; a bad one is named by its line number,
+and ``equal-poly`` records it and exits 2 after its report.
+``CORONAPOLY_MAX_N`` in the environment supplies the default ``--max-n``
+of the graph corpora.
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ from .graphs import (
     corona,
     cycle_graph,
     encode_graph6,
+    item_graph6,
     item_parse,
+    map_items,
     parse_edge_list,
     path_graph,
     spider_graph,
@@ -94,10 +98,14 @@ def _default_max_n(fallback: int) -> int:
         raise ValueError(f"bad CORONAPOLY_MAX_N {value!r}") from None
 
 
-def _add_graph_source(p: argparse.ArgumentParser) -> None:
+def _add_family(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=sorted(_FAMILIES))
     p.add_argument("--n", type=int, help="family size parameter")
     p.add_argument("--sizes", help="comma-separated part sizes (multipartite)")
+
+
+def _add_graph_source(p: argparse.ArgumentParser) -> None:
+    _add_family(p)
     p.add_argument("--input", help="graph file, or - for stdin")
     p.add_argument(
         "--format", choices=("graph6", "edgelist"), default="graph6",
@@ -321,31 +329,35 @@ def _scan_items(args: argparse.Namespace, default_max_n: int = 0):
     return suites.default_corpus(max_n)
 
 
-def _graphs_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """The input of poly, corona, roots and gen: a Graph for --family or an
-    edge list, else one StreamItem per graph6 line, parsed by the per-item
-    work (see _graph)."""
-    sources = sum(1 for flag in (args.family, args.input) if flag)
-    if sources != 1:
-        parser.error("exactly one input source required: --family or --input")
+def _sizes(args: argparse.Namespace) -> list[int] | None:
+    return [int(tok) for tok in args.sizes.split(",") if tok.strip()] if args.sizes else None
+
+
+def _family_graph(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Graph:
+    """The --family graph of poly, corona, roots and gen."""
     if args.family == "multipartite":
         if not args.sizes:
             parser.error("--family multipartite requires --sizes a,b,c")
-        sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
-        yield _FAMILIES[args.family](0, sizes)
-    elif args.family:
-        if args.n is None:
-            parser.error(f"--family {args.family} requires --n")
-        yield _FAMILIES[args.family](args.n, None)
+        return _FAMILIES[args.family](0, _sizes(args))
+    if args.n is None:
+        parser.error(f"--family {args.family} requires --n")
+    return _FAMILIES[args.family](args.n, None)
+
+
+def _graphs_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser):
+    """The input of poly, corona and roots, one StreamItem per graph: the
+    --family graph, an edge list, or the lines of a graph6 stream, which
+    the per-item work parses."""
+    sources = sum(1 for flag in (args.family, args.input) if flag)
+    if sources != 1:
+        parser.error("exactly one input source required: --family or --input")
+    if args.family:
+        yield StreamItem(f"--family {args.family}", _family_graph(args, parser))
     elif args.format == "edgelist":
-        yield parse_edge_list("".join(line for _, line in _read_lines(args.input)))
+        text = "".join(line for _, line in _read_lines(args.input))
+        yield StreamItem(f"--input {args.input}", parse_edge_list(text))
     else:
         yield from _graph6_items(args.input)
-
-
-def _graph(item) -> Graph:
-    """The Graph of an item of _graphs_from_args."""
-    return item_parse(item) if isinstance(item, StreamItem) else item
 
 
 def _parse_coeffs(text: str) -> IntPolynomial:
@@ -374,26 +386,26 @@ def _check_graph6_output(n: int, what: str) -> None:
 def _print_each(args, parser, fn) -> int:
     """Print fn's text for each input graph, mapped over --jobs workers."""
     with _scan_map(_graphs_from_args(args, parser), args.jobs) as (mapper, items):
-        for text in mapper(fn, items):
+        for _, text in map_items(fn, items, mapper):
             print(text)
     return 0
 
 
-def _poly_text(as_json: bool, item) -> str:
-    g = _graph(item)
+def _poly_text(as_json: bool, item: StreamItem) -> str:
+    g = item_parse(item)
     if not as_json:     # only JSON names the graph, in graph6
         return str(independence_polynomial(g))
     _check_graph6_output(g.n, "poly --output json")
     p = independence_polynomial(g)
-    return json.dumps({"graph": encode_graph6(g), "coefficients": p.to_json_coeffs()})
+    return json.dumps({"graph": item_graph6(item.graph), "coefficients": p.to_json_coeffs()})
 
 
 def _cmd_poly(args, parser) -> int:
     return _print_each(args, parser, partial(_poly_text, args.output == "json"))
 
 
-def _corona_text(as_json: bool, item) -> str:
-    g = _graph(item)
+def _corona_text(as_json: bool, item: StreamItem) -> str:
+    g = item_parse(item)
     _check_graph6_output(2 * g.n, "corona")
     star = corona(g)
     p = independence_polynomial(star)
@@ -401,7 +413,7 @@ def _corona_text(as_json: bool, item) -> str:
         return f"{encode_graph6(star)}\t{p}"
     return json.dumps(
         {
-            "skeleton": encode_graph6(g),
+            "skeleton": item_graph6(item.graph),
             "corona": encode_graph6(star),
             "coefficients": p.to_json_coeffs(),
         }
@@ -437,18 +449,18 @@ def _cmd_transform(args, parser) -> int:
     return 0
 
 
-def _roots_text(tol: float, as_json: bool, item) -> str:
-    g = _graph(item)
+def _roots_text(tol: float, as_json: bool, item: StreamItem) -> str:
+    g = item_parse(item)
     _check_graph6_output(g.n, "roots")
     report = verify_bounds(g, tol) if g.n >= 2 else root_report(
         independence_polynomial(g), tol
     )
     if as_json:
         payload = report.to_json()
-        payload["graph"] = encode_graph6(g)
+        payload["graph"] = item_graph6(item.graph)
         return json.dumps(payload)
     lines = [
-        f"graph {encode_graph6(g)}: I = {report.polynomial}",
+        f"graph {item_graph6(item.graph)}: I = {report.polynomial}",
         f"  multiplicity of -1: {report.minus_one_multiplicity}",
     ]
     for lo, hi, m in report.real_roots:
@@ -476,17 +488,11 @@ def _cmd_gen(args, parser) -> int:
             (g, None) for g in canon.enumerate_graphs(args.graphs, connected=args.connected)
         ]
     elif args.family:
-        sizes = (
-            [int(tok) for tok in args.sizes.split(",") if tok.strip()]
-            if args.sizes
-            else None
-        )
+        g = _family_graph(args, parser)
+        _check_graph6_output(g.n, "gen")
         closed = _CLOSED_FORMS.get(args.family)
-        emitted = []
-        for g in _graphs_from_args(args, parser):
-            _check_graph6_output(g.n, "gen")
-            poly = closed(args.n, sizes) if closed else None
-            emitted.append((g, poly if poly is not None else independence_polynomial(g)))
+        poly = closed(args.n, _sizes(args)) if closed else None
+        emitted = [(g, poly if poly is not None else independence_polynomial(g))]
     else:
         parser.error("gen needs --family, --trees or --graphs")
     for g, poly in emitted:
@@ -601,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_roots)
 
     p = sub.add_parser("gen", help="emit graphs (and closed-form polynomials)")
-    _add_graph_source(p)
+    _add_family(p)
     p.add_argument("--trees", type=int, help="emit all trees on N vertices")
     p.add_argument("--graphs", type=int, help="emit all graphs on N vertices (N <= 8)")
     p.add_argument("--connected", action="store_true", help="with --graphs: connected only")

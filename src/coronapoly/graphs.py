@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import tee
 
 from .errors import GraphParseError, ResourceLimitError
 
@@ -170,39 +171,43 @@ def read_graph6_stream(lines: Iterable[str]) -> Iterator[Graph]:
 
 
 # A stream's graph (Graph) or graph6 line (str), named "line N" or "item i"
-# in errors.
+# in errors; per-item work parses it (item_parse), and only a fold that
+# prints it names it in graph6 (item_graph6).
 StreamItem = namedtuple("StreamItem", "label graph")
 
 
-def label_items(items: Iterable) -> Iterator[StreamItem]:
-    """Name each item by its stream position unless it is a StreamItem."""
-    for idx, item in enumerate(items):
-        yield item if isinstance(item, StreamItem) else StreamItem(f"item {idx}", item)
+def map_items(
+    fn: Callable, items: Iterable, mapper: Callable[..., Iterable] = map
+) -> Iterator[tuple[StreamItem, object]]:
+    """(item, fn(item)) for each stream item, in stream order.  An item that
+    is not a StreamItem is named by its position; `mapper` is the builtin
+    map or any ordered parallel map of the same results."""
+    labelled, todo = tee(
+        item if isinstance(item, StreamItem) else StreamItem(f"item {idx}", item)
+        for idx, item in enumerate(items)
+    )
+    # the map first: it ends the pairing, so a forked map runs to its end
+    for verdict, item in zip(mapper(fn, todo), labelled):
+        yield item, verdict
 
 
 def item_graph6(graph: Graph | str) -> str:
     """Graph6 text of an item's graph: a Graph is encoded, a line loses its
-    surrounding whitespace and ``>>graph6<<`` header."""
+    whitespace and ``>>graph6<<`` header, which leaves a parsed line's
+    encoding (short-form graph6 is unique; nonzero padding is rejected)."""
     if isinstance(graph, Graph):
         return encode_graph6(graph)
     return graph.strip().removeprefix(">>graph6<<")
 
 
-def item_graph(item: StreamItem) -> tuple[str, Graph]:
-    """Graph6 text (header dropped) and Graph of an item; parse errors name it."""
-    text = item_graph6(item.graph)
+def item_parse(item: StreamItem) -> Graph:
+    """The Graph of an item; a line's parse errors name it."""
     if isinstance(item.graph, Graph):
-        return text, item.graph
+        return item.graph
     try:
-        return text, parse_graph6(text)
+        return parse_graph6(item.graph)
     except GraphParseError as exc:
         raise GraphParseError(f"{item.label}: {exc}") from None
-
-
-def item_parse(item: StreamItem) -> Graph:
-    """The Graph of an item, as item_graph gives it, without encoding a
-    Graph item to graph6."""
-    return item.graph if isinstance(item.graph, Graph) else item_graph(item)[1]
 
 
 def parse_edge_list(text: str) -> Graph:

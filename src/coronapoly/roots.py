@@ -43,6 +43,7 @@ from .graphs import (
     corona,
     girth,
     is_connected,
+    is_forest,
     is_tree,
     is_well_covered,
 )
@@ -76,7 +77,11 @@ def deflate_minus_one(p: IntPolynomial) -> IntPolynomial:
 
 
 @lru_cache(maxsize=4096)
-def _sturm_chain_cached(p: IntPolynomial) -> tuple[IntPolynomial, ...]:
+def sturm_chain(p: IntPolynomial) -> tuple[IntPolynomial, ...]:
+    """Signed remainder chain of (p, p'), each element reduced to its
+    primitive part (positive scaling only, so the sign pattern survives).
+    It is the PRS of (p, p'), so its last member is gcd(p, p') up to a
+    constant; the square-free part and Yun's first step read it there."""
     f0 = p.primitive_part()
     chain = [f0]
     f1 = f0.derivative().primitive_part()
@@ -88,14 +93,6 @@ def _sturm_chain_cached(p: IntPolynomial) -> tuple[IntPolynomial, ...]:
                 break
             chain.append(-IntPolynomial(r))
     return tuple(chain)
-
-
-def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
-    """Signed remainder chain of (p, p'), each element reduced to its
-    primitive part (positive scaling only, so the sign pattern survives).
-    It is the PRS of (p, p'), so its last member is gcd(p, p') up to a
-    constant; the square-free part and Yun's first step read it there."""
-    return list(_sturm_chain_cached(p))
 
 
 def _gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -126,25 +123,17 @@ def square_free_part(p: IntPolynomial) -> IntPolynomial:
 
 
 @lru_cache(maxsize=4096)
-def _yun_cached(p: IntPolynomial) -> tuple[tuple[IntPolynomial, int], ...]:
-    return tuple(_yun(p))
-
-
-def square_free_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
-    """Yun's algorithm: [(f_i, i)] with p proportional to prod f_i^i, the
-    f_i square-free, pairwise coprime, primitive with positive leading
+def square_free_decomposition(p: IntPolynomial) -> tuple[tuple[IntPolynomial, int], ...]:
+    """Yun's algorithm: ((f_i, i), ...) with p proportional to prod f_i^i,
+    the f_i square-free, pairwise coprime, primitive with positive leading
     coefficient.  Trivial factors are omitted."""
-    return list(_yun_cached(p))
-
-
-def _yun(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
     if not p:
         raise ValueError("zero polynomial")
     if p.degree == 0:
-        return []
+        return ()
     g = sturm_chain(p)[-1]
     if g.degree == 0:
-        return [(_normal(p), 1)]    # p is square-free
+        return ((_normal(p), 1),)    # p is square-free
     # c and d are always divided by the same factor, so d - c' is taken
     # at one common scale, as over the rationals
     dp = p.derivative()
@@ -159,13 +148,13 @@ def _yun(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
         c = _quo(c, f)
         d = _quo(d, f) - c.derivative()
         i += 1
-    return out
+    return tuple(out)
 
 
 # -- counting and isolating real roots ---------------------------------------
 
 
-def _variations_at(chain: list[IntPolynomial], x: Fraction | None, sign_at_infinity: int) -> int:
+def _variations_at(chain: tuple[IntPolynomial, ...], x: Fraction | None, sign_at_infinity: int) -> int:
     """Sign variations at x, or at -inf/+inf when x is None (sign_at_infinity = -1/+1)."""
     if x is not None:
         signs = [s for s in (sign_at(f.coeffs, x) for f in chain) if s]
@@ -459,7 +448,7 @@ def numeric_roots(p: IntPolynomial, tol: float = 1e-12) -> list[complex]:
     top = max(abs(c) for c in p.coeffs)
     a = [float(Fraction(c, top)) for c in p.coeffs]
     lead = abs(a[-1])
-    radius = 1.0 + max(abs(c) for c in a[:-1]) / lead if d >= 1 else 1.0
+    radius = 1.0 + max(abs(c) for c in a[:-1]) / lead
     z = [
         radius * cmath.exp(1j * (2 * math.pi * k / d + _INIT_ANGLE_OFFSET))
         for k in range(d)
@@ -748,9 +737,10 @@ def verify_bounds(g: Graph, tol: float = 1e-9) -> RootReport:
     n = g.n
     p = independence_polynomial(g)
     # before any root work: maximal-stable-set enumeration and the clique
-    # number (alpha of the complement) are capped
+    # number (alpha of the complement) are capped; a forest's clique
+    # number is 2, or 1 without an edge
     wc = is_well_covered(g)
-    w = alpha(complement(g))
+    w = (2 if g.num_edges else 1) if is_forest(g) else alpha(complement(g))
     report = root_report(p, min(tol, 1e-12))
     a = p.degree
     nonreal_moduli = [math.hypot(re, im) for re, im, _ in report.complex_roots]

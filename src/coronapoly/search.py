@@ -1,21 +1,22 @@
 """Polynomial-equivalence classification and the conjecture evidence scans.
 
-Graphs stream through as graph6 strings (what the reports retain), as
-Graph values or as ``graphs.StreamItem`` lines.  Classification hashes the
-exact decimal coefficient vector, so two graphs land in one class iff
-their independence polynomials are identical as integer sequences.  Each
+Graphs stream through as graph6 strings, as Graph values or as
+``graphs.StreamItem`` lines.  Classification hashes the exact decimal
+coefficient vector, so two graphs land in one class iff their
+independence polynomials are identical as integer sequences.  Each
 item's canonical code is computed first, and the polynomial only once
 per code in each process: equal codes mean relabellings of one graph,
 so a stream of relabelled copies costs one engine run per isomorphism
 class.
 
-Each stream scan is a per-item function followed by a fold over its
-results in stream order.  The per-item map is the scan's ``mapper``
-argument: the builtin ``map`` by default, or any ordered parallel map,
-such as the CLI's forked workers under ``--jobs``, which gives the same
-report.  Scans report evidence
-only: a clean pass means "no counterexample up to the stated order",
-never more.
+Each stream scan is ``graphs.map_items`` of a per-item function, which
+returns verdicts only, followed by a fold over (item, verdict) pairs in
+stream order.  The fold names an item in graph6 (``item_graph6``) only
+where the report keeps it.  The scan's ``mapper`` argument is the
+builtin ``map`` by default, or any ordered parallel map, such as the
+CLI's forked workers under ``--jobs``, which gives the same report.
+Scans report evidence only: a clean pass means "no counterexample up to
+the stated order", never more.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import json
 from collections import OrderedDict
 from collections.abc import Callable, Iterable
-from itertools import tee
 
 from .canon import canonical_code, enumerate_trees
 from .corona import spider_polynomial
@@ -36,10 +36,9 @@ from .graphs import (
     is_connected,
     is_star,
     is_tree,
-    item_graph,
     item_graph6,
     item_parse,
-    label_items,
+    map_items,
     path_graph,
     pendant_edges_form_perfect_matching,
     is_claw_free,
@@ -127,9 +126,9 @@ _KEY_TABLE_SIZE = 4096      # codes whose coefficient key is kept, per process
 _key_by_code: OrderedDict[bytes, tuple[int, ...]] = OrderedDict()
 
 
-def _coefficient_key(item: StreamItem) -> tuple[tuple[int, ...] | None, str, object]:
-    """Per-item map of partition_graphs: (key, graph6, hex canonical code or
-    the ResourceLimitError that blocked it), or (None, error, None).
+def _coefficient_key(item: StreamItem) -> tuple[tuple[int, ...] | None, object]:
+    """Per-item map of partition_graphs: (key, hex canonical code or the
+    ResourceLimitError that blocked it), or (None, error).
 
     The canonical code comes first, and the key is looked up by it in a
     per-process table of the last _KEY_TABLE_SIZE codes used, so the
@@ -141,11 +140,11 @@ def _coefficient_key(item: StreamItem) -> tuple[tuple[int, ...] | None, str, obj
     record, whether or not its code was blocked too.
     """
     try:
-        g6, g = item_graph(item)
+        g = item_parse(item)
         try:
             code = canonical_code(g)
         except ResourceLimitError as exc:
-            return independence_polynomial(g).coeffs, g6, exc
+            return independence_polynomial(g).coeffs, exc
         key = _key_by_code.get(code)
         if key is None:
             key = _key_by_code[code] = independence_polynomial(g).coeffs
@@ -153,11 +152,11 @@ def _coefficient_key(item: StreamItem) -> tuple[tuple[int, ...] | None, str, obj
                 _key_by_code.popitem(last=False)
         else:
             _key_by_code.move_to_end(code)
-        return key, g6, code.hex()
+        return key, code.hex()
     except GraphParseError as exc:  # already names the item
-        return None, str(exc), None
+        return None, str(exc)
     except Exception as exc:  # per-graph failure; the stream continues
-        return None, f"{item.label}: {exc}", None
+        return None, f"{item.label}: {exc}"
 
 
 def partition_graphs(
@@ -171,11 +170,11 @@ def partition_graphs(
     worker keeps its own table, and the fold is the same."""
     buckets: dict[tuple[int, ...], list[tuple[str, object]]] = {}
     errors: list[str] = []
-    for key, text, code in mapper(_coefficient_key, label_items(items)):
+    for item, (key, code) in map_items(_coefficient_key, items, mapper):
         if key is None:
-            errors.append(text)
+            errors.append(code)     # the error text, for a failed item
         else:
-            buckets.setdefault(key, []).append((text, code))
+            buckets.setdefault(key, []).append((item_graph6(item.graph), code))
     return buckets, sum(map(len, buckets.values())), errors
 
 
@@ -352,14 +351,14 @@ class Conjecture2Report:
         return lines
 
 
-def _conjecture2_verdict(item: StreamItem) -> tuple[str, tuple[int, ...] | None, bool]:
-    """Per-item map of conjecture2_scan: (graph6, key or None if disconnected,
+def _conjecture2_verdict(item: StreamItem) -> tuple[tuple[int, ...] | None, bool]:
+    """Per-item map of conjecture2_scan: (key or None if disconnected,
     well-covered tree)."""
-    g6, g = item_graph(item)
+    g = item_parse(item)
     if not is_connected(g):
-        return g6, None, False
+        return None, False
     well_covered_tree = is_tree(g) and (g.n == 1 or pendant_edges_form_perfect_matching(g))
-    return g6, independence_polynomial(g).coeffs, well_covered_tree
+    return independence_polynomial(g).coeffs, well_covered_tree
 
 
 def conjecture2_scan(
@@ -369,17 +368,17 @@ def conjecture2_scan(
     well-covered tree's should itself be a well-covered tree.
 
     Disconnected stream graphs are skipped with a count (the statement is
-    about connected graphs).  Counterexamples, if any, are reported
-    verbatim as graph6.
+    about connected graphs).  Counterexamples, if any, are reported as
+    graph6, with the tree they match; nothing else is encoded.
     """
-    index: dict[tuple[int, ...], str] = {}
+    index: dict[tuple[int, ...], Graph] = {}
     for t in well_covered_trees(max_tree_order):
-        index[independence_polynomial_tree(t).coeffs] = encode_graph6(t)
+        index[independence_polynomial_tree(t).coeffs] = t
     scanned = 0
     skipped = 0
     supporting = 0
     counterexamples: list[dict] = []
-    for g6, key, well_covered_tree in mapper(_conjecture2_verdict, label_items(items)):
+    for item, (key, well_covered_tree) in map_items(_conjecture2_verdict, items, mapper):
         if key is None:
             skipped += 1
             continue
@@ -389,8 +388,9 @@ def conjecture2_scan(
         if well_covered_tree:
             supporting += 1
         else:
+            graph, tree = item_graph6(item.graph), encode_graph6(index[key])
             counterexamples.append(
-                {"graph": g6, "polynomial": [str(c) for c in key], "tree": index[key]}
+                {"graph": graph, "polynomial": [str(c) for c in key], "tree": tree}
             )
     return Conjecture2Report(max_tree_order, scanned, skipped, supporting, counterexamples)
 
@@ -465,18 +465,16 @@ def hamidoune_scan(
     stream (Sturm counts weighted by square-free multiplicity must exhaust
     the degree).  Non-claw-free graphs with nonreal roots are tallied for
     contrast, and every graph's (claw-free, real-rooted) verdict is kept on
-    the report.  The map returns the two verdicts only; the fold pairs
-    them with the stream's items and encodes a Graph to graph6 only for a
-    failure, a contrast example or a read of the report's verdicts."""
+    the report.  The map returns the two verdicts only; the fold encodes
+    a Graph to graph6 only for a failure, a contrast example or a read of
+    the report's verdicts."""
     scanned = 0
     claw_free = 0
     failures: list[str] = []
     contrast: list[str] = []
     contrast_count = 0
     verdicts: list[tuple[Graph | str, bool, bool]] = []
-    items, todo = tee(label_items(items))
-    # the map first: it ends the pairing, so a forked map runs to its end
-    for (cf, real_rooted), item in zip(mapper(_hamidoune_verdict, todo), items):
+    for item, (cf, real_rooted) in map_items(_hamidoune_verdict, items, mapper):
         scanned += 1
         verdicts.append((item.graph, cf, real_rooted))
         if cf:

@@ -4,8 +4,9 @@ Each suite sweeps a graph corpus (an ingested graph6 stream, or the
 built-in catalog of connected graphs when none is given) and records a
 failure message per violated instance.  Everything here is exact; a
 suite passes iff no instance fails.  ``run_suite`` maps a picklable
-per-graph check over the stream with its ``mapper`` argument (the builtin
-``map``, or an ordered parallel map) and folds the results in order.
+per-graph check, which returns a bare reason, with ``graphs.map_items``
+over its ``mapper`` (the builtin ``map``, or an ordered parallel map),
+and the fold names each failing graph once, in graph6.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .corona import (
     inverse_corona_coefficients,
 )
 from .errors import ResourceLimitError
-from .graphs import Graph, alpha, complete_graph, corona, encode_graph6, item_parse, label_items
+from .graphs import Graph, alpha, complete_graph, corona, item_graph6, item_parse, map_items
 from .indpoly import independence_polynomial
 from .roots import (
     build_hk,
@@ -95,7 +96,7 @@ def default_corpus(max_n: int | None = None) -> list[Graph]:
 
 
 def check_one(suite: str, g: Graph, tol: float = 1e-9) -> str | None:
-    """Run one suite instance; None on pass, else a failure message.
+    """Run one suite instance; None on pass, else the reason it failed.
     Only the bounds suite reads `tol`."""
     n = g.n
     if suite == "corona-identities":
@@ -104,16 +105,16 @@ def check_one(suite: str, g: Graph, tol: float = 1e-9) -> str | None:
         by_identity = corona_polynomial_identity(s, n)
         direct = independence_polynomial(corona(g))
         if not (by_sum == by_identity == direct):
-            return f"{encode_graph6(g)}: corona coefficient routes disagree"
+            return "corona coefficient routes disagree"
         if inverse_corona_coefficients(by_sum, n, s.degree) != s:
-            return f"{encode_graph6(g)}: inverse transform does not round-trip"
+            return "inverse transform does not round-trip"
         return None
     if suite == "divisibility":
         if g.num_edges == 0:
             return None
         count, power, ok = divisibility_check(g)
         if not ok:
-            return f"{encode_graph6(g)}: {count} not divisible by 2^{power}"
+            return f"{count} not divisible by 2^{power}"
         return None
     if suite == "multiplicity":
         if g.num_edges == 0:
@@ -121,12 +122,12 @@ def check_one(suite: str, g: Graph, tol: float = 1e-9) -> str | None:
         m = multiplicity_of_minus_one(independence_polynomial(corona(g)))
         expect = n - alpha(g)
         if m != expect:
-            return f"{encode_graph6(g)}: multiplicity {m} != {expect}"
+            return f"multiplicity {m} != {expect}"
         return None
     if suite == "bijection":
         report = root_bijection_check(g)
         if not report.passed:
-            return f"{encode_graph6(g)}: {'; '.join(report.notes) or 'bijection failed'}"
+            return "; ".join(report.notes) or "bijection failed"
         return None
     if suite == "bounds":
         if n < 2:
@@ -134,12 +135,12 @@ def check_one(suite: str, g: Graph, tol: float = 1e-9) -> str | None:
         report = verify_bounds(g, tol)
         bad = [b.name for b in report.bounds.values() if b.applicable and not b.passed]
         if bad:
-            return f"{encode_graph6(g)}: failed bounds {bad}"
+            return f"failed bounds {bad}"
         return None
     if suite == "monotonicity":
         t = corona_coefficients(independence_polynomial(g), n)
         if not coefficient_monotonicity_check(t, n):
-            return f"{encode_graph6(g)}: corona coefficients not monotone to ceil(n/2)"
+            return "corona coefficients not monotone to ceil(n/2)"
         return None
     if suite == "no-root-below-minus-one":
         if g.num_edges == 0:
@@ -147,9 +148,9 @@ def check_one(suite: str, g: Graph, tol: float = 1e-9) -> str | None:
         q = independence_polynomial(corona(g))
         below = count_distinct_real_roots(q, None, Fraction(-1), include_hi=False)
         if below != 0:
-            return f"{encode_graph6(g)}: corona polynomial has a real root < -1"
+            return "corona polynomial has a real root < -1"
         if not negative_tail_sign_check(g, _SIGN_SAMPLES):
-            return f"{encode_graph6(g)}: sign of I(G*;x) wrong for x < -1"
+            return "sign of I(G*;x) wrong for x < -1"
         return None
     raise ValueError(f"unknown suite {suite!r}")
 
@@ -190,8 +191,8 @@ def run_suite(
     if graphs is None:
         graphs = default_corpus(max_n)
     result = SuiteResult(suite, 0)
-    for msg in mapper(partial(_check_item, suite, tol), label_items(graphs)):
+    for item, reason in map_items(partial(_check_item, suite, tol), graphs, mapper):
         result.checked += 1
-        if msg is not None:
-            result.failures.append(msg)
+        if reason is not None:
+            result.failures.append(f"{item_graph6(item.graph)}: {reason}")
     return result

@@ -330,6 +330,34 @@ def test_roots_on_a_corona_past_the_enumeration_cap(tmp_path, capsys):
     assert "bound modulus_floor: pass" in out and "FAIL" not in out
 
 
+def test_roots_on_a_forest_corona_past_the_alpha_cap(tmp_path, capsys):
+    # 62 vertices: a forest's clique number needs no alpha of the complement
+    stream = tmp_path / "corona31.g6"
+    stream.write_text(encode_graph6(corona(path_graph(31))) + "\n")
+    code, out, err = run(capsys, "roots", "--input", str(stream))
+    assert code == 0 and err == ""
+    assert "bound real_window: pass" in out and "FAIL" not in out
+
+
+def test_stream_json_names_a_line_by_its_text(tmp_path, capsys):
+    # header and whitespace dropped, a line's text is its graph's graph6
+    graphs = [path_graph(4), cycle_graph(5), corona(path_graph(3))]
+    stream = tmp_path / "in.g6"
+    stream.write_text("".join(f" >>graph6<<{encode_graph6(g)}\t\n" for g in graphs))
+    for command, field in (("poly", "graph"), ("corona", "skeleton"), ("roots", "graph")):
+        code, out, _ = run(capsys, command, "--input", str(stream), "--output", "json", "--jobs", "1")
+        assert code == 0
+        assert [json.loads(line)[field] for line in out.splitlines()] == list(map(encode_graph6, graphs))
+
+
+@pytest.mark.parametrize("extra", [("--input", "-"), ("--format", "edgelist")])
+def test_gen_takes_no_stream_options(capsys, extra):
+    with pytest.raises(SystemExit) as info:
+        main(["gen", "--family", "path", "--n", "3", *extra])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_search_equal_poly(tmp_path, capsys):
     from corpus import trees_exactly
 

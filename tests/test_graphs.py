@@ -9,6 +9,7 @@ from coronapoly.errors import GraphParseError, ResourceLimitError
 from coronapoly.graphs import (
     WELL_COVERED_LIMIT,
     Graph,
+    StreamItem,
     alpha,
     complement,
     complete_graph,
@@ -26,6 +27,9 @@ from coronapoly.graphs import (
     is_tree,
     is_very_well_covered,
     is_well_covered,
+    item_graph6,
+    item_parse,
+    map_items,
     maximal_stable_sets,
     parse_edge_list,
     parse_graph6,
@@ -212,6 +216,47 @@ def test_parse_graph6_matches_the_bitwise_decoder():
             ]
             for text in corrupt:
                 assert _parse_outcome(parse_graph6, text) == _parse_outcome(bitwise_parse_graph6, text)
+
+
+# -- stream items --------------------------------------------------------------
+
+
+def test_map_items_pairs_each_named_item_with_its_verdict():
+    g = path_graph(3)
+    line = StreamItem("line 7", "Bw\n")
+    pairs = list(map_items(lambda item: item.label, [g, line, "A_"]))
+    assert pairs == [
+        (StreamItem("item 0", g), "item 0"),
+        (line, "line 7"),
+        (StreamItem("item 2", "A_"), "item 2"),
+    ]
+
+
+def test_map_items_runs_the_map_to_its_end():
+    # a forked map reaps its workers only when it is driven past its last
+    # result, so the pairing must end on the map, not on the items
+    ended = []
+
+    def mapper(fn, items):
+        yield from map(fn, items)
+        ended.append(True)
+
+    assert [v for _, v in map_items(lambda item: 2 * item.graph, [1, 2], mapper)] == [2, 4]
+    assert ended == [True]
+
+
+def test_item_graph6_of_a_line_is_its_graph_encoded():
+    rng = random.Random(5)
+    for n in range(1, 20):
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
+        text = encode_graph6(g)
+        for line in (text, f" >>graph6<<{text}\r\n"):
+            item = StreamItem("line 1", line)
+            assert item_parse(item) == g and item_graph6(line) == text == item_graph6(g)
+    with pytest.raises(GraphParseError, match="^line 3: "):
+        item_parse(StreamItem("line 3", "A`"))  # nonzero padding
+    with pytest.raises(GraphParseError, match="^line 4: "):
+        item_parse(StreamItem("line 4", ">>graph6<< Bw"))  # its text would be " Bw"
 
 
 # -- edge lists ----------------------------------------------------------------

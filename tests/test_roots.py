@@ -355,18 +355,28 @@ def test_bounds_on_coronas_past_the_enumeration_cap():
             assert not (b.applicable and b.passed is False), (g, b)
 
 
+def test_bounds_on_forest_coronas_past_the_alpha_cap():
+    # 42, 50 and 62 vertices: a forest's clique number is read off its
+    # edges, so alpha (capped at 40) never runs on its complement
+    for k in (21, 25, 31):
+        report = verify_bounds(corona(path_graph(k)))
+        assert report.bounds["annulus"].applicable   # well-covered
+        assert report.bounds["real_window"].applicable   # a tree: girth >= 6
+        for b in report.bounds.values():
+            assert not (b.applicable and b.passed is False), (k, b)
+
+
 def test_bounds_check_their_caps_before_root_work(monkeypatch):
-    # a 42-vertex forest corona: I(G) and well-coveredness are known, but
-    # the clique number (alpha of the complement) is capped at 40 vertices,
-    # so the call must stop before the root pass
+    # a 42-vertex corona that is not a forest: past the engine's cap of 40
+    # and alpha's, so the call must stop before the root pass
     from coronapoly import roots
 
     def no_root_work(*args, **kwargs):
         raise AssertionError("root work ran before the cap check")
 
     monkeypatch.setattr(roots, "root_report", no_root_work)
-    with pytest.raises(ResourceLimitError, match="alpha"):
-        verify_bounds(corona(path_graph(21)))
+    with pytest.raises(ResourceLimitError):
+        verify_bounds(corona(cycle_graph(21)))
 
 
 def test_report_schema():

@@ -268,6 +268,29 @@ def test_conjecture2_clean_on_small_corpus():
     assert "no counterexample" in payload["verdict"]
 
 
+def test_conjecture2_encodes_no_graph_without_a_counterexample(monkeypatch):
+    # 996 catalog graphs and 26 well-covered trees, none of them printed
+    from coronapoly import graphs
+    from coronapoly.suites import default_corpus
+
+    corpus = default_corpus(7)
+    encoded = []
+    encode = graphs.encode_graph6
+    for module in (graphs, search):
+        monkeypatch.setattr(module, "encode_graph6", lambda g: encoded.append(g) or encode(g))
+    report = conjecture2_scan(corpus, 14)
+    assert report.clean and report.graphs_scanned == 996
+    assert encoded == []
+
+
+def test_conjecture2_counterexample_names_graph_and_tree(monkeypatch):
+    # with the pendant matching forced false, K_2 in either form is a
+    # "counterexample" matching the corona of K_1
+    monkeypatch.setattr(search, "pendant_edges_form_perfect_matching", lambda g: False)
+    report = conjecture2_scan([complete_graph(2), ">>graph6<<A_\n"], 4)
+    assert report.counterexamples == [{"graph": "A_", "polynomial": ["1", "2"], "tree": "A_"}] * 2
+
+
 def test_conjecture2_skips_disconnected():
     report = conjecture2_scan([disjoint_union(complete_graph(2), Graph(1))], 8)
     assert report.skipped_disconnected == 1

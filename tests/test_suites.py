@@ -2,7 +2,8 @@ import pytest
 
 from coronapoly import suites
 from coronapoly.errors import ResourceLimitError
-from coronapoly.suites import DEFAULT_MAX_K, default_corpus, run_hk_suite, run_suite
+from coronapoly.graphs import cycle_graph, encode_graph6
+from coronapoly.suites import DEFAULT_MAX_K, check_one, default_corpus, run_hk_suite, run_suite
 
 
 def _must_not_run(*args, **kwargs):
@@ -34,3 +35,16 @@ def test_corpus_cap_checked_before_enumeration(monkeypatch):
     monkeypatch.setattr(suites, "enumerate_graphs", _must_not_run)
     with pytest.raises(ResourceLimitError):
         default_corpus(9)
+
+
+def test_failures_named_once_by_graph6(monkeypatch):
+    # check_one gives the bare reason; run_suite names the graph once, by its
+    # graph6 without a header, for a Graph item and for a padded line alike
+    c5 = cycle_graph(5)
+    text = encode_graph6(c5)
+    monkeypatch.setattr(suites, "divisibility_check", lambda g: (3, 1, False))
+    assert check_one("divisibility", c5) == "3 not divisible by 2^1"
+    monkeypatch.setattr(suites, "check_one", lambda suite, g, tol=1e-9: "forced failure")
+    result = run_suite("divisibility", [c5, f"  >>graph6<<{text}\n"])
+    assert result.checked == 2
+    assert result.failures == [f"{text}: forced failure"] * 2
