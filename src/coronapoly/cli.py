@@ -449,12 +449,10 @@ def _cmd_transform(args, parser) -> int:
     return 0
 
 
-def _roots_text(tol: float, as_json: bool, item: StreamItem) -> str:
+def _roots_text(as_json: bool, item: StreamItem) -> str:
     g = item_parse(item)
     _check_graph6_output(g.n, "roots")
-    report = verify_bounds(g, tol) if g.n >= 2 else root_report(
-        independence_polynomial(g), tol
-    )
+    report = verify_bounds(g) if g.n >= 2 else root_report(independence_polynomial(g))
     if as_json:
         payload = report.to_json()
         payload["graph"] = item_graph6(item.graph)
@@ -477,7 +475,7 @@ def _roots_text(tol: float, as_json: bool, item: StreamItem) -> str:
 
 
 def _cmd_roots(args, parser) -> int:
-    return _print_each(args, parser, partial(_roots_text, args.tol, args.output == "json"))
+    return _print_each(args, parser, partial(_roots_text, args.output == "json"))
 
 
 def _cmd_gen(args, parser) -> int:
@@ -510,10 +508,10 @@ def _cmd_verify(args, parser) -> int:
     if args.suite == "hk":
         if args.input:
             parser.error("--suite hk builds its own instances and takes no --input")
-        result = suites.run_suite("hk", max_n=args.max_n)
+        result = suites.run_hk_suite(args.max_n)
     else:
         with _scan_map(_scan_items(args, suites.DEFAULT_MAX_N), args.jobs) as (mapper, stream):
-            result = suites.run_suite(args.suite, stream, tol=args.tol, mapper=mapper)
+            result = suites.run_suite(args.suite, stream, mapper)
     if args.output == "json":
         print(json.dumps(result.to_json()))
     else:
@@ -603,7 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p)
     _add_jobs(p, jobs)
     _add_output(p)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=_cmd_roots)
 
     p = sub.add_parser("gen", help="emit graphs (and closed-form polynomials)")
@@ -622,10 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--input", help="graph6 stream instead of the built-in catalog (not with --suite hk)"
-    )
-    p.add_argument(
-        "--tol", type=float, default=1e-9,
-        help="numeric tolerance of the complex-root bound verdicts (read only by --suite bounds)",
     )
     _add_jobs(p, jobs, ", --input or the catalog (unused by --suite hk)")
     _add_output(p)

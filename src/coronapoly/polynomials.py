@@ -129,10 +129,6 @@ class IntPolynomial:
     def one(cls) -> "IntPolynomial":
         return cls((1,))
 
-    @classmethod
-    def x(cls) -> "IntPolynomial":
-        return cls((0, 1))
-
     # -- basic structure -------------------------------------------------------
 
     @property

@@ -422,14 +422,17 @@ def _real_root_float(f: IntPolynomial, lo: Fraction, hi: Fraction) -> float:
 
 _INIT_ANGLE_OFFSET = math.sqrt(2.0)  # fixed irrational rotation, no RNG
 _MAX_SWEEPS = 1000
+_STEP_TOL = 1e-12       # Aberth: a correction this small, relative, converges
+_RESIDUAL_TOL = 1e-9    # coefficient-scaled residual an approximation must meet
+_VERDICT_SLACK = 1e-9   # float slack of the nonreal moduli in bound verdicts
 
 
-def numeric_roots(p: IntPolynomial, tol: float = 1e-12) -> list[complex]:
+def numeric_roots(p: IntPolynomial) -> list[complex]:
     """Aberth simultaneous approximation of all roots (degree entries).
 
     Deterministic: starts on the Cauchy-bound circle rotated by a fixed
     irrational angle.  Convergence per root is declared when either the
-    correction falls below tol or the residual reaches the evaluation
+    correction falls below _STEP_TOL or the residual reaches the evaluation
     noise floor (which is the best achievable at a multiple root).  One
     last correction sweep then moves every root, those frozen at the noise
     floor included, and every approximation is validated against a
@@ -439,11 +442,9 @@ def numeric_roots(p: IntPolynomial, tol: float = 1e-12) -> list[complex]:
     d = p.degree
     if d < 1:
         raise ValueError("need degree >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     zeros = next(i for i, c in enumerate(p.coeffs) if c)
     if zeros:   # x^zeros divides p: exact roots at 0, Aberth on the rest
-        rest = numeric_roots(IntPolynomial(p.coeffs[zeros:]), tol) if zeros < d else []
+        rest = numeric_roots(IntPolynomial(p.coeffs[zeros:])) if zeros < d else []
         return sorted(rest + [0j] * zeros, key=lambda w: (w.real, w.imag))
     top = max(abs(c) for c in p.coeffs)
     a = [float(Fraction(c, top)) for c in p.coeffs]
@@ -493,7 +494,7 @@ def numeric_roots(p: IntPolynomial, tol: float = 1e-12) -> list[complex]:
                 continue
             step = correction(j, pv / dv)
             z[j] -= step
-            if abs(step) <= tol * max(1.0, abs(z[j])):
+            if abs(step) <= _STEP_TOL * max(1.0, abs(z[j])):
                 converged[j] = True
             else:
                 done = False
@@ -508,10 +509,9 @@ def numeric_roots(p: IntPolynomial, tol: float = 1e-12) -> list[complex]:
         pv, dv, _ = eval_both(z[j])
         if dv != 0:
             z[j] -= correction(j, pv / dv)
-    resid_tol = max(tol * 1e3, 1e-9)
     for x in z:
         pv, _, scale = eval_both(x)
-        if abs(pv) > resid_tol * max(scale, 1e-300):
+        if abs(pv) > _RESIDUAL_TOL * max(scale, 1e-300):
             raise RootConvergenceError(
                 f"residual {abs(pv):.3e} above threshold at {x}", list(z)
             )
@@ -588,7 +588,7 @@ class RootReport:
         }
 
 
-def root_report(p: IntPolynomial, tol: float = 1e-12) -> RootReport:
+def root_report(p: IntPolynomial) -> RootReport:
     """The root pass: the exact isolation of p, then floats for each Yun
     factor.
 
@@ -612,7 +612,7 @@ def root_report(p: IntPolynomial, tol: float = 1e-12) -> RootReport:
                 (lo, hi), _ = real[i]
                 floats[i] = float(lo) if lo == hi else _real_root_float(f, lo, hi)
             continue
-        approx = sorted(numeric_roots(f, tol), key=lambda z: abs(z.imag))
+        approx = sorted(numeric_roots(f), key=lambda z: abs(z.imag))
         on_axis = sorted(approx[: len(slots)], key=lambda z: z.real)
         for i, z in zip(slots, on_axis):
             (lo, hi), _ = real[i]
@@ -715,7 +715,7 @@ def _root_sign(q: IntPolynomial, root: tuple[Fraction, Fraction, int], c: Fracti
     return 0 if s == 0 else 1 if s == sign_at(q.coeffs, lo) else -1
 
 
-def verify_bounds(g: Graph, tol: float = 1e-9) -> RootReport:
+def verify_bounds(g: Graph) -> RootReport:
     """Evaluate every applicable named root-location bound for I(G).
 
     Bounds (margins are slack before violation; negative means failed):
@@ -727,7 +727,7 @@ def verify_bounds(g: Graph, tol: float = 1e-9) -> RootReport:
     * ``real_window``: real roots in [-1, -1/n) for connected well-covered
       G of girth >= 6 other than C_7, K_1, K_2.
     * ``smallest_modulus_real_unique``: the minimum-modulus root is real
-      and no other root ties it (within tol).
+      and no other root ties it (within _VERDICT_SLACK).
 
     The real legs are exact: each compares the isolated extreme real root
     with a rational.  Inapplicable bounds report ``passed=None``.
@@ -741,7 +741,7 @@ def verify_bounds(g: Graph, tol: float = 1e-9) -> RootReport:
     # number is 2, or 1 without an edge
     wc = is_well_covered(g)
     w = (2 if g.num_edges else 1) if is_forest(g) else alpha(complement(g))
-    report = root_report(p, min(tol, 1e-12))
+    report = root_report(p)
     a = p.degree
     nonreal_moduli = [math.hypot(re, im) for re, im, _ in report.complex_roots]
     real_moduli = [abs(x) for x in report.real_floats]
@@ -763,7 +763,7 @@ def verify_bounds(g: Graph, tol: float = 1e-9) -> RootReport:
             passed = (
                 inner_ok
                 and (not real or _root_sign(q, real[0], Fraction(-a)) > 0)
-                and all(r >= 1 / n - tol and r <= a + tol for r in nonreal_moduli)
+                and all(1 / n - _VERDICT_SLACK <= r <= a + _VERDICT_SLACK for r in nonreal_moduli)
             )
             note = ""
         report.bounds["annulus"] = BoundCheck(
@@ -823,7 +823,7 @@ def verify_bounds(g: Graph, tol: float = 1e-9) -> RootReport:
         rho = min(real_moduli)
         others = [r for r in real_moduli if r != rho] + nonreal_moduli
         margin = min(others) - rho if others else math.inf
-        passed = margin > tol if others else True
+        passed = margin > _VERDICT_SLACK if others else True
         report.bounds["smallest_modulus_real_unique"] = BoundCheck(
             "smallest_modulus_real_unique",
             True,

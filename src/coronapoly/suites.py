@@ -1,7 +1,7 @@
 """Named invariant suites behind ``coronapoly verify``.
 
-Each suite sweeps a graph corpus (an ingested graph6 stream, or the
-built-in catalog of connected graphs when none is given) and records a
+Each graph suite sweeps a corpus (an ingested graph6 stream, or
+``default_corpus``, the built-in catalog of connected graphs) and records a
 failure message per violated instance.  Everything here is exact; a
 suite passes iff no instance fails.  ``run_suite`` maps a picklable
 per-graph check, which returns a bare reason, with ``graphs.map_items``
@@ -81,9 +81,11 @@ class SuiteResult:
 def default_corpus(max_n: int | None = None) -> list[Graph]:
     """Connected graphs on 1..max_n vertices (default DEFAULT_MAX_N) from
     the built-in catalog, whose memoised levels make this one pass over
-    1..max_n; the catalog cap is checked before any work."""
+    1..max_n; both caps are checked before any work."""
     if max_n is None:
         max_n = DEFAULT_MAX_N
+    if max_n < 1:
+        raise ValueError(f"corpus cap must be >= 1, got {max_n}")
     if max_n > GRAPH_ENUM_LIMIT:
         raise ResourceLimitError(
             f"built-in catalog capped at {GRAPH_ENUM_LIMIT} vertices; "
@@ -95,9 +97,8 @@ def default_corpus(max_n: int | None = None) -> list[Graph]:
     return out
 
 
-def check_one(suite: str, g: Graph, tol: float = 1e-9) -> str | None:
-    """Run one suite instance; None on pass, else the reason it failed.
-    Only the bounds suite reads `tol`."""
+def check_one(suite: str, g: Graph) -> str | None:
+    """Run one suite instance; None on pass, else the reason it failed."""
     n = g.n
     if suite == "corona-identities":
         s = independence_polynomial(g)
@@ -132,7 +133,7 @@ def check_one(suite: str, g: Graph, tol: float = 1e-9) -> str | None:
     if suite == "bounds":
         if n < 2:
             return None
-        report = verify_bounds(g, tol)
+        report = verify_bounds(g)
         bad = [b.name for b in report.bounds.values() if b.applicable and not b.passed]
         if bad:
             return f"failed bounds {bad}"
@@ -155,9 +156,9 @@ def check_one(suite: str, g: Graph, tol: float = 1e-9) -> str | None:
     raise ValueError(f"unknown suite {suite!r}")
 
 
-def _check_item(suite: str, tol: float, item) -> str | None:
+def _check_item(suite: str, item) -> str | None:
     """Per-item map of run_suite: check_one on one stream item."""
-    return check_one(suite, item_parse(item), tol)
+    return check_one(suite, item_parse(item))
 
 
 def run_hk_suite(max_k: int | None = None) -> SuiteResult:
@@ -177,21 +178,11 @@ def run_hk_suite(max_k: int | None = None) -> SuiteResult:
     return result
 
 
-def run_suite(
-    suite: str,
-    graphs: Iterable | None = None,
-    max_n: int | None = None,
-    tol: float = 1e-9,
-    mapper: Callable[..., Iterable] = map,
-) -> SuiteResult:
-    """Run a suite over `graphs`, or over the catalog up to `max_n`; for
-    "hk", `max_n` is the largest k instead."""
-    if suite == "hk":
-        return run_hk_suite(max_n)
-    if graphs is None:
-        graphs = default_corpus(max_n)
+def run_suite(suite: str, graphs: Iterable, mapper: Callable[..., Iterable] = map) -> SuiteResult:
+    """Run a graph suite over `graphs` (hk builds its own instances:
+    ``run_hk_suite``)."""
     result = SuiteResult(suite, 0)
-    for item, reason in map_items(partial(_check_item, suite, tol), graphs, mapper):
+    for item, reason in map_items(partial(_check_item, suite), graphs, mapper):
         result.checked += 1
         if reason is not None:
             result.failures.append(f"{item_graph6(item.graph)}: {reason}")

@@ -324,7 +324,7 @@ def test_criterion_11_root_location_bounds():
     for g in graphs_upto(8):
         if g.n < 2:
             continue
-        report = verify_bounds(g, NUMERIC_TOL)
+        report = verify_bounds(g)
         for name in ("xi_max_window", "modulus_floor", "smallest_modulus_real_unique"):
             assert report.bounds[name].passed, (encode_graph6(g), name)
         window_checked += 1
@@ -339,7 +339,7 @@ def test_criterion_11_root_location_bounds():
     for g in well_covered_catalog(10):
         if g.n <= 8:
             continue  # already swept above
-        b = verify_bounds(g, NUMERIC_TOL).bounds["annulus"]
+        b = verify_bounds(g).bounds["annulus"]
         assert b.applicable and b.passed, (encode_graph6(g), b)
         annulus_checked += 1
     print(

@@ -203,7 +203,7 @@ def test_verify_parallel_jobs(tmp_path, capsys):
 def test_verify_failure_exit_code(monkeypatch, capsys):
     from coronapoly import suites
 
-    monkeypatch.setattr(suites, "check_one", lambda suite, g, tol=1e-9: "forced failure")
+    monkeypatch.setattr(suites, "check_one", lambda suite, g: "forced failure")
     code, out, _ = run(capsys, "verify", "--suite", "divisibility", "--max-n", "3", "--jobs", "1")
     assert code == 1
     assert "FAIL" in out
@@ -356,6 +356,40 @@ def test_gen_takes_no_stream_options(capsys, extra):
         main(["gen", "--family", "path", "--n", "3", *extra])
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("roots", "--family", "path", "--n", "4"),
+        ("verify", "--suite", "bounds", "--max-n", "3"),
+    ],
+)
+def test_root_pass_takes_no_tolerance(capsys, argv):
+    # the numeric slack is a constant of the root pass, not an option
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--tol", "1e-9"])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (("verify", "--suite", "bounds", "--max-n", "0"), None),
+        (("verify", "--suite", "multiplicity", "--max-n", "-4"), None),
+        (("search", "--mode", "hamidoune", "--max-n", "0"), None),
+        (("search", "--mode", "conjecture2", "--max-n", "0"), None),
+        (("verify", "--suite", "bounds"), "0"),
+    ],
+)
+def test_corpus_cap_below_one_is_a_usage_error(monkeypatch, capsys, argv, env):
+    if env is not None:
+        monkeypatch.setenv("CORONAPOLY_MAX_N", env)
+    code, out, err = run(capsys, *argv, "--jobs", "1")
+    assert code == 2
+    assert out == ""
+    assert "corpus cap" in err
 
 
 def test_search_equal_poly(tmp_path, capsys):

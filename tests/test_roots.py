@@ -259,8 +259,6 @@ def test_numeric_roots_take_zero_roots_exactly():
 def test_numeric_roots_validation():
     with pytest.raises(ValueError):
         numeric_roots(IntPolynomial((5,)))
-    with pytest.raises(ValueError):
-        numeric_roots(IntPolynomial((1, 2)), tol=0.0)
 
 
 def test_all_roots_real():
@@ -572,7 +570,7 @@ def test_root_pass_rejects_bad_approximations(monkeypatch, capsys, tmp_path, cor
     from coronapoly.graphs import encode_graph6
 
     real_numeric_roots = roots.numeric_roots
-    monkeypatch.setattr(roots, "numeric_roots", lambda f, tol: corrupt(real_numeric_roots(f, tol)))
+    monkeypatch.setattr(roots, "numeric_roots", lambda f: corrupt(real_numeric_roots(f)))
     with pytest.raises(RootConvergenceError):
         root_report(independence_polynomial(TREE8_NONREAL))
     stream = tmp_path / "tree8.g6"

@@ -11,7 +11,7 @@ def _must_not_run(*args, **kwargs):
 
 
 def test_hk_default_is_one_rule():
-    result = run_suite("hk")
+    result = run_hk_suite()
     assert result.checked == DEFAULT_MAX_K == 4
     assert result.passed
     assert run_hk_suite().checked == DEFAULT_MAX_K
@@ -20,21 +20,28 @@ def test_hk_default_is_one_rule():
 def test_hk_rejects_nonpositive_max_k():
     # an explicit 0 used to fall back to the default silently
     with pytest.raises(ValueError):
-        run_suite("hk", max_n=0)
+        run_hk_suite(0)
 
 
 def test_hk_cap_checked_before_building(monkeypatch):
     monkeypatch.setattr(suites, "build_hk", _must_not_run)
     with pytest.raises(ResourceLimitError):
-        run_suite("hk", max_n=6)    # H_6 of K_2 has 128 > 64 vertices
+        run_hk_suite(6)    # H_6 of K_2 has 128 > 64 vertices
     with pytest.raises(ResourceLimitError):
-        run_suite("hk", max_n=7)    # the old default corpus cap
+        run_hk_suite(7)    # the old default corpus cap
 
 
 def test_corpus_cap_checked_before_enumeration(monkeypatch):
     monkeypatch.setattr(suites, "enumerate_graphs", _must_not_run)
     with pytest.raises(ResourceLimitError):
         default_corpus(9)
+
+
+@pytest.mark.parametrize("cap", [0, -4])
+def test_corpus_cap_below_one_rejected_before_enumeration(monkeypatch, cap):
+    monkeypatch.setattr(suites, "enumerate_graphs", _must_not_run)
+    with pytest.raises(ValueError):
+        default_corpus(cap)
 
 
 def test_failures_named_once_by_graph6(monkeypatch):
@@ -44,7 +51,7 @@ def test_failures_named_once_by_graph6(monkeypatch):
     text = encode_graph6(c5)
     monkeypatch.setattr(suites, "divisibility_check", lambda g: (3, 1, False))
     assert check_one("divisibility", c5) == "3 not divisible by 2^1"
-    monkeypatch.setattr(suites, "check_one", lambda suite, g, tol=1e-9: "forced failure")
+    monkeypatch.setattr(suites, "check_one", lambda suite, g: "forced failure")
     result = run_suite("divisibility", [c5, f"  >>graph6<<{text}\n"])
     assert result.checked == 2
     assert result.failures == [f"{text}: forced failure"] * 2
