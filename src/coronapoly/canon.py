@@ -10,19 +10,21 @@ JSC 2014), which also yields generators and the order of Aut(g).
 
 The catalogs (`enumerate_trees`, `enumerate_graphs`) produce exactly one
 representative per isomorphism class, each level memoised, so asking for
-every order up to n builds each level once.  The tree catalog attaches a
-leaf at one vertex per orbit and keeps the first tree seen with each
-code.  The graph catalog follows McKay's canonical construction path
-(*Isomorph-free exhaustive generation*, J. Algorithms 26, 1998; nauty's
-`geng`): a parent g is extended by a new vertex v with one neighbourhood
-per orbit of Aut(g) on the subsets of V(g), and a child is kept iff v
-lies in the Aut-orbit of a vertex chosen from the child's isomorphism
-class alone.  No codes are compared.  The parent's degrees decide most
-neighbourhoods outright; a child whose v ties another vertex on degree
-has its neighbour degrees compared, and it is searched only when v ties
-on those too.  A level comes out in generation order, each child kept
-as generated; the generators of a level's automorphism groups are found
-only when the next level is built, one search per graph.
+every order up to n builds each level once; a request for the connected
+graphs on n vertices builds level n connected only, over the full levels
+below it.  The tree catalog attaches a leaf at one vertex per orbit and
+keeps the first tree seen with each code.  The graph catalog follows
+McKay's canonical construction path (*Isomorph-free exhaustive
+generation*, J. Algorithms 26, 1998; nauty's `geng`): a parent g is
+extended by a new vertex v with one neighbourhood per orbit of Aut(g) on
+the subsets of V(g), and a child is kept iff v lies in the Aut-orbit of
+a vertex chosen from the child's isomorphism class alone.  No codes are
+compared.  The parent's degrees decide most neighbourhoods outright; a
+child whose v ties another vertex on degree has its neighbour degrees
+compared, and it is searched only when v ties on those too.  A level
+comes out in generation order, each child kept as generated; the
+generators of a level's automorphism groups are found only when the next
+level is built, one search per graph.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from functools import cache
 from math import prod
 
 from .errors import ResourceLimitError
-from .graphs import Graph, _from_masks, _mask_bits, is_connected, is_forest
+from .graphs import Graph, _component_masks, _from_masks, _mask_bits, is_forest
 
 CANONICAL_LIMIT = 30    # general graphs: individualization-refinement code
 FOREST_CODE_LIMIT = 64
@@ -58,11 +60,12 @@ def _forest_code(g: Graph) -> bytes:
     """Each tree's parenthesis code rooted at its center, from one
     leaf-peeling pass over the masks.  Vertices are peeled in layers of
     current leaves, and a vertex's rooted code is built when it is peeled,
-    from the sorted codes of its neighbours peeled before it.  A tree's
-    last layer is its center, alone, or two adjacent centers, and then the
-    smaller of the codes rooted at either is kept."""
+    from the sorted codes of its neighbours peeled before it; a vertex with
+    none is "()".  A tree's last layer is its center, alone, or two
+    adjacent centers, and then the smaller of the codes rooted at either is
+    kept."""
     left = list(g.masks)        # each vertex's neighbours not yet peeled
-    subs: list[list[str]] = [[] for _ in left]
+    subs: list[list[str] | None] = [None] * g.n     # codes of those peeled so far
     trees = []
     layer = [v for v, m in enumerate(left) if not m & (m - 1)]
     while layer:
@@ -71,20 +74,29 @@ def _forest_code(g: Graph) -> bytes:
         for v in layer:
             if not todo >> v & 1:
                 continue        # the other center of a pair already closed
-            code = "(" + "".join(sorted(subs[v])) + ")"
+            below = subs[v]
+            if below is None:
+                code = "()"
+            else:
+                below.sort()
+                code = "(" + "".join(below) + ")"
             if not left[v]:
                 trees.append(code)
                 continue
             w = left[v].bit_length() - 1
             if todo >> w & 1:   # two adjacent centers
                 todo ^= 1 << w
-                other = "(" + "".join(sorted(subs[w])) + ")"
+                other = subs[w] or []
+                other.sort()
                 trees.append(min(
-                    "(" + "".join(sorted(subs[v] + [other])) + ")",
-                    "(" + "".join(sorted(subs[w] + [code])) + ")",
+                    "(" + "".join(sorted((below or []) + ["(" + "".join(other) + ")"])) + ")",
+                    "(" + "".join(sorted(other + [code])) + ")",
                 ))
                 continue
-            subs[w].append(code)
+            if subs[w] is None:
+                subs[w] = [code]
+            else:
+                subs[w].append(code)
             left[w] ^= 1 << v
             if left[w] and not left[w] & (left[w] - 1):
                 nxt.append(w)       # w is now a leaf
@@ -101,22 +113,37 @@ def _refine(masks: tuple[int, ...], cells: list[int], queue: list[int]) -> list[
     cell with unequal neighbour counts into the splitter is replaced by its
     fragments in increasing count order, and they join the queue in that
     order, less the first largest when the cell is not itself queued
-    (Hopcroft's rule).  Nothing depends on vertex labels."""
+    (Hopcroft's rule).  A one-vertex splitter splits a cell into its
+    non-neighbours and neighbours directly.  Nothing depends on vertex
+    labels."""
     n = len(masks)
     head = 0
     while head < len(queue) and len(cells) < n:
         s = queue[head]
         head += 1
-        if s & (s - 1):
-            by_count: dict[int, int] = {}
-            for v, m in enumerate(masks):
-                k = (m & s).bit_count()
-                by_count[k] = by_count.get(k, 0) | 1 << v
-            classes = [by_count[k] for k in sorted(by_count)]
-        else:
-            nb = masks[s.bit_length() - 1]
-            classes = [~nb, nb]
         out = []
+        if not s & (s - 1):
+            nb = masks[s.bit_length() - 1]
+            for c in cells:
+                b = c & nb
+                if not b or b == c:
+                    out.append(c)
+                    continue
+                a = c ^ b
+                out += (a, b)
+                if c in queue[head:]:
+                    queue += (a, b)
+                else:           # keep the smaller, b on a tie
+                    queue.append(a if a.bit_count() < b.bit_count() else b)
+            cells = out
+            continue
+        by_count: dict[int, int] = {}
+        for v, m in enumerate(masks):
+            k = (m & s).bit_count()
+            by_count[k] = by_count.get(k, 0) | 1 << v
+        if len(by_count) == 1:
+            continue            # every count equal: no cell splits
+        classes = [by_count[k] for k in sorted(by_count)]
         for c in cells:
             if c & (c - 1):
                 frags = [c & k for k in classes if c & k]
@@ -176,8 +203,9 @@ def _search(masks: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]], int, li
             order = [c.bit_length() - 1 for c in cells]
             cert = 0
             for i, v in enumerate(order):
+                m = masks[v]
                 for u in order[:i]:
-                    cert = (cert << 1) | ((masks[v] >> u) & 1)
+                    cert = cert << 1 | m >> u & 1
             if first is None:
                 first = best = (cert, order)
             elif cert in (first[0], best[0]):
@@ -189,7 +217,7 @@ def _search(masks: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]], int, li
             return None
         sizes = [c.bit_count() if c & (c - 1) else n + 1 for c in cells]
         cell = cells[t := sizes.index(min(sizes))]
-        members = [v for v in range(n) if (cell >> v) & 1]
+        members = _mask_bits(cell)
         if fp is None:
             first_path.append((fixed, members[0]))
         done = 0
@@ -293,17 +321,24 @@ def automorphism_group(g: Graph) -> tuple[list[tuple[int, ...]], int]:
 def _subset_orbit_minima(n: int, gens: Sequence[tuple[int, ...]], least: int) -> list[int]:
     """The least mask in each orbit of <gens> on the subsets of 0..n-1
     with at least `least` members, in increasing order.  An orbit keeps
-    its subsets' size, so smaller subsets are skipped with their orbits."""
+    its subsets' size, so smaller subsets are skipped with their orbits.
+    A generator's image of s is read from two half tables, one over the
+    low n//2 bits and one over the rest."""
     size = 1 << n
     if not gens:
         return [s for s in range(size) if s.bit_count() >= least]
-    images = []
+    h = n // 2
+    low = (1 << h) - 1
+    halves = []
     for sigma in gens:
-        img = [0] * size
-        for s in range(1, size):
-            low = s & -s
-            img[s] = img[s ^ low] | (1 << sigma[low.bit_length() - 1])
-        images.append(img)
+        tables = []
+        for base, width in ((0, h), (h, n - h)):
+            img = [0] * (1 << width)
+            for s in range(1, 1 << width):
+                bit = s & -s
+                img[s] = img[s ^ bit] | 1 << sigma[base + bit.bit_length() - 1]
+            tables.append(img)
+        halves.append(tables)
     seen = bytearray(size)
     minima = []
     for s in range(size):
@@ -314,8 +349,9 @@ def _subset_orbit_minima(n: int, gens: Sequence[tuple[int, ...]], least: int) ->
         stack = [s]
         while stack:
             t = stack.pop()
-            for img in images:
-                u = img[t]
+            lo, hi = t & low, t >> h
+            for lo_img, hi_img in halves:
+                u = lo_img[lo] | hi_img[hi]
                 if not seen[u]:
                     seen[u] = 1
                     stack.append(u)
@@ -351,12 +387,15 @@ def _canonical_child(masks: tuple[int, ...], tied: int) -> bool:
 
 
 @cache
-def _graph_level(n: int) -> tuple[Graph, ...]:
-    """Level n of the graph catalog, every class once, in generation order:
-    parents in level order, then each parent's orbit-minimum neighbourhoods
-    in increasing mask order.  A child is kept as generated, its parent's
-    labelling plus vertex n-1 joined to the neighbourhood.  Grown once per
-    process from the memoised level n-1.
+def _graph_level(n: int, connected: bool) -> tuple[Graph, ...]:
+    """Level n of the graph catalog, every class once, or every connected
+    class once, in generation order: parents in level order, then each
+    parent's orbit-minimum neighbourhoods in increasing mask order.  A
+    child is kept as generated, its parent's labelling plus vertex n-1
+    joined to the neighbourhood.  Grown once per process from the memoised
+    full level n-1.  A connected level skips every neighbourhood that
+    misses a component of the parent, whose child is disconnected, so it is
+    the full level's connected graphs, in the same order.
 
     The parent's degrees decide most neighbourhoods S.  With k = |S| and t
     the parent's largest degree, v = n-1 has the child's largest degree
@@ -368,11 +407,12 @@ def _graph_level(n: int) -> tuple[Graph, ...]:
         return (Graph(1),)
     v = n - 1
     graphs = []
-    for g, gens in zip(_graph_level(v), _level_generators(v)):
+    for g, gens in zip(_graph_level(v, False), _level_generators(v)):
         degree = [m.bit_count() for m in g.masks]
         t = max(degree)
         top = sum(1 << u for u, d in enumerate(degree) if d == t)
         below = sum(1 << u for u, d in enumerate(degree) if d == t - 1)
+        comps = _component_masks(g.masks, (1 << v) - 1) if connected else ()
         for sub in _subset_orbit_minima(v, gens, t):
             k = sub.bit_count()
             if k == t:
@@ -381,6 +421,8 @@ def _graph_level(n: int) -> tuple[Graph, ...]:
                 tied = top | below & sub
             else:
                 tied = top & sub if k == t + 1 else 0
+            if not all(sub & c for c in comps):
+                continue            # the child would be disconnected
             masks = tuple(m | ((sub >> i) & 1) << v for i, m in enumerate(g.masks)) + (sub,)
             if not tied or _canonical_child(masks, tied):
                 graphs.append(_from_masks(masks))
@@ -392,7 +434,7 @@ def _level_generators(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Generators of Aut(g) for each graph g of level n, in level order,
     one search per graph.  Only level n+1 reads them, so this never runs
     at the cap."""
-    return tuple(tuple(_search(g.masks)[1]) for g in _graph_level(n))
+    return tuple(tuple(_search(g.masks)[1]) for g in _graph_level(n, False))
 
 
 def enumerate_graphs(n: int, connected: bool = False) -> list[Graph]:
@@ -410,8 +452,10 @@ def enumerate_graphs(n: int, connected: bool = False) -> list[Graph]:
     keeps its parent's labelling, with v = n-1 joined to its
     neighbourhood; so the order and the labelling depend on nothing but n.
     Levels are memoised, so calling this for n = 1, 2, ..., N builds the
-    catalog up to N once.  Capped at 8 vertices; larger corpora are meant
-    to be ingested from graph6 streams.
+    catalog up to N once.  A connected request builds only the connected
+    children at level n, from the full levels below, in the order they
+    have in the full level n.  Capped at 8 vertices; larger corpora are
+    meant to be ingested from graph6 streams.
     """
     if n < 1:
         raise ValueError("graph enumeration needs n >= 1")
@@ -420,7 +464,4 @@ def enumerate_graphs(n: int, connected: bool = False) -> list[Graph]:
             f"graph enumeration capped at {GRAPH_ENUM_LIMIT} vertices; "
             "ingest a graph6 stream for larger orders"
         )
-    level = list(_graph_level(n))
-    if connected:
-        return [g for g in level if is_connected(g)]
-    return level
+    return list(_graph_level(n, bool(connected)))

@@ -543,6 +543,7 @@ def _cmd_search(args, parser) -> int:
         )
         evidence = lambda: [json.dumps(report.to_json())]
     elif args.mode == "conjecture2":
+        search.require_scan_cap("tree-order", args.max_tree_order)  # before the corpus
         with _scan_map(_scan_items(args, 7), args.jobs) as (mapper, stream):
             report = search.conjecture2_scan(stream, args.max_tree_order, mapper)
         status = 0 if report.clean else 1

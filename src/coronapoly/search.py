@@ -243,6 +243,13 @@ class SpiderScanReport:
         }
 
 
+def require_scan_cap(name: str, cap: int) -> None:
+    """A scan cap below 1 admits nothing, and a scan of nothing would read
+    as a clean result, so it is a ValueError, raised before any work."""
+    if cap < 1:
+        raise ValueError(f"{name} cap must be >= 1, got {cap}")
+
+
 def spider_uniqueness_scan(max_skeleton: int) -> SpiderScanReport:
     """Confirm over all tree skeletons up to the given order that only the
     stars produce a spider polynomial under the corona.
@@ -251,6 +258,7 @@ def spider_uniqueness_scan(max_skeleton: int) -> SpiderScanReport:
     skipped up front (they cannot match: every spider polynomial has the
     multiplicity exactly 1), and the skip is itself validated.
     """
+    require_scan_cap("skeleton", max_skeleton)
     if max_skeleton > SPIDER_SKELETON_LIMIT:
         raise ResourceLimitError(
             f"spider uniqueness scan capped at skeleton order {SPIDER_SKELETON_LIMIT}"
@@ -371,6 +379,7 @@ def conjecture2_scan(
     about connected graphs).  Counterexamples, if any, are reported as
     graph6, with the tree they match; nothing else is encoded.
     """
+    require_scan_cap("tree-order", max_tree_order)
     index: dict[tuple[int, ...], Graph] = {}
     for t in well_covered_trees(max_tree_order):
         index[independence_polynomial_tree(t).coeffs] = t

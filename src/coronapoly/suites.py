@@ -24,7 +24,16 @@ from .corona import (
     inverse_corona_coefficients,
 )
 from .errors import ResourceLimitError
-from .graphs import Graph, alpha, complete_graph, corona, item_graph6, item_parse, map_items
+from .graphs import (
+    Graph,
+    alpha,
+    complete_graph,
+    corona,
+    is_connected,
+    item_graph6,
+    item_parse,
+    map_items,
+)
 from .indpoly import independence_polynomial
 from .roots import (
     build_hk,
@@ -81,7 +90,9 @@ class SuiteResult:
 def default_corpus(max_n: int | None = None) -> list[Graph]:
     """Connected graphs on 1..max_n vertices (default DEFAULT_MAX_N) from
     the built-in catalog, whose memoised levels make this one pass over
-    1..max_n; both caps are checked before any work."""
+    1..max_n: the levels below max_n are read from the full levels, which
+    are built anyway as parents, and only level max_n is built connected
+    only.  Both caps are checked before any work."""
     if max_n is None:
         max_n = DEFAULT_MAX_N
     if max_n < 1:
@@ -91,10 +102,8 @@ def default_corpus(max_n: int | None = None) -> list[Graph]:
             f"built-in catalog capped at {GRAPH_ENUM_LIMIT} vertices; "
             "ingest a graph6 stream for larger orders"
         )
-    out: list[Graph] = []
-    for n in range(1, max_n + 1):
-        out.extend(enumerate_graphs(n, connected=True))
-    return out
+    out = [g for n in range(1, max_n) for g in enumerate_graphs(n) if is_connected(g)]
+    return out + enumerate_graphs(max_n, connected=True)
 
 
 def check_one(suite: str, g: Graph) -> str | None:

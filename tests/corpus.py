@@ -19,6 +19,7 @@ from coronapoly.graphs import (
     complete_multipartite_graph,
     corona,
     disjoint_union,
+    is_connected,
     is_well_covered,
 )
 from coronapoly.indpoly import independence_polynomial
@@ -32,10 +33,11 @@ def graphs_exactly(n: int, connected: bool = False) -> tuple[Graph, ...]:
 
 
 def graphs_upto(n: int, connected: bool = False) -> list[Graph]:
-    out: list[Graph] = []
-    for k in range(1, n + 1):
-        out.extend(graphs_exactly(k, connected))
-    return out
+    """Levels 1..n.  A connected request reads the levels below n from the
+    full levels, as ``default_corpus`` does: those are built anyway as
+    parents, so only level n is built connected only."""
+    out = [g for k in range(1, n) for g in graphs_exactly(k) if not connected or is_connected(g)]
+    return out + list(graphs_exactly(n, connected))
 
 
 @cache

@@ -24,6 +24,9 @@ same Sturm chain (the package's), bisected at Fraction midpoints.
 ``general_code_masks`` and ``forest_code_graph`` read a canonical code
 back into the graph it spells out, which shows that equal codes mean
 isomorphic graphs whatever the canonical search does.
+``refine_reference`` is the partition refinement the package used before
+it split cells by a one-vertex splitter directly: every splitter goes
+through a count table, sorted, and a fragment list per split cell.
 """
 
 import math
@@ -457,6 +460,41 @@ def center_rooted_forest_code(g: Graph) -> bytes:
                     stack.append(w)
         codes.append(min(_rooted_code(nbrs, c) for c in _tree_centers(nbrs, sorted(comp))))
     return b"T" + bytes([g.n]) + "|".join(sorted(codes)).encode("ascii")
+
+
+def refine_reference(masks: tuple[int, ...], cells: list[int], queue: list[int]) -> list[int]:
+    """``canon._refine`` as the package computed it before its direct
+    one-vertex splits: an equitable refinement of `cells`, splitters taken
+    from `queue` first in, first out, each cell replaced by its fragments
+    in increasing count order, which join the queue less the first largest
+    when the cell is not itself queued."""
+    n = len(masks)
+    head = 0
+    while head < len(queue) and len(cells) < n:
+        s = queue[head]
+        head += 1
+        if s & (s - 1):
+            by_count: dict[int, int] = {}
+            for v, m in enumerate(masks):
+                k = (m & s).bit_count()
+                by_count[k] = by_count.get(k, 0) | 1 << v
+            classes = [by_count[k] for k in sorted(by_count)]
+        else:
+            nb = masks[s.bit_length() - 1]
+            classes = [~nb, nb]
+        out = []
+        for c in cells:
+            if c & (c - 1):
+                frags = [c & k for k in classes if c & k]
+                if len(frags) > 1:
+                    out += frags
+                    if c not in queue[head:]:
+                        frags.remove(max(frags, key=int.bit_count))
+                    queue += frags
+                    continue
+            out.append(c)
+        cells = out
+    return cells
 
 
 def fraction_isolate_real_roots(p: IntPolynomial) -> list[tuple[tuple[Fraction, Fraction], int]]:

@@ -25,11 +25,13 @@ from coronapoly.graphs import (
     path_graph,
 )
 from coronapoly.indpoly import independence_polynomial
+from coronapoly.suites import default_corpus
 from knowngraphs import EQUAL_TREES10_A, EQUAL_TREES10_B, PAIR5_A, PAIR5_B
 from oracles import (
     center_rooted_forest_code,
     forest_code_graph,
     general_code_masks,
+    refine_reference,
     unpruned_graph_levels,
 )
 
@@ -64,11 +66,17 @@ def test_forest_codes_cover_components():
 
 def test_forest_code_matches_center_rooted_encoder():
     # one leaf-peeling pass against centers-then-recursion, byte for byte:
-    # every tree on at most 14 vertices, then seeded relabelled forests
+    # every tree on at most 14 vertices, those on at most 12 relabelled too,
+    # then seeded relabelled forests, up to the 64-vertex cap
     trees = [t for n in range(1, 15) for t in enumerate_trees(n)]
     assert len(trees) == sum(TREE_COUNTS[n] for n in range(1, 15))
+    rng = random.Random(22)
     for t in trees:
         assert canon._forest_code(t) == center_rooted_forest_code(t), list(t.edges())
+        if t.n <= 12:
+            perm = rng.sample(range(t.n), t.n)
+            r = Graph(t.n, [(perm[u], perm[v]) for u, v in t.edges()])
+            assert canon._forest_code(r) == center_rooted_forest_code(r) == canon._forest_code(t)
     rng = random.Random(163)
     for _ in range(3000):
         n = rng.randint(0, 40)
@@ -76,6 +84,39 @@ def test_forest_code_matches_center_rooted_encoder():
         rng.shuffle(perm)
         f = Graph(n, [(perm[v], perm[rng.randrange(v)]) for v in range(1, n) if rng.random() < 0.8])
         assert canon._forest_code(f) == center_rooted_forest_code(f), list(f.edges())
+    for _ in range(400):
+        n = rng.randint(41, 64)
+        perm = rng.sample(range(n), n)
+        f = Graph(n, [(perm[v], perm[rng.randrange(v)]) for v in range(1, n) if rng.random() < 0.9])
+        assert canon._forest_code(f) == center_rooted_forest_code(f), list(f.edges())
+
+
+def test_refine_matches_reference(monkeypatch):
+    # every refinement the search makes, on catalog levels <= 7 and on
+    # seeded G(n, p), against the refinement with a count table per splitter
+    refine = canon._refine
+    checked = []
+
+    def both(masks, cells, queue):
+        # the cells in order, and the splitters queued in the same order
+        reference_queue = list(queue)
+        expect = refine_reference(masks, list(cells), reference_queue)
+        got = refine(masks, cells, queue)
+        assert (got, queue) == (expect, reference_queue), (masks, cells)
+        checked.append(masks)
+        return got
+
+    monkeypatch.setattr(canon, "_refine", both)
+    _clear_graph_levels()
+    assert len(enumerate_graphs(7)) == GRAPH_COUNTS[7]
+    catalog = len(checked)
+    rng = random.Random(500)
+    for _ in range(500):
+        n = rng.randint(1, 14)
+        p = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        canon._search(g.masks)
+    assert catalog > 2000 and len(checked) > catalog + 500
 
 
 def test_code_limits():
@@ -205,6 +246,24 @@ def test_searches_only_on_invariant_ties(monkeypatch):
     # 534 tie searches on levels 2-7, and one generator search for each of
     # the 208 graphs of levels 1-6; level 7's generators are never built
     assert len(calls) == 742
+    # the default corpus reads levels 1-6 from the full levels and builds
+    # level 7 connected only, whose disconnected children get no search
+    calls.clear()
+    _clear_graph_levels()
+    assert len(default_corpus(7)) == sum(CONNECTED_GRAPH_COUNTS[n] for n in range(1, 8))
+    assert len(calls) == 640
+    assert canon._graph_level.cache_info().misses == 7
+
+
+def test_connected_levels_equal_filtered_full_levels():
+    # a connected level skips the children that miss a parent's component,
+    # and keeps the rest in the full level's order, mask for mask
+    _clear_graph_levels()
+    for n in range(1, 8):
+        connected = enumerate_graphs(n, connected=True)
+        full = enumerate_graphs(n)
+        assert [g.masks for g in connected] == [g.masks for g in full if is_connected(g)]
+        assert len(connected) == CONNECTED_GRAPH_COUNTS[n]
 
 
 def test_parent_degrees_decide_most_children(monkeypatch):
@@ -220,6 +279,11 @@ def test_parent_degrees_decide_most_children(monkeypatch):
     assert len(enumerate_graphs(7)) == GRAPH_COUNTS[7]
     assert len(calls) == 1036
     assert all(calls)
+    # level 7 built connected only: 891 children reach the invariant
+    calls.clear()
+    _clear_graph_levels()
+    default_corpus(7)
+    assert len(calls) == 891
 
 
 def _cayley_z4_squared(steps):

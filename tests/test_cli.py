@@ -392,6 +392,29 @@ def test_corpus_cap_below_one_is_a_usage_error(monkeypatch, capsys, argv, env):
     assert "corpus cap" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("search", "--mode", "spider-unique", "--max-skeleton"), "skeleton cap"),
+        (("search", "--mode", "conjecture2", "--max-n", "3", "--max-tree-order"), "tree-order cap"),
+    ],
+)
+def test_scan_cap_below_one_is_a_usage_error(monkeypatch, capsys, argv, name, cap):
+    # a cap that admits nothing is refused before any work, not reported clean
+    from coronapoly import search, suites
+
+    def _must_not_run(*args, **kwargs):
+        raise AssertionError("work started before the cap was checked")
+
+    monkeypatch.setattr(search, "enumerate_trees", _must_not_run)
+    monkeypatch.setattr(suites, "enumerate_graphs", _must_not_run)
+    code, out, err = run(capsys, *argv, cap, "--jobs", "1")
+    assert code == 2
+    assert out == ""
+    assert f"{name} must be >= 1, got {cap}" in err
+
+
 def test_search_equal_poly(tmp_path, capsys):
     from corpus import trees_exactly
 

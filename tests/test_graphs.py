@@ -538,7 +538,8 @@ def _recursive_searches():
     return {
         "canonical_code": lambda: [canon.canonical_code(cycle_graph(12)) for _ in range(3)],
         "forest_code": lambda: canon.canonical_code(corona(path_graph(7))),
-        "graph_level": lambda: canon._graph_level.__wrapped__(6),
+        "graph_level": lambda: canon._graph_level.__wrapped__(6, False),
+        "connected_graph_level": lambda: canon._graph_level.__wrapped__(6, True),
         "independence_polynomial": lambda: indpoly.independence_polynomial(dense),
         "alpha": lambda: alpha(dense),
         "is_well_covered": lambda: (is_well_covered(dense), is_well_covered(corona(path_graph(5)))),

@@ -249,6 +249,18 @@ def test_spider_uniqueness_small():
         assert is_star(parse_graph6(g6))
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_scan_caps_below_one_rejected(cap):
+    def _items():
+        raise AssertionError("the stream was read before the cap was checked")
+        yield
+
+    with pytest.raises(ValueError, match="skeleton cap must be >= 1"):
+        spider_uniqueness_scan(cap)
+    with pytest.raises(ValueError, match="tree-order cap must be >= 1"):
+        conjecture2_scan(_items(), cap)
+
+
 def test_well_covered_trees_catalog():
     trees = well_covered_trees(10)
     assert all(is_tree(t) for t in trees)
