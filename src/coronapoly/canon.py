@@ -56,20 +56,26 @@ def _rooted_code(nbrs: list[list[int]], v: int, parent: int = -1) -> str:
     return "(" + "".join(subs) + ")"
 
 
-def _forest_code(g: Graph) -> bytes:
+def _forest_code(g: Graph) -> bytes | None:
     """Each tree's parenthesis code rooted at its center, from one
-    leaf-peeling pass over the masks.  Vertices are peeled in layers of
-    current leaves, and a vertex's rooted code is built when it is peeled,
-    from the sorted codes of its neighbours peeled before it; a vertex with
-    none is "()".  A tree's last layer is its center, alone, or two
-    adjacent centers, and then the smaller of the codes rooted at either is
-    kept."""
+    leaf-peeling pass over the masks, or None if g has a cycle.  Vertices
+    are peeled in layers of current leaves, and a vertex's rooted code is
+    built when it is peeled, from the sorted codes of its neighbours peeled
+    before it; a vertex with none is "()".  A tree's last layer is its
+    center, alone, or two adjacent centers, and then the smaller of the
+    codes rooted at either is kept.  A vertex on a cycle keeps two
+    unpeeled neighbours, so the peel stops short of n vertices exactly
+    when g is not a forest."""
     left = list(g.masks)        # each vertex's neighbours not yet peeled
     subs: list[list[str] | None] = [None] * g.n     # codes of those peeled so far
     trees = []
+    peeled = 0
     layer = [v for v, m in enumerate(left) if not m & (m - 1)]
     while layer:
-        todo = sum(1 << v for v in layer)
+        peeled += len(layer)
+        todo = 0
+        for v in layer:
+            todo |= 1 << v
         nxt = []
         for v in layer:
             if not todo >> v & 1:
@@ -101,6 +107,8 @@ def _forest_code(g: Graph) -> bytes:
             if left[w] and not left[w] & (left[w] - 1):
                 nxt.append(w)       # w is now a leaf
         layer = nxt
+    if peeled < g.n:
+        return None
     return b"T" + bytes([g.n]) + "|".join(sorted(trees)).encode("ascii")
 
 
@@ -249,13 +257,22 @@ def canonical_code(g: Graph) -> bytes:
     then the sorted center-rooted parenthesis codes of its trees, each of
     which determines its rooted tree (an isolated vertex is "()").
     So graphs with equal codes share every isomorphism invariant, the
-    independence polynomial included."""
-    if is_forest(g):
-        if g.n > FOREST_CODE_LIMIT:
+    independence polynomial included.
+
+    Forests are told apart by the leaf peel that codes them: a graph within
+    the forest cap with fewer than n edges (a forest has at most n - 1) goes
+    to `_forest_code`, which returns None on a cycle, and only then is the
+    graph searched.  Over the forest cap `is_forest` runs, for the forest
+    cap's message."""
+    if g.n > FOREST_CODE_LIMIT:
+        if is_forest(g):
             raise ResourceLimitError(
                 f"canonical code: forest on {g.n} > {FOREST_CODE_LIMIT} vertices"
             )
-        return _forest_code(g)
+    elif not g.n or g.num_edges < g.n:
+        code = _forest_code(g)
+        if code is not None:
+            return code
     if g.n > CANONICAL_LIMIT:
         raise ResourceLimitError(
             f"canonical code: general graph on {g.n} > {CANONICAL_LIMIT} vertices"

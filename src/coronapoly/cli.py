@@ -543,7 +543,9 @@ def _cmd_search(args, parser) -> int:
         )
         evidence = lambda: [json.dumps(report.to_json())]
     elif args.mode == "conjecture2":
-        search.require_scan_cap("tree-order", args.max_tree_order)  # before the corpus
+        # both caps before the corpus
+        search.require_scan_cap("tree-order", args.max_tree_order)
+        search.require_tree_order_cap(args.max_tree_order)
         with _scan_map(_scan_items(args, 7), args.jobs) as (mapper, stream):
             report = search.conjecture2_scan(stream, args.max_tree_order, mapper)
         status = 0 if report.clean else 1

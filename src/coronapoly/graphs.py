@@ -58,7 +58,7 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return sum(m.bit_count() for m in self.masks) // 2
+        return sum(map(int.bit_count, self.masks)) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u, m in enumerate(self.masks):
@@ -95,11 +95,18 @@ def _from_masks(masks: tuple[int, ...]) -> Graph:
 
 
 _GRAPH6_BYTES = bytes(range(63, 127))
-_SIX_BITS = {c: format(c - 63, "06b") for c in _GRAPH6_BYTES}   # graph6 byte -> its 6 bits
+# graph6 byte -> its 6 bits, last bit first
+_SIX_BITS_REVERSED = {c: format(c - 63, "06b")[::-1] for c in _GRAPH6_BYTES}
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode a one-line graph6 string (short form, n <= 62)."""
+    """Decode a one-line graph6 string (short form, n <= 62).
+
+    The edge bytes are read as one int whose bit k is graph6 bit k: bit k
+    of the upper triangle in column order (column j is bits j(j-1)/2 ..
+    j(j+1)/2 - 1, row 0 first).  Column j's bits are then the mask of j's
+    neighbours below j, and the bits from n(n-1)/2 up are the padding,
+    which must be zero."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
@@ -123,17 +130,16 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(data) - 1 > need_bytes:
         raise GraphParseError(f"trailing garbage at offset {1 + need_bytes}")
-    # column j of the upper triangle is bits j(j-1)/2 .. j(j+1)/2 - 1, row
-    # i first; reversed, the slice is the mask of j's neighbours below j
-    bits = "".join(map(_SIX_BITS.__getitem__, data[1:]))
-    pad = bits.find("1", need_bits)
-    if pad >= 0:
-        raise GraphParseError(f"nonzero padding bit at offset {1 + pad // 6}")
+    # the edge bytes last to first, each byte's bits reversed: the whole
+    # graph6 bit string reversed, so one int(..., 2) puts bit k at k; a
+    # line of order 0 or 1 has no edge bytes
+    bits = int("".join(map(_SIX_BITS_REVERSED.__getitem__, data[:0:-1])) or "0", 2)
+    if bits >> need_bits:       # the padding, under 6 bits, is all in the last byte
+        raise GraphParseError(f"nonzero padding bit at offset {need_bytes}")
     masks = [0] * n
-    start = 0
     for j in range(1, n):
-        below = int(bits[start:start + j][::-1], 2)
-        start += j
+        below = bits & ((1 << j) - 1)
+        bits >>= j
         masks[j] = below
         bit_j = 1 << j
         while below:

@@ -25,7 +25,7 @@ import json
 from collections import OrderedDict
 from collections.abc import Callable, Iterable
 
-from .canon import canonical_code, enumerate_trees
+from .canon import TREE_ENUM_LIMIT, canonical_code, enumerate_trees
 from .corona import spider_polynomial
 from .errors import GraphParseError, ResourceLimitError
 from .graphs import (
@@ -303,10 +303,19 @@ def spider_uniqueness_scan(max_skeleton: int) -> SpiderScanReport:
 # -- conjecture evidence scans -----------------------------------------------
 
 
+def require_tree_order_cap(max_order: int) -> None:
+    """The well-covered trees up to max_order are coronas of the trees on up
+    to max_order // 2 vertices, so an order whose half is past the tree
+    catalog's cap is refused before any tree level is built."""
+    if max_order // 2 > TREE_ENUM_LIMIT:
+        raise ResourceLimitError(f"tree enumeration capped at {TREE_ENUM_LIMIT} vertices")
+
+
 def well_covered_trees(max_order: int) -> list[Graph]:
     """K_1 plus every corona of a tree on up to max_order/2 vertices; by the
     pendant-matching characterization these are exactly the well-covered
     trees up to max_order."""
+    require_tree_order_cap(max_order)
     out = [Graph(1)] if max_order >= 1 else []
     for k in range(1, max_order // 2 + 1):
         out.extend(corona(t) for t in enumerate_trees(k))

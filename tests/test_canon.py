@@ -32,6 +32,7 @@ from oracles import (
     forest_code_graph,
     general_code_masks,
     refine_reference,
+    union_find_is_forest,
     unpruned_graph_levels,
 )
 
@@ -89,6 +90,63 @@ def test_forest_code_matches_center_rooted_encoder():
         perm = rng.sample(range(n), n)
         f = Graph(n, [(perm[v], perm[rng.randrange(v)]) for v in range(1, n) if rng.random() < 0.9])
         assert canon._forest_code(f) == center_rooted_forest_code(f), list(f.edges())
+
+
+def _old_flow_code(g):
+    """The code as the package computed it before the leaf peel told
+    forests apart: a forest test first, then the center-rooted encoder or
+    the search's code."""
+    if union_find_is_forest(g):
+        return center_rooted_forest_code(g)
+    width = (g.n * (g.n - 1) // 2 + 7) // 8
+    return b"G" + bytes([g.n]) + canon._search(g.masks)[0].to_bytes(width, "big")
+
+
+def _relabelled(rng, n, edges):
+    perm = rng.sample(range(n), n)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_codes_match_the_old_flow():
+    # the catalog up to 7 vertices, seeded graphs with fewer than n edges
+    # yet a cycle (a cycle with pendant trees beside a forest), seeded
+    # forests up to the cap, K_1 and the empty graphs on 0 and 3 vertices
+    graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    rng = random.Random(230)
+    cyclic = []
+    for _ in range(400):
+        k = rng.randint(3, 12)
+        n = rng.randint(k + 1, 30)
+        # vertex k starts the forest; later vertices hang anywhere below them
+        edges = [(i, (i + 1) % k) for i in range(k)]
+        edges += [(v, rng.randrange(v)) for v in range(k + 1, n) if rng.random() < 0.8]
+        cyclic.append(_relabelled(rng, n, edges))
+    forests = []
+    for _ in range(200):
+        n = rng.randint(41, 64)
+        forests.append(_relabelled(rng, n, [(v, rng.randrange(v)) for v in range(1, n) if rng.random() < 0.9]))
+    small = [Graph(0), Graph(1), Graph(3)]
+    for g in graphs + cyclic + forests + small:
+        assert canonical_code(g) == _old_flow_code(g), (g.n, list(g.edges()))
+    for g in graphs + cyclic:
+        if not union_find_is_forest(g):
+            assert canon._forest_code(g) is None, (g.n, list(g.edges()))
+    assert all(g.num_edges < g.n and not union_find_is_forest(g) for g in cyclic)
+    assert sum(not union_find_is_forest(g) for g in graphs) > 1000
+
+
+def test_code_cap_messages():
+    # over the forest cap the forest test still names the forest; a cycle
+    # beside isolated vertices is capped as a general graph, whether the
+    # peel (36 vertices) or the forest test (71) finds the cycle
+    with pytest.raises(ResourceLimitError, match=r"^canonical code: forest on 65 > 64 vertices$"):
+        canonical_code(path_graph(65))
+    for isolated in (5, 40):
+        g = disjoint_union(cycle_graph(31), Graph(isolated))
+        with pytest.raises(
+            ResourceLimitError, match=rf"^canonical code: general graph on {g.n} > 30 vertices$"
+        ):
+            canonical_code(g)
 
 
 def test_refine_matches_reference(monkeypatch):

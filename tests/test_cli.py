@@ -415,6 +415,23 @@ def test_scan_cap_below_one_is_a_usage_error(monkeypatch, capsys, argv, name, ca
     assert f"{name} must be >= 1, got {cap}" in err
 
 
+def test_tree_order_past_the_catalog_cap_exits_3_before_any_work(monkeypatch, capsys):
+    # --max-tree-order 34 needs the trees on 17 vertices: refused before the
+    # corpus or any tree level is built
+    from coronapoly import search, suites
+
+    def _must_not_run(*args, **kwargs):
+        raise AssertionError("work started before the cap was checked")
+
+    monkeypatch.setattr(search, "enumerate_trees", _must_not_run)
+    monkeypatch.setattr(suites, "enumerate_graphs", _must_not_run)
+    argv = ("search", "--mode", "conjecture2", "--max-n", "3", "--max-tree-order", "34", "--jobs", "1")
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "coronapoly: resource limit: tree enumeration capped at 16 vertices\n"
+
+
 def test_search_equal_poly(tmp_path, capsys):
     from corpus import trees_exactly
 

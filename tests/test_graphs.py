@@ -218,6 +218,23 @@ def test_parse_graph6_matches_the_bitwise_decoder():
                 assert _parse_outcome(parse_graph6, text) == _parse_outcome(bitwise_parse_graph6, text)
 
 
+def test_every_padding_bit_is_named_at_its_offset():
+    # each padding bit of the last byte set on its own, under no edges and
+    # under all of them: both decoders name the last byte
+    checked = 0
+    for n in range(2, 14):
+        need_bits = n * (n - 1) // 2
+        pad_bits = -need_bits % 6
+        for g in (Graph(n), complete_graph(n)):
+            s = encode_graph6(g)
+            for k in range(pad_bits):
+                text = s[:-1] + chr(63 + (ord(s[-1]) - 63 | 1 << k))
+                msg = f"nonzero padding bit at offset {len(s) - 1}"
+                assert _parse_outcome(parse_graph6, text) == _parse_outcome(bitwise_parse_graph6, text) == msg
+                checked += 1
+    assert checked == 52
+
+
 # -- stream items --------------------------------------------------------------
 
 

@@ -4,8 +4,9 @@ from collections import OrderedDict
 
 import pytest
 
-from coronapoly import search
+from coronapoly import canon, search
 from coronapoly.cli import main
+from coronapoly.errors import ResourceLimitError
 from coronapoly.graphs import (
     Graph,
     complete_graph,
@@ -259,6 +260,22 @@ def test_scan_caps_below_one_rejected(cap):
         spider_uniqueness_scan(cap)
     with pytest.raises(ValueError, match="tree-order cap must be >= 1"):
         conjecture2_scan(_items(), cap)
+
+
+@pytest.mark.parametrize("max_order", [34, 35, 100])
+def test_tree_order_past_the_catalog_cap_builds_no_level(max_order):
+    # the trees on max_order // 2 > 16 vertices are refused up front: no
+    # tree level is built, or even looked up, before the error
+    def _items():
+        raise AssertionError("the stream was read before the cap was checked")
+        yield
+
+    before = canon._tree_level.cache_info()
+    with pytest.raises(ResourceLimitError, match="tree enumeration capped at 16 vertices"):
+        well_covered_trees(max_order)
+    with pytest.raises(ResourceLimitError, match="tree enumeration capped at 16 vertices"):
+        conjecture2_scan(_items(), max_order)
+    assert canon._tree_level.cache_info() == before
 
 
 def test_well_covered_trees_catalog():
