@@ -12,8 +12,8 @@ The catalogs (`enumerate_trees`, `enumerate_graphs`) produce exactly one
 representative per isomorphism class, each level memoised, so asking for
 every order up to n builds each level once; a request for the connected
 graphs on n vertices builds level n connected only, over the full levels
-below it.  The tree catalog attaches a leaf at one vertex per orbit and
-keeps the first tree seen with each code.  The graph catalog follows
+below it.  The tree catalog attaches a leaf at every vertex and keeps the
+first tree seen with each forest code.  The graph catalog follows
 McKay's canonical construction path (*Isomorph-free exhaustive
 generation*, J. Algorithms 26, 1998; nauty's `geng`): a parent g is
 extended by a new vertex v with one neighbourhood per orbit of Aut(g) on
@@ -49,11 +49,6 @@ CONNECTED_GRAPH_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 1111
 
 
 # -- forest codes ---------------------------------------------------------
-
-
-def _rooted_code(nbrs: list[list[int]], v: int, parent: int = -1) -> str:
-    subs = sorted(_rooted_code(nbrs, w, v) for w in nbrs[v] if w != parent)
-    return "(" + "".join(subs) + ")"
 
 
 def _forest_code(g: Graph) -> bytes | None:
@@ -293,33 +288,29 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 @cache
 def _tree_level(n: int) -> tuple[Graph, ...]:
     """Level n of the tree catalog, sorted by canonical code, grown once
-    per process from the memoised level n-1."""
+    per process from the memoised level n-1: each parent gets a leaf at
+    every vertex, and the first child seen with each forest code is kept.
+    Vertices in one orbit give one code, so the child kept is the one
+    grown at the lowest vertex of the first orbit that gives its code."""
     if n == 1:
         return (Graph(1),)
     seen: dict[bytes, Graph] = {}
     for t in _tree_level(n - 1):
-        base = list(t.edges())
-        nbrs = list(map(_mask_bits, t.masks))
-        orbit_reps: dict[str, int] = {}
-        for v in range(t.n):
-            rc = _rooted_code(nbrs, v)
-            if rc not in orbit_reps:
-                orbit_reps[rc] = v
-        for v in orbit_reps.values():
-            t2 = Graph(t.n + 1, base + [(v, t.n)])
-            code = canonical_code(t2)
-            if code not in seen:
-                seen[code] = t2
+        for v, m in enumerate(t.masks):
+            masks = [*t.masks, 1 << v]
+            masks[v] = m | 1 << t.n
+            child = _from_masks(tuple(masks))
+            seen.setdefault(_forest_code(child), child)
     return tuple(seen[c] for c in sorted(seen))
 
 
 def enumerate_trees(n: int) -> list[Graph]:
     """One representative per isomorphism class of trees on n vertices.
 
-    Grown by attaching a leaf at one vertex per automorphism orbit
-    (vertices sharing a whole-tree rooted code) and deduplicating by
-    canonical code.  Deterministic: result sorted by code.  Levels are
-    memoised, so calling this for n = 1, 2, ..., N builds each level once.
+    Grown by attaching a leaf at every vertex of each tree on n-1
+    vertices and keeping the first tree seen with each forest code.
+    Deterministic: result sorted by code.  Levels are memoised, so calling
+    this for n = 1, 2, ..., N builds each level once.
     """
     if n < 1:
         raise ValueError("tree enumeration needs n >= 1")

@@ -25,7 +25,6 @@ from itertools import tee
 
 from .errors import GraphParseError, ResourceLimitError
 
-ALPHA_LIMIT = 40          # branch-and-bound stability number
 WELL_COVERED_LIMIT = 24   # maximal-stable-set enumeration
 GRAPH6_LIMIT = 62         # graph6 short form
 
@@ -443,57 +442,11 @@ def pendant_edges_form_perfect_matching(g: Graph) -> bool:
 
 
 def alpha(g: Graph) -> int:
-    """Exact stability number via branch and bound.
+    """The stability number, read as deg I(G) from the pivot engine, whose
+    caps and messages it shares: 40 vertices, or 64 for forests."""
+    from .indpoly import independence_polynomial  # indpoly imports this module
 
-    Pivot is the maximum-degree available vertex (lowest id on ties);
-    the bound is a greedy clique cover of the available vertices.
-    """
-    if g.n > ALPHA_LIMIT:
-        raise ResourceLimitError(f"alpha: {g.n} vertices exceeds limit {ALPHA_LIMIT}")
-    masks = g.masks
-    best = 0
-
-    def cover_bound(avail: int) -> int:
-        cliques = 0
-        rest = avail
-        while rest:
-            b = rest & -rest
-            v = b.bit_length() - 1
-            members = b
-            cand = rest & masks[v]
-            while cand:
-                cb = cand & -cand
-                w = cb.bit_length() - 1
-                members |= cb
-                cand &= masks[w]
-            rest &= ~members
-            cliques += 1
-        return cliques
-
-    def rec(avail: int, size: int) -> None:
-        nonlocal best
-        if not avail:
-            if size > best:
-                best = size
-            return
-        if size + cover_bound(avail) <= best:
-            return
-        # max-degree pivot, lowest id on ties
-        pivot, pdeg = -1, -1
-        scan = avail
-        while scan:
-            b = scan & -scan
-            v = b.bit_length() - 1
-            scan ^= b
-            d = (masks[v] & avail).bit_count()
-            if d > pdeg:
-                pivot, pdeg = v, d
-        rec(avail & ~(masks[pivot] | (1 << pivot)), size + 1)
-        rec(avail & ~(1 << pivot), size)
-
-    rec((1 << g.n) - 1, 0)
-    del rec         # its closure refers to itself: break the cycle now
-    return best
+    return independence_polynomial(g).degree
 
 
 def maximal_stable_sets(g: Graph) -> Iterator[int]:

@@ -210,8 +210,10 @@ def isolate_real_roots(p: IntPolynomial) -> list[tuple[tuple[Fraction, Fraction]
     """Disjoint isolating intervals for the distinct real roots, with
     multiplicities from the square-free structure.
 
-    Exact rational roots come back as degenerate intervals [r, r]; the
-    others as open intervals whose endpoints are not roots.
+    A root comes back as a degenerate interval [r, r] only when a
+    bisection point B u/2^k (below) lands on it; every other root,
+    rational ones included, comes back in an open interval whose
+    endpoints are not roots.  So I(K_1) = 1 + x gives (-2, 0) for -1.
 
     The Sturm chain of q = square_free_part(p) is scaled once by q's
     Cauchy bound B = a/b: each member f becomes f(B y) b^deg(f), so the
@@ -736,9 +738,9 @@ def verify_bounds(g: Graph) -> RootReport:
         raise ValueError("bound verification needs n >= 2")
     n = g.n
     p = independence_polynomial(g)
-    # before any root work: maximal-stable-set enumeration and the clique
-    # number (alpha of the complement) are capped; a forest's clique
-    # number is 2, or 1 without an edge
+    # before any root work: maximal-stable-set enumeration is capped; a
+    # forest's clique number is 2, or 1 without an edge, since its
+    # complement may be past the engine's cap of 40
     wc = is_well_covered(g)
     w = (2 if g.num_edges else 1) if is_forest(g) else alpha(complement(g))
     report = root_report(p)

@@ -27,6 +27,9 @@ isomorphic graphs whatever the canonical search does.
 ``refine_reference`` is the partition refinement the package used before
 it split cells by a one-vertex splitter directly: every splitter goes
 through a count table, sorted, and a fragment list per split cell.
+``orbit_representative_tree_levels`` is the tree catalog the package built
+before it keyed children by the forest peel alone: a leaf at one vertex per
+orbit, then a dedupe by the package's ``canonical_code``.
 """
 
 import math
@@ -417,6 +420,30 @@ def counted_bound_verdicts(
 def _rooted_code(nbrs: list[list[int]], v: int, parent: int = -1) -> str:
     subs = sorted(_rooted_code(nbrs, w, v) for w in nbrs[v] if w != parent)
     return "(" + "".join(subs) + ")"
+
+
+def orbit_representative_tree_levels(max_n: int) -> list[tuple[Graph, ...]]:
+    """Levels 1..max_n of the tree catalog by orbit representatives: each
+    parent gets a leaf at the lowest vertex of each orbit (vertices sharing
+    a whole-tree rooted code), each child is built from its edge list, and
+    the first child seen with each ``canonical_code`` is kept; each level
+    is sorted by code."""
+    from coronapoly.canon import canonical_code
+
+    levels = [(Graph(1),)]
+    while len(levels) < max_n:
+        seen: dict[bytes, Graph] = {}
+        for t in levels[-1]:
+            base = list(t.edges())
+            nbrs = [[w for w in range(t.n) if m >> w & 1] for m in t.masks]
+            reps: dict[str, int] = {}
+            for v in range(t.n):
+                reps.setdefault(_rooted_code(nbrs, v), v)
+            for v in reps.values():
+                child = Graph(t.n + 1, base + [(v, t.n)])
+                seen.setdefault(canonical_code(child), child)
+        levels.append(tuple(seen[c] for c in sorted(seen)))
+    return levels
 
 
 def _tree_centers(nbrs: list[list[int]], comp: list[int]) -> list[int]:

@@ -31,6 +31,7 @@ from oracles import (
     center_rooted_forest_code,
     forest_code_graph,
     general_code_masks,
+    orbit_representative_tree_levels,
     refine_reference,
     union_find_is_forest,
     unpruned_graph_levels,
@@ -193,6 +194,14 @@ def test_tree_counts():
         assert len(codes) == expect
     # each level was grown once, from the memoised level below it
     assert canon._tree_level.cache_info().misses == 10
+
+
+def test_tree_levels_match_the_orbit_representative_reference():
+    # a leaf at every vertex, the first child kept per forest code: vertices
+    # of one orbit give one code, and the lowest of them comes first, so each
+    # level is the orbit-representative catalog's, mask for mask and in order
+    for n, level in enumerate(orbit_representative_tree_levels(12), start=1):
+        assert [t.masks for t in enumerate_trees(n)] == [t.masks for t in level], n
 
 
 def test_tree_enumeration_range():

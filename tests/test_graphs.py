@@ -396,13 +396,36 @@ def test_alpha_examples():
         assert alpha(complete_graph(n)) == 1
     assert alpha(cycle_graph(7)) == 3
     assert alpha(empty_graph(6)) == 6
-    with pytest.raises(ResourceLimitError):
-        alpha(empty_graph(41))
+    # alpha is deg I(G) from the engine, so it has the engine's caps
+    assert alpha(empty_graph(64)) == 64
+    with pytest.raises(
+        ResourceLimitError, match=r"^independence polynomial: 65 vertices exceeds limit 64$"
+    ):
+        alpha(empty_graph(65))
+    with pytest.raises(
+        ResourceLimitError, match=r"^independence polynomial: 41 vertices exceeds limit 40$"
+    ):
+        alpha(cycle_graph(41))
 
 
 def test_alpha_against_oracle():
     for g in graphs_upto(6):
         assert alpha(g) == brute_alpha(g)
+
+
+def test_alpha_and_clique_number_on_the_catalog():
+    # the complement's alpha is the clique number verify_bounds reads
+    for g in graphs_upto(7):
+        assert alpha(g) == brute_alpha(g)
+        h = complement(g)
+        assert alpha(h) == brute_alpha(h)
+
+
+def test_alpha_on_a_forest_corona_past_40_vertices():
+    c = corona(path_graph(31))
+    assert c.n == 62
+    assert alpha(c) == 31
+    assert is_very_well_covered(c)
 
 
 def test_well_covered_examples():

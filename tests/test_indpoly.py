@@ -8,7 +8,6 @@ import pytest
 from coronapoly.errors import ResourceLimitError
 from coronapoly.graphs import (
     Graph,
-    alpha,
     complete_graph,
     complete_multipartite_graph,
     corona,
@@ -49,7 +48,7 @@ from knowngraphs import (
     TREE10_REALROOTED,
     TREE10_REALROOTED_POLY,
 )
-from oracles import count_vector, count_vector_subsets
+from oracles import brute_alpha, count_vector, count_vector_subsets
 
 
 def test_textbook_values():
@@ -100,7 +99,7 @@ def test_basic_coefficient_identities():
         assert p.coeff(0) == 1
         assert p.coeff(1) == g.n
         assert p.coeff(2) == comb(g.n, 2) - g.num_edges
-        assert p.degree == alpha(g)
+        assert p.degree == brute_alpha(g)
         assert all(c >= 0 for c in p.coeffs)
 
 
@@ -429,7 +428,7 @@ def test_random_regular_graphs_match_the_oracle():
 
 def test_degree_equals_alpha_on_trees():
     for t in trees_upto(12):
-        assert independence_polynomial(t).degree == alpha(t)
+        assert independence_polynomial(t).degree == brute_alpha(t)
 
 
 def test_stable_set_inclusion_identity():
