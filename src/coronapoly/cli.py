@@ -12,9 +12,9 @@ per-graph work through ``graphs.map_items``, in order over ``--jobs``
 forked worker processes once a stream has 64 graphs; a worker that dies
 ends the command with exit 5.  A graph6 line is parsed by that work and
 named in output by its own text; a bad one is named by its line number,
-and ``equal-poly`` records it and exits 2 after its report.
-``CORONAPOLY_MAX_N`` in the environment supplies the default ``--max-n``
-of the graph corpora.
+and ``equal-poly`` records it and exits 2 after its report.  An option
+that the command would ignore, such as ``gen --connected`` without
+``--graphs``, is a usage error.
 """
 
 from __future__ import annotations
@@ -86,16 +86,6 @@ _CLOSED_FORMS = {
     "star": _star_closed_form,
     "multipartite": _multipartite_closed_form,
 }
-
-
-def _default_max_n(fallback: int) -> int:
-    value = os.environ.get("CORONAPOLY_MAX_N")
-    if value is None:
-        return fallback
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"bad CORONAPOLY_MAX_N {value!r}") from None
 
 
 def _add_family(p: argparse.ArgumentParser) -> None:
@@ -322,11 +312,10 @@ def _scan_map(items, jobs: int):
 
 def _scan_items(args: argparse.Namespace, default_max_n: int = 0):
     """The graphs of a verify or search scan: --input, else the catalog up
-    to --max-n."""
+    to --max-n (default_max_n when it is not given)."""
     if args.input:
         return _graph6_items(args.input)
-    max_n = args.max_n if args.max_n is not None else _default_max_n(default_max_n)
-    return suites.default_corpus(max_n)
+    return suites.default_corpus(default_max_n if args.max_n is None else args.max_n)
 
 
 def _sizes(args: argparse.Namespace) -> list[int] | None:
@@ -427,10 +416,8 @@ def _cmd_corona(args, parser) -> int:
 def _cmd_transform(args, parser) -> int:
     coeffs = _parse_coeffs(args.coeffs)
     if args.inverse:
-        if args.alpha is None:
-            parser.error("--inverse requires --alpha")
         try:
-            s = corona_mod.inverse_corona_coefficients(coeffs, args.n, args.alpha)
+            s = corona_mod.inverse_corona_coefficients(coeffs, args.n)
         except NotACoronaImage as exc:
             _emit(
                 {"corona_image": False, "reason": str(exc)},
@@ -479,20 +466,23 @@ def _cmd_roots(args, parser) -> int:
 
 
 def _cmd_gen(args, parser) -> int:
+    sources = sum(1 for flag in (args.family, args.trees, args.graphs) if flag is not None)
+    if sources != 1:
+        parser.error("exactly one source required: --family, --trees or --graphs")
+    if args.connected and args.graphs is None:
+        parser.error("--connected applies only to --graphs")
     if args.trees is not None:
         emitted = [(t, None) for t in canon.enumerate_trees(args.trees)]
     elif args.graphs is not None:
         emitted = [
             (g, None) for g in canon.enumerate_graphs(args.graphs, connected=args.connected)
         ]
-    elif args.family:
+    else:
         g = _family_graph(args, parser)
         _check_graph6_output(g.n, "gen")
         closed = _CLOSED_FORMS.get(args.family)
         poly = closed(args.n, _sizes(args)) if closed else None
         emitted = [(g, poly if poly is not None else independence_polynomial(g))]
-    else:
-        parser.error("gen needs --family, --trees or --graphs")
     for g, poly in emitted:
         if args.output == "json":
             payload = {"graph": encode_graph6(g)}
@@ -529,10 +519,12 @@ def _cmd_search(args, parser) -> int:
         with _scan_map(_scan_items(args), args.jobs) as (mapper, stream):
             partition = search.partition_graphs(stream, mapper)
         report = search.report_from_partition(partition, source=args.input)
-        status = 2 if partition[2] else 0   # a line that could not be classified
+        status = 2 if partition[1] else 0   # a line that could not be classified
         text = report.summary_table
         evidence = lambda: [json.dumps(c.to_json()) for c in report.nontrivial_classes()]
     elif args.mode == "spider-unique":
+        if args.input:
+            parser.error("--mode spider-unique builds its own skeletons and takes no --input")
         report = search.spider_uniqueness_scan(args.max_skeleton)
         status = 1 if report.violations else 0
         text = lambda: (
@@ -595,8 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="corona coefficient transform of a vector")
     p.add_argument("--coeffs", required=True, help='e.g. "1,2" or ["1","2"]')
     p.add_argument("--n", type=int, required=True, help="skeleton order")
-    p.add_argument("--inverse", action="store_true")
-    p.add_argument("--alpha", type=int, help="skeleton stability number (inverse)")
+    p.add_argument("--inverse", action="store_true", help="recover s from t; alpha is read off t")
     _add_output(p)
     p.set_defaults(func=_cmd_transform)
 
@@ -618,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=suites.SUITES, required=True)
     p.add_argument(
         "--max-n", type=int,
-        help="corpus cap (default env CORONAPOLY_MAX_N or 7); for --suite hk the largest k (default 4)",
+        help="corpus cap (default 7); for --suite hk the largest k (default 4)",
     )
     p.add_argument(
         "--input", help="graph6 stream instead of the built-in catalog (not with --suite hk)"

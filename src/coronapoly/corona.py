@@ -13,9 +13,11 @@ and the generating identity is
 
 `corona_coefficients` and `corona_polynomial_identity` implement the two
 routes independently (binomial summation vs. polynomial arithmetic) so
-they can serve as mutual oracles; the inverse raises `NotACoronaImage`
-when a reconstructed s_k goes negative, which is how search code detects
-polynomials that are not corona images.
+they can serve as mutual oracles.  The inverse needs no alpha: -1 is a
+root of I(G*) of multiplicity n - alpha, so s_k is 0 for every k above
+alpha.  It raises `NotACoronaImage` when a reconstructed s_k goes
+negative, which is how search code detects polynomials that are not
+corona images.
 """
 
 from __future__ import annotations
@@ -44,19 +46,21 @@ def corona_coefficients(s: IntPolynomial, n: int) -> IntPolynomial:
     return IntPolynomial(t)
 
 
-def inverse_corona_coefficients(t: IntPolynomial, n: int, alpha_g: int) -> IntPolynomial:
-    """Recover s_0..s_alpha from a corona polynomial of a skeleton of order n.
+def inverse_corona_coefficients(t: IntPolynomial, n: int) -> IntPolynomial:
+    """Recover s_0..s_n from a corona polynomial of a skeleton of order n.
 
-    Raises NotACoronaImage as soon as a reconstructed coefficient is
-    negative; that outcome is a diagnostic ("t is not a corona image at
-    this (n, alpha)"), not a crash.
+    No stability number is needed: -1 is a root of I(G*) of multiplicity
+    n - alpha(G), so the coefficients above alpha come out 0, and the
+    result has degree alpha.  Raises NotACoronaImage at the first
+    reconstructed coefficient that is negative; that outcome is a
+    diagnostic ("t is not a corona image at this n"), not a crash.
     """
     if t.degree != n:
         raise ValueError(f"degree {t.degree} != skeleton order {n}")
-    if not (0 <= alpha_g <= n):
-        raise ValueError(f"alpha {alpha_g} outside 0..{n}")
+    if t.coeff(0) != 1:
+        raise ValueError("corona coefficients must start at t_0 = 1")
     s = []
-    for k in range(alpha_g + 1):
+    for k in range(n + 1):
         sk = sum(
             (-1) ** (k + j) * t.coeff(j) * comb(n - j, n - k) for j in range(k + 1)
         )
@@ -144,10 +148,10 @@ def centipede_coefficients_explicit(n: int) -> IntPolynomial:
 # -- per-graph checks -------------------------------------------------------
 
 
-def coefficient_monotonicity_check(t: IntPolynomial, n: int) -> bool:
-    """t_0 <= t_1 <= ... <= t_ceil(n/2) for a corona polynomial of skeleton
-    order n."""
-    top = -(-n // 2)
+def coefficient_monotonicity_check(t: IntPolynomial) -> bool:
+    """t_0 <= t_1 <= ... <= t_ceil(n/2) for a corona polynomial t of a
+    skeleton of order n, which is deg t."""
+    top = -(-t.degree // 2)
     return all(t.coeff(k) <= t.coeff(k + 1) for k in range(top))
 
 

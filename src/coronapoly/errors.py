@@ -13,8 +13,8 @@ class NotACoronaImage(ValueError):
     """Inverse coefficient transform produced a negative count.
 
     This is a diagnostic, not a failure: it is how callers learn that a
-    polynomial is not the corona image of any skeleton at the given
-    (order, degree) pair.  Carries the first offending index and value.
+    polynomial is not the corona image of any skeleton of the given
+    order.  Carries the first offending index and value.
     """
 
     def __init__(self, index: int, value: int):

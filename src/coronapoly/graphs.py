@@ -429,13 +429,20 @@ def pendant_edges(g: Graph) -> list[tuple[int, int]]:
 
 
 def pendant_edges_form_perfect_matching(g: Graph) -> bool:
+    """Whether the pendant edges form a perfect matching.  Such a graph
+    has n even and at least n/2 vertices of degree 1, which is checked
+    first.  A maximal stable set of it takes exactly one end of each
+    pendant edge, so it is well-covered with alpha = n/2."""
+    n = g.n
+    if n % 2 or 2 * sum(m.bit_count() == 1 for m in g.masks) < n:
+        return False
     seen = 0
     for u, v in pendant_edges(g):
         pair = (1 << u) | (1 << v)
         if seen & pair:
             return False
         seen |= pair
-    return seen == (1 << g.n) - 1 and g.n > 0
+    return seen == (1 << n) - 1 and n > 0
 
 
 # -- stable sets --------------------------------------------------------------
@@ -493,16 +500,9 @@ def is_well_covered(g: Graph) -> bool:
     """True iff every maximal stable set has the same cardinality.
 
     A graph whose pendant edges form a perfect matching, such as every
-    corona G*, is well-covered at any order: a maximal stable set takes
-    exactly one end of each pendant edge.  It has at least n/2 vertices of
-    degree 1, which is checked first.  Any other graph has its maximal
-    stable sets enumerated, up to WELL_COVERED_LIMIT vertices."""
-    n = g.n
-    if (
-        n % 2 == 0
-        and 2 * sum(m.bit_count() == 1 for m in g.masks) >= n
-        and pendant_edges_form_perfect_matching(g)
-    ):
+    corona G*, is well-covered at any order.  Any other graph has its
+    maximal stable sets enumerated, up to WELL_COVERED_LIMIT vertices."""
+    if pendant_edges_form_perfect_matching(g):
         return True
     size = None
     for s in maximal_stable_sets(g):
@@ -515,11 +515,14 @@ def is_well_covered(g: Graph) -> bool:
 
 
 def is_very_well_covered(g: Graph) -> bool:
+    """True iff g has no isolated vertex, is well-covered and has
+    alpha = n/2, as has every graph whose pendant edges form a perfect
+    matching, at any order and with no engine call."""
     if g.n == 0 or not all(g.masks):
         return False
-    if not is_well_covered(g):
-        return False
-    return g.n == 2 * alpha(g)
+    if pendant_edges_form_perfect_matching(g):
+        return True
+    return is_well_covered(g) and g.n == 2 * alpha(g)
 
 
 def is_claw_free(g: Graph) -> bool:

@@ -3,13 +3,14 @@
 Real roots are certified in integer arithmetic alone.  Each polynomial
 gets one pseudo-remainder primitive PRS, its cached Sturm chain (scaling
 by |lc|, never lc, keeps the signs).  The chain ends in gcd(p, p') up to
-a constant, so the square-free part and Yun's first step read it there
-instead of running a PRS of their own.  Isolation scales the chain of the
-square-free part once by its Cauchy bound and bisects at dyadic points,
-each sign an integer Horner pass; Fractions appear only in the report,
-as interval endpoints.  Every half-open membership test that appears in
-a bound (for instance xi_max < -1/(2n-1)) compares an isolated extreme
-root with the rational, never a float.
+a constant, so the square-free part, Yun's first step and the realness
+verdict read it there instead of running a PRS of their own.  Isolation
+scales the chain of the square-free part once by its Cauchy bound and
+bisects at dyadic points, each sign an integer Horner pass; Fractions
+appear only in the report, as interval endpoints.  Every half-open
+membership test that appears in a bound (for instance xi_max <
+-1/(2n-1)) compares an isolated extreme root with the rational, never a
+float.
 
 Each polynomial gets one root pass (``root_report``): one exact isolation,
 then floats for each Yun factor.  A factor with as many isolated roots as
@@ -81,7 +82,8 @@ def sturm_chain(p: IntPolynomial) -> tuple[IntPolynomial, ...]:
     """Signed remainder chain of (p, p'), each element reduced to its
     primitive part (positive scaling only, so the sign pattern survives).
     It is the PRS of (p, p'), so its last member is gcd(p, p') up to a
-    constant; the square-free part and Yun's first step read it there."""
+    constant; the square-free part, Yun's first step and ``all_roots_real``
+    read it there."""
     f0 = p.primitive_part()
     chain = [f0]
     f1 = f0.derivative().primitive_part()
@@ -313,24 +315,23 @@ def refine_root_interval(
 
 @lru_cache(maxsize=4096)
 def all_roots_real(p: IntPolynomial) -> bool:
-    """Exact verdict: the distinct real roots of each square-free Yun
-    factor, read from its Sturm chain at -inf and +inf and weighted by
-    multiplicity, exhaust the degree.  Cached per polynomial: a catalog
-    scan meets each one many times."""
+    """Exact verdict: p is real-rooted iff each of its distinct roots is
+    real.  Its Sturm chain, read at -inf and +inf, counts the distinct
+    real roots, and ends in gcd(p, p'), so deg p - deg gcd(p, p') counts
+    the distinct roots.  Cached per polynomial: a catalog scan meets each
+    one many times."""
     if not p:
         raise ValueError("zero polynomial")
-    total = 0
-    for f, m in square_free_decomposition(p):
-        chain = sturm_chain(f)
-        total += m * (_variations_at(chain, None, -1) - _variations_at(chain, None, +1))
-    return total == p.degree
+    chain = sturm_chain(p)
+    real = _variations_at(chain, None, -1) - _variations_at(chain, None, +1)
+    return real == p.degree - chain[-1].degree
 
 
 # -- real floats: Newton in floats, certified by exact signs -----------------
 
 
 _NEWTON_STEPS = 100
-_CERTIFY_BITS = (52, 50, 44)    # certificate windows, tightest first
+_CERTIFY_BITS = 44      # the certificate window is |x| 2^-_CERTIFY_BITS
 
 
 def _newton(rev: list[float], a: float, b: float, positive_at_a: bool) -> float:
@@ -364,26 +365,25 @@ def _newton(rev: list[float], a: float, b: float, positive_at_a: bool) -> float:
 
 def _certified(f: IntPolynomial, x: float, lo: Fraction, hi: Fraction, s_lo: int) -> bool:
     """Whether lo < x < hi and the one root of f in (lo, hi), where f has
-    the sign s_lo at lo, lies within |x| 2^-e of x for some e in
-    _CERTIFY_BITS: f changes sign across [x(1 - 2^-e), x(1 + 2^-e)]
-    clipped to (lo, hi).  Exact integer tests at dyadic points."""
+    the sign s_lo at lo, lies within |x| 2^-e of x, e = _CERTIFY_BITS:
+    f changes sign across [x(1 - 2^-e), x(1 + 2^-e)] clipped to (lo, hi).
+    (lo, hi) holds one root, so a narrower window around x that holds it
+    would give the same verdict.  Exact integer tests at dyadic points."""
     n, d = x.as_integer_ratio()
     shift = d.bit_length() - 1
     if not (lo.numerator << shift < n * lo.denominator
             and n * hi.denominator < hi.numerator << shift):
         return False
-    for e in _CERTIFY_BITS:
-        k = shift + e
-        left, right = sorted((n * ((1 << e) - 1), n * ((1 << e) + 1)))
-        # an end beyond lo or hi is clipped to it, where the sign is known
-        below, above = s_lo, -s_lo
-        if left * lo.denominator > lo.numerator << k:
-            below = sign_at_dyadic(f.coeffs, left, k)
-        if right * hi.denominator < hi.numerator << k:
-            above = sign_at_dyadic(f.coeffs, right, k)
-        if below == s_lo and above == -s_lo:
-            return True
-    return False
+    e = _CERTIFY_BITS
+    k = shift + e
+    left, right = sorted((n * ((1 << e) - 1), n * ((1 << e) + 1)))
+    # an end beyond lo or hi is clipped to it, where the sign is known
+    below, above = s_lo, -s_lo
+    if left * lo.denominator > lo.numerator << k:
+        below = sign_at_dyadic(f.coeffs, left, k)
+    if right * hi.denominator < hi.numerator << k:
+        above = sign_at_dyadic(f.coeffs, right, k)
+    return below == s_lo and above == -s_lo
 
 
 def _real_root_float(f: IntPolynomial, lo: Fraction, hi: Fraction) -> float:
@@ -523,13 +523,15 @@ def numeric_roots(p: IntPolynomial) -> list[complex]:
 # -- reports -------------------------------------------------------------------
 
 
-class BoundCheck(
-    namedtuple("BoundCheck", "name applicable passed margin note", defaults=(None, ""))
-):
-    """One named bound verdict: passed is None iff not applicable; margin is
-    a float or None.  Immutable."""
+class BoundCheck(namedtuple("BoundCheck", "name passed margin note", defaults=(None, ""))):
+    """One named bound verdict: passed is None iff the bound is not
+    applicable; margin is a float or None.  Immutable."""
 
     __slots__ = ()
+
+    @property
+    def applicable(self) -> bool:
+        return self.passed is not None
 
     def to_json(self) -> dict:
         return {
@@ -545,26 +547,25 @@ class RootReport:
     """Exact real-root data, numeric complex approximations, and named
     bound verdicts for one polynomial."""
 
-    __slots__ = (
-        "polynomial", "minus_one_multiplicity", "real_roots", "complex_roots",
-        "real_floats", "bounds",
-    )
+    __slots__ = ("polynomial", "real_roots", "complex_roots", "real_floats", "bounds")
 
     def __init__(
         self,
         polynomial: IntPolynomial,
-        minus_one_multiplicity: int,
         real_roots: list[tuple[Fraction, Fraction, int]],
         complex_roots: list[tuple[float, float, int]],   # conjugate pairs, lower first
         real_floats: list[float],                        # one inside each real_roots interval
         bounds: dict[str, BoundCheck] | None = None,
     ):
         self.polynomial = polynomial
-        self.minus_one_multiplicity = minus_one_multiplicity
         self.real_roots = real_roots
         self.complex_roots = complex_roots
         self.real_floats = real_floats
         self.bounds = {} if bounds is None else bounds
+
+    @property
+    def minus_one_multiplicity(self) -> int:
+        return multiplicity_of_minus_one(self.polynomial)
 
     def distinct_roots(self) -> list[tuple[complex, int]]:
         """(approximation, multiplicity) per distinct root, real ones first."""
@@ -634,7 +635,6 @@ def root_report(p: IntPolynomial) -> RootReport:
             complexes += [(z.real, -z.imag, m), (z.real, z.imag, m)]
     return RootReport(
         polynomial=p,
-        minus_one_multiplicity=multiplicity_of_minus_one(p),
         real_roots=[(lo, hi, m) for (lo, hi), m in real],
         complex_roots=complexes,
         real_floats=floats,
@@ -645,11 +645,14 @@ def root_report(p: IntPolynomial) -> RootReport:
 
 
 class BijectionReport:
-    __slots__ = ("passed", "notes")
+    __slots__ = ("notes",)
 
-    def __init__(self, passed: bool, notes: list[str] | None = None):
-        self.passed = passed
+    def __init__(self, notes: list[str] | None = None):
         self.notes = [] if notes is None else notes
+
+    @property
+    def passed(self) -> bool:
+        return not self.notes
 
 
 def root_bijection_check(g: Graph) -> BijectionReport:
@@ -689,7 +692,7 @@ def root_bijection_check(g: Graph) -> BijectionReport:
         notes.append(f"deg h = {h.degree}, not alpha = {a}")
     if sign_at(h.coeffs, -1) == 0:
         notes.append("h(-1) = 0")
-    return BijectionReport(not notes, notes)
+    return BijectionReport(notes)
 
 
 # -- named bounds ---------------------------------------------------------------
@@ -769,10 +772,10 @@ def verify_bounds(g: Graph) -> RootReport:
             )
             note = ""
         report.bounds["annulus"] = BoundCheck(
-            "annulus", True, passed, float(margin) if margin != math.inf else None, note
+            "annulus", passed, float(margin) if margin != math.inf else None, note
         )
     else:
-        report.bounds["annulus"] = BoundCheck("annulus", False, None, None, "not well-covered")
+        report.bounds["annulus"] = BoundCheck("annulus", None, None, "not well-covered")
 
     # xi_max window
     lower = max(Fraction(-a, n), Fraction(-1, w))
@@ -782,7 +785,6 @@ def verify_bounds(g: Graph) -> RootReport:
     margin = None if xi_max is None else float(strict_cap) - xi_max
     report.bounds["xi_max_window"] = BoundCheck(
         "xi_max_window",
-        True,
         bool(real) and cap_ok and _root_sign(q, real[-1], lower) >= 0,
         margin,
         "" if real else "no real root",
@@ -793,7 +795,6 @@ def verify_bounds(g: Graph) -> RootReport:
     margin = min((r - float(floor) for r in moduli), default=math.inf)
     report.bounds["modulus_floor"] = BoundCheck(
         "modulus_floor",
-        True,
         cap_ok and all(r - float(floor) > 0 for r in nonreal_moduli),
         float(margin) if margin != math.inf else None,
     )
@@ -808,18 +809,14 @@ def verify_bounds(g: Graph) -> RootReport:
     )
     if applicable:
         from_minus_one = not real or _root_sign(q, real[0], Fraction(-1)) >= 0
-        report.bounds["real_window"] = BoundCheck(
-            "real_window", True, from_minus_one and inner_ok, None
-        )
+        report.bounds["real_window"] = BoundCheck("real_window", from_minus_one and inner_ok)
     else:
-        report.bounds["real_window"] = BoundCheck(
-            "real_window", False, None, None, "hypotheses not met"
-        )
+        report.bounds["real_window"] = BoundCheck("real_window", None, None, "hypotheses not met")
 
     # smallest-modulus root real and unique
     if not real_moduli:
         report.bounds["smallest_modulus_real_unique"] = BoundCheck(
-            "smallest_modulus_real_unique", True, False, None, "no real root"
+            "smallest_modulus_real_unique", False, None, "no real root"
         )
     else:
         rho = min(real_moduli)
@@ -827,10 +824,7 @@ def verify_bounds(g: Graph) -> RootReport:
         margin = min(others) - rho if others else math.inf
         passed = margin > _VERDICT_SLACK if others else True
         report.bounds["smallest_modulus_real_unique"] = BoundCheck(
-            "smallest_modulus_real_unique",
-            True,
-            passed,
-            float(margin) if margin != math.inf else None,
+            "smallest_modulus_real_unique", passed, float(margin) if margin != math.inf else None
         )
     return report
 

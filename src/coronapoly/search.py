@@ -54,19 +54,22 @@ SPIDER_SKELETON_LIMIT = 8
 
 
 class PolynomialClass:
-    __slots__ = ("coefficients", "members", "codes", "all_isomorphic")
+    __slots__ = ("coefficients", "members", "codes")
 
     def __init__(
         self,
         coefficients: tuple[int, ...],
         members: list[str],                     # graph6 strings
         codes: list[str] | None = None,         # hex canonical codes, aligned with members
-        all_isomorphic: bool | None = None,     # None when codes were unavailable
     ):
         self.coefficients = coefficients
         self.members = members
         self.codes = codes
-        self.all_isomorphic = all_isomorphic
+
+    @property
+    def all_isomorphic(self) -> bool | None:
+        """Whether all members share one canonical code; None without codes."""
+        return None if self.codes is None else len(set(self.codes)) == 1
 
     @property
     def polynomial(self) -> IntPolynomial:
@@ -82,19 +85,22 @@ class PolynomialClass:
 
 
 class EquivalenceReport:
-    __slots__ = ("classes", "source", "graphs_seen", "errors")
+    __slots__ = ("classes", "source", "errors")
 
     def __init__(
         self,
         classes: list[PolynomialClass],
         source: str = "",
-        graphs_seen: int = 0,
         errors: list[str] | None = None,
     ):
         self.classes = classes
         self.source = source
-        self.graphs_seen = graphs_seen
         self.errors = [] if errors is None else errors
+
+    @property
+    def graphs_seen(self) -> int:
+        """The graphs classified: the members of every class."""
+        return sum(len(c.members) for c in self.classes)
 
     def nontrivial_classes(self) -> list[PolynomialClass]:
         return [c for c in self.classes if len(c.members) > 1]
@@ -161,13 +167,14 @@ def _coefficient_key(item: StreamItem) -> tuple[tuple[int, ...] | None, object]:
 
 def partition_graphs(
     items: Iterable[Graph | str | StreamItem], mapper: Callable[..., Iterable] = map
-) -> tuple[dict[tuple[int, ...], list[tuple[str, object]]], int, list[str]]:
-    """Map each graph to its exact coefficient key, keeping its graph6 and
-    canonical code; an item that fails is recorded in the error list and
-    the stream continues.  The key is computed once per canonical code in
-    each process (``_coefficient_key``), which is sound because equal
-    codes are relabellings of one graph; with a parallel mapper each
-    worker keeps its own table, and the fold is the same."""
+) -> tuple[dict[tuple[int, ...], list[tuple[str, object]]], list[str]]:
+    """(buckets, errors): each graph mapped to its exact coefficient key,
+    keeping its graph6 and canonical code; an item that fails is recorded
+    in the error list and the stream continues.  The key is computed once
+    per canonical code in each process (``_coefficient_key``), which is
+    sound because equal codes are relabellings of one graph; with a
+    parallel mapper each worker keeps its own table, and the fold is the
+    same."""
     buckets: dict[tuple[int, ...], list[tuple[str, object]]] = {}
     errors: list[str] = []
     for item, (key, code) in map_items(_coefficient_key, items, mapper):
@@ -175,7 +182,7 @@ def partition_graphs(
             errors.append(code)     # the error text, for a failed item
         else:
             buckets.setdefault(key, []).append((item_graph6(item.graph), code))
-    return buckets, sum(map(len, buckets.values())), errors
+    return buckets, errors
 
 
 def group_by_polynomial(items: Iterable[Graph | str | StreamItem], source: str = "") -> EquivalenceReport:
@@ -185,10 +192,10 @@ def group_by_polynomial(items: Iterable[Graph | str | StreamItem], source: str =
 
 
 def report_from_partition(
-    partition: tuple[dict, int, list[str]], source: str = ""
+    partition: tuple[dict, list[str]], source: str = ""
 ) -> EquivalenceReport:
-    """Finalize a partition into an EquivalenceReport."""
-    buckets, seen, errors = partition
+    """Finalize a partition_graphs pair into an EquivalenceReport."""
+    buckets, errors = partition
     errors = list(errors)
     classes = []
     for key in sorted(buckets, key=lambda k: (len(k), k)):
@@ -197,11 +204,11 @@ def report_from_partition(
         codes = [code for _, code in pairs]
         blocked = next((c for c in codes if isinstance(c, ResourceLimitError)), None)
         if blocked is None:
-            classes.append(PolynomialClass(key, members, codes, len(set(codes)) == 1))
+            classes.append(PolynomialClass(key, members, codes))
         else:
             errors.append(f"isomorphism verdict skipped: {blocked}")
             classes.append(PolynomialClass(key, members))
-    return EquivalenceReport(classes, source, seen, errors)
+    return EquivalenceReport(classes, source, errors)
 
 
 def corona_equivalence_check(g: Graph, h: Graph) -> bool:
@@ -480,12 +487,12 @@ def hamidoune_scan(
     items: Iterable[Graph | str | StreamItem], *, mapper: Callable[..., Iterable] = map
 ) -> HamidouneReport:
     """Exact all-real-root certificates for every claw-free graph in the
-    stream (Sturm counts weighted by square-free multiplicity must exhaust
-    the degree).  Non-claw-free graphs with nonreal roots are tallied for
-    contrast, and every graph's (claw-free, real-rooted) verdict is kept on
-    the report.  The map returns the two verdicts only; the fold encodes
-    a Graph to graph6 only for a failure, a contrast example or a read of
-    the report's verdicts."""
+    stream (``all_roots_real``: the Sturm count of distinct real roots
+    must equal the count of distinct roots).  Non-claw-free graphs with
+    nonreal roots are tallied for contrast, and every graph's (claw-free,
+    real-rooted) verdict is kept on the report.  The map returns the two
+    verdicts only; the fold encodes a Graph to graph6 only for a failure,
+    a contrast example or a read of the report's verdicts."""
     scanned = 0
     claw_free = 0
     failures: list[str] = []

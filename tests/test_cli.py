@@ -110,21 +110,33 @@ def test_transform_round_trip(capsys):
     code, out, _ = run(capsys, "transform", "--coeffs", "1,2", "--n", "2")
     assert code == 0
     assert out.strip() == "1 + 4x + 3x^2"
-    code, out, _ = run(
-        capsys, "transform", "--coeffs", "1,4,3", "--n", "2", "--inverse", "--alpha", "1"
-    )
+    code, out, _ = run(capsys, "transform", "--coeffs", "1,4,3", "--n", "2", "--inverse")
     assert code == 0
     assert out.strip() == "1 + 2x"
 
 
 def test_transform_rejects_non_image(capsys):
     code, out, _ = run(
-        capsys, "transform", "--coeffs", "1,0,1", "--n", "2", "--inverse", "--alpha", "2",
-        "--output", "json",
+        capsys, "transform", "--coeffs", "1,0,1", "--n", "2", "--inverse", "--output", "json"
     )
     assert code == 0
     payload = json.loads(out)
     assert payload["corona_image"] is False
+
+
+def test_transform_inverse_reads_alpha_off_the_corona_polynomial(capsys):
+    inverse = ("transform", "--n", "2", "--inverse", "--coeffs")
+    # s_2 = 1 - 3 + 1: no 2-vertex skeleton has the corona polynomial 1 + 3x + x^2
+    code, out, _ = run(capsys, *inverse, "1,3,1")
+    assert (code, out) == (0, "not a corona image: reconstructed s_2 = -1 < 0: not a corona image\n")
+    # s_0 = t_0 must be 1, as the forward transform requires
+    code, out, err = run(capsys, *inverse, "2,4,2")
+    assert (code, out) == (2, "")
+    assert err == "coronapoly: corona coefficients must start at t_0 = 1\n"
+    with pytest.raises(SystemExit) as info:
+        main([*inverse, "1,4,3", "--alpha", "1"])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_roots_json(capsys):
@@ -251,17 +263,28 @@ def test_spider_unique_over_the_cap_exit_code(capsys):
     assert out == "" and "resource limit" in err
 
 
-def test_bad_env_max_n_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("CORONAPOLY_MAX_N", "abc")
-    code, out, err = run(capsys, "verify", "--suite", "multiplicity", "--jobs", "1")
-    assert code == 2
-    assert out == "" and err == "coronapoly: bad CORONAPOLY_MAX_N 'abc'\n"
-
-
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["poly"])  # no input source
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--trees", "4", "--graphs", "3"),
+        ("gen", "--family", "path", "--n", "3", "--trees", "3"),
+        ("gen", "--trees", "4", "--connected"),
+        ("gen", "--family", "path", "--n", "3", "--connected"),
+        ("search", "--mode", "spider-unique", "--input", "MISSING"),
+    ],
+)
+def test_an_option_the_command_would_ignore_is_a_usage_error(tmp_path, capsys, argv):
+    argv = [str(tmp_path / "missing.g6") if a == "MISSING" else a for a in argv]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_hk_rejects_input_before_reading(tmp_path, capsys):
@@ -374,18 +397,15 @@ def test_root_pass_takes_no_tolerance(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv, env",
+    "argv",
     [
-        (("verify", "--suite", "bounds", "--max-n", "0"), None),
-        (("verify", "--suite", "multiplicity", "--max-n", "-4"), None),
-        (("search", "--mode", "hamidoune", "--max-n", "0"), None),
-        (("search", "--mode", "conjecture2", "--max-n", "0"), None),
-        (("verify", "--suite", "bounds"), "0"),
+        ("verify", "--suite", "bounds", "--max-n", "0"),
+        ("verify", "--suite", "multiplicity", "--max-n", "-4"),
+        ("search", "--mode", "hamidoune", "--max-n", "0"),
+        ("search", "--mode", "conjecture2", "--max-n", "0"),
     ],
 )
-def test_corpus_cap_below_one_is_a_usage_error(monkeypatch, capsys, argv, env):
-    if env is not None:
-        monkeypatch.setenv("CORONAPOLY_MAX_N", env)
+def test_corpus_cap_below_one_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv, "--jobs", "1")
     assert code == 2
     assert out == ""
@@ -828,7 +848,9 @@ def test_search_hamidoune(capsys):
 
 
 def test_env_var_default(monkeypatch, capsys):
-    monkeypatch.setenv("CORONAPOLY_MAX_N", "3")
-    code, out, _ = run(capsys, "verify", "--suite", "divisibility", "--jobs", "1")
-    assert code == 0
-    assert "4 instances" in out  # connected graphs on <= 3 vertices
+    # no environment variable sets --max-n: the default corpus is scanned
+    for value in ("3", "abc"):
+        monkeypatch.setenv("CORONAPOLY_MAX_N", value)
+        code, out, _ = run(capsys, "verify", "--suite", "divisibility", "--jobs", "1")
+        assert code == 0
+        assert "996 instances" in out   # connected graphs on <= 7 vertices

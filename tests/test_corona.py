@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -26,6 +27,7 @@ from coronapoly.graphs import (
 )
 from coronapoly.indpoly import independence_polynomial
 from coronapoly.polynomials import IntPolynomial
+from coronapoly.roots import multiplicity_of_minus_one
 from corpus import graphs_upto, trees_upto
 from oracles import count_vector
 
@@ -61,20 +63,58 @@ def test_forward_transform_validation():
 
 
 def test_inverse_examples():
-    assert inverse_corona_coefficients(IntPolynomial((1, 4, 3)), 2, 1).coeffs == (1, 2)
+    assert inverse_corona_coefficients(IntPolynomial((1, 4, 3)), 2).coeffs == (1, 2)
     # formally consistent at alpha = 0 even though no 1-vertex graph fits
-    assert inverse_corona_coefficients(IntPolynomial((1, 1)), 1, 0).coeffs == (1,)
+    assert inverse_corona_coefficients(IntPolynomial((1, 1)), 1).coeffs == (1,)
     with pytest.raises(ValueError):
-        inverse_corona_coefficients(IntPolynomial((1, 1)), 2, 1)
-    with pytest.raises(ValueError):
-        inverse_corona_coefficients(IntPolynomial((1, 1)), 1, 2)
+        inverse_corona_coefficients(IntPolynomial((1, 1)), 2)
 
 
 def test_inverse_flags_non_images():
     with pytest.raises(NotACoronaImage) as info:
-        inverse_corona_coefficients(IntPolynomial((1, 0, 1)), 2, 2)
+        inverse_corona_coefficients(IntPolynomial((1, 0, 1)), 2)
     assert info.value.index == 1
     assert info.value.value < 0
+
+
+def test_inverse_rejects_t0_other_than_one():
+    # s_0 = t_0, and the forward transform rejects s_0 != 1
+    for coeffs in ((2, 4, 2), (0, 1), (-1, 3, 2)):
+        with pytest.raises(ValueError, match=r"must start at t_0 = 1"):
+            inverse_corona_coefficients(IntPolynomial(coeffs), len(coeffs) - 1)
+
+
+def test_inverse_reads_alpha_off_the_corona_polynomial():
+    # the degree of the recovered vector is n minus the multiplicity of -1
+    for g in graphs_upto(7):
+        q = independence_polynomial(corona(g))
+        s = inverse_corona_coefficients(q, g.n)
+        assert s == independence_polynomial(g)
+        assert s.degree == g.n - multiplicity_of_minus_one(q)
+
+
+def test_inverse_of_seeded_vectors():
+    # s_0 = 1, entries in -3..5, mapped forward by the binomial sum: back
+    # comes s, or NotACoronaImage at its first negative entry
+    rng = random.Random(53)
+    negative = 0
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        s = [1] + [rng.randint(-3, 5) for _ in range(n)]
+        t = IntPolynomial(
+            [sum(s[j] * comb(n - j, n - k) for j in range(k + 1)) for k in range(n + 1)]
+        )
+        if t.degree != n:
+            continue
+        first = next((k for k, c in enumerate(s) if c < 0), None)
+        if first is None:
+            assert inverse_corona_coefficients(t, n) == IntPolynomial(s)
+        else:
+            negative += 1
+            with pytest.raises(NotACoronaImage) as info:
+                inverse_corona_coefficients(t, n)
+            assert (info.value.index, info.value.value) == (first, s[first])
+    assert negative >= 200
 
 
 def test_round_trip_random():
@@ -84,7 +124,7 @@ def test_round_trip_random():
         a = rng.randint(0, n)
         s = IntPolynomial([1] + [rng.randint(0, 9) for _ in range(a)])
         t = corona_coefficients(s, n)
-        assert inverse_corona_coefficients(t, n, s.degree) == s
+        assert inverse_corona_coefficients(t, n) == s
 
 
 def test_identity_route_examples():
@@ -182,12 +222,12 @@ def test_path_polynomial():
 
 
 def test_monotonicity_check():
-    assert coefficient_monotonicity_check(IntPolynomial((1, 4, 3)), 2)
-    assert coefficient_monotonicity_check(IntPolynomial((1,)), 0)
-    assert not coefficient_monotonicity_check(IntPolynomial((2, 1, 5)), 2)
+    assert coefficient_monotonicity_check(IntPolynomial((1, 4, 3)))
+    assert coefficient_monotonicity_check(IntPolynomial((1,)))
+    assert not coefficient_monotonicity_check(IntPolynomial((2, 1, 5)))
     for g in graphs_upto(6):
         t = corona_coefficients(independence_polynomial(g), g.n)
-        assert coefficient_monotonicity_check(t, g.n)
+        assert coefficient_monotonicity_check(t)
 
 
 def test_divisibility():

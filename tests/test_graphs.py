@@ -487,6 +487,20 @@ def test_very_well_covered():
     assert not is_very_well_covered(disjoint_union(complete_graph(2), Graph(1)))
 
 
+def test_very_well_covered_by_its_pendant_matching_past_40_vertices():
+    # no forest, past the engine's cap: the pendant matching alone decides
+    c = corona(cycle_graph(21))
+    assert c.n == 42 and not is_forest(c)
+    assert is_very_well_covered(c)
+
+
+def test_very_well_covered_against_oracle():
+    for g in graphs_upto(7):
+        for h in (g, corona(g)):
+            expect = all(h.masks) and brute_is_well_covered(h) and h.n == 2 * brute_alpha(h)
+            assert is_very_well_covered(h) == expect, encode_graph6(h)
+
+
 def test_claw_free():
     assert not is_claw_free(star_graph(3))
     assert is_claw_free(path_graph(7))

@@ -18,27 +18,26 @@ from coronapoly.suites import SuiteResult
 # class -> (positional arguments by name, defaults of the fields after them)
 _CASES = {
     BoundCheck: (
-        {"name": "annulus", "applicable": True, "passed": False},
+        {"name": "annulus", "passed": False},
         {"margin": None, "note": ""},
     ),
     RootReport: (
         {
             "polynomial": IntPolynomial([1, 2]),
-            "minus_one_multiplicity": 0,
             "real_roots": [(Fraction(-1, 2), Fraction(-1, 2), 1)],
             "complex_roots": [],
             "real_floats": [-0.5],
         },
         {"bounds": {}},
     ),
-    BijectionReport: ({"passed": True}, {"notes": []}),
+    BijectionReport: ({}, {"notes": []}),
     PolynomialClass: (
         {"coefficients": (1, 2), "members": ["@"]},
-        {"codes": None, "all_isomorphic": None},
+        {"codes": None},
     ),
     EquivalenceReport: (
         {"classes": [PolynomialClass((1, 2), ["@"])]},
-        {"source": "", "graphs_seen": 0, "errors": []},
+        {"source": "", "errors": []},
     ),
     SpiderScanReport: (
         {
@@ -92,7 +91,22 @@ def test_report_class_contract(cls):
         with pytest.raises(AttributeError):
             setattr(first, names[-1], None)
     if cls is RootReport:
-        first.bounds["modulus_floor"] = BoundCheck("modulus_floor", True, True, 0.25)
+        first.bounds["modulus_floor"] = BoundCheck("modulus_floor", True, 0.25)
     copy = pickle.loads(pickle.dumps(first))
     assert type(copy) is cls
     assert _state(copy, names) == _state(first, names)
+
+
+def test_derived_fields_follow_their_source():
+    assert BoundCheck("a", None).applicable is False
+    assert BoundCheck("a", False).applicable is True
+    assert BijectionReport(["x"]).passed is False
+    assert BijectionReport().passed is True
+    assert PolynomialClass((1, 2), ["@", "@"]).all_isomorphic is None
+    assert PolynomialClass((1, 2), ["@", "@"], ["aa", "aa"]).all_isomorphic is True
+    assert PolynomialClass((1, 2), ["@", "@"], ["aa", "ab"]).all_isomorphic is False
+    report = EquivalenceReport(
+        [PolynomialClass((1, 2), ["@"]), PolynomialClass((1, 3), ["A_", "A_"])], errors=["e"]
+    )
+    assert report.graphs_seen == 3 == report.to_json()["graphs"]
+    assert RootReport(IntPolynomial([1, 1]) ** 2, [], [], []).minus_one_multiplicity == 2

@@ -268,6 +268,32 @@ def test_all_roots_real():
     assert not all_roots_real(independence_polynomial(TREE8_NONREAL))
 
 
+def test_all_roots_real_matches_the_yun_weighted_count():
+    from oracles import yun_weighted_all_roots_real
+
+    # a repeated root is one distinct root: I(corona(2K_1)) = (1 + 2x)^2
+    square = independence_polynomial(corona(empty_graph(2)))
+    assert square == IntPolynomial((1, 2)) ** 2 and all_roots_real(square)
+    polys = []
+    for g in graphs_upto(7):
+        polys += [independence_polynomial(g), independence_polynomial(corona(g))]
+    # seeded products with repeated factors, real-rooted or not
+    factors = [
+        IntPolynomial(c)
+        for c in ((1, 1), (1, 2), (2, 3), (1, 3, 1), (1, 1, 1), (1, 0, 1), (-2, 0, 1), (1, 4, 3))
+    ]
+    rng = random.Random(59)
+    for _ in range(300):
+        p = IntPolynomial((rng.randint(1, 3),))
+        for f in rng.sample(factors, rng.randint(1, 4)):
+            p = p * f ** rng.randint(1, 3)
+        polys.append(p)
+    verdicts = [all_roots_real(p) for p in polys]
+    assert verdicts == [yun_weighted_all_roots_real(p) for p in polys]
+    repeated = [v for p, v in zip(polys, verdicts) if sturm_chain(p)[-1].degree > 0]
+    assert True in repeated and False in repeated
+
+
 def test_bijection_reports():
     for g in [complete_graph(2), star_graph(2), cycle_graph(5), path_graph(6), empty_graph(11)]:
         report = root_bijection_check(g)
