@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import signal
@@ -128,7 +129,7 @@ def test_transform_inverse_reads_alpha_off_the_corona_polynomial(capsys):
     inverse = ("transform", "--n", "2", "--inverse", "--coeffs")
     # s_2 = 1 - 3 + 1: no 2-vertex skeleton has the corona polynomial 1 + 3x + x^2
     code, out, _ = run(capsys, *inverse, "1,3,1")
-    assert (code, out) == (0, "not a corona image: reconstructed s_2 = -1 < 0: not a corona image\n")
+    assert (code, out) == (0, "reconstructed s_2 = -1 < 0: not a corona image\n")
     # s_0 = t_0 must be 1, as the forward transform requires
     code, out, err = run(capsys, *inverse, "2,4,2")
     assert (code, out) == (2, "")
@@ -227,16 +228,14 @@ def test_verify_resource_exit_code(capsys):
     assert "resource limit" in err
 
 
-def test_verify_hk_uses_the_suite_default(monkeypatch, capsys):
-    monkeypatch.delenv("CORONAPOLY_MAX_N", raising=False)
+def test_verify_hk_uses_the_suite_default(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "hk")
     assert code == 0
     assert "4 instances" in out
-    # the corpus cap in the environment does not reach the hk iteration count
-    monkeypatch.setenv("CORONAPOLY_MAX_N", "7")
-    code, out, _ = run(capsys, "verify", "--suite", "hk")
+    # --max-n is the largest k
+    code, out, _ = run(capsys, "verify", "--suite", "hk", "--max-n", "2")
     assert code == 0
-    assert "4 instances" in out
+    assert "2 instances" in out
 
 
 def test_verify_hk_cap_checked_before_building(monkeypatch, capsys):
@@ -767,6 +766,66 @@ def cli_import_modules():
 @pytest.mark.parametrize("module, loaded", _CLI_IMPORT, ids=[m for m, _ in _CLI_IMPORT])
 def test_cli_import_modules(cli_import_modules, module, loaded):
     assert (module in cli_import_modules) == loaded
+
+
+def _cli_env():
+    return {**os.environ, "PYTHONPATH": str(Path(coronapoly.__file__).resolve().parents[1])}
+
+
+def _cli_process(*args):
+    return subprocess.run(
+        [sys.executable, *args], env=_cli_env(), capture_output=True, text=True, timeout=120
+    )
+
+
+# A CLI process freezes its objects at exit, so the interpreter's final
+# collections skip them; what the process prints and returns is unchanged.
+def test_process_prints_what_main_prints(capsys):
+    done = _cli_process("-m", "coronapoly.cli", "gen", "--graphs", "6")
+    code, out, err = run(capsys, "gen", "--graphs", "6")
+    assert (code, err) == (0, "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
+    assert len(out.splitlines()) == 156
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["verify", "--suite", "bounds", "--max-n", "3", "--tol", "1"], 2,
+     "coronapoly: error: unrecognized arguments: --tol 1\n"),
+    (["gen", "--trees", "17"], 3,
+     "coronapoly: resource limit: tree enumeration capped at 16 vertices\n"),
+], ids=["usage", "size-cap"])
+def test_process_exit_code_and_stderr(argv, code, err):
+    done = _cli_process("-m", "coronapoly.cli", *argv)
+    assert done.returncode == code
+    assert done.stdout == "" and done.stderr.endswith(err)
+
+
+def test_process_exits_cleanly_when_the_reader_leaves():
+    with subprocess.Popen(
+        [sys.executable, "-m", "coronapoly.cli", "gen", "--graphs", "7"],
+        env=_cli_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as proc:
+        assert proc.stdout.readline() == "F????\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+        assert proc.stderr.read() == ""
+
+
+def test_import_registers_the_exit_freeze():
+    # registered first, the probe runs last, after the CLI's own handler
+    probe = ("import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
+             "import coronapoly.cli")
+    done = _cli_process("-c", probe)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
+
+
+def test_main_does_not_freeze(capsys):
+    code, out, _ = run(capsys, "poly", "--family", "path", "--n", "4")
+    assert (code, out) == (0, "1 + 4x + 3x^2\n")
+    assert gc.get_freeze_count() == 0
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
