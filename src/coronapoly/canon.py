@@ -1,9 +1,9 @@
 """Canonical codes, automorphism groups and exhaustive catalogs of small
 graphs.
 
-Two graphs receive equal codes iff they are isomorphic.  Forests (any
-size up to 64 vertices) are encoded by the classic rooted-at-center
-parenthesis string.  General graphs, up to 30 vertices, get the least
+Two graphs receive equal codes iff they are isomorphic, up to 64
+vertices (VERTEX_LIMIT, the engine's cap).  Forests are encoded by the
+classic rooted-at-center parenthesis string.  Other graphs get the least
 adjacency bit string over the leaves of one individualization-refinement
 search (McKay, *Practical graph isomorphism*, 1981; McKay & Piperno,
 JSC 2014), which also yields generators and the order of Aut(g).
@@ -34,10 +34,8 @@ from functools import cache
 from math import prod
 
 from .errors import ResourceLimitError
-from .graphs import Graph, _component_masks, _from_masks, _mask_bits, is_forest
+from .graphs import VERTEX_LIMIT, Graph, _component_masks, _from_masks, _mask_bits
 
-CANONICAL_LIMIT = 30    # general graphs: individualization-refinement code
-FOREST_CODE_LIMIT = 64
 GRAPH_ENUM_LIMIT = 8
 TREE_ENUM_LIMIT = 16
 
@@ -254,24 +252,18 @@ def canonical_code(g: Graph) -> bytes:
     So graphs with equal codes share every isomorphism invariant, the
     independence polynomial included.
 
-    Forests are told apart by the leaf peel that codes them: a graph within
-    the forest cap with fewer than n edges (a forest has at most n - 1) goes
-    to `_forest_code`, which returns None on a cycle, and only then is the
-    graph searched.  Over the forest cap `is_forest` runs, for the forest
-    cap's message."""
-    if g.n > FOREST_CODE_LIMIT:
-        if is_forest(g):
-            raise ResourceLimitError(
-                f"canonical code: forest on {g.n} > {FOREST_CODE_LIMIT} vertices"
-            )
-    elif not g.n or g.num_edges < g.n:
+    Forests are told apart by the leaf peel that codes them: a graph with
+    fewer than n edges (a forest has at most n - 1) goes to `_forest_code`,
+    which returns None on a cycle, and only then is the graph searched.
+    The cap is 64 vertices (VERTEX_LIMIT), the engine's."""
+    if g.n > VERTEX_LIMIT:
+        raise ResourceLimitError(
+            f"canonical code: {g.n} vertices exceeds limit {VERTEX_LIMIT}"
+        )
+    if not g.n or g.num_edges < g.n:
         code = _forest_code(g)
         if code is not None:
             return code
-    if g.n > CANONICAL_LIMIT:
-        raise ResourceLimitError(
-            f"canonical code: general graph on {g.n} > {CANONICAL_LIMIT} vertices"
-        )
     width = (g.n * (g.n - 1) // 2 + 7) // 8
     return b"G" + bytes([g.n]) + _search(g.masks)[0].to_bytes(width, "big")
 

@@ -27,6 +27,7 @@ from .errors import GraphParseError, ResourceLimitError
 
 WELL_COVERED_LIMIT = 24   # maximal-stable-set enumeration
 GRAPH6_LIMIT = 62         # graph6 short form
+VERTEX_LIMIT = 64         # the pivot engine, the forest DP and canonical codes
 
 
 class Graph:
@@ -450,7 +451,7 @@ def pendant_edges_form_perfect_matching(g: Graph) -> bool:
 
 def alpha(g: Graph) -> int:
     """The stability number, read as deg I(G) from the pivot engine, whose
-    caps and messages it shares: 40 vertices, or 64 for forests."""
+    cap (VERTEX_LIMIT, 64 vertices) and message it shares."""
     from .indpoly import independence_polynomial  # indpoly imports this module
 
     return independence_polynomial(g).degree

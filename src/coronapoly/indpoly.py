@@ -42,29 +42,26 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 
 from .errors import ResourceLimitError
-from .graphs import Graph, _mask_bits, connected_components, is_forest
+from .graphs import VERTEX_LIMIT, Graph, _mask_bits, connected_components, is_forest
 from .polynomials import IntPolynomial, add, mul  # tuple kernel: forest DP only
-
-GENERAL_LIMIT = 40
-FOREST_LIMIT = 64
 
 # Bits per packed coefficient.  Every coefficient the engine forms counts
 # stable sets of an induced subgraph H, so it is at most
-# C(|H|, k) <= C(FOREST_LIMIT, FOREST_LIMIT // 2) < 2^64: raising
-# FOREST_LIMIT past 64 needs a wider slot.
+# C(|H|, k) <= C(VERTEX_LIMIT, VERTEX_LIMIT // 2) < 2^64: raising
+# VERTEX_LIMIT past 64 needs a wider slot.
 SLOT = 64
 _SLOT_MASK = (1 << SLOT) - 1
 
 
 def _leaf_tables() -> tuple[list[int], list[int]]:
-    """Packed I(P_m) and I(C_m) for m <= FOREST_LIMIT.  Paths follow
+    """Packed I(P_m) and I(C_m) for m <= VERTEX_LIMIT.  Paths follow
     F(k+1) = F(k) + x F(k-1) with F(1) = I(P_0) = 1, F(2) = I(P_1) = 1 + x;
     cycles follow I(C_m) = I(P_{m-1}) + x I(P_{m-3}) for m >= 3 (entries
     below 3 are unused: such a component is a path)."""
     paths = [1, 1 | 1 << SLOT]
-    for _ in range(FOREST_LIMIT - 1):
+    for _ in range(VERTEX_LIMIT - 1):
         paths.append(paths[-1] + (paths[-2] << SLOT))
-    cycles = [0, 0, 0] + [paths[m - 1] + (paths[m - 3] << SLOT) for m in range(3, FOREST_LIMIT + 1)]
+    cycles = [0, 0, 0] + [paths[m - 1] + (paths[m - 3] << SLOT) for m in range(3, VERTEX_LIMIT + 1)]
     return paths, cycles
 
 
@@ -115,7 +112,7 @@ def independence_polynomial(
     C(|H|, k) <= C(64, 32) < 2^64.  A `pivot` override still splits into
     induced subgraphs, so the argument holds for it too.
 
-    The cap is 64 vertices (FOREST_LIMIT) for forests and 40 otherwise.
+    The cap is 64 vertices (VERTEX_LIMIT), for every graph.
     `pivot` overrides the pivot rule on components with two or more hubs
     (it receives the neighbor masks and the component's vertex mask and
     must return a vertex in it); it exists so tests can confirm the result
@@ -128,12 +125,10 @@ def independence_polynomial(
     it raised the tracemalloc peak of one call from 0.01 MB to as much as
     0.46 MB, which counts against that benchmark's `peak_rss_mb`.
     """
-    if g.n > GENERAL_LIMIT:     # only forests go past the general cap
-        limit = FOREST_LIMIT if is_forest(g) else GENERAL_LIMIT
-        if g.n > limit:
-            raise ResourceLimitError(
-                f"independence polynomial: {g.n} vertices exceeds limit {limit}"
-            )
+    if g.n > VERTEX_LIMIT:
+        raise ResourceLimitError(
+            f"independence polynomial: {g.n} vertices exceeds limit {VERTEX_LIMIT}"
+        )
     masks = g.masks
     nbr = {1 << v: m for v, m in enumerate(masks)}     # neighbour mask by bit
 
@@ -215,9 +210,9 @@ def independence_polynomial_tree(t: Graph) -> IntPolynomial:
     excluded, poly with it included).  Raises ValueError on a cycle."""
     if not is_forest(t):
         raise ValueError("input has a cycle; use independence_polynomial")
-    if t.n > FOREST_LIMIT:
+    if t.n > VERTEX_LIMIT:
         raise ResourceLimitError(
-            f"tree independence polynomial: {t.n} vertices exceeds {FOREST_LIMIT}"
+            f"tree independence polynomial: {t.n} vertices exceeds {VERTEX_LIMIT}"
         )
     nbrs = list(map(_mask_bits, t.masks))
     total: tuple[int, ...] = (1,)

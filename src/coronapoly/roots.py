@@ -38,17 +38,17 @@ from functools import lru_cache
 from .corona import corona_polynomial_identity
 from .errors import ResourceLimitError, RootConvergenceError
 from .graphs import (
+    VERTEX_LIMIT,
     Graph,
     alpha,
     complement,
     corona,
     girth,
     is_connected,
-    is_forest,
     is_tree,
     is_well_covered,
 )
-from .indpoly import FOREST_LIMIT, independence_polynomial, independence_polynomial_tree
+from .indpoly import independence_polynomial, independence_polynomial_tree
 from .polynomials import IntPolynomial, exact_div, prem, primitive, sign_at, sign_at_dyadic
 
 # -- exact (1+x) structure ----------------------------------------------------
@@ -741,11 +741,11 @@ def verify_bounds(g: Graph) -> RootReport:
         raise ValueError("bound verification needs n >= 2")
     n = g.n
     p = independence_polynomial(g)
-    # before any root work: maximal-stable-set enumeration is capped; a
-    # forest's clique number is 2, or 1 without an edge, since its
-    # complement may be past the engine's cap of 40
+    # before any root work, as both are capped: maximal-stable-set
+    # enumeration, and the clique number, the stability number of the
+    # complement
     wc = is_well_covered(g)
-    w = (2 if g.num_edges else 1) if is_forest(g) else alpha(complement(g))
+    w = alpha(complement(g))
     report = root_report(p)
     a = p.degree
     nonreal_moduli = [math.hypot(re, im) for re, im, _ in report.complex_roots]
@@ -834,12 +834,12 @@ def verify_bounds(g: Graph) -> RootReport:
 
 def check_hk_order(seed: Graph, k: int) -> None:
     """Raise before any work unless H_k, the k-fold corona of `seed`
-    (2^k * n vertices), fits the forest engine."""
+    (2^k * n vertices), fits the forest DP's cap, VERTEX_LIMIT."""
     if k < 1:
         raise ValueError("k must be >= 1")
     order = 2**k * seed.n
-    if order > FOREST_LIMIT:
-        raise ResourceLimitError(f"H_k would have {order} > {FOREST_LIMIT} vertices")
+    if order > VERTEX_LIMIT:
+        raise ResourceLimitError(f"H_k would have {order} > {VERTEX_LIMIT} vertices")
 
 
 def build_hk(seed: Graph, k: int) -> tuple[Graph, bool]:

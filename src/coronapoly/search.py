@@ -59,17 +59,17 @@ class PolynomialClass:
     def __init__(
         self,
         coefficients: tuple[int, ...],
-        members: list[str],                     # graph6 strings
-        codes: list[str] | None = None,         # hex canonical codes, aligned with members
+        members: list[str],     # graph6 strings
+        codes: list[str],       # hex canonical codes, aligned with members
     ):
         self.coefficients = coefficients
         self.members = members
         self.codes = codes
 
     @property
-    def all_isomorphic(self) -> bool | None:
-        """Whether all members share one canonical code; None without codes."""
-        return None if self.codes is None else len(set(self.codes)) == 1
+    def all_isomorphic(self) -> bool:
+        """Whether all members share one canonical code."""
+        return len(set(self.codes)) == 1
 
     @property
     def polynomial(self) -> IntPolynomial:
@@ -121,7 +121,7 @@ class EquivalenceReport:
             f"{'size':>5}  {'iso':>5}  polynomial",
         ]
         for c in self.classes:
-            iso = {True: "yes", False: "NO", None: "?"}[c.all_isomorphic]
+            iso = "yes" if c.all_isomorphic else "NO"
             lines.append(f"{len(c.members):>5}  {iso:>5}  {IntPolynomial(c.coefficients)}")
         if self.errors:
             lines.append(f"errors: {len(self.errors)}")
@@ -132,25 +132,21 @@ _KEY_TABLE_SIZE = 4096      # codes whose coefficient key is kept, per process
 _key_by_code: OrderedDict[bytes, tuple[int, ...]] = OrderedDict()
 
 
-def _coefficient_key(item: StreamItem) -> tuple[tuple[int, ...] | None, object]:
-    """Per-item map of partition_graphs: (key, hex canonical code or the
-    ResourceLimitError that blocked it), or (None, error).
+def _coefficient_key(item: StreamItem) -> tuple[tuple[int, ...] | None, str]:
+    """Per-item map of partition_graphs: (key, hex canonical code), or
+    (None, error).
 
     The canonical code comes first, and the key is looked up by it in a
     per-process table of the last _KEY_TABLE_SIZE codes used, so the
     engine runs once per isomorphism class rather than once per item.
     That holds whatever the search's canonicity, since equal codes always
     mean relabellings of one graph (see ``canonical_code``), and relabelled
-    graphs have one polynomial.  A code blocked by its cap leaves the key
-    to the engine, uncached; a graph over the engine's cap is an error
-    record, whether or not its code was blocked too.
+    graphs have one polynomial.  Codes and the engine share one cap, so a
+    graph over it is an error record from its code.
     """
     try:
         g = item_parse(item)
-        try:
-            code = canonical_code(g)
-        except ResourceLimitError as exc:
-            return independence_polynomial(g).coeffs, exc
+        code = canonical_code(g)
         key = _key_by_code.get(code)
         if key is None:
             key = _key_by_code[code] = independence_polynomial(g).coeffs
@@ -167,7 +163,7 @@ def _coefficient_key(item: StreamItem) -> tuple[tuple[int, ...] | None, object]:
 
 def partition_graphs(
     items: Iterable[Graph | str | StreamItem], mapper: Callable[..., Iterable] = map
-) -> tuple[dict[tuple[int, ...], list[tuple[str, object]]], list[str]]:
+) -> tuple[dict[tuple[int, ...], list[tuple[str, str]]], list[str]]:
     """(buckets, errors): each graph mapped to its exact coefficient key,
     keeping its graph6 and canonical code; an item that fails is recorded
     in the error list and the stream continues.  The key is computed once
@@ -175,7 +171,7 @@ def partition_graphs(
     sound because equal codes are relabellings of one graph; with a
     parallel mapper each worker keeps its own table, and the fold is the
     same."""
-    buckets: dict[tuple[int, ...], list[tuple[str, object]]] = {}
+    buckets: dict[tuple[int, ...], list[tuple[str, str]]] = {}
     errors: list[str] = []
     for item, (key, code) in map_items(_coefficient_key, items, mapper):
         if key is None:
@@ -187,7 +183,7 @@ def partition_graphs(
 
 def group_by_polynomial(items: Iterable[Graph | str | StreamItem], source: str = "") -> EquivalenceReport:
     """Partition a graph stream into classes of equal independence
-    polynomial, with per-class isomorphism verdicts where computable."""
+    polynomial, each with an isomorphism verdict."""
     return report_from_partition(partition_graphs(items), source)
 
 
@@ -196,18 +192,10 @@ def report_from_partition(
 ) -> EquivalenceReport:
     """Finalize a partition_graphs pair into an EquivalenceReport."""
     buckets, errors = partition
-    errors = list(errors)
     classes = []
     for key in sorted(buckets, key=lambda k: (len(k), k)):
         pairs = sorted(buckets[key], key=lambda pair: pair[0])
-        members = [g6 for g6, _ in pairs]
-        codes = [code for _, code in pairs]
-        blocked = next((c for c in codes if isinstance(c, ResourceLimitError)), None)
-        if blocked is None:
-            classes.append(PolynomialClass(key, members, codes))
-        else:
-            errors.append(f"isomorphism verdict skipped: {blocked}")
-            classes.append(PolynomialClass(key, members))
+        classes.append(PolynomialClass(key, [g6 for g6, _ in pairs], [code for _, code in pairs]))
     return EquivalenceReport(classes, source, errors)
 
 

@@ -137,15 +137,11 @@ def test_codes_match_the_old_flow():
 
 
 def test_code_cap_messages():
-    # over the forest cap the forest test still names the forest; a cycle
-    # beside isolated vertices is capped as a general graph, whether the
-    # peel (36 vertices) or the forest test (71) finds the cycle
-    with pytest.raises(ResourceLimitError, match=r"^canonical code: forest on 65 > 64 vertices$"):
-        canonical_code(path_graph(65))
-    for isolated in (5, 40):
-        g = disjoint_union(cycle_graph(31), Graph(isolated))
+    # one cap, checked before the forest peel: a forest, a cycle beside
+    # isolated vertices and a cycle get the same refusal
+    for g in (path_graph(65), disjoint_union(cycle_graph(31), Graph(34)), cycle_graph(65)):
         with pytest.raises(
-            ResourceLimitError, match=rf"^canonical code: general graph on {g.n} > 30 vertices$"
+            ResourceLimitError, match=r"^canonical code: 65 vertices exceeds limit 64$"
         ):
             canonical_code(g)
 
@@ -179,10 +175,11 @@ def test_refine_matches_reference(monkeypatch):
 
 
 def test_code_limits():
+    # forests and other graphs share the cap of 64 vertices
+    assert canonical_code(path_graph(64))[:2] == b"T" + bytes([64])
+    assert canonical_code(cycle_graph(64))[:2] == b"G" + bytes([64])
     with pytest.raises(ResourceLimitError):
-        canonical_code(cycle_graph(31))
-    # forests are fine well past the general cap
-    canonical_code(path_graph(40))
+        canonical_code(cycle_graph(65))
 
 
 def test_tree_counts():
@@ -397,12 +394,25 @@ def test_automorphism_group_closed_forms():
     gens, order = automorphism_group(triangles)
     assert order == 6 ** 10 * math.factorial(10)
     assert all(_is_automorphism(triangles, sigma) for sigma in gens)
+    # near the cap: Paley(61), of order 61 * 30, and the 8 x 8 rook's graph
+    # K_8 x K_8, of order 2 * (8!)^2; a seeded relabelling keeps the code
+    squares = {x * x % 61 for x in range(1, 61)}
+    paley61 = Graph(61, [(u, v) for u in range(61) for v in range(u + 1, 61) if v - u in squares])
+    rook8 = Graph(
+        64, [(u, v) for u in range(64) for v in range(u + 1, 64) if u // 8 == v // 8 or u % 8 == v % 8]
+    )
+    rng = random.Random(61)
+    for g, expect in ((paley61, 61 * 30), (rook8, 2 * math.factorial(8) ** 2)):
+        gens, order = automorphism_group(g)
+        assert order == expect
+        assert all(_is_automorphism(g, sigma) for sigma in gens)
+        assert canonical_code(_relabelled(rng, g.n, list(g.edges()))) == canonical_code(g)
 
 
 def test_code_at_the_general_cap():
-    code = canonical_code(complete_graph(30))
-    # every one of the 435 lower-triangle bits is set
-    assert code == b"G" + bytes([30]) + ((1 << 435) - 1).to_bytes(55, "big")
+    code = canonical_code(complete_graph(64))
+    # every one of the 2016 lower-triangle bits is set
+    assert code == b"G" + bytes([64]) + ((1 << 2016) - 1).to_bytes(252, "big")
 
 
 def _degree_preserving_swap(rng, edges):
@@ -421,7 +431,7 @@ def _degree_preserving_swap(rng, edges):
 def test_codes_against_networkx_on_random_graphs():
     nx = pytest.importorskip("networkx")
     rng = random.Random(8)
-    for n in range(11, 31):
+    for n in [*range(11, 31), *range(31, 65, 3)]:
         for p in (0.2, 0.5):
             edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
             g = Graph(n, edges)

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -11,8 +12,17 @@ import pytest
 
 import coronapoly
 from coronapoly.cli import main
-from coronapoly.corona import spider_polynomial
-from coronapoly.graphs import corona, cycle_graph, encode_graph6, parse_graph6, path_graph, spider_graph
+from coronapoly.corona import corona_coefficients, spider_polynomial
+from coronapoly.graphs import (
+    Graph,
+    corona,
+    cycle_graph,
+    encode_graph6,
+    parse_graph6,
+    path_graph,
+    spider_graph,
+)
+from coronapoly.indpoly import independence_polynomial
 from coronapoly.polynomials import IntPolynomial
 
 
@@ -79,9 +89,14 @@ def test_poly_text_runs_to_the_forest_cap(capsys):
 
 
 def test_corona_at_the_graph6_cap(capsys):
-    code, out, _ = run(capsys, "corona", "--family", "path", "--n", "31", "--output", "json")
-    assert code == 0
-    assert parse_graph6(json.loads(out)["corona"]).n == 62
+    # a forest and a cycle: the engine on 62 vertices against the transform
+    for family, skeleton in (("path", path_graph(31)), ("cycle", cycle_graph(31))):
+        code, out, _ = run(capsys, "corona", "--family", family, "--n", "31", "--output", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert parse_graph6(payload["corona"]).n == 62
+        want = corona_coefficients(independence_polynomial(skeleton), 31)
+        assert payload["coefficients"] == want.to_json_coeffs()
 
 
 @pytest.mark.parametrize(
@@ -190,14 +205,29 @@ def test_verify_stream_input(tmp_path, capsys):
 
 
 def test_verify_bijection_past_ten_vertices(tmp_path, capsys):
-    # the bijection has no cap of its own: the corona's 22 vertices fit the engine
-    stream = tmp_path / "c11.g6"
-    stream.write_text(encode_graph6(cycle_graph(11)) + "\n")
+    # the bijection has no cap of its own: the coronas' 22 and 62 vertices
+    # fit the engine
+    stream = tmp_path / "cycles.g6"
+    stream.write_text(encode_graph6(cycle_graph(11)) + "\n" + encode_graph6(cycle_graph(31)) + "\n")
     code, out, _ = run(
         capsys, "verify", "--suite", "bijection", "--input", str(stream), "--jobs", "1"
     )
     assert code == 0
-    assert "1 instances" in out
+    assert "2 instances, 0 failures: PASS" in out
+
+
+def test_verify_bounds_on_a_corona_at_the_graph6_cap(tmp_path, capsys):
+    # a 62-vertex corona that is no forest: the engine and the clique
+    # number (alpha of the complement) both run at 62 vertices
+    rng = random.Random(31)
+    g = Graph(31, [(u, v) for u in range(31) for v in range(u + 1, 31) if rng.random() < 0.15])
+    stream = tmp_path / "corona31.g6"
+    stream.write_text(encode_graph6(corona(g)) + "\n")
+    code, out, err = run(
+        capsys, "verify", "--suite", "bounds", "--input", str(stream), "--jobs", "1"
+    )
+    assert code == 0 and err == ""
+    assert out.strip() == "suite bounds: 1 instances, 0 failures: PASS"
 
 
 def test_verify_parallel_jobs(tmp_path, capsys):
@@ -353,7 +383,8 @@ def test_roots_on_a_corona_past_the_enumeration_cap(tmp_path, capsys):
 
 
 def test_roots_on_a_forest_corona_past_the_alpha_cap(tmp_path, capsys):
-    # 62 vertices: a forest's clique number needs no alpha of the complement
+    # 62 vertices: the clique number is alpha of the complement, which fits
+    # the engine's cap of 64
     stream = tmp_path / "corona31.g6"
     stream.write_text(encode_graph6(corona(path_graph(31))) + "\n")
     code, out, err = run(capsys, "roots", "--input", str(stream))
@@ -454,8 +485,15 @@ def test_tree_order_past_the_catalog_cap_exits_3_before_any_work(monkeypatch, ca
 def test_search_equal_poly(tmp_path, capsys):
     from corpus import trees_exactly
 
+    # the trees on 10 vertices, then a 62-vertex graph with cycles and a
+    # relabelled copy, which their canonical codes tell isomorphic
+    rng = random.Random(62)
+    edges = [(u, v) for u in range(62) for v in range(u + 1, 62) if rng.random() < 0.1]
+    perm = rng.sample(range(62), 62)
+    g62 = [Graph(62, edges), Graph(62, [(perm[u], perm[v]) for u, v in edges])]
+    assert g62[0].num_edges >= 62
     stream = tmp_path / "trees10.g6"
-    stream.write_text("".join(encode_graph6(t) + "\n" for t in trees_exactly(10)))
+    stream.write_text("".join(encode_graph6(g) + "\n" for g in [*trees_exactly(10), *g62]))
     code, out, _ = run(capsys, "search", "--mode", "equal-poly", "--input", str(stream))
     assert code == 0
     assert "classes" in out
@@ -463,12 +501,16 @@ def test_search_equal_poly(tmp_path, capsys):
         capsys, "search", "--mode", "equal-poly", "--input", str(stream), "--output", "json"
     )
     payload = json.loads(out)
+    assert payload["errors"] == []
     assert any(
         c["polynomial"] == ["1", "10", "36", "58", "42", "12", "1"]
         and len(c["members"]) >= 2
         and c["all_isomorphic"] is False
         for c in payload["classes"]
     )
+    (cls,) = [c for c in payload["classes"] if c["members"][0] in map(encode_graph6, g62)]
+    assert cls["all_isomorphic"] is True and len(cls["members"]) == 2
+    assert cls["polynomial"] == independence_polynomial(g62[0]).to_json_coeffs()
 
 
 def _write_stream(path, lines):

@@ -5,8 +5,10 @@ from math import comb
 
 import pytest
 
+from coronapoly.corona import corona_coefficients
 from coronapoly.errors import ResourceLimitError
 from coronapoly.graphs import (
+    VERTEX_LIMIT,
     Graph,
     complete_graph,
     complete_multipartite_graph,
@@ -19,7 +21,6 @@ from coronapoly.graphs import (
     star_graph,
 )
 from coronapoly.indpoly import (
-    FOREST_LIMIT,
     SLOT,
     count_stable_sets,
     independence_polynomial,
@@ -308,13 +309,17 @@ def test_hub_leaf_random_single_hub_graphs():
 
 
 def test_regular_graphs_match_the_lowest_id_pivot():
-    # 30-40 vertices is past the brute-force oracle; the previous pivot rule
-    # takes a different path through the same recurrence
+    # 30-64 vertices is past the brute-force oracle; the previous pivot rule
+    # takes a different path through the same recurrence.  At 62 vertices
+    # only d = 3: the lowest-id rule takes about a second on each of d = 4, 5
     rng = random.Random(101)
-    for d in (3, 4, 5):
-        for n in (30, 36):
-            g = _random_regular(rng, n, d)
-            assert independence_polynomial(g) == independence_polynomial(g, pivot=_lowest_max_degree)
+    graphs = [_random_regular(rng, n, d) for d in (3, 4, 5) for n in (30, 36, 48)]
+    graphs.append(_random_regular(rng, 62, 3))
+    for n, p in ((48, 0.15), (56, 0.1), (62, 0.15), (64, 0.05)):
+        graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+    graphs.append(Graph(56, [(v, (v + s) % 56) for v in range(56) for s in (1, 4)]))
+    for g in graphs:
+        assert independence_polynomial(g) == independence_polynomial(g, pivot=_lowest_max_degree)
 
 
 def test_balanced_multipartite_closed_form():
@@ -351,35 +356,23 @@ def test_tree_dp_rejects_cycles():
 
 
 def test_resource_limits():
-    with pytest.raises(ResourceLimitError):
-        independence_polynomial(empty_graph(65))
-    with pytest.raises(ResourceLimitError):
-        independence_polynomial(cycle_graph(41))
-    # forests run past the general cap
-    independence_polynomial(path_graph(50))
-
-
-def test_forest_test_only_past_the_general_cap(monkeypatch):
-    from coronapoly import indpoly
-
-    calls = []
-    real_is_forest = indpoly.is_forest
-    monkeypatch.setattr(indpoly, "is_forest", lambda g: calls.append(g.n) or real_is_forest(g))
-    for g in (path_graph(40), cycle_graph(40), empty_graph(3)):
-        independence_polynomial(g)
-    assert calls == []
-    with pytest.raises(ResourceLimitError, match="^independence polynomial: 41 vertices exceeds limit 40$"):
-        independence_polynomial(cycle_graph(41))
-    with pytest.raises(ResourceLimitError, match="^independence polynomial: 65 vertices exceeds limit 64$"):
-        independence_polynomial(path_graph(65))
-    independence_polynomial(path_graph(64))
-    assert calls == [41, 65, 64]
+    # one cap for every graph, forest or not
+    for make in (empty_graph, path_graph, cycle_graph, complete_graph):
+        assert independence_polynomial(make(64)).coeffs[:2] == (1, 64)
+        with pytest.raises(
+            ResourceLimitError, match="^independence polynomial: 65 vertices exceeds limit 64$"
+        ):
+            independence_polynomial(make(65))
+    with pytest.raises(
+        ResourceLimitError, match="^tree independence polynomial: 65 vertices exceeds 64$"
+    ):
+        independence_polynomial_tree(path_graph(65))
 
 
 def test_slot_holds_the_widest_coefficient():
     # a coefficient of an n-vertex graph is at most C(n, n // 2); raising the
-    # forest cap past what SLOT bits hold must fail here
-    assert comb(FOREST_LIMIT, FOREST_LIMIT // 2) < 2**SLOT
+    # vertex cap past what SLOT bits hold must fail here
+    assert comb(VERTEX_LIMIT, VERTEX_LIMIT // 2) < 2**SLOT
 
 
 def test_packed_slots_at_the_forest_cap():
@@ -388,7 +381,7 @@ def test_packed_slots_at_the_forest_cap():
     assert max(empty) == comb(64, 32)
     one_plus_x = IntPolynomial((1, 1))
     assert independence_polynomial(star_graph(63)) == one_plus_x**63 + IntPolynomial((0, 1))
-    # 40 vertices with cycles: the general path, not the forest cap
+    # a graph with cycles, under the same cap
     k20_20 = complete_multipartite_graph([20, 20])
     assert independence_polynomial(k20_20) == 2 * one_plus_x**20 - IntPolynomial((1,))
     assert independence_polynomial(path_graph(64)).coeffs == tuple(comb(65 - j, j) for j in range(33))
@@ -397,11 +390,23 @@ def test_packed_slots_at_the_forest_cap():
 def test_random_forests_at_the_cap_match_the_tree_dp():
     rng = random.Random(61)
     for _ in range(12):
-        n = rng.randint(60, 64)
+        n = rng.randint(41, 64)
         edges = [(v, rng.randrange(v)) for v in range(1, n) if rng.random() < 0.9]
         perm = rng.sample(range(n), n)
         forest = Graph(n, [(perm[u], perm[v]) for u, v in edges])
         assert independence_polynomial(forest) == independence_polynomial_tree(forest)
+
+
+def test_random_coronas_at_the_cap_match_the_transform():
+    # the paper's transform at 42-64 vertices: the engine on G* against the
+    # binomial sum over the skeleton's coefficients
+    rng = random.Random(131)
+    for k in range(21, 33):
+        p = rng.choice((0.1, 0.2, 0.3))
+        g = Graph(k, [(u, v) for u in range(k) for v in range(u + 1, k) if rng.random() < p])
+        star = corona(g)
+        assert star.n == 2 * k
+        assert independence_polynomial(star) == corona_coefficients(independence_polynomial(g), k)
 
 
 def _random_regular(rng: random.Random, n: int, d: int) -> Graph:

@@ -32,11 +32,11 @@ _CASES = {
     ),
     BijectionReport: ({}, {"notes": []}),
     PolynomialClass: (
-        {"coefficients": (1, 2), "members": ["@"]},
-        {"codes": None},
+        {"coefficients": (1, 2), "members": ["@"], "codes": ["aa"]},
+        {},
     ),
     EquivalenceReport: (
-        {"classes": [PolynomialClass((1, 2), ["@"])]},
+        {"classes": [PolynomialClass((1, 2), ["@"], ["aa"])]},
         {"source": "", "errors": []},
     ),
     SpiderScanReport: (
@@ -102,11 +102,11 @@ def test_derived_fields_follow_their_source():
     assert BoundCheck("a", False).applicable is True
     assert BijectionReport(["x"]).passed is False
     assert BijectionReport().passed is True
-    assert PolynomialClass((1, 2), ["@", "@"]).all_isomorphic is None
     assert PolynomialClass((1, 2), ["@", "@"], ["aa", "aa"]).all_isomorphic is True
     assert PolynomialClass((1, 2), ["@", "@"], ["aa", "ab"]).all_isomorphic is False
     report = EquivalenceReport(
-        [PolynomialClass((1, 2), ["@"]), PolynomialClass((1, 3), ["A_", "A_"])], errors=["e"]
+        [PolynomialClass((1, 2), ["@"], ["aa"]), PolynomialClass((1, 3), ["A_", "A_"], ["ab", "ab"])],
+        errors=["e"],
     )
     assert report.graphs_seen == 3 == report.to_json()["graphs"]
     assert RootReport(IntPolynomial([1, 1]) ** 2, [], [], []).minus_one_multiplicity == 2

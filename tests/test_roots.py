@@ -298,9 +298,11 @@ def test_bijection_reports():
     for g in [complete_graph(2), star_graph(2), cycle_graph(5), path_graph(6), empty_graph(11)]:
         report = root_bijection_check(g)
         assert report.passed, report.notes
-    # the corona of K_21 has 42 vertices, past the engine's general cap
-    with pytest.raises(ResourceLimitError):
-        root_bijection_check(complete_graph(21))
+    # the corona of K_33 has 66 vertices, past the engine's cap of 64
+    with pytest.raises(
+        ResourceLimitError, match="^independence polynomial: 66 vertices exceeds limit 64$"
+    ):
+        root_bijection_check(complete_graph(33))
 
 
 def test_root_matching_oracle_rejects_a_false_pair():
@@ -368,10 +370,10 @@ def test_bounds_hold_on_small_corpus():
 
 
 def test_bounds_on_coronas_past_the_enumeration_cap():
-    # 26-40 vertices: well-coveredness from the pendant matching, then the
+    # 26-64 vertices: well-coveredness from the pendant matching, then the
     # paper's bounds on I(G*)
     rng = random.Random(43)
-    for n in range(13, 21):
+    for n in [*range(13, 21), 24, 28, 32]:
         g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
         report = verify_bounds(corona(g))
         assert report.bounds["annulus"].applicable   # well-covered
@@ -380,8 +382,8 @@ def test_bounds_on_coronas_past_the_enumeration_cap():
 
 
 def test_bounds_on_forest_coronas_past_the_alpha_cap():
-    # 42, 50 and 62 vertices: a forest's clique number is read off its
-    # edges, so alpha (capped at 40) never runs on its complement
+    # 42, 50 and 62 vertices: the clique number is alpha of the complement,
+    # a dense graph on as many vertices, within the engine's cap
     for k in (21, 25, 31):
         report = verify_bounds(corona(path_graph(k)))
         assert report.bounds["annulus"].applicable   # well-covered
@@ -391,8 +393,8 @@ def test_bounds_on_forest_coronas_past_the_alpha_cap():
 
 
 def test_bounds_check_their_caps_before_root_work(monkeypatch):
-    # a 42-vertex corona that is not a forest: past the engine's cap of 40
-    # and alpha's, so the call must stop before the root pass
+    # a 66-vertex corona is past the engine's cap of 64, and so alpha's:
+    # the call must stop before the root pass
     from coronapoly import roots
 
     def no_root_work(*args, **kwargs):
@@ -400,7 +402,7 @@ def test_bounds_check_their_caps_before_root_work(monkeypatch):
 
     monkeypatch.setattr(roots, "root_report", no_root_work)
     with pytest.raises(ResourceLimitError):
-        verify_bounds(corona(cycle_graph(21)))
+        verify_bounds(corona(cycle_graph(33)))
 
 
 def test_report_schema():

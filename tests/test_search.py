@@ -109,18 +109,6 @@ def test_stream_errors_recorded_not_fatal():
 
 
 
-def test_isomorphism_verdict_skipped_over_the_code_cap():
-    # general graphs on 31 vertices are over the canonical-code cap of 30
-    c31 = cycle_graph(31)
-    relabelled = Graph(31, [(2 * u % 31, 2 * v % 31) for u, v in c31.edges()])
-    report = group_by_polynomial([c31, relabelled])
-    (cls,) = report.classes
-    assert len(cls.members) == 2 and cls.codes is None and cls.all_isomorphic is None
-    assert report.errors == [
-        "isomorphism verdict skipped: canonical code: general graph on 31 > 30 vertices"
-    ]
-
-
 @pytest.fixture
 def engine_calls(monkeypatch):
     """The order of every graph whose polynomial equal-poly computes, from
@@ -173,22 +161,22 @@ def test_table_is_bounded_and_least_recently_used(monkeypatch, engine_calls):
 
 
 def test_codes_over_their_cap_skip_the_table(engine_calls):
-    # a general graph on 31-40 vertices has no code: its polynomial is the
-    # engine's every time, and its class gets no verdict
-    c40 = cycle_graph(40)
-    relabelled = Graph(40, [(3 * u % 40, 3 * v % 40) for u, v in c40.edges()])
-    report = group_by_polynomial([c40, relabelled, c40])
-    assert engine_calls == [40, 40, 40] and not search._key_by_code
-    (cls,) = report.classes
-    assert cls.coefficients == independence_polynomial(c40).coeffs
-    assert len(cls.members) == 3 and cls.codes is None and cls.all_isomorphic is None
-    assert report.errors == [
-        "isomorphism verdict skipped: canonical code: general graph on 40 > 30 vertices"
-    ]
-    # one vertex more is over the engine's cap too: an error record
-    report = group_by_polynomial([cycle_graph(41)])
+    # codes and the engine share the cap of 64 vertices: relabelled copies
+    # of a graph on 31-62 vertices (the graph6 cap, as members are named in
+    # graph6) cost one engine run and get a verdict
+    for n in (31, 62):
+        c = cycle_graph(n)
+        relabelled = Graph(n, [(3 * u % n, 3 * v % n) for u, v in c.edges()])
+        report = group_by_polynomial([c, relabelled, c])
+        (cls,) = report.classes
+        assert cls.coefficients == independence_polynomial(c).coeffs
+        assert len(cls.members) == 3 and cls.all_isomorphic is True and report.errors == []
+    assert engine_calls == [31, 62] and len(search._key_by_code) == 2
+    # a graph over the cap is an error record from its code, before the engine
+    report = group_by_polynomial([cycle_graph(65)])
     assert report.classes == [] and report.graphs_seen == 0
-    assert report.errors == ["item 0: independence polynomial: 41 vertices exceeds limit 40"]
+    assert report.errors == ["item 0: canonical code: 65 vertices exceeds limit 64"]
+    assert engine_calls == [31, 62]
 
 
 def test_trees10_contains_known_class():
