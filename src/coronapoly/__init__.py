@@ -65,10 +65,13 @@ from .corona import (
 from .roots import (
     BijectionReport,
     BoundCheck,
+    BoundsReport,
     RootReport,
     all_roots_real,
+    bounds_root_report,
     build_hk,
     count_distinct_real_roots,
+    count_distinct_roots_in_disc,
     deflate_minus_one,
     isolate_real_roots,
     multiplicity_of_minus_one,

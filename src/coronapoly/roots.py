@@ -1,4 +1,4 @@
-"""Root analysis with an exact real side and a numeric complex side.
+"""Root analysis: exact real roots, exact disc counts, numeric complex roots.
 
 Real roots are certified in integer arithmetic alone.  Each polynomial
 gets one pseudo-remainder primitive PRS, its cached Sturm chain (scaling
@@ -22,8 +22,14 @@ approximations nearest the axis must fall one in each of its intervals,
 and the others must split evenly across the axis and are reported as
 exact conjugate pairs.  A mismatch raises RootConvergenceError.
 
-Complex-root checks are numeric only: the report schema marks them as
-"numeric-residual" certification, in contrast to the exact real side.
+The named bounds need no root pass.  ``verify_bounds`` reads the exact
+isolation and ``count_distinct_roots_in_disc``, which counts the distinct
+roots inside and on a circle of rational radius in integers alone, so
+every verdict is exact and the bounds suite runs no Aberth and no float.
+Only ``bounds_root_report``, what ``roots`` prints, adds the root pass and
+each bound's float margin beside its verdict.  The complex roots printed
+are numeric: the report schema marks them as "numeric-residual"
+certification, in contrast to the exact real side.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
+from operator import ne
 
 from .corona import corona_polynomial_identity
 from .errors import ResourceLimitError, RootConvergenceError
@@ -323,8 +330,67 @@ def all_roots_real(p: IntPolynomial) -> bool:
     if not p:
         raise ValueError("zero polynomial")
     chain = sturm_chain(p)
-    real = _variations_at(chain, None, -1) - _variations_at(chain, None, +1)
-    return real == p.degree - chain[-1].degree
+    return _real_root_count(chain) == p.degree - chain[-1].degree
+
+
+def _real_root_count(chain: tuple[IntPolynomial, ...]) -> int:
+    """V(-oo) - V(+oo) on a remainder chain: the distinct real roots of
+    its first member when it is a Sturm chain."""
+    return _variations_at(chain, None, -1) - _variations_at(chain, None, +1)
+
+
+# -- counting roots in a disc ---------------------------------------------------
+
+
+def count_distinct_roots_in_disc(p: IntPolynomial, r: Fraction) -> tuple[int, int]:
+    """(inside, on): the numbers of distinct roots z of p with |z| < r and
+    with |z| = r, for a rational r = a/b > 0.  Exact, in integers alone.
+
+    With f = square_free_part(p) of degree d, the Moebius map
+    z = r (1 + w)/(1 - w) gives q(w) = (b (1 - w))^d f(z): the disc goes to
+    the half-plane Re w < 0, the circle to the imaginary axis, and a root
+    z = -r to w = oo, which lowers deg q below d.  Write
+    q(iy) = R(y) + i I(y).  An axis root iy of q is a real root of
+    gcd(R, I), the last member of the remainder chain of R and I (its other
+    roots are pairs w, -w off the axis), so its Sturm chain counts them.
+    Over the real line the argument of q(iy) turns by pi (L - (m - L)) for
+    the L roots of q left of the axis among the m off it, and since q(iy)
+    tends to the real axis at both ends when deg q is even, and to the
+    imaginary one when it is odd, that turn is -Ind(I/R) pi or +Ind(R/I) pi.
+    Each Cauchy index is V(-oo) - V(+oo) on the signed remainder chain of
+    its pair, common factor and all (Gantmacher, The Theory of Matrices II,
+    ch. XV; Henrici, Applied and Computational Complex Analysis I, 6.7).
+    """
+    if r <= 0:
+        raise ValueError("the radius must be positive")
+    f = square_free_part(p)
+    d = f.degree
+    a, b = r.numerator, r.denominator
+    # q = sum_k f_k a^k b^(d-k) (1 + w)^k (1 - w)^(d-k), by Horner in the
+    # homogeneous pair (1 + w, 1 - w)
+    scaled = [c * a**k * b ** (d - k) for k, c in enumerate(f.coeffs)]
+    q, ypow = [scaled[d]], [1]
+    for c in reversed(scaled[:d]):
+        ypow = [s - t for s, t in zip(ypow + [0], [0] + ypow)]
+        q = [s + t + c * y for s, t, y in zip(q + [0], [0] + q, ypow)]
+    q = IntPolynomial(q).coeffs
+    m = len(q) - 1
+    # i^j is 1, i, -1, -i for j = 0, 1, 2, 3 (mod 4)
+    re = IntPolynomial([(c, 0, -c, 0)[j % 4] for j, c in enumerate(q)]).coeffs
+    im = IntPolynomial([(0, c, 0, -c)[j % 4] for j, c in enumerate(q)]).coeffs
+    chain = [re, im] if m % 2 == 0 else [im, re]
+    while chain[-1]:
+        chain.append(tuple(-c for c in prem(chain[-2], chain[-1])))
+    chain.pop()
+    # the Cauchy index of chain[1]/chain[0], V(-oo) - V(+oo), from the
+    # leading signs, flipped at -oo for an odd degree
+    plus = [h[-1] > 0 for h in chain]
+    minus = [s == (len(h) % 2 == 1) for s, h in zip(plus, chain)]
+    index = sum(map(ne, minus, minus[1:])) - sum(map(ne, plus, plus[1:]))
+    turn = -index if m % 2 == 0 else index
+    gcd = IntPolynomial(chain[-1])
+    axis = _real_root_count(sturm_chain(gcd)) if gcd.degree >= 1 else 0
+    return (m - axis + turn) // 2, axis + d - m
 
 
 # -- real floats: Newton in floats, certified by exact signs -----------------
@@ -426,7 +492,6 @@ _INIT_ANGLE_OFFSET = math.sqrt(2.0)  # fixed irrational rotation, no RNG
 _MAX_SWEEPS = 1000
 _STEP_TOL = 1e-12       # Aberth: a correction this small, relative, converges
 _RESIDUAL_TOL = 1e-9    # coefficient-scaled residual an approximation must meet
-_VERDICT_SLACK = 1e-9   # float slack of the nonreal moduli in bound verdicts
 
 
 def numeric_roots(p: IntPolynomial) -> list[complex]:
@@ -543,6 +608,35 @@ class BoundCheck(namedtuple("BoundCheck", "name passed margin note", defaults=(N
         }
 
 
+def _real_roots_json(real_roots: list[tuple[Fraction, Fraction, int]]) -> list[dict]:
+    return [{"interval": [str(lo), str(hi)], "multiplicity": m} for lo, hi, m in real_roots]
+
+
+class BoundsReport:
+    """What ``verify_bounds`` returns: I(G), the exact isolating intervals
+    of its real roots, and the named bound verdicts, every one exact."""
+
+    __slots__ = ("polynomial", "real_roots", "bounds")
+
+    def __init__(
+        self,
+        polynomial: IntPolynomial,
+        real_roots: list[tuple[Fraction, Fraction, int]],
+        bounds: dict[str, BoundCheck] | None = None,
+    ):
+        self.polynomial = polynomial
+        self.real_roots = real_roots
+        self.bounds = {} if bounds is None else bounds
+
+    def to_json(self) -> dict:
+        return {
+            "polynomial": self.polynomial.to_json_coeffs(),
+            "real_roots": _real_roots_json(self.real_roots),
+            "bounds": [b.to_json() for b in self.bounds.values()],
+            "real_certification": "exact-sturm",
+        }
+
+
 class RootReport:
     """Exact real-root data, numeric complex approximations, and named
     bound verdicts for one polynomial."""
@@ -577,10 +671,7 @@ class RootReport:
         return {
             "polynomial": self.polynomial.to_json_coeffs(),
             "minus_one_multiplicity": self.minus_one_multiplicity,
-            "real_roots": [
-                {"interval": [str(lo), str(hi)], "multiplicity": m}
-                for lo, hi, m in self.real_roots
-            ],
+            "real_roots": _real_roots_json(self.real_roots),
             "complex_roots": [
                 {"re": re, "im": im, "multiplicity": m}
                 for re, im, m in self.complex_roots
@@ -591,9 +682,12 @@ class RootReport:
         }
 
 
-def root_report(p: IntPolynomial) -> RootReport:
+def root_report(
+    p: IntPolynomial, real_roots: list[tuple[Fraction, Fraction, int]] | None = None
+) -> RootReport:
     """The root pass: the exact isolation of p, then floats for each Yun
-    factor.
+    factor.  An isolation already made, as (lo, hi, m) triples
+    (``BoundsReport.real_roots``), is passed as `real_roots` and not redone.
 
     Yun's factors have distinct multiplicities, so the k intervals of
     multiplicity m hold the real roots of the factor f of multiplicity m;
@@ -605,20 +699,21 @@ def root_report(p: IntPolynomial) -> RootReport:
     across the axis, each one above it reported with its exact conjugate.
     A mismatch raises RootConvergenceError.
     """
-    real = isolate_real_roots(p)
-    floats = [0.0] * len(real)
+    if real_roots is None:
+        real_roots = [(lo, hi, m) for (lo, hi), m in isolate_real_roots(p)]
+    floats = [0.0] * len(real_roots)
     complexes: list[tuple[float, float, int]] = []
     for f, m in square_free_decomposition(p):
-        slots = [i for i, (_, mult) in enumerate(real) if mult == m]
+        slots = [i for i, (*_, mult) in enumerate(real_roots) if mult == m]
         if len(slots) == f.degree:
             for i in slots:
-                (lo, hi), _ = real[i]
+                lo, hi, _ = real_roots[i]
                 floats[i] = float(lo) if lo == hi else _real_root_float(f, lo, hi)
             continue
         approx = sorted(numeric_roots(f), key=lambda z: abs(z.imag))
         on_axis = sorted(approx[: len(slots)], key=lambda z: z.real)
         for i, z in zip(slots, on_axis):
-            (lo, hi), _ = real[i]
+            lo, hi, _ = real_roots[i]
             floats[i] = float(lo) if lo == hi else z.real
             if lo != hi and not lo <= z.real <= hi:
                 raise RootConvergenceError(
@@ -635,7 +730,7 @@ def root_report(p: IntPolynomial) -> RootReport:
             complexes += [(z.real, -z.imag, m), (z.real, z.imag, m)]
     return RootReport(
         polynomial=p,
-        real_roots=[(lo, hi, m) for (lo, hi), m in real],
+        real_roots=real_roots,
         complex_roots=complexes,
         real_floats=floats,
     )
@@ -720,10 +815,42 @@ def _root_sign(q: IntPolynomial, root: tuple[Fraction, Fraction, int], c: Fracti
     return 0 if s == 0 else 1 if s == sign_at(q.coeffs, lo) else -1
 
 
-def verify_bounds(g: Graph) -> RootReport:
+_NEAREST_BISECTIONS = 32   # of xi_max's interval, before its uniqueness verdict is left open
+
+
+def _clear_closed_disc(p: IntPolynomial, r: Fraction) -> bool:
+    """Rouche: sum_{k>=1} |c_k| r^k < |c_0| leaves p no root in |z| <= r,
+    as |p(z) - c_0| <= that sum there.  In integers, times b^d for r = a/b."""
+    a, b, d = r.numerator, r.denominator, p.degree
+    tail = sum(abs(c) * a**k * b ** (d - k) for k, c in enumerate(p.coeffs) if k)
+    return tail < abs(p.coeffs[0]) * b**d
+
+
+def _nearest_root_real_unique(
+    q: IntPolynomial, root: tuple[Fraction, Fraction, int]
+) -> tuple[bool, str]:
+    """(passed, note) for ``smallest_modulus_real_unique``: whether
+    xi_max, the root of the square-free q in the isolating interval `root`,
+    is the one root of least modulus.  Every real root is negative, so
+    xi_max is the real root nearest 0, and its interval's far end lo has
+    |lo| > |xi_max|: one root in |z| < |lo| certifies the verdict.  More
+    than one, and the interval is bisected, up to _NEAREST_BISECTIONS
+    times; a degenerate interval [xi, xi] is decided at once, by no root in
+    |z| < |xi| and one, xi, on the circle."""
+    lo, hi, _ = root
+    for _ in range(_NEAREST_BISECTIONS + 1):
+        if lo == hi:
+            return count_distinct_roots_in_disc(q, -lo) == (0, 1), ""
+        if count_distinct_roots_in_disc(q, -lo)[0] == 1:
+            return True, ""
+        lo, hi = refine_root_interval(q, lo, hi, (hi - lo) / 2)
+    return False, f"not certified: {_NEAREST_BISECTIONS} bisections left another root within |lo|"
+
+
+def verify_bounds(g: Graph) -> BoundsReport:
     """Evaluate every applicable named root-location bound for I(G).
 
-    Bounds (margins are slack before violation; negative means failed):
+    Bounds:
 
     * ``annulus``: for well-covered G all roots satisfy 1/n <= |z| <= alpha,
       with the boundary attained exactly when G is complete.
@@ -732,10 +859,13 @@ def verify_bounds(g: Graph) -> RootReport:
     * ``real_window``: real roots in [-1, -1/n) for connected well-covered
       G of girth >= 6 other than C_7, K_1, K_2.
     * ``smallest_modulus_real_unique``: the minimum-modulus root is real
-      and no other root ties it (within _VERDICT_SLACK).
+      and no other root ties it.
 
-    The real legs are exact: each compares the isolated extreme real root
-    with a rational.  Inapplicable bounds report ``passed=None``.
+    Every verdict is exact, with no float: a real leg compares an isolated
+    extreme real root with a rational, and a leg on all roots reads
+    ``count_distinct_roots_in_disc``.  No root is approximated, so the
+    report has no margins; ``bounds_root_report`` adds them.  Inapplicable
+    bounds report ``passed=None``.
     """
     if g.n < 2:
         raise ValueError("bound verification needs n >= 2")
@@ -746,57 +876,44 @@ def verify_bounds(g: Graph) -> RootReport:
     # complement
     wc = is_well_covered(g)
     w = alpha(complement(g))
-    report = root_report(p)
+    real = [(lo, hi, m) for (lo, hi), m in isolate_real_roots(p)]
+    report = BoundsReport(p, real)
     a = p.degree
-    nonreal_moduli = [math.hypot(re, im) for re, im, _ in report.complex_roots]
-    real_moduli = [abs(x) for x in report.real_floats]
-    moduli = real_moduli + nonreal_moduli
     # I(G; x) >= 1 for x >= 0, so every real root is negative: "no real
     # root in [c, 0]" is xi_max < c, and "no real root <= c" is xi_min > c
-    q, real = square_free_part(p), report.real_roots
+    q = square_free_part(p)
     inner = Fraction(1, n)
-    inner_ok = not real or _root_sign(q, real[-1], -inner) < 0
 
     # annulus for well-covered graphs
     if wc:
-        margin = min((min(r - 1 / n, a - r) for r in moduli), default=math.inf)
         if _is_complete(g):
             passed = sign_at(p.coeffs, -inner) == 0
             note = "complete graph: root on the inner boundary"
         else:
-            # both real legs are strict, so no real root is on the boundary
             passed = (
-                inner_ok
-                and (not real or _root_sign(q, real[0], Fraction(-a)) > 0)
-                and all(1 / n - _VERDICT_SLACK <= r <= a + _VERDICT_SLACK for r in nonreal_moduli)
+                count_distinct_roots_in_disc(q, inner) == (0, 0)
+                and count_distinct_roots_in_disc(q, Fraction(a))[0] == q.degree
             )
             note = ""
-        report.bounds["annulus"] = BoundCheck(
-            "annulus", passed, float(margin) if margin != math.inf else None, note
-        )
+        report.bounds["annulus"] = BoundCheck("annulus", passed, None, note)
     else:
         report.bounds["annulus"] = BoundCheck("annulus", None, None, "not well-covered")
 
     # xi_max window
     lower = max(Fraction(-a, n), Fraction(-1, w))
     strict_cap = Fraction(-1, 2 * n - 1)
-    cap_ok = not real or _root_sign(q, real[-1], strict_cap) < 0
-    xi_max = max(report.real_floats, default=None)
-    margin = None if xi_max is None else float(strict_cap) - xi_max
     report.bounds["xi_max_window"] = BoundCheck(
         "xi_max_window",
-        bool(real) and cap_ok and _root_sign(q, real[-1], lower) >= 0,
-        margin,
+        bool(real) and _root_sign(q, real[-1], strict_cap) < 0 and _root_sign(q, real[-1], lower) >= 0,
+        None,
         "" if real else "no real root",
     )
 
-    # modulus floor, real exact (the cap's comparison) + complex numeric
+    # modulus floor: no root in the closed disc of radius 1/(2n-1)
     floor = Fraction(1, 2 * n - 1)
-    margin = min((r - float(floor) for r in moduli), default=math.inf)
     report.bounds["modulus_floor"] = BoundCheck(
         "modulus_floor",
-        cap_ok and all(r - float(floor) > 0 for r in nonreal_moduli),
-        float(margin) if margin != math.inf else None,
+        _clear_closed_disc(p, floor) or count_distinct_roots_in_disc(q, floor) == (0, 0),
     )
 
     # real window for the almost-very-well-covered case
@@ -808,24 +925,58 @@ def verify_bounds(g: Graph) -> RootReport:
         and not (n == 2 and g.num_edges == 1)
     )
     if applicable:
-        from_minus_one = not real or _root_sign(q, real[0], Fraction(-1)) >= 0
-        report.bounds["real_window"] = BoundCheck("real_window", from_minus_one and inner_ok)
+        report.bounds["real_window"] = BoundCheck(
+            "real_window",
+            not real
+            or (_root_sign(q, real[0], Fraction(-1)) >= 0 and _root_sign(q, real[-1], -inner) < 0),
+        )
     else:
         report.bounds["real_window"] = BoundCheck("real_window", None, None, "hypotheses not met")
 
     # smallest-modulus root real and unique
-    if not real_moduli:
+    if not real:
         report.bounds["smallest_modulus_real_unique"] = BoundCheck(
             "smallest_modulus_real_unique", False, None, "no real root"
         )
     else:
+        passed, note = _nearest_root_real_unique(q, real[-1])
+        report.bounds["smallest_modulus_real_unique"] = BoundCheck(
+            "smallest_modulus_real_unique", passed, None, note
+        )
+    return report
+
+
+def _margins(report: RootReport, n: int) -> dict[str, float | None]:
+    """Each bound's float slack before violation, negative when failed,
+    from the root pass's floats: informational, as no verdict reads it."""
+    a = report.polynomial.degree
+    real_moduli = [abs(x) for x in report.real_floats]
+    nonreal_moduli = [math.hypot(re, im) for re, im, _ in report.complex_roots]
+    moduli = real_moduli + nonreal_moduli
+    floor = 1 / (2 * n - 1)
+    margins = {
+        "annulus": min((min(r - 1 / n, a - r) for r in moduli), default=None),
+        "xi_max_window": -floor - max(report.real_floats) if real_moduli else None,
+        "modulus_floor": min((r - floor for r in moduli), default=None),
+    }
+    if real_moduli:
         rho = min(real_moduli)
         others = [r for r in real_moduli if r != rho] + nonreal_moduli
-        margin = min(others) - rho if others else math.inf
-        passed = margin > _VERDICT_SLACK if others else True
-        report.bounds["smallest_modulus_real_unique"] = BoundCheck(
-            "smallest_modulus_real_unique", passed, float(margin) if margin != math.inf else None
-        )
+        margins["smallest_modulus_real_unique"] = min(others) - rho if others else None
+    return margins
+
+
+def bounds_root_report(g: Graph) -> RootReport:
+    """What ``roots`` prints for G on n >= 2 vertices: the root pass of
+    I(G) (``root_report``) with the exact verdicts of ``verify_bounds``,
+    each applicable one beside its float margin."""
+    checks = verify_bounds(g)
+    report = root_report(checks.polynomial, checks.real_roots)
+    margins = _margins(report, g.n)
+    report.bounds = {
+        name: b._replace(margin=margins.get(name)) if b.applicable else b
+        for name, b in checks.bounds.items()
+    }
     return report
 
 

@@ -29,6 +29,7 @@ from .canon import TREE_ENUM_LIMIT, canonical_code, enumerate_trees
 from .corona import spider_polynomial
 from .errors import GraphParseError, ResourceLimitError
 from .graphs import (
+    GRAPH6_LIMIT,
     Graph,
     StreamItem,
     corona,
@@ -142,11 +143,15 @@ def _coefficient_key(item: StreamItem) -> tuple[tuple[int, ...] | None, str]:
     That holds whatever the search's canonicity, since equal codes always
     mean relabellings of one graph (see ``canonical_code``), and relabelled
     graphs have one polynomial.  Codes and the engine share one cap, so a
-    graph over it is an error record from its code.
+    graph over it is an error record from its code.  Class members are
+    named in graph6, so a graph within that cap but past graph6's short
+    form is an error record before the engine runs.
     """
     try:
         g = item_parse(item)
         code = canonical_code(g)
+        if g.n > GRAPH6_LIMIT:
+            raise ResourceLimitError(f"graph6 output of {g.n} vertices exceeds limit {GRAPH6_LIMIT}")
         key = _key_by_code.get(code)
         if key is None:
             key = _key_by_code[code] = independence_polynomial(g).coeffs

@@ -13,7 +13,8 @@ x -> x/(1-x), a root-level cross-check of the integer identity behind
 ``root_bijection_check``.  ``counted_real_legs`` and
 ``counted_bound_verdicts`` decide the real legs of ``verify_bounds`` by
 one Sturm count on I(G) per leg, the reference for the package's
-comparisons with the isolated extreme roots.  ``bitwise_parse_graph6`` is
+comparisons with the isolated extreme roots; the nonreal legs read
+mpmath's roots (``mpmath_nonreal_moduli``), not the package's.  ``bitwise_parse_graph6`` is
 the graph6 decoder the package used before it read each column as one
 slice: one step per bit, edges into the ``Graph`` constructor.
 ``center_rooted_forest_code`` is the forest encoder the package used
@@ -400,24 +401,38 @@ def counted_real_legs(p: IntPolynomial, n: int, w: int) -> dict[str, bool]:
     }
 
 
-def counted_bound_verdicts(
-    report: RootReport, n: int, w: int, tol: float = 1e-9
-) -> dict[str, bool]:
+def mpmath_nonreal_moduli(p: IntPolynomial, tol: float = 1e-20) -> list:
+    """The moduli of p's distinct nonreal roots, from mpmath's
+    ``polyroots`` at 60 digits on sympy's square-free part of p; a root is
+    nonreal when its imaginary part exceeds `tol` in size.  mpmath comes
+    with sympy."""
+    import mpmath
+    import sympy
+
+    x = sympy.Symbol("x")
+    sqf = [int(c) for c in sympy.Poly(list(reversed(p.coeffs)), x).sqf_part().all_coeffs()]
+    with mpmath.workdps(60):
+        zs = mpmath.polyroots(sqf, maxsteps=100, extraprec=100) if len(sqf) > 1 else []
+        return [abs(z) for z in zs if abs(mpmath.im(z)) > tol]
+
+
+def counted_bound_verdicts(p: IntPolynomial, n: int, w: int, tol: float = 1e-20) -> dict[str, bool]:
     """The verdicts of ``verify_bounds`` on a well-covered, non-complete
     graph that meets the hypotheses of ``real_window``, from
-    ``counted_real_legs`` and the report's nonreal moduli."""
-    p = report.polynomial
+    ``counted_real_legs`` and the moduli of p's nonreal roots
+    (``mpmath_nonreal_moduli``), where a modulus within `tol` of a circle is on it:
+    the annulus holds them strictly, and the floor's closed disc none."""
     a = p.degree
     legs = counted_real_legs(p, n, w)
-    nonreal = [math.hypot(re, im) for re, im, _ in report.complex_roots]
+    nonreal = mpmath_nonreal_moduli(p, tol)
     floor = Fraction(1, 2 * n - 1)
     return {
         "annulus": legs["annulus_inner"]
         and legs["annulus_outer"]
         and not legs["annulus_touch"]
-        and all(1 / n - tol <= r <= a + tol for r in nonreal),
+        and all(1 / n + tol < r < a - tol for r in nonreal),
         "xi_max_window": legs["has_real"] and legs["xi_max_cap"] and legs["xi_max_window"],
-        "modulus_floor": legs["modulus_floor"] and all(r - float(floor) > 0 for r in nonreal),
+        "modulus_floor": legs["modulus_floor"] and all(r > float(floor) + tol for r in nonreal),
         "real_window": legs["real_window_below"] and legs["real_window_above"],
     }
 

@@ -116,7 +116,7 @@ def test_graph6_output_cap_checked_before_any_work(monkeypatch, capsys, argv):
         raise AssertionError("computed before the graph6 output cap was checked")
 
     monkeypatch.setattr(cli, "independence_polynomial", work)
-    monkeypatch.setattr(cli, "verify_bounds", work)
+    monkeypatch.setattr(cli, "bounds_root_report", work)
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == "" and "resource limit" in err and "62" in err

@@ -22,8 +22,10 @@ from coronapoly.indpoly import independence_polynomial, independence_polynomial_
 from coronapoly.polynomials import IntPolynomial
 from coronapoly.roots import (
     all_roots_real,
+    bounds_root_report,
     build_hk,
     count_distinct_real_roots,
+    count_distinct_roots_in_disc,
     deflate_minus_one,
     isolate_real_roots,
     multiplicity_of_minus_one,
@@ -335,18 +337,21 @@ def test_bijection_degree_bookkeeping():
 
 
 def test_bounds_complete_graph_boundary():
-    report = verify_bounds(complete_graph(4))
-    annulus = report.bounds["annulus"]
+    annulus = verify_bounds(complete_graph(4)).bounds["annulus"]
     assert annulus.applicable and annulus.passed
     assert "boundary" in annulus.note
+    # the float margin is on the roots path only
+    assert annulus.margin is None
+    annulus = bounds_root_report(complete_graph(4)).bounds["annulus"]
+    assert annulus.applicable and annulus.passed
     assert abs(annulus.margin) < 1e-9
 
 
 def test_bounds_balanced_multipartite():
     # well-covered, not complete: boundary must not be attained
     g = complete_multipartite_graph([2, 2])
-    report = verify_bounds(g)
-    annulus = report.bounds["annulus"]
+    assert verify_bounds(g).bounds["annulus"].passed
+    annulus = bounds_root_report(g).bounds["annulus"]
     assert annulus.applicable and annulus.passed and annulus.margin > 0
 
 
@@ -401,12 +406,13 @@ def test_bounds_check_their_caps_before_root_work(monkeypatch):
         raise AssertionError("root work ran before the cap check")
 
     monkeypatch.setattr(roots, "root_report", no_root_work)
+    monkeypatch.setattr(roots, "isolate_real_roots", no_root_work)
     with pytest.raises(ResourceLimitError):
         verify_bounds(corona(cycle_graph(33)))
 
 
 def test_report_schema():
-    report = verify_bounds(corona(star_graph(2)))
+    report = bounds_root_report(corona(star_graph(2)))
     payload = report.to_json()
     assert payload["real_certification"] == "exact-sturm"
     assert payload["complex_certification"] == "numeric-residual"
@@ -415,6 +421,11 @@ def test_report_schema():
         c["multiplicity"] for c in payload["complex_roots"]
     )
     assert total == report.polynomial.degree
+    # the exact report: the same intervals and verdicts, no floats
+    exact = verify_bounds(corona(star_graph(2))).to_json()
+    assert set(exact) == {"polynomial", "real_roots", "bounds", "real_certification"}
+    assert exact["real_roots"] == payload["real_roots"]
+    assert [{**b, "margin": None} for b in payload["bounds"]] == exact["bounds"]
 
 
 def test_report_multiplicity_sum():
@@ -541,7 +552,7 @@ def test_real_legs_against_sturm_counts(monkeypatch):
         monkeypatch.setattr(roots, "independence_polynomial", lambda g, p=p: p)
         report = verify_bounds(skeleton)
         assert report.bounds["annulus"].applicable and report.bounds["real_window"].applicable
-        want = counted_bound_verdicts(report, n, w)
+        want = counted_bound_verdicts(p, n, w)
         assert {name: report.bounds[name].passed for name in want} == want, p
         seen_legs |= set(counted_real_legs(p, n, w).items())
         seen_verdicts |= set(want.items())
@@ -574,6 +585,133 @@ def test_smallest_modulus_side():
         rho = min(abs(z) for z in zs)
         reals = [z for z in zs if abs(z.imag) < 1e-9]
         assert reals and math.isclose(min(abs(z) for z in reals), rho, rel_tol=1e-6)
+
+
+# -- exact disc counts: the bounds suite without floats ---------------------------
+
+
+def _gnp(rng, n, p):
+    """A connected G(n, p) by rejection, as the benchmark's bounds strata draw them."""
+    while True:
+        g = Graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+        if is_connected(g):
+            return g
+
+
+def _disc_count_cases():
+    """(p, r): seeded polynomials with repeated roots, a real root at
+    exactly -r, a conjugate pair on |z| = r, or neither; then I(G) over
+    the bounds strata (G(n, p), n 8-14, p 0.3/0.5/0.7) at random radii."""
+    rng = random.Random(61)
+    cases = []
+    for i in range(120):
+        d = rng.randint(1, 6)
+        p = IntPolynomial([rng.randint(-9, 9) for _ in range(d)] + [rng.choice([-2, -1, 1, 3])])
+        a, b = rng.randint(1, 9), rng.randint(1, 9)
+        kind = i % 4
+        if kind == 0:       # repeated roots
+            p = p * IntPolynomial([rng.randint(-3, 3), rng.randint(1, 3)]) ** 2 * p
+        elif kind == 1:     # a real root at exactly -r
+            p = p * IntPolynomial([a, b])
+        elif kind == 2:     # a conjugate pair on the circle: b^2 z^2 + c b z + a^2
+            p = p * IntPolynomial([a * a, rng.randint(1 - 2 * a, 2 * a - 1) * b, b * b])
+        cases.append((p, Fraction(a, b)))
+    for n in range(8, 15):
+        for density in (0.3, 0.5, 0.7):
+            p = independence_polynomial(_gnp(rng, n, density))
+            for r in (Fraction(1, n), Fraction(1, 2 * n - 1), Fraction(p.degree),
+                      Fraction(rng.randint(1, 200), rng.randint(1, 200))):
+                cases.append((p, r))
+    return cases
+
+
+def test_disc_counts_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    on_circle = kinds = 0
+    with mpmath.workdps(60):
+        tol = mpmath.mpf(10) ** -40
+        for p, r in _disc_count_cases():
+            # the distinct roots: mpmath on sympy's square-free part
+            sqf = sympy.Poly(list(reversed(p.coeffs)), x).sqf_part().all_coeffs()
+            zs = mpmath.polyroots([int(c) for c in sqf], maxsteps=200, extraprec=200) if len(sqf) > 1 else []
+            radius = mpmath.mpf(r.numerator) / r.denominator
+            want = (
+                sum(abs(z) < radius - tol for z in zs),
+                sum(abs(abs(z) - radius) <= tol for z in zs),
+            )
+            assert count_distinct_roots_in_disc(p, r) == want, (p, r)
+            on_circle += want[1] > 0
+    assert on_circle >= 60
+
+
+def test_disc_count_edge_cases():
+    one_plus_x = IntPolynomial((1, 1))
+    # -1 is a triple root, counted once, on |z| = 1 and inside any wider disc
+    assert count_distinct_roots_in_disc(one_plus_x ** 3, Fraction(1)) == (0, 1)
+    assert count_distinct_roots_in_disc(one_plus_x ** 3, Fraction(3, 2)) == (1, 0)
+    # z^2 + 1 has both roots on the unit circle, z^2 - 1 one at r and one at -r
+    assert count_distinct_roots_in_disc(IntPolynomial((1, 0, 1)), Fraction(1)) == (0, 2)
+    assert count_distinct_roots_in_disc(IntPolynomial((-1, 0, 1)), Fraction(1)) == (0, 2)
+    # z and z^3 + z: a root at 0, the centre
+    assert count_distinct_roots_in_disc(IntPolynomial((0, 1)), Fraction(1, 5)) == (1, 0)
+    assert count_distinct_roots_in_disc(IntPolynomial((0, 1, 0, 1)), Fraction(1)) == (1, 2)
+    # reciprocal pairs z, 1/z off the circle
+    assert count_distinct_roots_in_disc(IntPolynomial((2, -5, 2)), Fraction(1)) == (1, 0)
+    assert count_distinct_roots_in_disc(IntPolynomial((7,)), Fraction(1)) == (0, 0)
+    with pytest.raises(ValueError):
+        count_distinct_roots_in_disc(one_plus_x, Fraction(0))
+
+
+def test_rouche_certificate_implies_an_empty_closed_disc():
+    from coronapoly.roots import _clear_closed_disc
+
+    rng = random.Random(67)
+    cleared = 0
+    for n, density in [(n, d) for n in range(8, 15) for d in (0.3, 0.5, 0.7)] * 2:
+        p = independence_polynomial(_gnp(rng, n, density))
+        for r in (Fraction(1, 2 * n - 1), Fraction(1, n), Fraction(1, 2)):
+            if _clear_closed_disc(p, r):
+                cleared += 1
+                assert count_distinct_roots_in_disc(p, r) == (0, 0), (p, r)
+    assert cleared > 0
+
+
+def test_bounds_suite_runs_no_float_root_pass(monkeypatch):
+    from coronapoly import roots, suites
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bounds suite reached the float root pass")
+
+    for name in ("numeric_roots", "_real_root_float", "root_report"):
+        monkeypatch.setattr(roots, name, refuse)
+    extra = [corona(path_graph(3)), complete_graph(4), cycle_graph(7), TREE8_NONREAL]
+    for g in graphs_upto(6) + extra:
+        assert suites.check_one("bounds", g) is None, g
+
+
+def test_modulus_floor_without_the_rouche_shortcut(monkeypatch):
+    from coronapoly import roots
+
+    graphs = [g for g in graphs_upto(6) if g.n >= 2] + [TREE8_NONREAL]
+    want = [verify_bounds(g).bounds["modulus_floor"].passed for g in graphs]
+    monkeypatch.setattr(roots, "_clear_closed_disc", lambda p, r: False)
+    assert [verify_bounds(g).bounds["modulus_floor"].passed for g in graphs] == want
+    assert all(want)
+
+
+def test_smallest_modulus_left_uncertified_fails_with_a_note(monkeypatch):
+    from coronapoly import roots
+
+    # I(K_{1,3}) = 1 + 4x + 3x^2 + x^3: xi_max ~ -0.32 is isolated in
+    # (-5, 0), and |z| < 5 holds the nonreal pair too, so the verdict needs
+    # a bisection
+    check = verify_bounds(star_graph(3)).bounds["smallest_modulus_real_unique"]
+    assert check.passed and not check.note
+    monkeypatch.setattr(roots, "_NEAREST_BISECTIONS", 0)
+    check = verify_bounds(star_graph(3)).bounds["smallest_modulus_real_unique"]
+    assert check.passed is False and "not certified" in check.note
 
 
 # -- the root pass: realness from the exact isolation ---------------------------

@@ -108,6 +108,14 @@ def test_stream_errors_recorded_not_fatal():
     assert len(report.errors) == 1
 
 
+def test_graph_past_graph6_is_an_error_record():
+    # a class member is named in graph6, whose short form ends at 62
+    # vertices: a 63-vertex Graph item is an error, and the report survives
+    report = group_by_polynomial([path_graph(63), path_graph(5)])
+    assert report.errors == ["item 0: graph6 output of 63 vertices exceeds limit 62"]
+    assert [c.members for c in report.classes] == [[encode_graph6(path_graph(5))]]
+
+
 
 @pytest.fixture
 def engine_calls(monkeypatch):
