@@ -12,10 +12,11 @@ per-graph work through ``graphs.map_items``, in order over ``--jobs``
 forked worker processes once a stream has 64 graphs; a worker that dies
 ends the command with exit 5.  A graph6 line is parsed by that work and
 named in output by its own text; a bad one is named by its line number,
-and ``equal-poly`` records it and exits 2 after its report.  An option
-that the command would ignore, such as ``gen --connected`` without
-``--graphs``, is a usage error.  A process freezes its objects at exit, so
-the interpreter's final collections skip them; output is unchanged.
+and ``equal-poly`` records it and exits 2 after its report.  Any option
+that the table ``_COMMANDS`` does not name for the command, and its
+``--suite``, ``--mode`` or source, is a usage error before any input is
+read, as is a ``--jobs`` below 1.  A process freezes its objects at exit,
+so the interpreter's final collections skip them; output is unchanged.
 """
 
 from __future__ import annotations
@@ -93,25 +94,6 @@ _CLOSED_FORMS = {
 }
 
 
-def _add_family(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=sorted(_FAMILIES))
-    p.add_argument("--n", type=int, help="family size parameter")
-    p.add_argument("--sizes", help="comma-separated part sizes (multipartite)")
-
-
-def _add_graph_source(p: argparse.ArgumentParser) -> None:
-    _add_family(p)
-    p.add_argument("--input", help="graph file, or - for stdin")
-    p.add_argument(
-        "--format", choices=("graph6", "edgelist"), default="graph6",
-        help="input format: graph6 stream (one per line) or a single edge list",
-    )
-
-
-def _add_output(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--output", choices=("text", "json"), default="text")
-
-
 _MIN_FORK = 64          # shorter streams are not fanned out
 _READ_AHEAD = 4096      # items read ahead to size the chunks
 _CHUNKS_PER_WORKER = 4  # Pool.map's rule; also the chunks in flight per worker
@@ -122,15 +104,6 @@ def _default_jobs() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _add_jobs(p: argparse.ArgumentParser, default: int, note: str = "") -> None:
-    p.add_argument(
-        "--jobs", type=int, default=default,
-        help=f"worker processes for streams of {_MIN_FORK} or more graphs{note} "
-        f"(default {default}: the CPUs this process may run on; a larger value is "
-        "clamped to that)",
-    )
 
 
 def _read_lines(path: str):
@@ -283,14 +256,14 @@ def _fork_map(fn, items, workers: int, size: int):
 
 
 @contextmanager
-def _scan_map(items, jobs: int):
+def _scan_map(items, jobs: int | None):
     """(mapper, items) of a scan.  `jobs` is clamped to the CPUs this
-    process may run on.  The mapper is the builtin map at one job, without
-    os.fork or for a stream of under _MIN_FORK items (read ahead to tell),
-    else _fork_map.  Chunks follow Pool.map's rule, about
-    _CHUNKS_PER_WORKER per worker, on up to _READ_AHEAD items read ahead.
+    process may run on, and None takes them all.  The mapper is the builtin
+    map at one job, without os.fork or for a stream of under _MIN_FORK items
+    (read ahead to tell), else _fork_map.  Chunks follow Pool.map's rule,
+    about _CHUNKS_PER_WORKER per worker, on up to _READ_AHEAD items read ahead.
     A scan that ends early leaves no worker behind."""
-    jobs = min(jobs, _default_jobs())
+    jobs = min(jobs, _default_jobs()) if jobs else _default_jobs()
     if jobs <= 1 or not hasattr(os, "fork"):
         yield map, items
         return
@@ -315,38 +288,22 @@ def _scan_map(items, jobs: int):
             m.close()
 
 
-def _scan_items(args: argparse.Namespace, default_max_n: int = 0):
-    """The graphs of a verify or search scan: --input, else the catalog up
-    to --max-n (default_max_n when it is not given)."""
-    if args.input:
-        return _graph6_items(args.input)
-    return suites.default_corpus(default_max_n if args.max_n is None else args.max_n)
+def _scan_items(args: argparse.Namespace):
+    """The graphs of a verify or search scan: --input, else the catalog up to --max-n."""
+    return suites.default_corpus(args.max_n) if args.input is None else _graph6_items(args.input)
 
 
 def _sizes(args: argparse.Namespace) -> list[int] | None:
-    return [int(tok) for tok in args.sizes.split(",") if tok.strip()] if args.sizes else None
+    sizes = args.sizes
+    return None if sizes is None else [int(tok) for tok in sizes.split(",") if tok.strip()]
 
 
-def _family_graph(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Graph:
-    """The --family graph of poly, corona, roots and gen."""
-    if args.family == "multipartite":
-        if not args.sizes:
-            parser.error("--family multipartite requires --sizes a,b,c")
-        return _FAMILIES[args.family](0, _sizes(args))
-    if args.n is None:
-        parser.error(f"--family {args.family} requires --n")
-    return _FAMILIES[args.family](args.n, None)
-
-
-def _graphs_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser):
+def _graphs_from_args(args: argparse.Namespace):
     """The input of poly, corona and roots, one StreamItem per graph: the
     --family graph, an edge list, or the lines of a graph6 stream, which
     the per-item work parses."""
-    sources = sum(1 for flag in (args.family, args.input) if flag)
-    if sources != 1:
-        parser.error("exactly one input source required: --family or --input")
-    if args.family:
-        yield StreamItem(f"--family {args.family}", _family_graph(args, parser))
+    if args.family is not None:
+        yield StreamItem(f"--family {args.family}", _FAMILIES[args.family](args.n, _sizes(args)))
     elif args.format == "edgelist":
         text = "".join(line for _, line in _read_lines(args.input))
         yield StreamItem(f"--input {args.input}", parse_edge_list(text))
@@ -361,10 +318,6 @@ def _parse_coeffs(text: str) -> IntPolynomial:
     return IntPolynomial([int(tok) for tok in text.replace(",", " ").split()])
 
 
-def _emit(obj: dict, text: str, mode: str) -> None:
-    print(json.dumps(obj) if mode == "json" else text)
-
-
 def _check_graph6_output(n: int, what: str) -> None:
     """Raise before any work when an output line would need graph6 for
     more vertices than the short form holds."""
@@ -377,10 +330,10 @@ def _check_graph6_output(n: int, what: str) -> None:
 # -- command implementations -------------------------------------------------
 
 
-def _print_each(args, parser, fn) -> int:
-    """Print fn's text for each input graph, mapped over --jobs workers."""
-    with _scan_map(_graphs_from_args(args, parser), args.jobs) as (mapper, items):
-        for _, text in map_items(fn, items, mapper):
+def _print_each(render, args) -> int:
+    """poly, corona and roots: print render(as_json, item) of each input graph, over --jobs."""
+    with _scan_map(_graphs_from_args(args), args.jobs) as (mapper, items):
+        for _, text in map_items(partial(render, args.output == "json"), items, mapper):
             print(text)
     return 0
 
@@ -392,10 +345,6 @@ def _poly_text(as_json: bool, item: StreamItem) -> str:
     _check_graph6_output(g.n, "poly --output json")
     p = independence_polynomial(g)
     return json.dumps({"graph": item_graph6(item.graph), "coefficients": p.to_json_coeffs()})
-
-
-def _cmd_poly(args, parser) -> int:
-    return _print_each(args, parser, partial(_poly_text, args.output == "json"))
 
 
 def _corona_text(as_json: bool, item: StreamItem) -> str:
@@ -414,30 +363,18 @@ def _corona_text(as_json: bool, item: StreamItem) -> str:
     )
 
 
-def _cmd_corona(args, parser) -> int:
-    return _print_each(args, parser, partial(_corona_text, args.output == "json"))
-
-
-def _cmd_transform(args, parser) -> int:
+def _cmd_transform(args) -> int:
     coeffs = _parse_coeffs(args.coeffs)
-    if args.inverse:
+    if not args.inverse:
+        t = corona_mod.corona_coefficients(coeffs, args.n)
+        obj, text = {"coefficients": t.to_json_coeffs()}, str(t)
+    else:
         try:
             s = corona_mod.inverse_corona_coefficients(coeffs, args.n)
+            obj, text = {"corona_image": True, "coefficients": s.to_json_coeffs()}, str(s)
         except NotACoronaImage as exc:
-            _emit(
-                {"corona_image": False, "reason": str(exc)},
-                str(exc),
-                args.output,
-            )
-            return 0
-        _emit(
-            {"corona_image": True, "coefficients": s.to_json_coeffs()},
-            str(s),
-            args.output,
-        )
-        return 0
-    t = corona_mod.corona_coefficients(coeffs, args.n)
-    _emit({"coefficients": t.to_json_coeffs()}, str(t), args.output)
+            obj, text = {"corona_image": False, "reason": str(exc)}, str(exc)
+    print(json.dumps(obj) if args.output == "json" else text)
     return 0
 
 
@@ -466,16 +403,7 @@ def _roots_text(as_json: bool, item: StreamItem) -> str:
     return "\n".join(lines)
 
 
-def _cmd_roots(args, parser) -> int:
-    return _print_each(args, parser, partial(_roots_text, args.output == "json"))
-
-
-def _cmd_gen(args, parser) -> int:
-    sources = sum(1 for flag in (args.family, args.trees, args.graphs) if flag is not None)
-    if sources != 1:
-        parser.error("exactly one source required: --family, --trees or --graphs")
-    if args.connected and args.graphs is None:
-        parser.error("--connected applies only to --graphs")
+def _cmd_gen(args) -> int:
     if args.trees is not None:
         emitted = [(t, None) for t in canon.enumerate_trees(args.trees)]
     elif args.graphs is not None:
@@ -483,7 +411,7 @@ def _cmd_gen(args, parser) -> int:
             (g, None) for g in canon.enumerate_graphs(args.graphs, connected=args.connected)
         ]
     else:
-        g = _family_graph(args, parser)
+        g = _FAMILIES[args.family](args.n, _sizes(args))
         _check_graph6_output(g.n, "gen")
         closed = _CLOSED_FORMS.get(args.family)
         poly = closed(args.n, _sizes(args)) if closed else None
@@ -499,13 +427,11 @@ def _cmd_gen(args, parser) -> int:
     return 0
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args) -> int:
     if args.suite == "hk":
-        if args.input:
-            parser.error("--suite hk builds its own instances and takes no --input")
         result = suites.run_hk_suite(args.max_n)
     else:
-        with _scan_map(_scan_items(args, suites.DEFAULT_MAX_N), args.jobs) as (mapper, stream):
+        with _scan_map(_scan_items(args), args.jobs) as (mapper, stream):
             result = suites.run_suite(args.suite, stream, mapper)
     if args.output == "json":
         print(json.dumps(result.to_json()))
@@ -516,136 +442,207 @@ def _cmd_verify(args, parser) -> int:
     return 0 if result.passed else 1
 
 
-def _cmd_search(args, parser) -> int:
-    # the text and the evidence lines are built only when they are written
-    if args.mode == "equal-poly":
-        if not args.input:
-            parser.error("search --mode equal-poly requires --input")
-        with _scan_map(_scan_items(args), args.jobs) as (mapper, stream):
-            partition = search.partition_graphs(stream, mapper)
-        report = search.report_from_partition(partition, source=args.input)
-        status = 2 if partition[1] else 0   # a line that could not be classified
-        text = report.summary_table
-        evidence = lambda: [json.dumps(c.to_json()) for c in report.nontrivial_classes()]
-    elif args.mode == "spider-unique":
-        if args.input:
-            parser.error("--mode spider-unique builds its own skeletons and takes no --input")
-        report = search.spider_uniqueness_scan(args.max_skeleton)
-        status = 1 if report.violations else 0
-        text = lambda: (
-            f"spider uniqueness up to skeleton {report.max_skeleton}: "
-            f"{report.skeletons_checked} skeletons, {len(report.matches)} star matches, "
-            f"{report.skipped_multiplicity} filtered by multiplicity, "
-            f"{len(report.violations)} violations"
-        )
-        evidence = lambda: [json.dumps(report.to_json())]
-    elif args.mode == "conjecture2":
-        # both caps before the corpus
-        search.require_scan_cap("tree-order", args.max_tree_order)
-        search.require_tree_order_cap(args.max_tree_order)
-        with _scan_map(_scan_items(args, 7), args.jobs) as (mapper, stream):
-            report = search.conjecture2_scan(stream, args.max_tree_order, mapper)
-        status = 0 if report.clean else 1
-        text = lambda: (
-            f"conjecture2: {report.graphs_scanned} connected graphs vs well-covered trees "
-            f"<= {report.max_tree_order}; supporting {report.supporting_matches}, "
-            f"counterexamples {len(report.counterexamples)}"
-        )
-        evidence = report.to_jsonl_lines
-    else:  # hamidoune
-        with _scan_map(_scan_items(args, 8), args.jobs) as (mapper, stream):
-            report = search.hamidoune_scan(stream, mapper=mapper)
-        status = 0 if report.clean else 1
-        text = lambda: (
-            f"hamidoune: {report.graphs_scanned} graphs, {report.claw_free_count} claw-free, "
-            f"{len(report.failures)} failures, "
-            f"{report.nonreal_contrast_count} non-claw-free with nonreal roots"
-        )
-        evidence = report.to_jsonl_lines
-    print(json.dumps(report.to_json()) if args.output == "json" else text())
-    if args.evidence:
-        with open(args.evidence, "w", encoding="utf-8") as fh:
+def _cmd_search(args) -> int:
+    # --evidence is opened before any work; the text and the evidence lines
+    # are built only when they are written
+    try:
+        sink = open(args.evidence, "w", encoding="utf-8") if args.evidence else nullcontext()
+    except OSError as exc:
+        raise ValueError(f"cannot write --evidence {args.evidence}: {exc.strerror}") from None
+    with sink as fh:
+        if args.mode == "equal-poly":
+            with _scan_map(_scan_items(args), args.jobs) as (mapper, stream):
+                partition = search.partition_graphs(stream, mapper)
+            report = search.report_from_partition(partition, source=args.input)
+            status = 2 if partition[1] else 0   # a line that could not be classified
+            text = report.summary_table
+            evidence = lambda: [json.dumps(c.to_json()) for c in report.nontrivial_classes()]
+        elif args.mode == "spider-unique":
+            report = search.spider_uniqueness_scan(args.max_skeleton)
+            status = 1 if report.violations else 0
+            text = lambda: (
+                f"spider uniqueness up to skeleton {report.max_skeleton}: "
+                f"{report.skeletons_checked} skeletons, {len(report.matches)} star matches, "
+                f"{report.skipped_multiplicity} filtered by multiplicity, "
+                f"{len(report.violations)} violations"
+            )
+            evidence = lambda: [json.dumps(report.to_json())]
+        elif args.mode == "conjecture2":
+            # both caps before the corpus
+            search.require_scan_cap("tree-order", args.max_tree_order)
+            search.require_tree_order_cap(args.max_tree_order)
+            with _scan_map(_scan_items(args), args.jobs) as (mapper, stream):
+                report = search.conjecture2_scan(stream, args.max_tree_order, mapper)
+            status = 0 if report.clean else 1
+            text = lambda: (
+                f"conjecture2: {report.graphs_scanned} connected graphs vs well-covered trees "
+                f"<= {report.max_tree_order}; supporting {report.supporting_matches}, "
+                f"counterexamples {len(report.counterexamples)}"
+            )
+            evidence = report.to_jsonl_lines
+        else:  # hamidoune
+            with _scan_map(_scan_items(args), args.jobs) as (mapper, stream):
+                report = search.hamidoune_scan(stream, mapper=mapper)
+            status = 0 if report.clean else 1
+            text = lambda: (
+                f"hamidoune: {report.graphs_scanned} graphs, {report.claw_free_count} claw-free, "
+                f"{len(report.failures)} failures, "
+                f"{report.nonreal_contrast_count} non-claw-free with nonreal roots"
+            )
+            evidence = report.to_jsonl_lines
+        print(json.dumps(report.to_json()) if args.output == "json" else text())
+        if fh is not None:
             fh.write("\n".join(evidence()) + "\n")
     return status
 
 
+# -- the option table ----------------------------------------------------------
+
+_REQUIRED = object()    # the default of an option that a call must give where it is read
+
+
+def _option(default=_REQUIRED, **kwargs) -> tuple:
+    """An option's default where an entry reads it and a call does not give it, and its
+    argparse keywords, whose default None lets _resolve tell what a call gave."""
+    if default not in (None, False, _REQUIRED):
+        kwargs["help"] = f"{kwargs['help']} (default {default})"
+    return default, {**kwargs, "default": None}
+
+
+_OPTIONS = {
+    "--suite": _option(choices=suites.SUITES, required=True),
+    "--mode": _option(choices=("equal-poly", "spider-unique", "conjecture2", "hamidoune"),
+                      required=True),
+    "--family": _option(choices=sorted(_FAMILIES), help="an inline graph family"),
+    "--n": _option(type=int, help="family size parameter; transform: skeleton order"),
+    "--sizes": _option(help="comma-separated part sizes (multipartite)"),
+    "--input": _option(help="graph file, or - for stdin"),
+    "--format": _option("graph6", choices=("graph6", "edgelist"),
+                        help="graph6 stream (one per line) or a single edge list"),
+    "--trees": _option(type=int, help="emit all trees on N vertices"),
+    "--graphs": _option(type=int, help="emit all graphs on N vertices (N <= 8)"),
+    "--connected": _option(False, action="store_true", help="connected graphs only"),
+    "--coeffs": _option(help='e.g. "1,2" or ["1","2"]'),
+    "--inverse": _option(False, action="store_true", help="recover s from t; alpha is read off t"),
+    "--max-n": _option(None, type=int, help="corpus cap; hk: the largest k"),
+    "--max-skeleton": _option(8, type=int, help="largest tree skeleton"),
+    "--max-tree-order": _option(14, type=int, help="largest well-covered tree"),
+    "--jobs": _option(None, type=int, help=f"worker processes for streams of {_MIN_FORK} or more "
+                      "graphs (default: the CPUs this process may run on; a larger value is "
+                      "clamped to that)"),
+    "--evidence": _option(None, help="write machine-readable JSONL evidence here"),
+    "--output": _option("text", choices=("text", "json"), help="report format"),
+}
+
+# Each command: its function, its help, and its entries in the order they are tried.  A
+# call's entry is the first whose label options it gives (with the value after "=", where
+# there is one); it reads those and the options it maps to, where "=" sets its own default.
+_GRAPH_SOURCES = {
+    "--family=multipartite": "--sizes --jobs --output",
+    "--family": "--n --jobs --output",
+    "--input": "--format --jobs --output",
+}
+_SCAN = "--jobs --output --evidence"
+
+_COMMANDS = {
+    "poly": (partial(_print_each, _poly_text), "print I(G;x) for each input graph", _GRAPH_SOURCES),
+    "corona": (partial(_print_each, _corona_text), "print G* (graph6) and I(G*;x)", _GRAPH_SOURCES),
+    "transform": (_cmd_transform, "corona coefficient transform of a vector",
+                  {"": "--coeffs --n --inverse --output"}),
+    "roots": (partial(_print_each, _roots_text), "root report with bound verdicts", _GRAPH_SOURCES),
+    "gen": (_cmd_gen, "emit graphs (and closed-form polynomials)", {
+        "--family=multipartite": "--sizes --output",
+        "--family": "--n --output",
+        "--trees": "--output",
+        "--graphs": "--connected --output",
+    }),
+    "verify": (_cmd_verify, "run a named invariant suite", {
+        "--suite=hk": f"--max-n={suites.DEFAULT_MAX_K} --output",
+        "--suite --input": "--jobs --output",
+        "--suite": f"--max-n={suites.DEFAULT_MAX_N} --jobs --output",
+    }),
+    "search": (_cmd_search, "equivalence classes and conjecture scans", {
+        "--mode=equal-poly": f"--input {_SCAN}",
+        "--mode=spider-unique": "--max-skeleton --output --evidence",
+        "--mode=conjecture2 --input": f"--max-tree-order {_SCAN}",
+        "--mode=conjecture2": f"--max-n={suites.DEFAULT_MAX_N} --max-tree-order {_SCAN}",
+        "--mode=hamidoune --input": _SCAN,
+        "--mode=hamidoune": f"--max-n=8 {_SCAN}",
+    }),
+}
+
+
+def _reads(options: str) -> dict:
+    """{option: default} of a label or of the options an entry reads."""
+    reads = {}
+    for token in options.split():
+        option, eq, value = token.partition("=")
+        default, kwargs = _OPTIONS[option]
+        reads[option] = kwargs.get("type", str)(value) if eq else default
+    return reads
+
+
+def _resolve(parser: argparse.ArgumentParser, args: argparse.Namespace):
+    """The command function of a parsed call, after the one check against its entry: a
+    given option it does not read, one it reads that has no default and is not given, and
+    a --jobs below 1 are usage errors.  The other options it reads get their defaults."""
+    run, _, entries = _COMMANDS[args.command]
+    dests = {option: option[2:].replace("-", "_") for option in _OPTIONS}
+    given = {option: getattr(args, dest, None) for option, dest in dests.items()}
+    label = next((label for label in entries if all(
+        given[option] is not None and value in (_REQUIRED, given[option])
+        for option, value in _reads(label).items()
+    )), None)
+    if label is None:
+        sources = dict.fromkeys(label.split()[0].split("=")[0] for label in entries)
+        parser.error(f"{args.command} takes one source: {' or '.join(sources)}")
+    name, reads = f"{args.command} {label}".rstrip(), _reads(f"{label} {entries[label]}")
+    unread = [o for o, value in given.items() if value is not None and o not in reads]
+    if unread:
+        parser.error(f"{unread[0]} is not read by {name}")
+    for option, default in reads.items():
+        if given[option] is None:
+            if default is _REQUIRED:
+                parser.error(f"{name} requires {option}")
+            setattr(args, dests[option], default)
+    if given["--jobs"] is not None and given["--jobs"] < 1:
+        parser.error(f"--jobs must be >= 1, got {given['--jobs']}")
+    return run
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built from _COMMANDS: a command declares the options
+    that some entry of it reads, and its --help lists the entries."""
+    import shutil
     parser = argparse.ArgumentParser(
         prog="coronapoly",
         description="Exact independence polynomials, corona transforms, and root certificates",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    jobs = _default_jobs()
-
-    p = sub.add_parser("poly", help="print I(G;x) for each input graph")
-    _add_graph_source(p)
-    _add_jobs(p, jobs)
-    _add_output(p)
-    p.set_defaults(func=_cmd_poly)
-
-    p = sub.add_parser("corona", help="print G* (graph6) and I(G*;x)")
-    _add_graph_source(p)
-    _add_jobs(p, jobs)
-    _add_output(p)
-    p.set_defaults(func=_cmd_corona)
-
-    p = sub.add_parser("transform", help="corona coefficient transform of a vector")
-    p.add_argument("--coeffs", required=True, help='e.g. "1,2" or ["1","2"]')
-    p.add_argument("--n", type=int, required=True, help="skeleton order")
-    p.add_argument("--inverse", action="store_true", help="recover s from t; alpha is read off t")
-    _add_output(p)
-    p.set_defaults(func=_cmd_transform)
-
-    p = sub.add_parser("roots", help="root report with bound verdicts")
-    _add_graph_source(p)
-    _add_jobs(p, jobs)
-    _add_output(p)
-    p.set_defaults(func=_cmd_roots)
-
-    p = sub.add_parser("gen", help="emit graphs (and closed-form polynomials)")
-    _add_family(p)
-    p.add_argument("--trees", type=int, help="emit all trees on N vertices")
-    p.add_argument("--graphs", type=int, help="emit all graphs on N vertices (N <= 8)")
-    p.add_argument("--connected", action="store_true", help="with --graphs: connected only")
-    _add_output(p)
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("verify", help="run a named invariant suite")
-    p.add_argument("--suite", choices=suites.SUITES, required=True)
-    p.add_argument(
-        "--max-n", type=int,
-        help="corpus cap (default 7); for --suite hk the largest k (default 4)",
-    )
-    p.add_argument(
-        "--input", help="graph6 stream instead of the built-in catalog (not with --suite hk)"
-    )
-    _add_jobs(p, jobs, ", --input or the catalog (unused by --suite hk)")
-    _add_output(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("search", help="equivalence classes and conjecture scans")
-    p.add_argument(
-        "--mode",
-        choices=("equal-poly", "spider-unique", "conjecture2", "hamidoune"),
-        required=True,
-    )
-    p.add_argument("--input", help="graph6 stream, or - for stdin")
-    p.add_argument("--max-n", type=int, help="internal corpus cap when no --input")
-    p.add_argument("--max-skeleton", type=int, default=8)
-    p.add_argument("--max-tree-order", type=int, default=14)
-    _add_jobs(p, jobs, ", --input or the catalog (unused by spider-unique)")
-    p.add_argument("--evidence", help="write machine-readable JSONL evidence here")
-    _add_output(p)
-    p.set_defaults(func=_cmd_search)
-
+    # the terminal's width, read once rather than by each option's formatter,
+    # and the prefix of each command's prog, which argparse would render
+    width = shutil.get_terminal_size().columns - 2
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+    for command, (_, help, entries) in _COMMANDS.items():
+        pad = max(map(len, entries))
+        rows = [f"  {command} {label.ljust(pad)}  {reads}" for label, reads in entries.items()]
+        p = sub.add_parser(
+            command, help=help,
+            formatter_class=partial(argparse.RawDescriptionHelpFormatter, width=width),
+            epilog="each call reads the options of the first entry it matches:\n" + "\n".join(rows),
+        )
+        declared = set(" ".join(rows).replace("=", " ").split())
+        for option, (_, kwargs) in _OPTIONS.items():
+            if option in declared:
+                p.add_argument(option, **kwargs)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    run = _resolve(parser, args)
     try:
-        return args.func(args, parser)
+        return run(args)
     except ResourceLimitError as exc:
         print(f"coronapoly: resource limit: {exc}", file=sys.stderr)
         return 3

@@ -298,22 +298,120 @@ def test_usage_error_exit_code(capsys):
     assert info.value.code == 2
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("gen", "--trees", "4", "--graphs", "3"),
-        ("gen", "--family", "path", "--n", "3", "--trees", "3"),
-        ("gen", "--trees", "4", "--connected"),
-        ("gen", "--family", "path", "--n", "3", "--connected"),
-        ("search", "--mode", "spider-unique", "--input", "MISSING"),
-    ],
-)
-def test_an_option_the_command_would_ignore_is_a_usage_error(tmp_path, capsys, argv):
-    argv = [str(tmp_path / "missing.g6") if a == "MISSING" else a for a in argv]
+# A value of each option for the table-built cases below.  Both paths name
+# files that are never created, so a call that opened one would exit
+# through main's error handling, not through the usage error.
+_SAMPLE = {
+    "--suite": "bounds", "--mode": "hamidoune", "--family": "path", "--n": "3", "--sizes": "2,2",
+    "--input": "MISSING", "--format": "edgelist", "--trees": "4", "--graphs": "3",
+    "--connected": None, "--coeffs": "1,2", "--inverse": None, "--max-n": "3",
+    "--max-skeleton": "3", "--max-tree-order": "5", "--jobs": "2", "--evidence": "MISSING",
+    "--output": "json",
+}
+
+
+def _given(option, value=None):
+    value = _SAMPLE[option] if value is None else value
+    return [option] if _SAMPLE[option] is None else [option, value]
+
+
+def _option_cases():
+    """(argv, accepted) for every entry of the option table: the entry's
+    call with each option it reads (accepted) and with each declared option
+    it does not read (refused), unless that option selects another entry."""
+    from coronapoly import cli
+
+    cases = []
+    for command, (_, _, entries) in cli._COMMANDS.items():
+        declared = {o for entry in entries.items() for o in cli._reads(" ".join(entry))}
+        for label, reads in entries.items():
+            selects, reads = cli._reads(label), cli._reads(reads)
+            base = [command]
+            for option, value in selects.items():
+                base += _given(option, None if value is cli._REQUIRED else value)
+            for option, default in reads.items():
+                if default is cli._REQUIRED:
+                    base += _given(option)
+            cases.append((tuple(base), True))
+            cases += [
+                (tuple(base + _given(o)), True) for o, d in reads.items() if d is not cli._REQUIRED
+            ]
+            cases += [
+                (tuple(base + _given(o)), False)
+                for o in sorted(declared - selects.keys() - reads.keys())
+                if f"{label} {o}" not in entries
+            ]
+    return cases
+
+
+# every option that a command ignored before the table, each exiting 0
+_IGNORED = [
+    ("verify", "--suite", "bounds", "--input", "MISSING", "--max-n", "3"),
+    ("search", "--mode", "spider-unique", "--max-skeleton", "3", "--max-n", "2",
+     "--max-tree-order", "5"),
+    ("search", "--mode", "spider-unique", "--jobs", "2"),
+    ("search", "--mode", "equal-poly", "--input", "MISSING", "--max-n", "3", "--max-skeleton", "2"),
+    ("search", "--mode", "hamidoune", "--max-n", "4", "--max-tree-order", "3"),
+    ("search", "--mode", "conjecture2", "--max-n", "4", "--max-skeleton", "3"),
+    ("gen", "--trees", "4", "--n", "3", "--sizes", "1,2"),
+    ("gen", "--family", "multipartite", "--sizes", "2,2", "--n", "9"),
+    ("poly", "--family", "path", "--n", "3", "--sizes", "4,5"),
+    ("poly", "--family", "path", "--n", "3", "--format", "edgelist"),
+    ("poly", "--input", "MISSING", "--n", "5"),
+    ("verify", "--suite", "hk", "--max-n", "2", "--jobs", "2"),
+    ("gen", "--trees", "4", "--graphs", "3"),
+    ("gen", "--family", "path", "--n", "3", "--trees", "3"),
+    ("gen", "--trees", "4", "--connected"),
+    ("gen", "--family", "path", "--n", "3", "--connected"),
+    ("search", "--mode", "spider-unique", "--input", "MISSING"),
+]
+
+
+@pytest.mark.parametrize("argv, accepted", [
+    pytest.param(argv, accepted, id=f"{'_'.join(argv)}-{'accepted' if accepted else 'refused'}")
+    for argv, accepted in dict.fromkeys([*_option_cases(), *((argv, False) for argv in _IGNORED)])
+])
+def test_each_option_is_read_by_the_entry_it_is_given_to(
+    tmp_path, monkeypatch, capsys, argv, accepted
+):
+    from coronapoly import cli, search, suites
+
+    def _must_not_run(*args, **kwargs):
+        raise AssertionError("work started before the options were checked")
+
+    monkeypatch.setattr(search, "enumerate_trees", _must_not_run)
+    monkeypatch.setattr(suites, "enumerate_graphs", _must_not_run)
+    argv = [str(tmp_path / "missing") if a == "MISSING" else a for a in argv]
+    if accepted:
+        parser = cli.build_parser()
+        args = parser.parse_args(argv)
+        given = {k: v for k, v in vars(args).items() if v is not None}
+        cli._resolve(parser, args)
+        assert vars(args).items() >= given.items()      # defaults fill only what was not given
+        return
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage:")
+
+
+def test_the_parser_declares_what_the_table_reads():
+    import argparse
+
+    from coronapoly import cli
+
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(cli._COMMANDS)
+    read = set()
+    for command, (_, _, entries) in cli._COMMANDS.items():
+        reads = {o for entry in entries.items() for o in cli._reads(" ".join(entry))}
+        declared = {o for a in sub.choices[command]._actions for o in a.option_strings}
+        declared -= {"-h", "--help"}
+        assert declared == reads, command
+        read |= reads
+    assert read == set(cli._OPTIONS)     # no option that nothing reads
 
 
 def test_verify_hk_rejects_input_before_reading(tmp_path, capsys):
@@ -323,8 +421,56 @@ def test_verify_hk_rejects_input_before_reading(tmp_path, capsys):
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:")
-    assert "--suite hk builds its own instances and takes no --input" in err
+    assert "--input is not read by verify --suite=hk" in err
     assert "No such file" not in err and "parse error" not in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ("poly", "--family", "path", "--n", "3"),
+    ("corona", "--input", "MISSING"),
+    ("roots", "--family", "cycle", "--n", "5"),
+    ("verify", "--suite", "bounds", "--max-n", "3"),
+    ("verify", "--suite", "divisibility", "--input", "MISSING"),
+    ("search", "--mode", "equal-poly", "--input", "MISSING"),
+    ("search", "--mode", "hamidoune", "--max-n", "3"),
+    ("search", "--mode", "conjecture2", "--input", "MISSING"),
+], ids="_".join)
+def test_jobs_below_one_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, jobs):
+    from coronapoly import suites
+
+    def _must_not_run(*args, **kwargs):
+        raise AssertionError("work started before --jobs was checked")
+
+    monkeypatch.setattr(suites, "enumerate_graphs", _must_not_run)
+    argv = [str(tmp_path / "missing.g6") if a == "MISSING" else a for a in argv]
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--jobs", jobs])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"error: --jobs must be >= 1, got {jobs}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("equal-poly", "--input", "MISSING"),
+    ("spider-unique",),
+    ("conjecture2", "--max-n", "4"),
+    ("hamidoune", "--max-n", "4"),
+], ids=lambda argv: argv[0])
+def test_unwritable_evidence_is_a_usage_error_before_any_work(tmp_path, monkeypatch, capsys, argv):
+    from coronapoly import search, suites
+
+    def _must_not_run(*args, **kwargs):
+        raise AssertionError("work started before --evidence was opened")
+
+    monkeypatch.setattr(search, "enumerate_trees", _must_not_run)
+    monkeypatch.setattr(suites, "enumerate_graphs", _must_not_run)
+    path = tmp_path / "no" / "such" / "ev.jsonl"
+    argv = [str(tmp_path / "missing.g6") if a == "MISSING" else a for a in argv]
+    code, out, err = run(capsys, "search", "--mode", *argv, "--evidence", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"coronapoly: cannot write --evidence {path}: No such file or directory\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -447,7 +593,8 @@ def test_corpus_cap_below_one_is_a_usage_error(capsys, argv):
     "argv, name",
     [
         (("search", "--mode", "spider-unique", "--max-skeleton"), "skeleton cap"),
-        (("search", "--mode", "conjecture2", "--max-n", "3", "--max-tree-order"), "tree-order cap"),
+        (("search", "--mode", "conjecture2", "--max-n", "3", "--jobs", "1", "--max-tree-order"),
+         "tree-order cap"),
     ],
 )
 def test_scan_cap_below_one_is_a_usage_error(monkeypatch, capsys, argv, name, cap):
@@ -459,7 +606,7 @@ def test_scan_cap_below_one_is_a_usage_error(monkeypatch, capsys, argv, name, ca
 
     monkeypatch.setattr(search, "enumerate_trees", _must_not_run)
     monkeypatch.setattr(suites, "enumerate_graphs", _must_not_run)
-    code, out, err = run(capsys, *argv, cap, "--jobs", "1")
+    code, out, err = run(capsys, *argv, cap)
     assert code == 2
     assert out == ""
     assert f"{name} must be >= 1, got {cap}" in err
