@@ -585,8 +585,11 @@ def _reads(options: str) -> dict:
 def _resolve(parser: argparse.ArgumentParser, args: argparse.Namespace):
     """The command function of a parsed call, after the one check against its entry: a
     given option it does not read, one it reads that has no default and is not given, and
-    a --jobs below 1 are usage errors.  The other options it reads get their defaults."""
+    a --jobs below 1 are usage errors of the command's own parser, as argparse's are.  The
+    other options it reads get their defaults."""
     run, _, entries = _COMMANDS[args.command]
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    parser = commands[args.command]
     dests = {option: option[2:].replace("-", "_") for option in _OPTIONS}
     given = {option: getattr(args, dest, None) for option, dest in dests.items()}
     label = next((label for label in entries if all(

@@ -9,8 +9,8 @@ scales the chain of the square-free part once by its Cauchy bound and
 bisects at dyadic points, each sign an integer Horner pass; Fractions
 appear only in the report, as interval endpoints.  Every half-open
 membership test that appears in a bound (for instance xi_max <
--1/(2n-1)) compares an isolated extreme root with the rational, never a
-float.
+-1/(2n-1)) is a Sturm count of the real roots at the bound's own
+rational, never a float.
 
 Each polynomial gets one root pass (``root_report``): one exact isolation,
 then floats for each Yun factor.  A factor with as many isolated roots as
@@ -22,10 +22,11 @@ approximations nearest the axis must fall one in each of its intervals,
 and the others must split evenly across the axis and are reported as
 exact conjugate pairs.  A mismatch raises RootConvergenceError.
 
-The named bounds need no root pass.  ``verify_bounds`` reads the exact
-isolation and ``count_distinct_roots_in_disc``, which counts the distinct
-roots inside and on a circle of rational radius in integers alone, so
-every verdict is exact and the bounds suite runs no Aberth and no float.
+The named bounds need no root pass.  ``verify_bounds`` reads Sturm counts
+at the bounds' rationals and ``count_distinct_roots_in_disc``, which
+counts the distinct roots inside and on a circle of rational radius in
+integers alone, so every verdict is exact and the bounds suite runs no
+Aberth, no float and, on most graphs, no isolation.
 Only ``bounds_root_report``, what ``roots`` prints, adds the root pass and
 each bound's float margin beside its verdict.  The complex roots printed
 are numeric: the report schema marks them as "numeric-residual"
@@ -614,19 +615,26 @@ def _real_roots_json(real_roots: list[tuple[Fraction, Fraction, int]]) -> list[d
 
 class BoundsReport:
     """What ``verify_bounds`` returns: I(G), the exact isolating intervals
-    of its real roots, and the named bound verdicts, every one exact."""
+    of its real roots, and the named bound verdicts, every one exact;
+    ``real_roots``, when not given, is isolated on its first read."""
 
-    __slots__ = ("polynomial", "real_roots", "bounds")
+    __slots__ = ("polynomial", "_real_roots", "bounds")
 
     def __init__(
         self,
         polynomial: IntPolynomial,
-        real_roots: list[tuple[Fraction, Fraction, int]],
+        real_roots: list[tuple[Fraction, Fraction, int]] | None = None,
         bounds: dict[str, BoundCheck] | None = None,
     ):
         self.polynomial = polynomial
-        self.real_roots = real_roots
+        self._real_roots = real_roots
         self.bounds = {} if bounds is None else bounds
+
+    @property
+    def real_roots(self) -> list[tuple[Fraction, Fraction, int]]:
+        if self._real_roots is None:
+            self._real_roots = [(lo, hi, m) for (lo, hi), m in isolate_real_roots(self.polynomial)]
+        return self._real_roots
 
     def to_json(self) -> dict:
         return {
@@ -801,20 +809,6 @@ def _is_cycle7(g: Graph) -> bool:
     return g.n == 7 and all(m.bit_count() == 2 for m in g.masks) and is_connected(g)
 
 
-def _root_sign(q: IntPolynomial, root: tuple[Fraction, Fraction, int], c: Fraction) -> int:
-    """The sign of xi - c, for the one root xi of the square-free q in the
-    isolating interval `root` = (lo, hi, m) of ``RootReport.real_roots``:
-    a degenerate interval is xi itself, and an open one has non-root
-    endpoints, so q(c) has the sign of q(lo) iff no root lies in (lo, c]."""
-    lo, hi, _ = root
-    if lo == hi:
-        return (lo > c) - (lo < c)
-    if not lo < c < hi:
-        return 1 if c <= lo else -1
-    s = sign_at(q.coeffs, c)
-    return 0 if s == 0 else 1 if s == sign_at(q.coeffs, lo) else -1
-
-
 _NEAREST_BISECTIONS = 32   # of xi_max's interval, before its uniqueness verdict is left open
 
 
@@ -861,11 +855,13 @@ def verify_bounds(g: Graph) -> BoundsReport:
     * ``smallest_modulus_real_unique``: the minimum-modulus root is real
       and no other root ties it.
 
-    Every verdict is exact, with no float: a real leg compares an isolated
-    extreme real root with a rational, and a leg on all roots reads
-    ``count_distinct_roots_in_disc``.  No root is approximated, so the
-    report has no margins; ``bounds_root_report`` adds them.  Inapplicable
-    bounds report ``passed=None``.
+    Every verdict is exact, with no float: a real leg is a Sturm count at
+    the bound's own rationals, and a leg on all roots reads
+    ``count_distinct_roots_in_disc``.  The real roots are isolated only
+    where a disc count at |lower| leaves the smallest-modulus root open.
+    No root is approximated, so the report has no margins;
+    ``bounds_root_report`` adds them.  Inapplicable bounds report
+    ``passed=None``.
     """
     if g.n < 2:
         raise ValueError("bound verification needs n >= 2")
@@ -876,12 +872,11 @@ def verify_bounds(g: Graph) -> BoundsReport:
     # complement
     wc = is_well_covered(g)
     w = alpha(complement(g))
-    real = [(lo, hi, m) for (lo, hi), m in isolate_real_roots(p)]
-    report = BoundsReport(p, real)
+    report = BoundsReport(p)
     a = p.degree
-    # I(G; x) >= 1 for x >= 0, so every real root is negative: "no real
-    # root in [c, 0]" is xi_max < c, and "no real root <= c" is xi_min > c
+    # "no real root >= c" is xi_max < c, and "no real root < c" is xi_min >= c
     q = square_free_part(p)
+    real = count_distinct_real_roots(q)
     inner = Fraction(1, n)
 
     # annulus for well-covered graphs
@@ -901,10 +896,11 @@ def verify_bounds(g: Graph) -> BoundsReport:
 
     # xi_max window
     lower = max(Fraction(-a, n), Fraction(-1, w))
-    strict_cap = Fraction(-1, 2 * n - 1)
+    nearer = count_distinct_real_roots(q, lower, include_lo=False)
     report.bounds["xi_max_window"] = BoundCheck(
         "xi_max_window",
-        bool(real) and _root_sign(q, real[-1], strict_cap) < 0 and _root_sign(q, real[-1], lower) >= 0,
+        count_distinct_real_roots(q, Fraction(-1, 2 * n - 1)) == 0
+        and (nearer > 0 or sign_at(q.coeffs, lower) == 0),
         None,
         "" if real else "no real root",
     )
@@ -927,22 +923,23 @@ def verify_bounds(g: Graph) -> BoundsReport:
     if applicable:
         report.bounds["real_window"] = BoundCheck(
             "real_window",
-            not real
-            or (_root_sign(q, real[0], Fraction(-1)) >= 0 and _root_sign(q, real[-1], -inner) < 0),
+            count_distinct_real_roots(q, None, Fraction(-1), include_hi=False) == 0
+            and count_distinct_real_roots(q, -inner) == 0,
         )
     else:
         report.bounds["real_window"] = BoundCheck("real_window", None, None, "hypotheses not met")
 
-    # smallest-modulus root real and unique
+    # smallest-modulus root real and unique: a lone root in |z| < |lower| is
+    # real, as nonreal roots pair up, so it is xi_max, above lower
     if not real:
-        report.bounds["smallest_modulus_real_unique"] = BoundCheck(
-            "smallest_modulus_real_unique", False, None, "no real root"
-        )
+        passed, note = False, "no real root"
+    elif nearer and count_distinct_roots_in_disc(q, -lower)[0] == 1:
+        passed, note = True, ""
     else:
-        passed, note = _nearest_root_real_unique(q, real[-1])
-        report.bounds["smallest_modulus_real_unique"] = BoundCheck(
-            "smallest_modulus_real_unique", passed, None, note
-        )
+        passed, note = _nearest_root_real_unique(q, report.real_roots[-1])
+    report.bounds["smallest_modulus_real_unique"] = BoundCheck(
+        "smallest_modulus_real_unique", passed, None, note
+    )
     return report
 
 

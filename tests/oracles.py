@@ -10,7 +10,11 @@ the package's canonical codes.  ``root_matching_notes`` uses the
 package's root core (``root_report``, Sturm counts, interval refinement):
 it matches the roots of I(G) and of the deflated I(G*) one by one under
 x -> x/(1-x), a root-level cross-check of the integer identity behind
-``root_bijection_check``.  ``counted_real_legs`` and
+``root_bijection_check``.  ``isolated_bound_verdicts`` is ``verify_bounds``
+as the package computed it before it read its real legs off Sturm counts
+at the bounds' rationals: each real leg compares an isolated extreme root
+with the rational (``_root_sign``), and the smallest-modulus verdict
+starts from xi_max's isolating interval.  ``counted_real_legs`` and
 ``counted_bound_verdicts`` decide the real legs of ``verify_bounds`` by
 one Sturm count on I(G) per leg, the reference for the package's
 comparisons with the isolated extreme roots; the nonreal legs read
@@ -42,12 +46,17 @@ from fractions import Fraction
 from itertools import combinations
 
 from coronapoly.errors import GraphParseError
-from coronapoly.graphs import Graph
+from coronapoly.graphs import Graph, alpha, complement, girth, is_connected, is_well_covered
+from coronapoly.indpoly import independence_polynomial
 from coronapoly.polynomials import IntPolynomial, sign_at
 from coronapoly.roots import (
     RootReport,
+    _clear_closed_disc,
+    _nearest_root_real_unique,
     cauchy_root_bound,
     count_distinct_real_roots,
+    count_distinct_roots_in_disc,
+    isolate_real_roots,
     refine_root_interval,
     root_report,
     square_free_decomposition,
@@ -399,6 +408,71 @@ def counted_real_legs(p: IntPolynomial, n: int, w: int) -> dict[str, bool]:
         "real_window_below": count_distinct_real_roots(p, None, Fraction(-1), True, False) == 0,
         "real_window_above": count_distinct_real_roots(p, -inner, None, True, True) == 0,
     }
+
+
+def _root_sign(q: IntPolynomial, root: tuple[Fraction, Fraction, int], c: Fraction) -> int:
+    """The sign of xi - c, for the one root xi of the square-free q in the
+    isolating interval `root` = (lo, hi, m) of ``RootReport.real_roots``:
+    a degenerate interval is xi itself, and an open one has non-root
+    endpoints, so q(c) has the sign of q(lo) iff no root lies in (lo, c]."""
+    lo, hi, _ = root
+    if lo == hi:
+        return (lo > c) - (lo < c)
+    if not lo < c < hi:
+        return 1 if c <= lo else -1
+    s = sign_at(q.coeffs, c)
+    return 0 if s == 0 else 1 if s == sign_at(q.coeffs, lo) else -1
+
+
+def isolated_bound_verdicts(g: Graph) -> dict[str, tuple[bool | None, str]]:
+    """{bound: (passed, note)} of ``verify_bounds`` on G, n >= 2, from the
+    exact isolation of every real root of I(G): xi_max and xi_min are its
+    last and first intervals, each compared with a rational by
+    ``_root_sign``, and the smallest-modulus verdict starts from xi_max's
+    interval.  The legs on all roots are the package's disc counts."""
+    n = g.n
+    p = independence_polynomial(g)
+    wc = is_well_covered(g)
+    w = alpha(complement(g))
+    real = [(lo, hi, m) for (lo, hi), m in isolate_real_roots(p)]
+    a = p.degree
+    q = square_free_part(p)
+    inner = Fraction(1, n)
+    out = {}
+    if not wc:
+        out["annulus"] = (None, "not well-covered")
+    elif g.num_edges == n * (n - 1) // 2:
+        out["annulus"] = (sign_at(p.coeffs, -inner) == 0, "complete graph: root on the inner boundary")
+    else:
+        out["annulus"] = (
+            count_distinct_roots_in_disc(q, inner) == (0, 0)
+            and count_distinct_roots_in_disc(q, Fraction(a))[0] == q.degree,
+            "",
+        )
+    lower = max(Fraction(-a, n), Fraction(-1, w))
+    cap = Fraction(-1, 2 * n - 1)
+    out["xi_max_window"] = (
+        bool(real) and _root_sign(q, real[-1], cap) < 0 and _root_sign(q, real[-1], lower) >= 0,
+        "" if real else "no real root",
+    )
+    floor = Fraction(1, 2 * n - 1)
+    out["modulus_floor"] = (
+        _clear_closed_disc(p, floor) or count_distinct_roots_in_disc(q, floor) == (0, 0), ""
+    )
+    cycle7 = n == 7 and all(m.bit_count() == 2 for m in g.masks) and is_connected(g)
+    if is_connected(g) and wc and girth(g) >= 6 and not cycle7 and not (n == 2 and g.num_edges == 1):
+        out["real_window"] = (
+            not real
+            or (_root_sign(q, real[0], Fraction(-1)) >= 0 and _root_sign(q, real[-1], -inner) < 0),
+            "",
+        )
+    else:
+        out["real_window"] = (None, "hypotheses not met")
+    if real:
+        out["smallest_modulus_real_unique"] = _nearest_root_real_unique(q, real[-1])
+    else:
+        out["smallest_modulus_real_unique"] = (False, "no real root")
+    return out
 
 
 def mpmath_nonreal_moduli(p: IntPolynomial, tol: float = 1e-20) -> list:

@@ -425,6 +425,23 @@ def test_verify_hk_rejects_input_before_reading(tmp_path, capsys):
     assert "No such file" not in err and "parse error" not in err
 
 
+def test_a_refused_option_prints_the_usage_of_its_command(tmp_path, capsys):
+    # the usage above the message is the one argparse prints for its own
+    # errors on that command, here a missing --suite
+    def refused(argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert info.value.code == 2 and out == ""
+        return err
+
+    err = refused(["verify", "--suite", "hk", "--input", str(tmp_path / "F")])
+    usage, message = err.split("coronapoly verify: error: ")
+    assert usage.startswith("usage: coronapoly verify [-h] --suite")
+    assert message == "--input is not read by verify --suite=hk\n"
+    assert refused(["verify"]).startswith(usage)
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 @pytest.mark.parametrize("argv", [
     ("poly", "--family", "path", "--n", "3"),

@@ -16,11 +16,13 @@ from coronapoly.graphs import (
     empty_graph,
     is_connected,
     path_graph,
+    spider_graph,
     star_graph,
 )
 from coronapoly.indpoly import independence_polynomial, independence_polynomial_tree
 from coronapoly.polynomials import IntPolynomial
 from coronapoly.roots import (
+    BoundsReport,
     all_roots_real,
     bounds_root_report,
     build_hk,
@@ -428,6 +430,20 @@ def test_report_schema():
     assert [{**b, "margin": None} for b in payload["bounds"]] == exact["bounds"]
 
 
+def test_bounds_report_isolates_on_first_read_as_the_eager_isolation():
+    # K_4 isolates inside verify_bounds, the others on the first read
+    for g in [complete_graph(4), star_graph(3), corona(path_graph(3)), cycle_graph(7), TREE8_NONREAL]:
+        report = verify_bounds(g)
+        eager = [(lo, hi, m) for (lo, hi), m in isolate_real_roots(report.polynomial)]
+        before = pickle.loads(pickle.dumps(report))
+        payload = report.to_json()
+        assert payload == BoundsReport(report.polynomial, eager, report.bounds).to_json()
+        assert report.real_roots is report.real_roots and report.real_roots == eager
+        after = pickle.loads(pickle.dumps(report))
+        assert before.to_json() == payload == after.to_json()
+        assert before.bounds == report.bounds == after.bounds
+
+
 def test_report_multiplicity_sum():
     for g in [cycle_graph(7), corona(star_graph(3)), TREE8_NONREAL, complete_graph(5)]:
         p = independence_polynomial(g)
@@ -469,7 +485,8 @@ def test_corona_polynomials_no_root_below_minus_one():
 
 
 def test_root_sign_reads_one_isolating_interval():
-    from coronapoly.roots import _root_sign, refine_root_interval
+    from coronapoly.roots import refine_root_interval
+    from oracles import _root_sign
 
     quadratic = IntPolynomial((1, 4, 2))        # roots -1 -+ 1/sqrt(2)
     # -1/3 is isolated strictly inside an open interval, -1 as [-1, -1]
@@ -560,15 +577,49 @@ def test_real_legs_against_sturm_counts(monkeypatch):
     assert seen_verdicts == {(name, v) for name, _ in seen_verdicts for v in (True, False)}
 
 
-def test_verify_bounds_makes_no_sturm_count(monkeypatch):
+def test_verify_bounds_isolates_only_where_the_first_radius_fails(monkeypatch):
     from coronapoly import roots
 
     def refuse(*args, **kwargs):
-        raise AssertionError("count_distinct_real_roots called")
+        raise AssertionError("isolate_real_roots called")
 
-    monkeypatch.setattr(roots, "count_distinct_real_roots", refuse)
-    for g in [complete_graph(4), cycle_graph(7), corona(path_graph(3)), TREE8_NONREAL]:
-        assert verify_bounds(g).bounds
+    monkeypatch.setattr(roots, "isolate_real_roots", refuse)
+    for g in [star_graph(3), corona(path_graph(3)), cycle_graph(5), spider_graph(6), TREE8_NONREAL]:
+        report = verify_bounds(g)
+        assert all(b.passed for b in report.bounds.values() if b.applicable), g
+    # xi_max of K_4 is -1/4 = -1/omega, on the first radius, not inside it
+    with pytest.raises(AssertionError, match="isolate_real_roots called"):
+        verify_bounds(complete_graph(4))
+
+
+def _bounds_strata(seed):
+    """The 126 graphs of the benchmark's bounds input for `seed`: connected
+    G(n, p), n 8-14 by p 0.3/0.5/0.7, drawn in turn from one seeded stream."""
+    rng = random.Random(f"bounds:{seed}")
+    strata = [(n, p) for n in range(8, 15) for p in (0.3, 0.5, 0.7)]
+    return [_gnp(rng, *strata[i % len(strata)]) for i in range(126)]
+
+
+def test_verify_bounds_against_the_isolated_verdicts(monkeypatch):
+    # each verdict and note equals the one read off the isolation of every
+    # real root; the isolation itself runs only where the first radius fails
+    from coronapoly import roots
+    from oracles import isolated_bound_verdicts
+
+    isolated = []
+    isolate = roots.isolate_real_roots
+    monkeypatch.setattr(roots, "isolate_real_roots", lambda p: isolated.append(p) or isolate(p))
+    graphs = [g for g in graphs_upto(7) if g.n >= 2]
+    graphs += [g for seed in (1, 2, 3) for g in _bounds_strata(seed)]
+    graphs += [corona(g) for g in graphs_upto(5)]
+    graphs += [complete_graph(k) for k in range(2, 9)] + [star_graph(k) for k in range(2, 9)]
+    graphs += [path_graph(k) for k in range(7, 12)] + [cycle_graph(k) for k in range(7, 12)]
+    graphs.append(TREE8_NONREAL)
+    for g in graphs:
+        report = verify_bounds(g)
+        got = {name: (b.passed, b.note) for name, b in report.bounds.items()}
+        assert got == isolated_bound_verdicts(g), g
+    assert 0 < len(isolated) < len(graphs) // 4
 
 
 def test_smallest_modulus_side():
@@ -704,11 +755,18 @@ def test_modulus_floor_without_the_rouche_shortcut(monkeypatch):
 def test_smallest_modulus_left_uncertified_fails_with_a_note(monkeypatch):
     from coronapoly import roots
 
-    # I(K_{1,3}) = 1 + 4x + 3x^2 + x^3: xi_max ~ -0.32 is isolated in
-    # (-5, 0), and |z| < 5 holds the nonreal pair too, so the verdict needs
-    # a bisection
+    # I(K_{1,3}) = 1 + 4x + 3x^2 + x^3: xi_max ~ -0.32 is the one root in
+    # |z| < 1/2, the first radius.  Past it, xi_max is isolated in (-5, 0),
+    # and |z| < 5 holds the nonreal pair too, so the verdict needs a bisection
     check = verify_bounds(star_graph(3)).bounds["smallest_modulus_real_unique"]
     assert check.passed and not check.note
+    disc = roots.count_distinct_roots_in_disc
+
+    def first_radius_fails(q, r):
+        inside, on = disc(q, r)
+        return inside + (r == Fraction(1, 2)), on
+
+    monkeypatch.setattr(roots, "count_distinct_roots_in_disc", first_radius_fails)
     monkeypatch.setattr(roots, "_NEAREST_BISECTIONS", 0)
     check = verify_bounds(star_graph(3)).bounds["smallest_modulus_real_unique"]
     assert check.passed is False and "not certified" in check.note
