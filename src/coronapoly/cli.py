@@ -397,9 +397,8 @@ def _roots_text(as_json: bool, item: StreamItem) -> str:
         lines.append(f"  complex root ~ {re:.12g} {im:+.12g}i, multiplicity {m}")
     for b in report.bounds.values():
         state = "N/A" if not b.applicable else ("pass" if b.passed else "FAIL")
-        margin = "" if b.margin is None else f" margin={b.margin:.3e}"
         note = f" ({b.note})" if b.note else ""
-        lines.append(f"  bound {b.name}: {state}{margin}{note}")
+        lines.append(f"  bound {b.name}: {state}{note}")
     return "\n".join(lines)
 
 

@@ -13,23 +13,23 @@ membership test that appears in a bound (for instance xi_max <
 rational, never a float.
 
 Each polynomial gets one root pass (``root_report``): one exact isolation,
-then floats for each Yun factor.  A factor with as many isolated roots as
-its degree is real-rooted and gets no Aberth: each root's float is a
-float Newton iterate that exact signs certify to within |x| 2^-44 of the
-root.  A factor with nonreal roots gets one deterministic Aberth run, and
-the exact intervals decide realness, with no float threshold: its
-approximations nearest the axis must fall one in each of its intervals,
-and the others must split evenly across the axis and are reported as
-exact conjugate pairs.  A mismatch raises RootConvergenceError.
+then the nonreal roots of each Yun factor.  A factor with as many
+isolated roots as its degree is real-rooted, and its intervals are all
+there is to report: it runs no float code.  A factor with nonreal roots
+gets one deterministic Aberth run, and the exact intervals decide
+realness, with no float threshold: its approximations nearest the axis
+must fall one in each of its intervals, and the others must split evenly
+across the axis and are reported as exact conjugate pairs.  A mismatch
+raises RootConvergenceError.
 
 The named bounds need no root pass.  ``verify_bounds`` reads Sturm counts
 at the bounds' rationals and ``count_distinct_roots_in_disc``, which
 counts the distinct roots inside and on a circle of rational radius in
 integers alone, so every verdict is exact and the bounds suite runs no
 Aberth, no float and, on most graphs, no isolation.
-Only ``bounds_root_report``, what ``roots`` prints, adds the root pass and
-each bound's float margin beside its verdict.  The complex roots printed
-are numeric: the report schema marks them as "numeric-residual"
+Only ``bounds_root_report``, what ``roots`` prints, adds the root pass
+beside the verdicts, which it carries over unchanged.  The complex roots
+printed are numeric: the report schema marks them as "numeric-residual"
 certification, in contrast to the exact real side.
 """
 
@@ -394,98 +394,6 @@ def count_distinct_roots_in_disc(p: IntPolynomial, r: Fraction) -> tuple[int, in
     return (m - axis + turn) // 2, axis + d - m
 
 
-# -- real floats: Newton in floats, certified by exact signs -----------------
-
-
-_NEWTON_STEPS = 100
-_CERTIFY_BITS = 44      # the certificate window is |x| 2^-_CERTIFY_BITS
-
-
-def _newton(rev: list[float], a: float, b: float, positive_at_a: bool) -> float:
-    """Safeguarded float Newton on the coefficients `rev` (highest degree
-    first) inside the bracket [a, b]: each iterate replaces the bracket
-    end whose float sign it shares, and a step that leaves the bracket is
-    replaced by its midpoint.  Stops when a step moves less than an ulp or
-    the bracket holds no float between its ends."""
-    x = 0.5 * (a + b)
-    for _ in range(_NEWTON_STEPS):
-        pv = dv = 0.0
-        for c in rev:
-            dv = dv * x + pv
-            pv = pv * x + c
-        if pv == 0.0:
-            return x
-        if (pv > 0.0) == positive_at_a:
-            a = x
-        else:
-            b = x
-        nxt = x - pv / dv if dv else math.inf     # no slope: bisect
-        if abs(nxt - x) <= 2.0**-52 * abs(x):
-            return nxt
-        if not a < nxt < b:
-            nxt = 0.5 * (a + b)
-            if not a < nxt < b:
-                return x
-        x = nxt
-    return x
-
-
-def _certified(f: IntPolynomial, x: float, lo: Fraction, hi: Fraction, s_lo: int) -> bool:
-    """Whether lo < x < hi and the one root of f in (lo, hi), where f has
-    the sign s_lo at lo, lies within |x| 2^-e of x, e = _CERTIFY_BITS:
-    f changes sign across [x(1 - 2^-e), x(1 + 2^-e)] clipped to (lo, hi).
-    (lo, hi) holds one root, so a narrower window around x that holds it
-    would give the same verdict.  Exact integer tests at dyadic points."""
-    n, d = x.as_integer_ratio()
-    shift = d.bit_length() - 1
-    if not (lo.numerator << shift < n * lo.denominator
-            and n * hi.denominator < hi.numerator << shift):
-        return False
-    e = _CERTIFY_BITS
-    k = shift + e
-    left, right = sorted((n * ((1 << e) - 1), n * ((1 << e) + 1)))
-    # an end beyond lo or hi is clipped to it, where the sign is known
-    below, above = s_lo, -s_lo
-    if left * lo.denominator > lo.numerator << k:
-        below = sign_at_dyadic(f.coeffs, left, k)
-    if right * hi.denominator < hi.numerator << k:
-        above = sign_at_dyadic(f.coeffs, right, k)
-    return below == s_lo and above == -s_lo
-
-
-def _real_root_float(f: IntPolynomial, lo: Fraction, hi: Fraction) -> float:
-    """A float x within |x| 2^-44 of the one root of the square-free f in
-    its open isolating interval (lo, hi) from ``isolate_real_roots``: a
-    ``_newton`` iterate that ``_certified`` accepts, else the midpoint of
-    (lo, hi) bisected to a relative width of 2^-53.
-
-    The bisection runs in y = x / w, w = hi - lo.  An isolating interval
-    is (u w, (u + 1) w) for an integer u, so its points are dyadic in y;
-    each sign is one integer Horner pass (``sign_at_dyadic``) on
-    f(w y) b^deg(f), where w = a/b, which has the signs of f."""
-    s_lo = sign_at(f.coeffs, lo)
-    top = max(map(abs, f.coeffs))
-    x = _newton([c / top for c in reversed(f.coeffs)], float(lo), float(hi), s_lo > 0)
-    if math.isfinite(x) and _certified(f, x, lo, hi, s_lo):
-        return x
-    w = hi - lo
-    a, b = w.numerator, w.denominator
-    u, rest = divmod(lo, w)
-    if rest:
-        raise ValueError("not an isolating interval: its ends are not multiples of its width")
-    k, d = 0, f.degree
-    scaled = [c * a**j * b ** (d - j) for j, c in enumerate(f.coeffs)]
-    # (u/2^k, (u+1)/2^k) never straddles 0, so min(|u|, |u+1|)/2^k <= |xi|/w
-    while min(abs(u), abs(u + 1)) < 1 << 53:
-        u, k = 2 * u, k + 1
-        s_mid = sign_at_dyadic(scaled, u + 1, k)
-        if s_mid == 0:
-            return float(Fraction(a * (u + 1), b << k))
-        if s_mid == s_lo:
-            u += 1
-    return float(Fraction(a * (2 * u + 1), b << (k + 1)))
-
-
 # -- numeric roots -------------------------------------------------------------
 
 
@@ -589,9 +497,9 @@ def numeric_roots(p: IntPolynomial) -> list[complex]:
 # -- reports -------------------------------------------------------------------
 
 
-class BoundCheck(namedtuple("BoundCheck", "name passed margin note", defaults=(None, ""))):
+class BoundCheck(namedtuple("BoundCheck", "name passed note", defaults=("",))):
     """One named bound verdict: passed is None iff the bound is not
-    applicable; margin is a float or None.  Immutable."""
+    applicable.  Immutable."""
 
     __slots__ = ()
 
@@ -604,7 +512,6 @@ class BoundCheck(namedtuple("BoundCheck", "name passed margin note", defaults=(N
             "name": self.name,
             "applicable": self.applicable,
             "pass": self.passed,
-            "margin": self.margin,
             "note": self.note,
         }
 
@@ -646,34 +553,26 @@ class BoundsReport:
 
 
 class RootReport:
-    """Exact real-root data, numeric complex approximations, and named
-    bound verdicts for one polynomial."""
+    """Exact isolating intervals of the real roots, numeric approximations
+    of the nonreal ones, and named bound verdicts for one polynomial."""
 
-    __slots__ = ("polynomial", "real_roots", "complex_roots", "real_floats", "bounds")
+    __slots__ = ("polynomial", "real_roots", "complex_roots", "bounds")
 
     def __init__(
         self,
         polynomial: IntPolynomial,
         real_roots: list[tuple[Fraction, Fraction, int]],
         complex_roots: list[tuple[float, float, int]],   # conjugate pairs, lower first
-        real_floats: list[float],                        # one inside each real_roots interval
         bounds: dict[str, BoundCheck] | None = None,
     ):
         self.polynomial = polynomial
         self.real_roots = real_roots
         self.complex_roots = complex_roots
-        self.real_floats = real_floats
         self.bounds = {} if bounds is None else bounds
 
     @property
     def minus_one_multiplicity(self) -> int:
         return multiplicity_of_minus_one(self.polynomial)
-
-    def distinct_roots(self) -> list[tuple[complex, int]]:
-        """(approximation, multiplicity) per distinct root, real ones first."""
-        return [
-            (complex(x), m) for x, (*_, m) in zip(self.real_floats, self.real_roots)
-        ] + [(complex(re, im), m) for re, im, m in self.complex_roots]
 
     def to_json(self) -> dict:
         return {
@@ -693,15 +592,14 @@ class RootReport:
 def root_report(
     p: IntPolynomial, real_roots: list[tuple[Fraction, Fraction, int]] | None = None
 ) -> RootReport:
-    """The root pass: the exact isolation of p, then floats for each Yun
-    factor.  An isolation already made, as (lo, hi, m) triples
+    """The root pass: the exact isolation of p, then the nonreal roots of
+    each Yun factor.  An isolation already made, as (lo, hi, m) triples
     (``BoundsReport.real_roots``), is passed as `real_roots` and not redone.
 
     Yun's factors have distinct multiplicities, so the k intervals of
-    multiplicity m hold the real roots of the factor f of multiplicity m;
-    a degenerate interval [r, r] gives float(r).  When k = deg f, f is
-    real-rooted and needs no Aberth: each open interval gives a certified
-    float (``_real_root_float``).  Otherwise one Aberth run on f: its k
+    multiplicity m hold the real roots of the factor f of multiplicity m.
+    When k = deg f, f is real-rooted and its intervals say all there is:
+    no float code runs on it.  Otherwise one Aberth run on f: its k
     approximations nearest the axis, by real part, must fall one in each
     of its intervals, and its other approximations must split evenly
     across the axis, each one above it reported with its exact conjugate.
@@ -709,20 +607,14 @@ def root_report(
     """
     if real_roots is None:
         real_roots = [(lo, hi, m) for (lo, hi), m in isolate_real_roots(p)]
-    floats = [0.0] * len(real_roots)
     complexes: list[tuple[float, float, int]] = []
     for f, m in square_free_decomposition(p):
-        slots = [i for i, (*_, mult) in enumerate(real_roots) if mult == m]
+        slots = [(lo, hi) for lo, hi, mult in real_roots if mult == m]
         if len(slots) == f.degree:
-            for i in slots:
-                lo, hi, _ = real_roots[i]
-                floats[i] = float(lo) if lo == hi else _real_root_float(f, lo, hi)
             continue
         approx = sorted(numeric_roots(f), key=lambda z: abs(z.imag))
         on_axis = sorted(approx[: len(slots)], key=lambda z: z.real)
-        for i, z in zip(slots, on_axis):
-            lo, hi, _ = real_roots[i]
-            floats[i] = float(lo) if lo == hi else z.real
+        for (lo, hi), z in zip(slots, on_axis):
             if lo != hi and not lo <= z.real <= hi:
                 raise RootConvergenceError(
                     f"approximation {z} of a real root lies outside [{lo}, {hi}]", approx
@@ -736,12 +628,7 @@ def root_report(
             )
         for z in upper:
             complexes += [(z.real, -z.imag, m), (z.real, z.imag, m)]
-    return RootReport(
-        polynomial=p,
-        real_roots=real_roots,
-        complex_roots=complexes,
-        real_floats=floats,
-    )
+    return RootReport(polynomial=p, real_roots=real_roots, complex_roots=complexes)
 
 
 # -- the root bijection --------------------------------------------------------
@@ -859,9 +746,8 @@ def verify_bounds(g: Graph) -> BoundsReport:
     the bound's own rationals, and a leg on all roots reads
     ``count_distinct_roots_in_disc``.  The real roots are isolated only
     where a disc count at |lower| leaves the smallest-modulus root open.
-    No root is approximated, so the report has no margins;
-    ``bounds_root_report`` adds them.  Inapplicable bounds report
-    ``passed=None``.
+    No root is approximated: ``bounds_root_report`` adds the root pass
+    beside these verdicts.  Inapplicable bounds report ``passed=None``.
     """
     if g.n < 2:
         raise ValueError("bound verification needs n >= 2")
@@ -890,9 +776,9 @@ def verify_bounds(g: Graph) -> BoundsReport:
                 and count_distinct_roots_in_disc(q, Fraction(a))[0] == q.degree
             )
             note = ""
-        report.bounds["annulus"] = BoundCheck("annulus", passed, None, note)
+        report.bounds["annulus"] = BoundCheck("annulus", passed, note)
     else:
-        report.bounds["annulus"] = BoundCheck("annulus", None, None, "not well-covered")
+        report.bounds["annulus"] = BoundCheck("annulus", None, "not well-covered")
 
     # xi_max window
     lower = max(Fraction(-a, n), Fraction(-1, w))
@@ -901,7 +787,6 @@ def verify_bounds(g: Graph) -> BoundsReport:
         "xi_max_window",
         count_distinct_real_roots(q, Fraction(-1, 2 * n - 1)) == 0
         and (nearer > 0 or sign_at(q.coeffs, lower) == 0),
-        None,
         "" if real else "no real root",
     )
 
@@ -927,7 +812,7 @@ def verify_bounds(g: Graph) -> BoundsReport:
             and count_distinct_real_roots(q, -inner) == 0,
         )
     else:
-        report.bounds["real_window"] = BoundCheck("real_window", None, None, "hypotheses not met")
+        report.bounds["real_window"] = BoundCheck("real_window", None, "hypotheses not met")
 
     # smallest-modulus root real and unique: a lone root in |z| < |lower| is
     # real, as nonreal roots pair up, so it is xi_max, above lower
@@ -938,42 +823,18 @@ def verify_bounds(g: Graph) -> BoundsReport:
     else:
         passed, note = _nearest_root_real_unique(q, report.real_roots[-1])
     report.bounds["smallest_modulus_real_unique"] = BoundCheck(
-        "smallest_modulus_real_unique", passed, None, note
+        "smallest_modulus_real_unique", passed, note
     )
     return report
 
 
-def _margins(report: RootReport, n: int) -> dict[str, float | None]:
-    """Each bound's float slack before violation, negative when failed,
-    from the root pass's floats: informational, as no verdict reads it."""
-    a = report.polynomial.degree
-    real_moduli = [abs(x) for x in report.real_floats]
-    nonreal_moduli = [math.hypot(re, im) for re, im, _ in report.complex_roots]
-    moduli = real_moduli + nonreal_moduli
-    floor = 1 / (2 * n - 1)
-    margins = {
-        "annulus": min((min(r - 1 / n, a - r) for r in moduli), default=None),
-        "xi_max_window": -floor - max(report.real_floats) if real_moduli else None,
-        "modulus_floor": min((r - floor for r in moduli), default=None),
-    }
-    if real_moduli:
-        rho = min(real_moduli)
-        others = [r for r in real_moduli if r != rho] + nonreal_moduli
-        margins["smallest_modulus_real_unique"] = min(others) - rho if others else None
-    return margins
-
-
 def bounds_root_report(g: Graph) -> RootReport:
     """What ``roots`` prints for G on n >= 2 vertices: the root pass of
-    I(G) (``root_report``) with the exact verdicts of ``verify_bounds``,
-    each applicable one beside its float margin."""
+    I(G) (``root_report``) beside the exact verdicts of ``verify_bounds``,
+    carried over unchanged."""
     checks = verify_bounds(g)
     report = root_report(checks.polynomial, checks.real_roots)
-    margins = _margins(report, g.n)
-    report.bounds = {
-        name: b._replace(margin=margins.get(name)) if b.applicable else b
-        for name, b in checks.bounds.items()
-    }
+    report.bounds = checks.bounds
     return report
 
 

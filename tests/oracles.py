@@ -363,10 +363,11 @@ def _check_real_leg(
 def _check_numeric_leg(
     report_p: RootReport, report_q: RootReport, tol: float, notes: list[str]
 ) -> tuple[bool, float]:
-    source = [(_mobius(z), m) for z, m in report_p.distinct_roots()]
-    target = report_q.distinct_roots()
+    # the real roots are matched exactly by _check_real_leg
+    source = [(_mobius(complex(re, im)), m) for re, im, m in report_p.complex_roots]
+    target = [(complex(re, im), m) for re, im, m in report_q.complex_roots]
     if len(source) != len(target):
-        notes.append("distinct numeric root counts differ")
+        notes.append("distinct nonreal root counts differ")
         return False, math.inf
     used = [False] * len(target)
     worst = 0.0

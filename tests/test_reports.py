@@ -19,7 +19,7 @@ from coronapoly.suites import SuiteResult
 _CASES = {
     BoundCheck: (
         {"name": "annulus", "passed": False},
-        {"margin": None, "note": ""},
+        {"note": ""},
     ),
     BoundsReport: (
         {
@@ -33,7 +33,6 @@ _CASES = {
             "polynomial": IntPolynomial([1, 2]),
             "real_roots": [(Fraction(-1, 2), Fraction(-1, 2), 1)],
             "complex_roots": [],
-            "real_floats": [-0.5],
         },
         {"bounds": {}},
     ),
@@ -98,7 +97,7 @@ def test_report_class_contract(cls):
         with pytest.raises(AttributeError):
             setattr(first, names[-1], None)
     if cls in (BoundsReport, RootReport):
-        first.bounds["modulus_floor"] = BoundCheck("modulus_floor", True, 0.25)
+        first.bounds["modulus_floor"] = BoundCheck("modulus_floor", True)
     copy = pickle.loads(pickle.dumps(first))
     assert type(copy) is cls
     assert _state(copy, names) == _state(first, names)
@@ -116,4 +115,4 @@ def test_derived_fields_follow_their_source():
         errors=["e"],
     )
     assert report.graphs_seen == 3 == report.to_json()["graphs"]
-    assert RootReport(IntPolynomial([1, 1]) ** 2, [], [], []).minus_one_multiplicity == 2
+    assert RootReport(IntPolynomial([1, 1]) ** 2, [], []).minus_one_multiplicity == 2

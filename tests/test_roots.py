@@ -1,4 +1,3 @@
-import math
 import pickle
 import random
 from fractions import Fraction
@@ -115,6 +114,11 @@ def test_count_endpoint_semantics():
     assert count_distinct_real_roots(p, None, minus_one, True, False) == 0
     assert count_distinct_real_roots(p, None, minus_one, True, True) == 1
     assert count_distinct_real_roots(p, minus_one, minus_one, True, True) == 1
+    # a nonzero constant has no root, on the whole line or on an interval
+    seven = IntPolynomial((7,))
+    assert count_distinct_real_roots(seven) == 0
+    for flags in ((True, True), (False, False)):
+        assert count_distinct_real_roots(seven, minus_one, Fraction(0), *flags) == 0
 
 
 def test_isolation_examples():
@@ -342,19 +346,18 @@ def test_bounds_complete_graph_boundary():
     annulus = verify_bounds(complete_graph(4)).bounds["annulus"]
     assert annulus.applicable and annulus.passed
     assert "boundary" in annulus.note
-    # the float margin is on the roots path only
-    assert annulus.margin is None
-    annulus = bounds_root_report(complete_graph(4)).bounds["annulus"]
-    assert annulus.applicable and annulus.passed
-    assert abs(annulus.margin) < 1e-9
+    # -1/4 lies exactly on the inner circle, and no root inside it
+    p = independence_polynomial(complete_graph(4))
+    assert count_distinct_roots_in_disc(p, Fraction(1, 4)) == (0, 1)
+    assert bounds_root_report(complete_graph(4)).bounds["annulus"] == annulus
 
 
 def test_bounds_balanced_multipartite():
     # well-covered, not complete: boundary must not be attained
     g = complete_multipartite_graph([2, 2])
-    assert verify_bounds(g).bounds["annulus"].passed
-    annulus = bounds_root_report(g).bounds["annulus"]
-    assert annulus.applicable and annulus.passed and annulus.margin > 0
+    annulus = verify_bounds(g).bounds["annulus"]
+    assert annulus.applicable and annulus.passed and not annulus.note
+    assert bounds_root_report(g).bounds["annulus"] == annulus
 
 
 def test_bounds_applicability():
@@ -418,7 +421,7 @@ def test_report_schema():
     payload = report.to_json()
     assert payload["real_certification"] == "exact-sturm"
     assert payload["complex_certification"] == "numeric-residual"
-    assert all(set(b) == {"name", "applicable", "pass", "margin", "note"} for b in payload["bounds"])
+    assert all(set(b) == {"name", "applicable", "pass", "note"} for b in payload["bounds"])
     total = sum(r["multiplicity"] for r in payload["real_roots"]) + sum(
         c["multiplicity"] for c in payload["complex_roots"]
     )
@@ -427,7 +430,7 @@ def test_report_schema():
     exact = verify_bounds(corona(star_graph(2))).to_json()
     assert set(exact) == {"polynomial", "real_roots", "bounds", "real_certification"}
     assert exact["real_roots"] == payload["real_roots"]
-    assert [{**b, "margin": None} for b in payload["bounds"]] == exact["bounds"]
+    assert payload["bounds"] == exact["bounds"]
 
 
 def test_bounds_report_isolates_on_first_read_as_the_eager_isolation():
@@ -623,19 +626,25 @@ def test_verify_bounds_against_the_isolated_verdicts(monkeypatch):
 
 
 def test_smallest_modulus_side():
-    # the minimum-modulus root is real: compare against per-factor numerics
-    # (simple roots there, so realness of the approximations is reliable)
-    for g in graphs_upto(5):
-        if g.n < 2:
-            continue
-        p = independence_polynomial(g)
-        report = verify_bounds(g)
-        check = report.bounds["smallest_modulus_real_unique"]
-        assert check.passed, (g, check)
-        zs = [z for z, _ in root_report(p).distinct_roots()]
-        rho = min(abs(z) for z in zs)
-        reals = [z for z in zs if abs(z.imag) < 1e-9]
-        assert reals and math.isclose(min(abs(z) for z in reals), rho, rel_tol=1e-6)
+    # the minimum-modulus root is real and no other root ties it: against
+    # mpmath's distinct roots of I(G), on sympy's square-free part, at 60
+    # digits
+    mpmath = pytest.importorskip("mpmath")
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    with mpmath.workdps(60):
+        tol = mpmath.mpf(10) ** -40
+        for g in graphs_upto(5):
+            if g.n < 2:
+                continue
+            check = verify_bounds(g).bounds["smallest_modulus_real_unique"]
+            assert check.passed, (g, check)
+            p = independence_polynomial(g)
+            sqf = sympy.Poly(list(reversed(p.coeffs)), x).sqf_part().all_coeffs()
+            zs = mpmath.polyroots([int(c) for c in sqf], maxsteps=200, extraprec=200)
+            rho = min(abs(z) for z in zs)
+            nearest = [z for z in zs if abs(z) - rho <= tol]
+            assert len(nearest) == 1 and abs(nearest[0].imag) <= tol, (g, zs)
 
 
 # -- exact disc counts: the bounds suite without floats ---------------------------
@@ -715,6 +724,17 @@ def test_disc_count_edge_cases():
         count_distinct_roots_in_disc(one_plus_x, Fraction(0))
 
 
+def test_nearest_root_on_a_degenerate_interval():
+    # xi_max isolated as [-1, -1] is decided by the disc count at |xi| = 1
+    # alone: (1 + x)(2 + x) has -2 outside that circle, so -1 is the one
+    # root of least modulus, and (1 + x)(1 + x^2) has +-i on it too, a tie
+    from coronapoly.roots import _nearest_root_real_unique
+
+    minus_one = (Fraction(-1), Fraction(-1), 1)
+    assert _nearest_root_real_unique(IntPolynomial((2, 3, 1)), minus_one) == (True, "")
+    assert _nearest_root_real_unique(IntPolynomial((1, 1, 1, 1)), minus_one) == (False, "")
+
+
 def test_rouche_certificate_implies_an_empty_closed_disc():
     from coronapoly.roots import _clear_closed_disc
 
@@ -735,7 +755,7 @@ def test_bounds_suite_runs_no_float_root_pass(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the bounds suite reached the float root pass")
 
-    for name in ("numeric_roots", "_real_root_float", "root_report"):
+    for name in ("numeric_roots", "root_report"):
         monkeypatch.setattr(roots, name, refuse)
     extra = [corona(path_graph(3)), complete_graph(4), cycle_graph(7), TREE8_NONREAL]
     for g in graphs_upto(6) + extra:
@@ -804,12 +824,14 @@ def test_root_pass_rejects_bad_approximations(monkeypatch, capsys, tmp_path, cor
 
 
 def test_reported_roots_are_exact_pairs_and_inside_intervals():
-    # K4 minus an edge, plus K3: isolated as [-1/3, -1/3], which no float equals
+    # K4 minus an edge, plus K3: isolated as the degenerate [-1/3, -1/3]
     third = Graph(7, [(0, 1), (0, 2), (0, 6), (1, 2), (1, 6), (3, 4), (3, 5), (4, 5)])
+    assert (Fraction(-1, 3), Fraction(-1, 3), 1) in root_report(independence_polynomial(third)).real_roots
     for g in graphs_upto(6) + [TREE8_NONREAL, third]:
-        rep = root_report(independence_polynomial(g))
-        for (lo, hi, _), x in zip(rep.real_roots, rep.real_floats, strict=True):
-            assert x == float(lo) if lo == hi else lo <= x <= hi, (g, lo, hi, x)
+        p = independence_polynomial(g)
+        rep = root_report(p)
+        for lo, hi, _ in rep.real_roots:
+            assert count_distinct_real_roots(p, lo, hi) == 1, (g, lo, hi)
         pairs = rep.complex_roots
         assert len(pairs) % 2 == 0
         for (re1, im1, m1), (re2, im2, m2) in zip(pairs[::2], pairs[1::2]):
@@ -831,20 +853,30 @@ def _seeded_root_graphs():
 
 
 def test_root_floats_against_sympy_nroots():
+    # sympy's roots of each of its own square-free factors: the nonreal ones
+    # against complex_roots, each real one inside its interval
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     for g in _seeded_root_graphs():
         p = independence_polynomial(g)
-        ref = [
-            complex(r)
-            for f, _ in square_free_decomposition(p)
-            for r in sympy.Poly(list(reversed(f.coeffs)), x).nroots(n=30, maxsteps=200)
-        ]
+        ref_real, ref_nonreal = [], []
+        for f, m in sympy.Poly(list(reversed(p.coeffs)), x).sqf_list()[1]:
+            for r in f.nroots(n=30, maxsteps=200):
+                if r.is_real:
+                    ref_real.append((r, m))
+                else:
+                    ref_nonreal.append((complex(r), m))
         rep = root_report(p)
-        got = rep.real_floats + [complex(re, im) for re, im, _ in rep.complex_roots]
-        assert len(got) == len(ref), (g, got, ref)
-        for z in got:
-            assert min(abs(z - r) for r in ref) <= 1e-12 * abs(z), (g, z, ref)
+        for (lo, hi, m), (r, mr) in zip(rep.real_roots, sorted(ref_real), strict=True):
+            assert m == mr, (g, lo, hi, r)
+            if lo == hi:
+                assert abs(r - sympy.Rational(lo)) <= 1e-25, (g, lo, r)
+            else:
+                assert sympy.Rational(lo) < r < sympy.Rational(hi), (g, lo, hi, r)
+        got = [(complex(re, im), m) for re, im, m in rep.complex_roots]
+        assert len(got) == len(ref_nonreal), (g, got, ref_nonreal)
+        for z, m in got:
+            assert min(abs(z - r) for r, mr in ref_nonreal if mr == m) <= 1e-12 * abs(z), (g, z, ref_nonreal)
 
 
 # -- sympy as an independent exact oracle (test-only) --------------------------
@@ -1014,37 +1046,10 @@ def test_isolation_matches_fraction_bisection():
     assert exact_hits >= 20    # rational roots found at bisection midpoints
 
 
-def _real_rooted_floats(p):
-    """(float, Yun factor) for each real root of p whose factor is
-    real-rooted, so its float comes from Newton, not Aberth."""
-    rep = root_report(p)
-    out = []
-    for f, m in square_free_decomposition(p):
-        slots = [i for i, (*_, mult) in enumerate(rep.real_roots) if mult == m]
-        if len(slots) == f.degree:
-            out += [(rep.real_floats[i], f) for i in slots]
-    return out
-
-
-def test_real_floats_against_mpmath():
-    mpmath = pytest.importorskip("mpmath")
-    polys = [independence_polynomial(g) for g in _bounds_strata_graphs()] + _isolation_polys()
-    checked = 0
-    with mpmath.workdps(60):
-        for p in polys:
-            refs = {}
-            for x, f in _real_rooted_floats(p):
-                if f not in refs:
-                    refs[f] = mpmath.polyroots(list(reversed(f.coeffs)), maxsteps=200, extraprec=200)
-                xi = min(refs[f], key=lambda r: abs(x - r))
-                assert abs(x - xi) <= abs(xi) * mpmath.mpf(2) ** -44, (p, x, xi)
-                checked += 1
-    assert checked >= 400
-
-
 def test_path_roots_need_no_aberth(monkeypatch):
-    # I(P_n) is real-rooted, with roots -1/(4 cos^2(j pi/(n+2))), j = 1..(n+1)//2;
-    # Aberth did not converge on several of these polynomials
+    # I(P_n) is real-rooted, with roots -1/(4 cos^2(j pi/(n+2))), j = 1..(n+1)//2,
+    # each inside its interval at 60 digits; Aberth did not converge on
+    # several of these polynomials
     mpmath = pytest.importorskip("mpmath")
     from coronapoly import roots
 
@@ -1059,6 +1064,10 @@ def test_path_roots_need_no_aberth(monkeypatch):
             closed = sorted(
                 -1 / (4 * mpmath.cos(j * mpmath.pi / (n + 2)) ** 2) for j in range(1, (n + 1) // 2 + 1)
             )
-            for (lo, hi, m), x, xi in zip(rep.real_roots, rep.real_floats, closed):
-                assert m == 1 and lo < x < hi, (n, lo, hi, x)
-                assert abs(x - xi) <= abs(xi) * mpmath.mpf(2) ** -44, (n, x, xi)
+            for (lo, hi, m), xi in zip(rep.real_roots, closed, strict=True):
+                assert m == 1, (n, lo, hi)
+                lo_mp, hi_mp = (mpmath.mpf(e.numerator) / e.denominator for e in (lo, hi))
+                if lo == hi:
+                    assert abs(xi - lo_mp) <= mpmath.mpf(10) ** -50, (n, lo, xi)
+                else:
+                    assert lo_mp < xi < hi_mp, (n, lo, hi, xi)
