@@ -40,7 +40,6 @@ from .errors import (
 )
 from .graphs import (
     GRAPH6_LIMIT,
-    Graph,
     StreamItem,
     centipede_graph,
     complete_graph,

@@ -5,9 +5,9 @@ gets one pseudo-remainder primitive PRS, its cached Sturm chain (scaling
 by |lc|, never lc, keeps the signs).  The chain ends in gcd(p, p') up to
 a constant, so the square-free part, Yun's first step and the realness
 verdict read it there instead of running a PRS of their own.  Isolation
-scales the chain of the square-free part once by its Cauchy bound and
-bisects at dyadic points, each sign an integer Horner pass; Fractions
-appear only in the report, as interval endpoints.  Every half-open
+bisects the chain of the square-free part from a power-of-two root bound,
+so every endpoint is a dyadic u/2^k and each sign an integer Horner pass;
+Fractions appear only in the report, as interval endpoints.  Every half-open
 membership test that appears in a bound (for instance xi_max <
 -1/(2n-1)) is a Sturm count of the real roots at the bound's own
 rational, never a float.
@@ -208,12 +208,18 @@ def count_distinct_real_roots(
     return count
 
 
-def cauchy_root_bound(p: IntPolynomial) -> Fraction:
-    """All roots satisfy |z| < 1 + max |a_i| / |lead|."""
-    if p.degree < 1:
+def root_bound_exponent(q: IntPolynomial) -> int:
+    """An e >= 1 with |z| < 2^e for every root z of q, from bit lengths
+    alone: Fujiwara's bound 2 max_i |a_(d-i)/a_d|^(1/i) (Tohoku Math. J.
+    10, 1916), where each nonzero ratio is below
+    2^(bitlen a_(d-i) - bitlen a_d + 1), so the i-th root of each is below
+    2 to the ceiling of that exponent over i."""
+    if q.degree < 1:
         raise ValueError("need degree >= 1")
-    lead = abs(p.leading)
-    return Fraction(lead + max(map(abs, p.coeffs[:-1])), lead)
+    *rest, lead = q.coeffs
+    top, d = abs(lead).bit_length(), q.degree
+    m = max((-((top - 1 - abs(c).bit_length()) // (d - j)) for j, c in enumerate(rest) if c), default=0)
+    return 1 + max(m, 0)
 
 
 def isolate_real_roots(p: IntPolynomial) -> list[tuple[tuple[Fraction, Fraction], int]]:
@@ -221,39 +227,32 @@ def isolate_real_roots(p: IntPolynomial) -> list[tuple[tuple[Fraction, Fraction]
     multiplicities from the square-free structure.
 
     A root comes back as a degenerate interval [r, r] only when a
-    bisection point B u/2^k (below) lands on it; every other root,
+    bisection point u/2^k (below) lands on it; every other root,
     rational ones included, comes back in an open interval whose
-    endpoints are not roots.  So I(K_1) = 1 + x gives (-2, 0) for -1.
+    endpoints are not roots.  So I(K_1) = 1 + x gives (-4, 0) for -1.
 
-    The Sturm chain of q = square_free_part(p) is scaled once by q's
-    Cauchy bound B = a/b: each member f becomes f(B y) b^deg(f), so the
-    roots lie at y in (-1, 1), split at 0 up front so that no interval
-    straddles the origin.  Bisection runs at dyadic points u/2^k, each
-    sign one integer Horner pass (``sign_at_dyadic``), and each stack
-    entry carries its endpoints' variation counts and root flags, so a
-    step is one chain evaluation.  Fractions x = B u/2^k appear only in
-    the result.
+    Every root of q = square_free_part(p) has |x| < 2^e, for
+    e = ``root_bound_exponent(q)``, so the roots lie at y = x/2^e in
+    (-1, 1), split at 0 up front so that no interval straddles the
+    origin.  Bisection runs at dyadic points y = u/2^k, where the cached
+    Sturm chain of q is read at x = u/2^(k-e), each sign one integer
+    Horner pass (``sign_at_dyadic``), and each stack entry carries its
+    endpoints' variation counts and root flags, so a step is one chain
+    evaluation.  Fractions appear only in the result.
     """
     if not p:
         raise ValueError("zero polynomial")
     if p.degree < 1:
         return []
     q = square_free_part(p)
-    bound = cauchy_root_bound(q)
-    a, b = bound.numerator, bound.denominator
-    apow, bpow = [1], [1]
-    for _ in range(q.degree):
-        apow.append(apow[-1] * a)
-        bpow.append(bpow[-1] * b)
-    scaled = [
-        primitive(tuple(c * apow[j] * bpow[f.degree - j] for j, c in enumerate(f.coeffs)))
-        for f in sturm_chain(q)
-    ]
+    e = root_bound_exponent(q)
+    chain = sturm_chain(q)
 
     def at(u: int, k: int) -> tuple[int, bool]:
-        """Sign variations of the scaled chain at y = u/2^k, and whether
-        q vanishes there (V at a root equals V just right of it)."""
-        signs = [sign_at_dyadic(f, u, k) for f in scaled]
+        """Sign variations of the chain at x = u/2^(k-e), and whether q
+        vanishes there (V at a root equals V just right of it)."""
+        u, k = (u << e - k, 0) if k < e else (u, k - e)
+        signs = [sign_at_dyadic(f.coeffs, u, k) for f in chain]
         nonzero = [s for s in signs if s]
         return sum(s != t for s, t in zip(nonzero, nonzero[1:])), signs[0] == 0
 
@@ -286,8 +285,9 @@ def isolate_real_roots(p: IntPolynomial) -> list[tuple[tuple[Fraction, Fraction]
     yun = square_free_decomposition(p)
     out: list[tuple[tuple[Fraction, Fraction], int]] = []
     for u, k, w in found:
-        lo = Fraction(a * u, b << k)
-        hi = Fraction(a * (u + 1), b << k) if w else lo
+        step = Fraction(2) ** (e - k)     # y = u/2^k is x = u step
+        lo = u * step
+        hi = lo + step if w else lo
         if len(yun) == 1:
             mult = yun[0][1]
         elif w:

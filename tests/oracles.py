@@ -53,11 +53,11 @@ from coronapoly.roots import (
     RootReport,
     _clear_closed_disc,
     _nearest_root_real_unique,
-    cauchy_root_bound,
     count_distinct_real_roots,
     count_distinct_roots_in_disc,
     isolate_real_roots,
     refine_root_interval,
+    root_bound_exponent,
     root_report,
     square_free_decomposition,
     square_free_part,
@@ -620,10 +620,10 @@ def refine_reference(masks: tuple[int, ...], cells: list[int], queue: list[int])
 
 
 def fraction_isolate_real_roots(p: IntPolynomial) -> list[tuple[tuple[Fraction, Fraction], int]]:
-    """``isolate_real_roots`` as the package computed it before it scaled
-    the Sturm chain to dyadic points: bisection of [-B, 0] and [0, B], B
-    the Cauchy bound of the square-free part q, at Fraction midpoints, each
-    point's sign variations evaluated once and cached by value."""
+    """``isolate_real_roots`` in Fractions alone: bisection of [-B, 0] and
+    [0, B], B = 2^e for e = ``root_bound_exponent`` of the square-free part
+    q, at Fraction midpoints, each point's sign variations on the Sturm
+    chain of q evaluated once and cached by value."""
     if p.degree < 1:
         return []
     q = square_free_part(p)
@@ -642,7 +642,7 @@ def fraction_isolate_real_roots(p: IntPolynomial) -> list[tuple[tuple[Fraction, 
     def inside(a: Fraction, b: Fraction) -> int:
         return var(a) - var(b) - is_root(b)
 
-    bound = cauchy_root_bound(q)
+    bound = Fraction(2 ** root_bound_exponent(q))
     intervals: list[tuple[Fraction, Fraction]] = []
     exact: list[Fraction] = []
     zero = Fraction(0)

@@ -33,6 +33,7 @@ from coronapoly.roots import (
     negative_tail_sign_check,
     numeric_roots,
     root_bijection_check,
+    root_bound_exponent,
     root_report,
     square_free_decomposition,
     square_free_part,
@@ -824,10 +825,11 @@ def test_root_pass_rejects_bad_approximations(monkeypatch, capsys, tmp_path, cor
 
 
 def test_reported_roots_are_exact_pairs_and_inside_intervals():
-    # K4 minus an edge, plus K3: isolated as the degenerate [-1/3, -1/3]
-    third = Graph(7, [(0, 1), (0, 2), (0, 6), (1, 2), (1, 6), (3, 4), (3, 5), (4, 5)])
-    assert (Fraction(-1, 3), Fraction(-1, 3), 1) in root_report(independence_polynomial(third)).real_roots
-    for g in graphs_upto(6) + [TREE8_NONREAL, third]:
+    # the 4-leg spider: its root -1 is a bisection midpoint, isolated as
+    # the degenerate [-1, -1]
+    spider = spider_graph(4)
+    assert (Fraction(-1), Fraction(-1), 1) in root_report(independence_polynomial(spider)).real_roots
+    for g in graphs_upto(6) + [TREE8_NONREAL, spider]:
         p = independence_polynomial(g)
         rep = root_report(p)
         for lo, hi, _ in rep.real_roots:
@@ -1032,9 +1034,14 @@ def _isolation_polys():
     return out
 
 
+def _dyadic(x: Fraction) -> bool:
+    """Whether x has a power-of-two denominator."""
+    return x.denominator & (x.denominator - 1) == 0
+
+
 def test_isolation_matches_fraction_bisection():
-    # the dyadic bisection of the scaled chain gives the intervals and
-    # multiplicities of the Fraction bisection on the unscaled one, exactly
+    # the dyadic bisection gives the intervals and multiplicities of the
+    # Fraction bisection, exactly, and every endpoint is dyadic
     from oracles import fraction_isolate_real_roots
 
     polys = [independence_polynomial(g) for g in _bounds_strata_graphs()] + _isolation_polys()
@@ -1042,8 +1049,99 @@ def test_isolation_matches_fraction_bisection():
     for p in polys:
         got = isolate_real_roots(p)
         assert got == fraction_isolate_real_roots(p), p
+        assert all(_dyadic(x) for span, _ in got for x in span), p
         exact_hits += sum(1 for (lo, hi), _ in got if lo == hi != 0)
     assert exact_hits >= 20    # rational roots found at bisection midpoints
+
+
+@pytest.mark.parametrize("coeffs, e", [
+    ((1, 1), 2),                # 1 + x: degree 1
+    ((1, 2), 1),                # 1 + 2x
+    ((9, 5, 0, -1), 3),         # a negative leading coefficient, real root 2.85...
+    ((-16, 0, 0, 0, 1), 3),     # zero interior coefficients, roots on |z| = 2
+    ((-4, 1), 4),               # a root at a power of two
+    ((1, 3, 64), 1),            # the leading coefficient larger than all the others
+    ((-7, 3, 1), 3),            # root -4.54...: outside 2^2 without Fujiwara's factor 2
+    ((-7, -3, -1, 2), 2),       # root 2.05...: outside 2^1 with a floor for the ceiling
+])
+def test_root_bound_exponent_hand_cases(coeffs, e):
+    mpmath = pytest.importorskip("mpmath")
+    assert root_bound_exponent(IntPolynomial(coeffs)) == e
+    with mpmath.workdps(60):
+        assert max(abs(z) for z in mpmath.polyroots(list(reversed(coeffs)))) < 2**e
+
+
+def test_root_bound_exponent_against_mpmath():
+    # every root of the square-free part of I(G), for the catalog graphs on
+    # at most 7 vertices and the bounds strata, has |z| < 2^e, by mpmath's
+    # roots at 60 digits
+    mpmath = pytest.importorskip("mpmath")
+    graphs = graphs_upto(7) + _bounds_strata_graphs()
+    polys = {square_free_part(independence_polynomial(g)) for g in graphs}
+    with mpmath.workdps(60):
+        for q in polys:
+            if q.degree >= 1:
+                zs = mpmath.polyroots(list(reversed(q.coeffs)))
+                assert max(abs(z) for z in zs) < 2 ** root_bound_exponent(q), q
+
+
+def _cap_graphs():
+    """Seeded graphs on 40-64 vertices: random trees, sparse G(n, p), a
+    3-regular graph (a Hamiltonian cycle plus a random perfect matching
+    off it) and coronas of a random tree and of a G(n, 0.15)."""
+    rng = random.Random(163)
+    trees = [Graph(n, [(v, rng.randrange(v)) for v in range(1, n)]) for n in (40, 52, 64, 32)]
+    cycle = {(v, v + 1) for v in range(63)} | {(0, 63)}
+    while True:
+        perm = rng.sample(range(64), 64)
+        matching = {(min(a, b), max(a, b)) for a, b in zip(perm[::2], perm[1::2])}
+        if not matching & cycle:
+            break
+    cubic = Graph(64, sorted(cycle | matching))
+    sparse = [_gnp(rng, 44, 0.08), _gnp(rng, 56, 0.06)]
+    return trees[:3] + sparse + [cubic, corona(trees[3]), corona(_gnp(rng, 24, 0.15))]
+
+
+def test_isolation_at_the_cap_against_mpmath():
+    # the real roots of I(G), from mpmath at 60 digits on sympy's
+    # square-free part (started from numpy's roots), fall one in each
+    # isolating interval, and every endpoint is dyadic
+    mpmath = pytest.importorskip("mpmath")
+    np = pytest.importorskip("numpy")
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    with mpmath.workdps(60):
+        tol = mpmath.mpf(10) ** -40
+        for g in _cap_graphs():
+            assert 40 <= g.n <= 64
+            p = independence_polynomial(g)
+            got = isolate_real_roots(p)
+            sqf = [int(c) for c in sympy.Poly(list(reversed(p.coeffs)), x).sqf_part().all_coeffs()]
+            start = [mpmath.mpc(complex(z)) for z in np.roots([float(c) for c in sqf])]
+            zs = mpmath.polyroots(sqf, extraprec=60, roots_init=start)
+            real = sorted(z.real for z in zs if abs(z.imag) <= tol)
+            assert len(got) == len(real), g
+            for ((lo, hi), _), xi in zip(got, real):
+                assert _dyadic(lo) and _dyadic(hi), (g, lo, hi)
+                lo_mp, hi_mp = (mpmath.mpf(e.numerator) / e.denominator for e in (lo, hi))
+                if lo == hi:
+                    assert abs(xi - lo_mp) <= tol, (g, lo, xi)
+                else:
+                    assert lo_mp < xi < hi_mp, (g, lo, hi, xi)
+
+
+def test_bounds_at_the_cap():
+    # the 64-vertex spider: seven roots lie in |z| < 1/2, so the
+    # smallest-modulus verdict reads disc counts at the far ends of
+    # xi_max's interval, 1/4 then 1/8; every bound applies and passes.
+    # Its verdicts and those on the cap's two coronas match the oracle's
+    from oracles import isolated_bound_verdicts
+
+    spider = spider_graph(31)
+    assert [b.passed for b in verify_bounds(spider).bounds.values()] == [True] * 5
+    for g in [spider] + _cap_graphs()[-2:]:
+        got = {name: (b.passed, b.note) for name, b in verify_bounds(g).bounds.items()}
+        assert got == isolated_bound_verdicts(g), g
 
 
 def test_path_roots_need_no_aberth(monkeypatch):
