@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 a verification failure or counterexample was
 found, 2 usage error, 3 a size cap was exceeded, 4 a numeric root
-iteration did not converge, 5 a worker process died.  Every run is
+iteration did not converge, 5 a worker process died.  A size cap is that
+of the layer doing the work; graph6, in its short and 4-byte long forms,
+names any graph those reach.  Every run is
 deterministic for fixed inputs and flags (fixed pivot rule, fixed numeric
 initialization, no RNG anywhere).
 
@@ -39,7 +41,6 @@ from .errors import (
     RootConvergenceError,
 )
 from .graphs import (
-    GRAPH6_LIMIT,
     StreamItem,
     centipede_graph,
     complete_graph,
@@ -317,15 +318,6 @@ def _parse_coeffs(text: str) -> IntPolynomial:
     return IntPolynomial([int(tok) for tok in text.replace(",", " ").split()])
 
 
-def _check_graph6_output(n: int, what: str) -> None:
-    """Raise before any work when an output line would need graph6 for
-    more vertices than the short form holds."""
-    if n > GRAPH6_LIMIT:
-        raise ResourceLimitError(
-            f"{what}: graph6 output of {n} vertices exceeds limit {GRAPH6_LIMIT}"
-        )
-
-
 # -- command implementations -------------------------------------------------
 
 
@@ -338,18 +330,14 @@ def _print_each(render, args) -> int:
 
 
 def _poly_text(as_json: bool, item: StreamItem) -> str:
-    g = item_parse(item)
-    if not as_json:     # only JSON names the graph, in graph6
-        return str(independence_polynomial(g))
-    _check_graph6_output(g.n, "poly --output json")
-    p = independence_polynomial(g)
+    p = independence_polynomial(item_parse(item))
+    if not as_json:
+        return str(p)
     return json.dumps({"graph": item_graph6(item.graph), "coefficients": p.to_json_coeffs()})
 
 
 def _corona_text(as_json: bool, item: StreamItem) -> str:
-    g = item_parse(item)
-    _check_graph6_output(2 * g.n, "corona")
-    star = corona(g)
+    star = corona(item_parse(item))
     p = independence_polynomial(star)
     if not as_json:
         return f"{encode_graph6(star)}\t{p}"
@@ -379,7 +367,6 @@ def _cmd_transform(args) -> int:
 
 def _roots_text(as_json: bool, item: StreamItem) -> str:
     g = item_parse(item)
-    _check_graph6_output(g.n, "roots")
     report = bounds_root_report(g) if g.n >= 2 else root_report(independence_polynomial(g))
     if as_json:
         payload = report.to_json()
@@ -410,7 +397,6 @@ def _cmd_gen(args) -> int:
         ]
     else:
         g = _FAMILIES[args.family](args.n, _sizes(args))
-        _check_graph6_output(g.n, "gen")
         closed = _CLOSED_FORMS.get(args.family)
         poly = closed(args.n, _sizes(args)) if closed else None
         emitted = [(g, poly if poly is not None else independence_polynomial(g))]

@@ -25,8 +25,13 @@ from itertools import tee
 
 from .errors import GraphParseError, ResourceLimitError
 
-WELL_COVERED_LIMIT = 24   # maximal-stable-set enumeration
-GRAPH6_LIMIT = 62         # graph6 short form
+# Maximal-stable-set enumeration.  It stays below VERTEX_LIMIT: a budgeted
+# branch and bound on masks (no component split, no simplex rule) for a
+# maximal stable set smaller than deg I(G) took at most 0.6 ms on 64-vertex
+# paths, cycles, stars, K_64, K(8x8), trees, G(64, p) and near-coronas, but
+# 6.1 s on P_32's corona less one leaf, and over 20 s on 9 C_7 and on the
+# triangle-coronas of 21-vertex paths, trees and G(21, 0.2).
+WELL_COVERED_LIMIT = 24
 VERTEX_LIMIT = 64         # the pivot engine, the forest DP and canonical codes
 
 
@@ -100,10 +105,13 @@ _SIX_BITS_REVERSED = {c: format(c - 63, "06b")[::-1] for c in _GRAPH6_BYTES}
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode a one-line graph6 string (short form, n <= 62).
+    """Decode a one-line graph6 string.
 
-    The edge bytes are read as one int whose bit k is graph6 bit k: bit k
-    of the upper triangle in column order (column j is bits j(j-1)/2 ..
+    The order is one byte, n + 63, for n <= 62, else byte 126 and n in 18
+    bits, big-endian, over three bytes; a long header for n <= 62 (not
+    canonical) and the 8-byte header of n >= 258048 are refused.  The edge
+    bytes are read as one int whose bit k is graph6 bit k: bit k of the
+    upper triangle in column order (column j is bits j(j-1)/2 ..
     j(j+1)/2 - 1, row 0 first).  Column j's bits are then the mask of j's
     neighbours below j, and the bits from n(n-1)/2 up are the padding,
     which must be zero."""
@@ -119,23 +127,29 @@ def parse_graph6(text: str) -> Graph:
     if data.translate(None, _GRAPH6_BYTES):     # some byte is out of range
         off, b = next((off, b) for off, b in enumerate(data) if not 63 <= b <= 126)
         raise GraphParseError(f"byte {b} out of range 63..126 at offset {off}")
-    if data[0] == 126:
-        raise GraphParseError("long-form length header at offset 0 (only n <= 62 supported)")
-    n = data[0] - 63
+    n, head = data[0] - 63, 1
+    if n == 63:     # byte 126: a long header
+        if data[1:2] == b"~":
+            raise GraphParseError("8-byte length header at offset 0 (n >= 258048 not supported)")
+        if len(data) < 4:
+            raise GraphParseError("truncated length header at offset 0")
+        n, head = (data[1] - 63) << 12 | (data[2] - 63) << 6 | data[3] - 63, 4
+        if n < 63:
+            raise GraphParseError(f"long-form length header for n={n} at offset 0 (not canonical)")
     need_bits = n * (n - 1) // 2
     need_bytes = (need_bits + 5) // 6
-    if len(data) - 1 < need_bytes:
+    if len(data) - head < need_bytes:
         raise GraphParseError(
-            f"truncated: need {need_bytes} edge bytes for n={n}, got {len(data) - 1}"
+            f"truncated: need {need_bytes} edge bytes for n={n}, got {len(data) - head}"
         )
-    if len(data) - 1 > need_bytes:
-        raise GraphParseError(f"trailing garbage at offset {1 + need_bytes}")
+    if len(data) - head > need_bytes:
+        raise GraphParseError(f"trailing garbage at offset {head + need_bytes}")
     # the edge bytes last to first, each byte's bits reversed: the whole
     # graph6 bit string reversed, so one int(..., 2) puts bit k at k; a
     # line of order 0 or 1 has no edge bytes
-    bits = int("".join(map(_SIX_BITS_REVERSED.__getitem__, data[:0:-1])) or "0", 2)
+    bits = int("".join(map(_SIX_BITS_REVERSED.__getitem__, data[:head - 1:-1])) or "0", 2)
     if bits >> need_bits:       # the padding, under 6 bits, is all in the last byte
-        raise GraphParseError(f"nonzero padding bit at offset {need_bytes}")
+        raise GraphParseError(f"nonzero padding bit at offset {head + need_bytes - 1}")
     masks = [0] * n
     for j in range(1, n):
         below = bits & ((1 << j) - 1)
@@ -150,13 +164,13 @@ def parse_graph6(text: str) -> Graph:
 
 
 def encode_graph6(g: Graph) -> str:
-    """Encode as canonical short-form graph6 (requires n <= 62)."""
-    if g.n > GRAPH6_LIMIT:
-        raise ValueError(f"graph6 short form supports at most {GRAPH6_LIMIT} vertices")
-    out = [g.n + 63]
+    """Encode as canonical graph6 (n <= 258047): the one-byte order for
+    n <= 62, else byte 126 and n in 18 bits."""
+    n = g.n
+    out = [n + 63] if n < 63 else [126] + [63 + (n >> s & 63) for s in (12, 6, 0)]
     acc = 0
     filled = 0
-    for j in range(1, g.n):
+    for j in range(1, n):
         for i in range(j):
             acc = (acc << 1) | ((g.masks[i] >> j) & 1)
             filled += 1
@@ -200,7 +214,8 @@ def map_items(
 def item_graph6(graph: Graph | str) -> str:
     """Graph6 text of an item's graph: a Graph is encoded, a line loses its
     whitespace and ``>>graph6<<`` header, which leaves a parsed line's
-    encoding (short-form graph6 is unique; nonzero padding is rejected)."""
+    encoding (graph6 is unique: a long header for n <= 62 and nonzero
+    padding are rejected)."""
     if isinstance(graph, Graph):
         return encode_graph6(graph)
     return graph.strip().removeprefix(">>graph6<<")

@@ -752,11 +752,11 @@ def verify_bounds(g: Graph) -> BoundsReport:
     if g.n < 2:
         raise ValueError("bound verification needs n >= 2")
     n = g.n
-    p = independence_polynomial(g)
-    # before any root work, as both are capped: maximal-stable-set
-    # enumeration, and the clique number, the stability number of the
-    # complement
+    # the enumeration's cap (WELL_COVERED_LIMIT) before the engine's, and
+    # the clique number, the stability number of the complement, before
+    # any root work
     wc = is_well_covered(g)
+    p = independence_polynomial(g)
     w = alpha(complement(g))
     report = BoundsReport(p)
     a = p.degree

@@ -29,7 +29,6 @@ from .canon import TREE_ENUM_LIMIT, canonical_code, enumerate_trees
 from .corona import spider_polynomial
 from .errors import GraphParseError, ResourceLimitError
 from .graphs import (
-    GRAPH6_LIMIT,
     Graph,
     StreamItem,
     corona,
@@ -47,8 +46,6 @@ from .graphs import (
 from .indpoly import independence_polynomial, independence_polynomial_tree
 from .polynomials import IntPolynomial
 from .roots import all_roots_real, multiplicity_of_minus_one
-
-SPIDER_SKELETON_LIMIT = 8
 
 
 # -- equivalence classification -------------------------------------------
@@ -143,15 +140,11 @@ def _coefficient_key(item: StreamItem) -> tuple[tuple[int, ...] | None, str]:
     That holds whatever the search's canonicity, since equal codes always
     mean relabellings of one graph (see ``canonical_code``), and relabelled
     graphs have one polynomial.  Codes and the engine share one cap, so a
-    graph over it is an error record from its code.  Class members are
-    named in graph6, so a graph within that cap but past graph6's short
-    form is an error record before the engine runs.
+    graph over it is an error record from its code.
     """
     try:
         g = item_parse(item)
         code = canonical_code(g)
-        if g.n > GRAPH6_LIMIT:
-            raise ResourceLimitError(f"graph6 output of {g.n} vertices exceeds limit {GRAPH6_LIMIT}")
         key = _key_by_code.get(code)
         if key is None:
             key = _key_by_code[code] = independence_polynomial(g).coeffs
@@ -259,10 +252,8 @@ def spider_uniqueness_scan(max_skeleton: int) -> SpiderScanReport:
     multiplicity exactly 1), and the skip is itself validated.
     """
     require_scan_cap("skeleton", max_skeleton)
-    if max_skeleton > SPIDER_SKELETON_LIMIT:
-        raise ResourceLimitError(
-            f"spider uniqueness scan capped at skeleton order {SPIDER_SKELETON_LIMIT}"
-        )
+    # the skeletons' coronas are the well-covered trees up to twice their order
+    require_tree_order_cap(2 * max_skeleton)
     checked = 0
     skipped = 0
     matches: list[tuple[int, str]] = []

@@ -20,7 +20,8 @@ one Sturm count on I(G) per leg, the reference for the package's
 comparisons with the isolated extreme roots; the nonreal legs read
 mpmath's roots (``mpmath_nonreal_moduli``), not the package's.  ``bitwise_parse_graph6`` is
 the graph6 decoder the package used before it read each column as one
-slice: one step per bit, edges into the ``Graph`` constructor.
+slice: one step per bit, the long header's 18 bits included, edges into
+the ``Graph`` constructor.
 ``center_rooted_forest_code`` is the forest encoder the package used
 before its one-pass leaf peeling: centers first, then one recursive
 encoding from each.  ``fraction_isolate_real_roots`` is the real-root
@@ -106,8 +107,8 @@ def count_vector_subsets(g: Graph) -> tuple[int, ...]:
 
 
 def bitwise_parse_graph6(text: str) -> Graph:
-    """Decode short-form graph6 one upper-triangle bit at a time, with the
-    package's checks and messages."""
+    """Decode graph6 one bit at a time, the long header's order and each
+    upper-triangle bit, with the package's checks and messages."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
@@ -120,29 +121,38 @@ def bitwise_parse_graph6(text: str) -> Graph:
     for off, b in enumerate(data):
         if not (63 <= b <= 126):
             raise GraphParseError(f"byte {b} out of range 63..126 at offset {off}")
-    if data[0] == 126:
-        raise GraphParseError("long-form length header at offset 0 (only n <= 62 supported)")
-    n = data[0] - 63
+    if data[0] != 126:
+        n, head = data[0] - 63, 1
+    else:
+        if len(data) > 1 and data[1] == 126:
+            raise GraphParseError("8-byte length header at offset 0 (n >= 258048 not supported)")
+        if len(data) < 4:
+            raise GraphParseError("truncated length header at offset 0")
+        n, head = 0, 4
+        for bit in range(18):   # big-endian over bytes 1..3
+            n = 2 * n + ((data[1 + bit // 6] - 63) >> (5 - bit % 6) & 1)
+        if n <= 62:
+            raise GraphParseError(f"long-form length header for n={n} at offset 0 (not canonical)")
     need_bits = n * (n - 1) // 2
     need_bytes = (need_bits + 5) // 6
-    if len(data) - 1 < need_bytes:
+    if len(data) - head < need_bytes:
         raise GraphParseError(
-            f"truncated: need {need_bytes} edge bytes for n={n}, got {len(data) - 1}"
+            f"truncated: need {need_bytes} edge bytes for n={n}, got {len(data) - head}"
         )
-    if len(data) - 1 > need_bytes:
-        raise GraphParseError(f"trailing garbage at offset {1 + need_bytes}")
+    if len(data) - head > need_bytes:
+        raise GraphParseError(f"trailing garbage at offset {head + need_bytes}")
     edges = []
     bit = 0
     for j in range(1, n):
         for i in range(j):
-            byte = data[1 + bit // 6] - 63
+            byte = data[head + bit // 6] - 63
             if (byte >> (5 - bit % 6)) & 1:
                 edges.append((i, j))
             bit += 1
     while bit < 6 * need_bytes:
-        byte = data[1 + bit // 6] - 63
+        byte = data[head + bit // 6] - 63
         if (byte >> (5 - bit % 6)) & 1:
-            raise GraphParseError(f"nonzero padding bit at offset {1 + bit // 6}")
+            raise GraphParseError(f"nonzero padding bit at offset {head + bit // 6}")
         bit += 1
     return Graph(n, edges)
 

@@ -88,38 +88,52 @@ def test_poly_text_runs_to_the_forest_cap(capsys):
     assert out.strip() == str(IntPolynomial((1, 1)) ** 63 + IntPolynomial((0, 1)))
 
 
-def test_corona_at_the_graph6_cap(capsys):
-    # a forest and a cycle: the engine on 62 vertices against the transform
-    for family, skeleton in (("path", path_graph(31)), ("cycle", cycle_graph(31))):
-        code, out, _ = run(capsys, "corona", "--family", family, "--n", "31", "--output", "json")
+def test_corona_at_the_vertex_cap(capsys):
+    # a forest and a cycle: the engine on 64 vertices against the transform
+    for family, skeleton in (("path", path_graph(32)), ("cycle", cycle_graph(32))):
+        code, out, _ = run(capsys, "corona", "--family", family, "--n", "32", "--output", "json")
         assert code == 0
         payload = json.loads(out)
-        assert parse_graph6(payload["corona"]).n == 62
-        want = corona_coefficients(independence_polynomial(skeleton), 31)
+        assert parse_graph6(payload["corona"]).n == 64
+        want = corona_coefficients(independence_polynomial(skeleton), 32)
         assert payload["coefficients"] == want.to_json_coeffs()
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, field, graph",
     [
-        ("poly", "--family", "path", "--n", "63", "--output", "json"),
-        ("corona", "--family", "path", "--n", "32"),
-        ("corona", "--family", "path", "--n", "32", "--output", "json"),
-        ("roots", "--family", "path", "--n", "63"),
-        ("gen", "--family", "path", "--n", "63"),
+        (("poly", "--family", "path", "--n", "63", "--output", "json"), "graph", path_graph(63)),
+        (("corona", "--family", "path", "--n", "32"), None, corona(path_graph(32))),
+        (("corona", "--family", "path", "--n", "32", "--output", "json"), "corona",
+         corona(path_graph(32))),
+        (("gen", "--family", "path", "--n", "63"), None, path_graph(63)),
     ],
 )
-def test_graph6_output_cap_checked_before_any_work(monkeypatch, capsys, argv):
-    from coronapoly import cli
+def test_graph6_output_past_the_short_form(capsys, argv, field, graph):
+    # graph6's long header names graphs on 63 and 64 vertices, so these run
+    # to the vertex cap; a text line's graph6 is its first field
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    text = json.loads(out)[field] if field else out.split("\t")[0]
+    assert text.startswith("~") and parse_graph6(text) == graph
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("roots", "--family", "path", "--n", "63"), ("roots", "--family", "cycle", "--n", "64")],
+)
+def test_roots_checks_the_enumeration_cap_before_the_engine(monkeypatch, capsys, argv):
+    # no pendant matching, so well-coveredness needs the enumeration, whose
+    # cap is 24: refused before the engine runs
+    from coronapoly import roots
 
     def work(*args):
-        raise AssertionError("computed before the graph6 output cap was checked")
+        raise AssertionError("the engine ran before the enumeration cap was checked")
 
-    monkeypatch.setattr(cli, "independence_polynomial", work)
-    monkeypatch.setattr(cli, "bounds_root_report", work)
+    monkeypatch.setattr(roots, "independence_polynomial", work)
     code, out, err = run(capsys, *argv)
     assert code == 3
-    assert out == "" and "resource limit" in err and "62" in err
+    assert out == "" and "maximal stable sets" in err
 
 
 def test_transform_round_trip(capsys):
@@ -216,12 +230,12 @@ def test_verify_bijection_past_ten_vertices(tmp_path, capsys):
     assert "2 instances, 0 failures: PASS" in out
 
 
-def test_verify_bounds_on_a_corona_at_the_graph6_cap(tmp_path, capsys):
-    # a 62-vertex corona that is no forest: the engine and the clique
-    # number (alpha of the complement) both run at 62 vertices
+def test_verify_bounds_on_a_corona_at_the_vertex_cap(tmp_path, capsys):
+    # a 64-vertex corona that is no forest: the engine and the clique
+    # number (alpha of the complement) both run at 64 vertices
     rng = random.Random(31)
-    g = Graph(31, [(u, v) for u in range(31) for v in range(u + 1, 31) if rng.random() < 0.15])
-    stream = tmp_path / "corona31.g6"
+    g = Graph(32, [(u, v) for u in range(32) for v in range(u + 1, 32) if rng.random() < 0.15])
+    stream = tmp_path / "corona32.g6"
     stream.write_text(encode_graph6(corona(g)) + "\n")
     code, out, err = run(
         capsys, "verify", "--suite", "bounds", "--input", str(stream), "--jobs", "1"
@@ -286,10 +300,27 @@ def test_gen_trees_over_the_cap_exit_code(capsys):
     assert out == "" and "resource limit" in err
 
 
-def test_spider_unique_over_the_cap_exit_code(capsys):
-    code, out, err = run(capsys, "search", "--mode", "spider-unique", "--max-skeleton", "9")
+def test_spider_unique_over_the_cap_exit_code(monkeypatch, capsys):
+    # the tree catalog's cap, 16, checked before any tree level is built
+    from coronapoly import search
+
+    def _must_not_run(*args, **kwargs):
+        raise AssertionError("work started before the cap was checked")
+
+    monkeypatch.setattr(search, "enumerate_trees", _must_not_run)
+    code, out, err = run(capsys, "search", "--mode", "spider-unique", "--max-skeleton", "17")
     assert code == 3
-    assert out == "" and "resource limit" in err
+    assert out == "" and err == "coronapoly: resource limit: tree enumeration capped at 16 vertices\n"
+
+
+def test_spider_unique_past_the_default(capsys):
+    # one star per skeleton order 2..10, and no other tree matches
+    code, out, err = run(capsys, "search", "--mode", "spider-unique", "--max-skeleton", "10",
+                         "--output", "json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert [m["order"] for m in payload["matches"]] == list(range(2, 11))
+    assert payload["violations"] == [] and payload["skeletons_checked"] == 200
 
 
 def test_usage_error_exit_code(capsys):

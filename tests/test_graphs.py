@@ -161,7 +161,7 @@ def test_graph6_round_trip_random():
 
 def test_parse_graph6_errors():
     with pytest.raises(GraphParseError, match="offset 0"):
-        parse_graph6("~??")  # long form rejected
+        parse_graph6("~??")  # a long header cut short
     with pytest.raises(GraphParseError, match="offset 1"):
         parse_graph6("A!")
     with pytest.raises(GraphParseError, match="trailing garbage"):
@@ -182,13 +182,42 @@ def test_graph6_header_stripped():
 
 
 def test_graph6_round_trip_at_size_cap():
+    # the short form's last order, then the long form's first two and the
+    # vertex cap
     rng = random.Random(19)
-    g = _random_graph(rng, 62)
-    s = encode_graph6(g)
-    assert parse_graph6(s) == g
-    assert encode_graph6(parse_graph6(s)) == s
-    with pytest.raises(ValueError):
-        encode_graph6(_random_graph(rng, 63))
+    for n in (62, 63, 64):
+        g = _random_graph(rng, n)
+        s = encode_graph6(g)
+        assert len(s) == (1 if n < 63 else 4) + -(-n * (n - 1) // 12)
+        assert parse_graph6(s) == g
+        assert encode_graph6(parse_graph6(s)) == s
+
+
+def test_graph6_long_header_is_the_specs():
+    # byte 126, then n in 18 bits, big-endian, six bits a byte (McKay's
+    # formats.txt); the edge bytes are the short form's
+    assert encode_graph6(Graph(63))[:4] == "~??~"
+    assert encode_graph6(Graph(64))[:4] == "~?@?"
+    assert encode_graph6(Graph(64))[4:] == "?" * 336
+    assert encode_graph6(path_graph(62))[0] == "}"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("~??~", "truncated: need 326 edge bytes for n=63, got 0"),
+        ("~??}", "long-form length header for n=62 at offset 0 (not canonical)"),
+        ("~???", "long-form length header for n=0 at offset 0 (not canonical)"),
+        ("~~??????", "8-byte length header at offset 0 (n >= 258048 not supported)"),
+        ("~~", "8-byte length header at offset 0 (n >= 258048 not supported)"),
+        ("~", "truncated length header at offset 0"),
+        ("~?@", "truncated length header at offset 0"),
+    ],
+)
+def test_long_header_refusals(text, message):
+    # a long header for n <= 62 is not canonical, so a parsed line stays
+    # its own encoding; both decoders give the same message
+    assert _parse_outcome(parse_graph6, text) == _parse_outcome(bitwise_parse_graph6, text) == message
 
 
 def _parse_outcome(parse, text):
@@ -199,10 +228,11 @@ def _parse_outcome(parse, text):
 
 
 def test_parse_graph6_matches_the_bitwise_decoder():
-    # every order of the short form, sparse to dense, then each string
-    # corrupted: both decoders give the same graph or the same message
+    # every order up to the vertex cap, short and long form, sparse to
+    # dense, then each string corrupted, its header included: both decoders
+    # give the same graph or the same message
     rng = random.Random(83)
-    for n in range(63):
+    for n in range(65):
         for p in (0.05, 0.3, 0.7):
             g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
             s = encode_graph6(g)
@@ -213,6 +243,10 @@ def test_parse_graph6_matches_the_bitwise_decoder():
                 s + chr(rng.randint(63, 126)),
                 s[:at] + chr(rng.randint(32, 127)) + s[at + 1:],
                 s[:-1] + chr(63 + rng.randrange(64)),   # last byte: pad bits too
+                "~" + s[1:],                            # byte 126 over the order
+                s[:rng.randint(1, 4)],                  # a header cut short
+                s[:1] + "~" + s[2:],                    # the 8-byte marker
+                s[:rng.randint(0, 3)] + chr(rng.randint(63, 126)) + s[4:],
             ]
             for text in corrupt:
                 assert _parse_outcome(parse_graph6, text) == _parse_outcome(bitwise_parse_graph6, text)

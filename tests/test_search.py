@@ -108,12 +108,16 @@ def test_stream_errors_recorded_not_fatal():
     assert len(report.errors) == 1
 
 
-def test_graph_past_graph6_is_an_error_record():
-    # a class member is named in graph6, whose short form ends at 62
-    # vertices: a 63-vertex Graph item is an error, and the report survives
-    report = group_by_polynomial([path_graph(63), path_graph(5)])
-    assert report.errors == ["item 0: graph6 output of 63 vertices exceeds limit 62"]
-    assert [c.members for c in report.classes] == [[encode_graph6(path_graph(5))]]
+def test_graph_past_the_vertex_cap_is_an_error_record():
+    # a 63-vertex item is classified and named in graph6's long form; a
+    # 65-vertex item is an error from its canonical code, and the report
+    # survives
+    report = group_by_polynomial([path_graph(65), path_graph(63), path_graph(5)])
+    assert report.errors == ["item 0: canonical code: 65 vertices exceeds limit 64"]
+    assert [c.members for c in report.classes] == [
+        [encode_graph6(path_graph(5))], [encode_graph6(path_graph(63))],
+    ]
+    assert report.classes[1].members[0].startswith("~??~")
 
 
 
@@ -170,21 +174,20 @@ def test_table_is_bounded_and_least_recently_used(monkeypatch, engine_calls):
 
 def test_codes_over_their_cap_skip_the_table(engine_calls):
     # codes and the engine share the cap of 64 vertices: relabelled copies
-    # of a graph on 31-62 vertices (the graph6 cap, as members are named in
-    # graph6) cost one engine run and get a verdict
-    for n in (31, 62):
+    # of a graph on 31 or 64 vertices cost one engine run and get a verdict
+    for n in (31, 64):
         c = cycle_graph(n)
         relabelled = Graph(n, [(3 * u % n, 3 * v % n) for u, v in c.edges()])
         report = group_by_polynomial([c, relabelled, c])
         (cls,) = report.classes
         assert cls.coefficients == independence_polynomial(c).coeffs
         assert len(cls.members) == 3 and cls.all_isomorphic is True and report.errors == []
-    assert engine_calls == [31, 62] and len(search._key_by_code) == 2
+    assert engine_calls == [31, 64] and len(search._key_by_code) == 2
     # a graph over the cap is an error record from its code, before the engine
     report = group_by_polynomial([cycle_graph(65)])
     assert report.classes == [] and report.graphs_seen == 0
     assert report.errors == ["item 0: canonical code: 65 vertices exceeds limit 64"]
-    assert engine_calls == [31, 62]
+    assert engine_calls == [31, 64]
 
 
 def test_trees10_contains_known_class():
