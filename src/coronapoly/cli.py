@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 a verification failure or counterexample was
 found, 2 usage error, 3 a size cap was exceeded, 4 a numeric root
 iteration did not converge, 5 a worker process died.  A size cap is that
-of the layer doing the work; graph6, in its short and 4-byte long forms,
-names any graph those reach.  Every run is
+of the layer doing the work; ``gen --family``, whose closed forms check no
+size, checks the vertex cap before it builds the graph.  graph6, in its
+short and 4-byte long forms, names any graph those reach.  Every run is
 deterministic for fixed inputs and flags (fixed pivot rule, fixed numeric
 initialization, no RNG anywhere).
 
@@ -41,6 +42,7 @@ from .errors import (
     RootConvergenceError,
 )
 from .graphs import (
+    VERTEX_LIMIT,
     StreamItem,
     centipede_graph,
     complete_graph,
@@ -396,9 +398,14 @@ def _cmd_gen(args) -> int:
             (g, None) for g in canon.enumerate_graphs(args.graphs, connected=args.connected)
         ]
     else:
-        g = _FAMILIES[args.family](args.n, _sizes(args))
+        n, sizes = args.n, _sizes(args)
+        order = sum(sizes) if sizes is not None else n + {"star": 1, "spider": n + 2,
+                                                         "centipede": n}.get(args.family, 0)
+        if order > VERTEX_LIMIT:  # before the graph is built: the closed forms check no size
+            raise ResourceLimitError(f"gen: {order} vertices exceeds limit {VERTEX_LIMIT}")
+        g = _FAMILIES[args.family](n, sizes)
         closed = _CLOSED_FORMS.get(args.family)
-        poly = closed(args.n, _sizes(args)) if closed else None
+        poly = closed(n, sizes) if closed else None
         emitted = [(g, poly if poly is not None else independence_polynomial(g))]
     for g, poly in emitted:
         if args.output == "json":

@@ -300,6 +300,53 @@ def test_gen_trees_over_the_cap_exit_code(capsys):
     assert out == "" and "resource limit" in err
 
 
+_GEN_AT_THE_CAP = [
+    ("--family", "path", "--n", "64"),
+    ("--family", "cycle", "--n", "64"),
+    ("--family", "complete", "--n", "64"),
+    ("--family", "star", "--n", "63"),
+    ("--family", "spider", "--n", "31"),
+    ("--family", "centipede", "--n", "32"),
+    ("--family", "multipartite", "--sizes", "30,34"),
+]
+
+
+@pytest.mark.parametrize("argv", _GEN_AT_THE_CAP)
+def test_gen_family_at_the_vertex_cap(capsys, argv):
+    code, out, err = run(capsys, "gen", *argv)
+    assert code == 0 and err == ""
+    assert parse_graph6(out.split("\t")[0]).n == 64
+
+
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        (("--family", "path", "--n", "65"), 65),
+        (("--family", "cycle", "--n", "65"), 65),
+        (("--family", "complete", "--n", "100000"), 100000),
+        (("--family", "star", "--n", "64"), 65),
+        (("--family", "spider", "--n", "32"), 66),
+        (("--family", "centipede", "--n", "33"), 66),
+        (("--family", "multipartite", "--sizes", "30,35"), 65),
+    ],
+)
+def test_gen_family_over_the_vertex_cap_exit_code(monkeypatch, capsys, argv, n):
+    # the closed forms check no size: the cap is checked before the graph
+    # is built, from the family's vertex count
+    from coronapoly import cli
+
+    def _must_not_run(*args, **kwargs):
+        raise AssertionError("work started before the cap was checked")
+
+    monkeypatch.setattr(cli, "_FAMILIES", dict.fromkeys(cli._FAMILIES, _must_not_run))
+    monkeypatch.setattr(cli, "_CLOSED_FORMS", dict.fromkeys(cli._CLOSED_FORMS, _must_not_run))
+    monkeypatch.setattr(cli, "independence_polynomial", _must_not_run)
+    monkeypatch.setattr(cli, "encode_graph6", _must_not_run)
+    code, out, err = run(capsys, "gen", *argv)
+    assert code == 3
+    assert out == "" and err == f"coronapoly: resource limit: gen: {n} vertices exceeds limit 64\n"
+
+
 def test_spider_unique_over_the_cap_exit_code(monkeypatch, capsys):
     # the tree catalog's cap, 16, checked before any tree level is built
     from coronapoly import search
