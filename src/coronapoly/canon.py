@@ -1,8 +1,8 @@
 """Canonical codes, automorphism groups and exhaustive catalogs of small
 graphs.
 
-Two graphs receive equal codes iff they are isomorphic, up to 64
-vertices (VERTEX_LIMIT, the engine's cap).  Forests are encoded by the
+Two graphs receive equal codes iff they are isomorphic, at every order a
+Graph has (up to VERTEX_LIMIT, 64 vertices).  Forests are encoded by the
 classic rooted-at-center parenthesis string.  Other graphs get the least
 adjacency bit string over the leaves of one individualization-refinement
 search (McKay, *Practical graph isomorphism*, 1981; McKay & Piperno,
@@ -34,7 +34,7 @@ from functools import cache
 from math import prod
 
 from .errors import ResourceLimitError
-from .graphs import VERTEX_LIMIT, Graph, _component_masks, _from_masks, _mask_bits
+from .graphs import Graph, _component_masks, _from_masks, _mask_bits
 
 GRAPH_ENUM_LIMIT = 8
 TREE_ENUM_LIMIT = 16
@@ -255,11 +255,7 @@ def canonical_code(g: Graph) -> bytes:
     Forests are told apart by the leaf peel that codes them: a graph with
     fewer than n edges (a forest has at most n - 1) goes to `_forest_code`,
     which returns None on a cycle, and only then is the graph searched.
-    The cap is 64 vertices (VERTEX_LIMIT), the engine's."""
-    if g.n > VERTEX_LIMIT:
-        raise ResourceLimitError(
-            f"canonical code: {g.n} vertices exceeds limit {VERTEX_LIMIT}"
-        )
+    A Graph has at most VERTEX_LIMIT (64) vertices, so n fits one byte."""
     if not g.n or g.num_edges < g.n:
         code = _forest_code(g)
         if code is not None:

@@ -26,13 +26,14 @@ from fractions import Fraction
 from math import comb
 
 from .errors import NotACoronaImage
-from .graphs import Graph, alpha, corona
+from .graphs import Graph, alpha, check_order, corona
 from .indpoly import independence_polynomial
 from .polynomials import IntPolynomial
 
 
 def corona_coefficients(s: IntPolynomial, n: int) -> IntPolynomial:
     """Corona image of a skeleton coefficient vector (binomial summation)."""
+    check_order(n)      # the skeleton order, refused before the O(n^2) big-int sums
     if s.degree > n:
         raise ValueError(f"degree {s.degree} exceeds skeleton order {n}")
     if s.coeff(0) != 1:
@@ -55,6 +56,7 @@ def inverse_corona_coefficients(t: IntPolynomial, n: int) -> IntPolynomial:
     reconstructed coefficient that is negative; that outcome is a
     diagnostic ("t is not a corona image at this n"), not a crash.
     """
+    check_order(n)
     if t.degree != n:
         raise ValueError(f"degree {t.degree} != skeleton order {n}")
     if t.coeff(0) != 1:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import tee
+from itertools import combinations, tee
 
 from .errors import GraphParseError, ResourceLimitError
 
@@ -32,18 +32,26 @@ from .errors import GraphParseError, ResourceLimitError
 # 6.1 s on P_32's corona less one leaf, and over 20 s on 9 C_7 and on the
 # triangle-coronas of 21-vertex paths, trees and G(21, 0.2).
 WELL_COVERED_LIMIT = 24
-VERTEX_LIMIT = 64         # the pivot engine, the forest DP and canonical codes
+VERTEX_LIMIT = 64   # no Graph has more vertices: the engine, DP and codes check none
+
+
+def check_order(n: int) -> None:
+    """Refuse a vertex count over VERTEX_LIMIT before any work on it."""
+    if n > VERTEX_LIMIT:
+        raise ResourceLimitError(f"graph: {n} vertices exceeds limit {VERTEX_LIMIT}")
 
 
 class Graph:
-    """Immutable simple graph on 0..n-1; ``masks[v]`` is the neighbour
-    bitmask of v, and ``adj`` derives the sorted neighbour tuples."""
+    """Immutable simple graph on 0..n-1, n <= VERTEX_LIMIT checked before
+    any edge is read; ``masks[v]`` is the neighbour bitmask of v, and
+    ``adj`` derives the sorted neighbour tuples."""
 
     __slots__ = ("n", "masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        check_order(n)
         masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n) or not (0 <= v < n):
@@ -90,7 +98,9 @@ class Graph:
 
 def _from_masks(masks: tuple[int, ...]) -> Graph:
     """The graph with neighbour masks `masks`, which must be symmetric and
-    loop-free, without the edge-list round trip of `Graph(n, edges)`."""
+    loop-free, without the edge-list round trip of `Graph(n, edges)`; it
+    has the constructor's cap."""
+    check_order(len(masks))
     g = Graph.__new__(Graph)
     g.n, g.masks = len(masks), masks
     return g
@@ -114,7 +124,8 @@ def parse_graph6(text: str) -> Graph:
     upper triangle in column order (column j is bits j(j-1)/2 ..
     j(j+1)/2 - 1, row 0 first).  Column j's bits are then the mask of j's
     neighbours below j, and the bits from n(n-1)/2 up are the padding,
-    which must be zero."""
+    which must be zero.  The vertex cap is checked by `_from_masks`, after
+    the length checks, so a malformed line stays a GraphParseError."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
@@ -164,8 +175,8 @@ def parse_graph6(text: str) -> Graph:
 
 
 def encode_graph6(g: Graph) -> str:
-    """Encode as canonical graph6 (n <= 258047): the one-byte order for
-    n <= 62, else byte 126 and n in 18 bits."""
+    """Encode as canonical graph6: the one-byte order for n <= 62, else
+    byte 126 and n in 18 bits, which holds every order a Graph has."""
     n = g.n
     out = [n + 63] if n < 63 else [126] + [63 + (n >> s & 63) for s in (12, 6, 0)]
     acc = 0
@@ -279,49 +290,44 @@ def empty_graph(n: int) -> Graph:
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs n >= 1")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph(n, combinations(range(n), 2))
 
 
 def star_graph(n: int) -> Graph:
     """K_{1,n} with center 0."""
     if n < 1:
         raise ValueError("star needs n >= 1 leaves")
-    return Graph(n + 1, [(0, i) for i in range(1, n + 1)])
+    return Graph(n + 1, ((0, i) for i in range(1, n + 1)))
 
 
 def complete_multipartite_graph(sizes: Sequence[int]) -> Graph:
     if len(sizes) < 1 or any(s < 1 for s in sizes):
         raise ValueError("multipartite needs p >= 1 parts of size >= 1")
-    bounds = [0]
+    parts, start = [], 0
     for s in sizes:
-        bounds.append(bounds[-1] + s)
-    n = bounds[-1]
-    edges = []
-    for p in range(len(sizes)):
-        for q in range(p + 1, len(sizes)):
-            for u in range(bounds[p], bounds[p + 1]):
-                for v in range(bounds[q], bounds[q + 1]):
-                    edges.append((u, v))
-    return Graph(n, edges)
+        parts.append(range(start, start + s))
+        start += s
+    return Graph(start, ((u, v) for p, q in combinations(parts, 2) for u in p for v in q))
 
 
 def corona(g: Graph) -> Graph:
     """Append one pendant neighbor to every vertex; mate of i is n + i."""
     n = g.n
-    edges = list(g.edges()) + [(i, n + i) for i in range(n)]
-    return Graph(2 * n, edges)
+    return _from_masks(
+        tuple(m | 1 << n + i for i, m in enumerate(g.masks)) + tuple(1 << i for i in range(n))
+    )
 
 
 def spider_graph(n: int) -> Graph:
@@ -339,12 +345,11 @@ def centipede_graph(n: int) -> Graph:
 
 
 def disjoint_union(*graphs: Graph) -> Graph:
-    edges = []
-    offset = 0
+    masks = []
     for g in graphs:
-        edges.extend((u + offset, v + offset) for u, v in g.edges())
-        offset += g.n
-    return Graph(offset, edges)
+        offset = len(masks)
+        masks.extend(m << offset for m in g.masks)
+    return _from_masks(tuple(masks))
 
 
 def complement(g: Graph) -> Graph:
@@ -465,8 +470,8 @@ def pendant_edges_form_perfect_matching(g: Graph) -> bool:
 
 
 def alpha(g: Graph) -> int:
-    """The stability number, read as deg I(G) from the pivot engine, whose
-    cap (VERTEX_LIMIT, 64 vertices) and message it shares."""
+    """The stability number, read as deg I(G) from the pivot engine, which
+    takes every Graph (at most VERTEX_LIMIT, 64 vertices)."""
     from .indpoly import independence_polynomial  # indpoly imports this module
 
     return independence_polynomial(g).degree
@@ -516,7 +521,7 @@ def is_well_covered(g: Graph) -> bool:
     """True iff every maximal stable set has the same cardinality.
 
     A graph whose pendant edges form a perfect matching, such as every
-    corona G*, is well-covered at any order.  Any other graph has its
+    corona G*, is well-covered up to the cap.  Any other graph has its
     maximal stable sets enumerated, up to WELL_COVERED_LIMIT vertices."""
     if pendant_edges_form_perfect_matching(g):
         return True
@@ -533,7 +538,7 @@ def is_well_covered(g: Graph) -> bool:
 def is_very_well_covered(g: Graph) -> bool:
     """True iff g has no isolated vertex, is well-covered and has
     alpha = n/2, as has every graph whose pendant edges form a perfect
-    matching, at any order and with no engine call."""
+    matching, up to the cap and with no engine call."""
     if g.n == 0 or not all(g.masks):
         return False
     if pendant_edges_form_perfect_matching(g):

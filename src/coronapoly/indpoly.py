@@ -41,14 +41,13 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 
-from .errors import ResourceLimitError
 from .graphs import VERTEX_LIMIT, Graph, _mask_bits, connected_components, is_forest
 from .polynomials import IntPolynomial, add, mul  # tuple kernel: forest DP only
 
 # Bits per packed coefficient.  Every coefficient the engine forms counts
 # stable sets of an induced subgraph H, so it is at most
-# C(|H|, k) <= C(VERTEX_LIMIT, VERTEX_LIMIT // 2) < 2^64: raising
-# VERTEX_LIMIT past 64 needs a wider slot.
+# C(|H|, k) <= C(VERTEX_LIMIT, VERTEX_LIMIT // 2) < 2^64, as no Graph is
+# larger: raising VERTEX_LIMIT past 64 needs a wider slot.
 SLOT = 64
 _SLOT_MASK = (1 << SLOT) - 1
 
@@ -112,7 +111,11 @@ def independence_polynomial(
     C(|H|, k) <= C(64, 32) < 2^64.  A `pivot` override still splits into
     induced subgraphs, so the argument holds for it too.
 
-    The cap is 64 vertices (VERTEX_LIMIT), for every graph.
+    |H| <= 64 rests on the Graph type, which refuses more than
+    VERTEX_LIMIT vertices; nothing here checks it, and C(68, 34) > 2^64,
+    so a 68-vertex graph reaching the engine would get wrong counts and
+    no error.
+
     `pivot` overrides the pivot rule on components with two or more hubs
     (it receives the neighbor masks and the component's vertex mask and
     must return a vertex in it); it exists so tests can confirm the result
@@ -125,10 +128,6 @@ def independence_polynomial(
     it raised the tracemalloc peak of one call from 0.01 MB to as much as
     0.46 MB, which counts against that benchmark's `peak_rss_mb`.
     """
-    if g.n > VERTEX_LIMIT:
-        raise ResourceLimitError(
-            f"independence polynomial: {g.n} vertices exceeds limit {VERTEX_LIMIT}"
-        )
     masks = g.masks
     nbr = {1 << v: m for v, m in enumerate(masks)}     # neighbour mask by bit
 
@@ -210,10 +209,6 @@ def independence_polynomial_tree(t: Graph) -> IntPolynomial:
     excluded, poly with it included).  Raises ValueError on a cycle."""
     if not is_forest(t):
         raise ValueError("input has a cycle; use independence_polynomial")
-    if t.n > VERTEX_LIMIT:
-        raise ResourceLimitError(
-            f"tree independence polynomial: {t.n} vertices exceeds {VERTEX_LIMIT}"
-        )
     nbrs = list(map(_mask_bits, t.masks))
     total: tuple[int, ...] = (1,)
     for comp in connected_components(t):

@@ -667,7 +667,7 @@ def root_bijection_check(g: Graph) -> BijectionReport:
     rational, iff its image is.
 
     q is never derived from p, or the identity would prove nothing; it
-    is computed first, so the engine's cap on the corona (2n vertices)
+    is computed first, so the vertex cap on the corona (2n vertices)
     fires before any other work.  A failed identity gives passed=False
     with a note, never an exception.
     """
@@ -752,7 +752,7 @@ def verify_bounds(g: Graph) -> BoundsReport:
     if g.n < 2:
         raise ValueError("bound verification needs n >= 2")
     n = g.n
-    # the enumeration's cap (WELL_COVERED_LIMIT) before the engine's, and
+    # the enumeration's cap (WELL_COVERED_LIMIT) before the engine runs, and
     # the clique number, the stability number of the complement, before
     # any root work
     wc = is_well_covered(g)
@@ -843,7 +843,8 @@ def bounds_root_report(g: Graph) -> RootReport:
 
 def check_hk_order(seed: Graph, k: int) -> None:
     """Raise before any work unless H_k, the k-fold corona of `seed`
-    (2^k * n vertices), fits the forest DP's cap, VERTEX_LIMIT."""
+    (2^k * n vertices), is within VERTEX_LIMIT, the most a Graph has, so
+    no smaller H_k is built first."""
     if k < 1:
         raise ValueError("k must be >= 1")
     order = 2**k * seed.n

@@ -139,8 +139,8 @@ def _coefficient_key(item: StreamItem) -> tuple[tuple[int, ...] | None, str]:
     engine runs once per isomorphism class rather than once per item.
     That holds whatever the search's canonicity, since equal codes always
     mean relabellings of one graph (see ``canonical_code``), and relabelled
-    graphs have one polynomial.  Codes and the engine share one cap, so a
-    graph over it is an error record from its code.
+    graphs have one polynomial.  A line over the vertex cap is refused by
+    its parse, so it is an error record before any code or engine run.
     """
     try:
         g = item_parse(item)

@@ -172,8 +172,8 @@ def _check_item(suite: str, item) -> str | None:
 
 def run_hk_suite(max_k: int | None = None) -> SuiteResult:
     """Iterated coronas of K_2: exact root at -1/k for k = 1..max_k
-    (default DEFAULT_MAX_K).  H_max_k is checked against the forest DP's
-    cap, VERTEX_LIMIT, before any H_k is built."""
+    (default DEFAULT_MAX_K).  H_max_k is checked against the vertex cap,
+    VERTEX_LIMIT, before any H_k is built."""
     if max_k is None:
         max_k = DEFAULT_MAX_K
     seed = complete_graph(2)

@@ -49,3 +49,7 @@ EQUAL_TREES10_B = Graph(
     10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 9), (6, 7), (3, 7), (4, 8)]
 )
 EQUAL_TREES10_POLY = (1, 10, 36, 58, 42, 12, 1)
+
+# the empty graph on 65 vertices, one past the vertex cap, as a graph6
+# line: the long header for 65, then 65*64/2 = 2080 zero bits in 347 bytes
+EMPTY65_GRAPH6 = "~?@@" + "?" * 347

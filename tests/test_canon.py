@@ -137,13 +137,15 @@ def test_codes_match_the_old_flow():
 
 
 def test_code_cap_messages():
-    # one cap, checked before the forest peel: a forest, a cycle beside
-    # isolated vertices and a cycle get the same refusal
-    for g in (path_graph(65), disjoint_union(cycle_graph(31), Graph(34)), cycle_graph(65)):
-        with pytest.raises(
-            ResourceLimitError, match=r"^canonical code: 65 vertices exceeds limit 64$"
-        ):
-            canonical_code(g)
+    # the cap is the Graph type's: a forest, a cycle beside isolated
+    # vertices and a cycle are coded at 64 vertices, and at 65 each gets
+    # the same refusal, before there is a graph to code
+    makers = (path_graph, lambda n: disjoint_union(cycle_graph(31), Graph(n - 31)), cycle_graph)
+    for make, kind in zip(makers, b"TGG"):
+        code = canonical_code(make(64))
+        assert code[:2] == bytes([kind, 64])
+        with pytest.raises(ResourceLimitError, match=r"^graph: 65 vertices exceeds limit 64$"):
+            make(65)
 
 
 def test_refine_matches_reference(monkeypatch):

@@ -5,6 +5,8 @@ import random
 import signal
 import subprocess
 import sys
+import tracemalloc
+from io import StringIO
 from math import comb
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from coronapoly.graphs import (
 )
 from coronapoly.indpoly import independence_polynomial
 from coronapoly.polynomials import IntPolynomial
+from knowngraphs import EMPTY65_GRAPH6
 
 
 def run(capsys, *argv):
@@ -331,20 +334,114 @@ def test_gen_family_at_the_vertex_cap(capsys, argv):
     ],
 )
 def test_gen_family_over_the_vertex_cap_exit_code(monkeypatch, capsys, argv, n):
-    # the closed forms check no size: the cap is checked before the graph
-    # is built, from the family's vertex count
+    # the closed forms check no size: the family's Graph refuses its order
+    # before any closed form, engine run or encoding (a spider or a
+    # centipede from its corona)
     from coronapoly import cli
 
     def _must_not_run(*args, **kwargs):
         raise AssertionError("work started before the cap was checked")
 
-    monkeypatch.setattr(cli, "_FAMILIES", dict.fromkeys(cli._FAMILIES, _must_not_run))
     monkeypatch.setattr(cli, "_CLOSED_FORMS", dict.fromkeys(cli._CLOSED_FORMS, _must_not_run))
     monkeypatch.setattr(cli, "independence_polynomial", _must_not_run)
     monkeypatch.setattr(cli, "encode_graph6", _must_not_run)
     code, out, err = run(capsys, "gen", *argv)
     assert code == 3
-    assert out == "" and err == f"coronapoly: resource limit: gen: {n} vertices exceeds limit 64\n"
+    assert out == "" and err == f"coronapoly: resource limit: graph: {n} vertices exceeds limit 64\n"
+
+
+def _peak_of_main(capsys, *argv):
+    """(exit code, stdout, stderr, tracemalloc peak in bytes) of one main call."""
+    tracemalloc.start()
+    try:
+        code = main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr()
+    return code, out.out, out.err, peak
+
+
+@pytest.mark.parametrize("command", ["poly", "corona", "roots", "gen"])
+def test_family_over_the_cap_refused_before_any_work(capsys, command):
+    # K_1000 has 499,500 edges; its Graph refuses the order before one
+    # edge tuple exists
+    code, out, err, peak = _peak_of_main(capsys, command, "--family", "complete", "--n", "1000")
+    assert code == 3 and out == ""
+    assert err == "coronapoly: resource limit: graph: 1000 vertices exceeds limit 64\n"
+    assert peak < 1 << 20
+
+
+def test_edge_list_over_the_cap_refused_before_any_work(monkeypatch, capsys):
+    # the count line alone decides: no mask list of 10^9 entries is made
+    monkeypatch.setattr(sys, "stdin", StringIO("1000000000\n0 1\n"))
+    code, out, err, peak = _peak_of_main(capsys, "poly", "--input", "-", "--format", "edgelist")
+    assert code == 3 and out == ""
+    assert err == "coronapoly: resource limit: graph: 1000000000 vertices exceeds limit 64\n"
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "bounds", "--jobs", "1"),
+        ("search", "--mode", "conjecture2", "--jobs", "1"),
+        ("poly",),
+    ],
+)
+def test_graph6_line_over_the_cap_exit_code(tmp_path, capsys, argv):
+    # refused by its parse, not by a layer's cap or as a disconnected graph
+    path = tmp_path / "in.g6"
+    path.write_text(EMPTY65_GRAPH6 + "\n")
+    code, out, err = run(capsys, *argv, "--input", str(path))
+    assert code == 3 and out == ""
+    assert err == "coronapoly: resource limit: graph: 65 vertices exceeds limit 64\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_equal_poly_records_a_line_over_the_cap(tmp_path, capsys, jobs):
+    path = tmp_path / "in.g6"
+    path.write_text(EMPTY65_GRAPH6 + "\n")
+    code, out, _ = run(
+        capsys, "search", "--mode", "equal-poly", "--jobs", jobs, "--output", "json",
+        "--input", str(path),
+    )
+    assert code == 2
+    got = json.loads(out)
+    assert got["graphs"] == 0 and got["errors"] == ["line 1: graph: 65 vertices exceeds limit 64"]
+
+
+def test_corona_over_the_cap_exit_code(capsys):
+    # P_40 is built; its corona, on 80 vertices, is refused
+    code, out, err = run(capsys, "corona", "--family", "path", "--n", "40")
+    assert code == 3 and out == ""
+    assert err == "coronapoly: resource limit: graph: 80 vertices exceeds limit 64\n"
+
+
+def test_transform_at_the_vertex_cap(capsys):
+    # the skeleton order is a vertex count, and 64 runs both ways
+    t = corona_coefficients(IntPolynomial((1, 2)), 64)
+    code, out, err = run(capsys, "transform", "--coeffs", "1,2", "--n", "64")
+    assert (code, out, err) == (0, f"{t}\n", "")
+    coeffs = ",".join(map(str, t.coeffs))
+    code, out, err = run(capsys, "transform", "--coeffs", coeffs, "--n", "64", "--inverse")
+    assert (code, out, err) == (0, "1 + 2x\n", "")
+
+
+@pytest.mark.parametrize("n", [65, 10**9])
+@pytest.mark.parametrize("inverse", [(), ("--inverse",)])
+def test_transform_over_the_vertex_cap_exit_code(monkeypatch, capsys, n, inverse):
+    # the skeleton order is a vertex count, refused before any binomial
+    # sum, in either direction
+    from coronapoly import corona as corona_mod
+
+    def _must_not_run(*args, **kwargs):
+        raise AssertionError("a sum started before the cap was checked")
+
+    monkeypatch.setattr(corona_mod, "comb", _must_not_run)
+    code, out, err = run(capsys, "transform", "--coeffs", "1,2", "--n", str(n), *inverse)
+    assert code == 3 and out == ""
+    assert err == f"coronapoly: resource limit: graph: {n} vertices exceeds limit 64\n"
 
 
 def test_spider_unique_over_the_cap_exit_code(monkeypatch, capsys):
@@ -625,7 +722,7 @@ def test_roots_on_a_corona_past_the_enumeration_cap(tmp_path, capsys):
 
 def test_roots_on_a_forest_corona_past_the_alpha_cap(tmp_path, capsys):
     # 62 vertices: the clique number is alpha of the complement, which fits
-    # the engine's cap of 64
+    # the vertex cap of 64
     stream = tmp_path / "corona31.g6"
     stream.write_text(encode_graph6(corona(path_graph(31))) + "\n")
     code, out, err = run(capsys, "roots", "--input", str(stream))

@@ -10,7 +10,9 @@ from coronapoly.graphs import (
     WELL_COVERED_LIMIT,
     Graph,
     StreamItem,
+    _from_masks,
     alpha,
+    centipede_graph,
     complement,
     complete_graph,
     complete_multipartite_graph,
@@ -39,7 +41,7 @@ from coronapoly.graphs import (
     star_graph,
 )
 from corpus import graphs_upto, trees_upto
-from knowngraphs import DENSE6_A, PAIR6_A
+from knowngraphs import DENSE6_A, EMPTY65_GRAPH6, PAIR6_A
 from oracles import (
     bitwise_parse_graph6,
     brute_alpha,
@@ -65,6 +67,51 @@ def test_construction_invariants():
         Graph(2, [(0, 0)])
     with pytest.raises(ValueError):
         Graph(2, [(0, 2)])
+
+
+# the empty graphs on 64 and 65 vertices: a long header, then n(n-1)/2
+# zero bits in 336 and 347 bytes
+_EMPTY_GRAPH6 = {64: "~?@?" + "?" * 336, 65: EMPTY65_GRAPH6}
+
+
+# Every path that makes a Graph: (build, its argument at 64 vertices, its
+# argument past 64, and the order it is refused at).  A corona doubles, so
+# the spider, the centipede and the corona go from 64 to 66.
+_GRAPH_PATHS = {
+    "Graph": (Graph, 64, 65, 65),
+    "empty": (empty_graph, 64, 65, 65),
+    "path": (path_graph, 64, 65, 65),
+    "cycle": (cycle_graph, 64, 65, 65),
+    "complete": (complete_graph, 64, 65, 65),
+    "star": (star_graph, 63, 64, 65),
+    "spider": (spider_graph, 31, 32, 66),
+    "centipede": (centipede_graph, 32, 33, 66),
+    "multipartite": (complete_multipartite_graph, (30, 34), (30, 35), 65),
+    "corona": (lambda n: corona(cycle_graph(n)), 32, 33, 66),
+    "disjoint_union": (lambda n: disjoint_union(cycle_graph(30), Graph(n - 30)), 64, 65, 65),
+    "parse_graph6": (lambda n: parse_graph6(_EMPTY_GRAPH6[n]), 64, 65, 65),
+    "parse_edge_list": (lambda n: parse_edge_list(f"{n}\n"), 64, 65, 65),
+    "_from_masks": (lambda n: _from_masks((0,) * n), 64, 65, 65),
+}
+
+
+@pytest.mark.parametrize("name", _GRAPH_PATHS)
+def test_every_path_to_a_graph_has_the_one_vertex_cap(name):
+    build, at_cap, over, refused_at = _GRAPH_PATHS[name]
+    assert build(at_cap).n == 64
+    with pytest.raises(
+        ResourceLimitError, match=rf"^graph: {refused_at} vertices exceeds limit 64$"
+    ):
+        build(over)
+
+
+def test_the_cap_is_checked_before_any_edge_is_read():
+    def edges():
+        raise AssertionError("an edge was read")
+        yield
+
+    with pytest.raises(ResourceLimitError, match=r"^graph: 1000000000 vertices exceeds limit 64$"):
+        Graph(10**9, edges())
 
 
 def test_adjacency_symmetry_random():
@@ -430,14 +477,13 @@ def test_alpha_examples():
         assert alpha(complete_graph(n)) == 1
     assert alpha(cycle_graph(7)) == 3
     assert alpha(empty_graph(6)) == 6
-    # alpha is deg I(G) from the engine, so it has the engine's cap
+    # alpha is deg I(G) from the engine, which takes every Graph; there is
+    # no Graph on 65 vertices to ask about
     assert alpha(empty_graph(64)) == 64
     assert alpha(cycle_graph(64)) == 32
-    for g in (empty_graph(65), cycle_graph(65)):
-        with pytest.raises(
-            ResourceLimitError, match=r"^independence polynomial: 65 vertices exceeds limit 64$"
-        ):
-            alpha(g)
+    for make in (empty_graph, cycle_graph):
+        with pytest.raises(ResourceLimitError, match=r"^graph: 65 vertices exceeds limit 64$"):
+            alpha(make(65))
 
 
 def test_alpha_against_oracle():
@@ -519,10 +565,17 @@ def test_very_well_covered():
     assert not is_very_well_covered(disjoint_union(complete_graph(2), Graph(1)))
 
 
-def test_very_well_covered_by_its_pendant_matching_past_40_vertices():
-    # no forest, past the engine's cap of 64: the pendant matching alone decides
-    c = corona(cycle_graph(33))
-    assert c.n == 66 and not is_forest(c)
+def test_very_well_covered_by_its_pendant_matching_past_40_vertices(monkeypatch):
+    # no forest, at the vertex cap: the pendant matching alone decides,
+    # with no engine call
+    from coronapoly import indpoly
+
+    def _must_not_run(*args, **kwargs):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(indpoly, "independence_polynomial", _must_not_run)
+    c = corona(cycle_graph(32))
+    assert c.n == 64 and not is_forest(c)
     assert is_very_well_covered(c)
 
 

@@ -307,10 +307,8 @@ def test_bijection_reports():
     for g in [complete_graph(2), star_graph(2), cycle_graph(5), path_graph(6), empty_graph(11)]:
         report = root_bijection_check(g)
         assert report.passed, report.notes
-    # the corona of K_33 has 66 vertices, past the engine's cap of 64
-    with pytest.raises(
-        ResourceLimitError, match="^independence polynomial: 66 vertices exceeds limit 64$"
-    ):
+    # the corona of K_33 would have 66 vertices, past the vertex cap of 64
+    with pytest.raises(ResourceLimitError, match="^graph: 66 vertices exceeds limit 64$"):
         root_bijection_check(complete_graph(33))
 
 
@@ -394,7 +392,7 @@ def test_bounds_on_coronas_past_the_enumeration_cap():
 
 def test_bounds_on_forest_coronas_past_the_alpha_cap():
     # 42, 50 and 62 vertices: the clique number is alpha of the complement,
-    # a dense graph on as many vertices, within the engine's cap
+    # a dense graph on as many vertices, within the vertex cap
     for k in (21, 25, 31):
         report = verify_bounds(corona(path_graph(k)))
         assert report.bounds["annulus"].applicable   # well-covered
@@ -404,8 +402,9 @@ def test_bounds_on_forest_coronas_past_the_alpha_cap():
 
 
 def test_bounds_check_their_caps_before_root_work(monkeypatch):
-    # a 66-vertex corona is past the engine's cap of 64, and so alpha's:
-    # the call must stop before the root pass
+    # C_25 is past the maximal-stable-set enumeration's cap of 24: the call
+    # must stop before the root pass; a 66-vertex corona is past the vertex
+    # cap of 64, and is refused before there is a graph to pass
     from coronapoly import roots
 
     def no_root_work(*args, **kwargs):
@@ -413,7 +412,9 @@ def test_bounds_check_their_caps_before_root_work(monkeypatch):
 
     monkeypatch.setattr(roots, "root_report", no_root_work)
     monkeypatch.setattr(roots, "isolate_real_roots", no_root_work)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="^maximal stable sets: 25 vertices exceeds limit 24$"):
+        verify_bounds(cycle_graph(25))
+    with pytest.raises(ResourceLimitError, match="^graph: 66 vertices exceeds limit 64$"):
         verify_bounds(corona(cycle_graph(33)))
 
 

@@ -35,6 +35,7 @@ from knowngraphs import (
     CHAIR_TREE,
     DENSE6_A,
     DENSE6_B,
+    EMPTY65_GRAPH6,
     EQUAL_TREES10_A,
     EQUAL_TREES10_B,
     EQUAL_TREES10_POLY,
@@ -110,10 +111,9 @@ def test_stream_errors_recorded_not_fatal():
 
 def test_graph_past_the_vertex_cap_is_an_error_record():
     # a 63-vertex item is classified and named in graph6's long form; a
-    # 65-vertex item is an error from its canonical code, and the report
-    # survives
-    report = group_by_polynomial([path_graph(65), path_graph(63), path_graph(5)])
-    assert report.errors == ["item 0: canonical code: 65 vertices exceeds limit 64"]
+    # 65-vertex line is refused by its parse, and the report survives
+    report = group_by_polynomial([EMPTY65_GRAPH6, path_graph(63), path_graph(5)])
+    assert report.errors == ["item 0: graph: 65 vertices exceeds limit 64"]
     assert [c.members for c in report.classes] == [
         [encode_graph6(path_graph(5))], [encode_graph6(path_graph(63))],
     ]
@@ -183,10 +183,10 @@ def test_codes_over_their_cap_skip_the_table(engine_calls):
         assert cls.coefficients == independence_polynomial(c).coeffs
         assert len(cls.members) == 3 and cls.all_isomorphic is True and report.errors == []
     assert engine_calls == [31, 64] and len(search._key_by_code) == 2
-    # a graph over the cap is an error record from its code, before the engine
-    report = group_by_polynomial([cycle_graph(65)])
+    # a line over the cap is an error record from its parse, before the engine
+    report = group_by_polynomial([EMPTY65_GRAPH6])
     assert report.classes == [] and report.graphs_seen == 0
-    assert report.errors == ["item 0: canonical code: 65 vertices exceeds limit 64"]
+    assert report.errors == ["item 0: graph: 65 vertices exceeds limit 64"]
     assert engine_calls == [31, 64]
 
 
