@@ -65,10 +65,8 @@ from .corona import (
 from .roots import (
     BijectionReport,
     BoundCheck,
-    BoundsReport,
     RootReport,
     all_roots_real,
-    bounds_root_report,
     build_hk,
     count_distinct_real_roots,
     count_distinct_roots_in_disc,
@@ -78,7 +76,6 @@ from .roots import (
     negative_tail_sign_check,
     numeric_roots,
     root_bijection_check,
-    root_report,
     square_free_decomposition,
     square_free_part,
     sturm_chain,

@@ -60,7 +60,7 @@ from .graphs import (
 )
 from .indpoly import independence_polynomial
 from .polynomials import IntPolynomial
-from .roots import bounds_root_report, root_report
+from .roots import RootReport, verify_bounds
 
 atexit.register(gc.freeze)  # Py_FinalizeEx's collections skip frozen objects: ~6 ms a call
 
@@ -369,7 +369,7 @@ def _cmd_transform(args) -> int:
 
 def _roots_text(as_json: bool, item: StreamItem) -> str:
     g = item_parse(item)
-    report = bounds_root_report(g) if g.n >= 2 else root_report(independence_polynomial(g))
+    report = verify_bounds(g) if g.n >= 2 else RootReport(independence_polynomial(g))
     if as_json:
         payload = report.to_json()
         payload["graph"] = item_graph6(item.graph)

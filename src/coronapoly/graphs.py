@@ -334,6 +334,7 @@ def spider_graph(n: int) -> Graph:
     """corona(K_{1,n}) for n >= 2; 2(n+1) vertices, center 0, its mate n+1."""
     if n < 2:
         raise ValueError("spider needs n >= 2 (K_1, K_2, P_4 are the degenerate cases)")
+    check_order(2 * (n + 1))    # the spider's order, not its star's
     return corona(star_graph(n))
 
 
@@ -341,6 +342,7 @@ def centipede_graph(n: int) -> Graph:
     """corona(P_n)."""
     if n < 1:
         raise ValueError("centipede needs n >= 1")
+    check_order(2 * n)
     return corona(path_graph(n))
 
 

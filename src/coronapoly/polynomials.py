@@ -6,7 +6,9 @@ comes from a graph.  All arithmetic is exact: coefficients are Python
 ints, and evaluation accepts any ring element (int, Fraction, float,
 complex).  The zero polynomial has an empty coefficient tuple and
 degree -1.  The module-level functions are the one integer kernel: they
-work on raw coefficient tuples, for the pivot engine and the root core.
+work on raw coefficient tuples, for the pivot engine and the root core,
+whose Sturm chains, gcds and disc-count Cauchy indices all come from the
+one signed remainder sequence, ``remainder_chain``.
 """
 
 from __future__ import annotations
@@ -65,6 +67,18 @@ def prem(a: Coeffs, b: Coeffs) -> Coeffs:
             for i in range(db):
                 r[k + i] -= c * b[i]
     return primitive(_strip(r))
+
+
+def remainder_chain(a: Coeffs, b: Coeffs) -> list[Coeffs]:
+    """The signed remainder sequence a, b, -prem(a, b), ... down to its last
+    nonzero member, gcd(a, b) up to a constant; [a] when b is zero.  Each
+    prem scales by |lc| only, so the chain keeps the signs of the Euclidean
+    one: for (p, p') it is p's Sturm chain."""
+    chain = [a]
+    while b:
+        chain.append(b)
+        b = tuple(-c for c in prem(chain[-2], b))
+    return chain
 
 
 def exact_div(a: Coeffs, b: Coeffs) -> Coeffs:

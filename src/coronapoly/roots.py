@@ -1,19 +1,22 @@
 """Root analysis: exact real roots, exact disc counts, numeric complex roots.
 
 Real roots are certified in integer arithmetic alone.  Each polynomial
-gets one pseudo-remainder primitive PRS, its cached Sturm chain (scaling
-by |lc|, never lc, keeps the signs).  The chain ends in gcd(p, p') up to
-a constant, so the square-free part, Yun's first step and the realness
-verdict read it there instead of running a PRS of their own.  Isolation
-bisects the chain of the square-free part from a power-of-two root bound,
-so every endpoint is a dyadic u/2^k and each sign an integer Horner pass;
-Fractions appear only in the report, as interval endpoints.  Every half-open
-membership test that appears in a bound (for instance xi_max <
--1/(2n-1)) is a Sturm count of the real roots at the bound's own
-rational, never a float.
+gets one pseudo-remainder primitive PRS, its cached Sturm chain, the
+kernel's ``remainder_chain`` of (p, p') (scaling by |lc|, never lc,
+keeps the signs), which Yun's later gcds and the disc counts also run.
+The chain ends in gcd(p, p') up to a constant, so the square-free part,
+Yun's first step and the realness verdict read it there.  Isolation
+bisects the chain of the square-free part from a power-of-two root
+bound, so every endpoint is a dyadic u/2^k and each sign an integer
+Horner pass; Fractions appear only in the report, as interval endpoints.
+Every half-open membership test that appears in a bound (for instance
+xi_max < -1/(2n-1)) is a Sturm count of the real roots at the bound's
+own rational, never a float.
 
-Each polynomial gets one root pass (``root_report``): one exact isolation,
-then the nonreal roots of each Yun factor.  A factor with as many
+One report type, ``RootReport``, carries a polynomial, its roots and the
+named bound verdicts, and computes each root list on its first read.
+Its root pass (``_complex_roots``) starts from the exact isolation and
+finds the nonreal roots of each Yun factor.  A factor with as many
 isolated roots as its degree is real-rooted, and its intervals are all
 there is to report: it runs no float code.  A factor with nonreal roots
 gets one deterministic Aberth run, and the exact intervals decide
@@ -26,11 +29,11 @@ The named bounds need no root pass.  ``verify_bounds`` reads Sturm counts
 at the bounds' rationals and ``count_distinct_roots_in_disc``, which
 counts the distinct roots inside and on a circle of rational radius in
 integers alone, so every verdict is exact and the bounds suite runs no
-Aberth, no float and, on most graphs, no isolation.
-Only ``bounds_root_report``, what ``roots`` prints, adds the root pass
-beside the verdicts, which it carries over unchanged.  The complex roots
-printed are numeric: the report schema marks them as "numeric-residual"
-certification, in contrast to the exact real side.
+Aberth, no float and, on most graphs, no isolation.  Only ``roots``,
+which prints the report's complex roots, runs the root pass beside the
+verdicts.  The complex roots printed are numeric: the report schema
+marks them as "numeric-residual" certification, in contrast to the
+exact real side.
 """
 
 from __future__ import annotations
@@ -38,10 +41,9 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from operator import ne
 
 from .corona import corona_polynomial_identity
 from .errors import ResourceLimitError, RootConvergenceError
@@ -57,7 +59,7 @@ from .graphs import (
     is_well_covered,
 )
 from .indpoly import independence_polynomial, independence_polynomial_tree
-from .polynomials import IntPolynomial, exact_div, prem, primitive, sign_at, sign_at_dyadic
+from .polynomials import Coeffs, IntPolynomial, exact_div, primitive, remainder_chain, sign_at, sign_at_dyadic
 
 # -- exact (1+x) structure ----------------------------------------------------
 
@@ -86,35 +88,16 @@ def deflate_minus_one(p: IntPolynomial) -> IntPolynomial:
 
 
 @lru_cache(maxsize=4096)
-def sturm_chain(p: IntPolynomial) -> tuple[IntPolynomial, ...]:
-    """Signed remainder chain of (p, p'), each element reduced to its
-    primitive part (positive scaling only, so the sign pattern survives).
-    It is the PRS of (p, p'), so its last member is gcd(p, p') up to a
-    constant; the square-free part, Yun's first step and ``all_roots_real``
-    read it there."""
-    f0 = p.primitive_part()
-    chain = [f0]
-    f1 = f0.derivative().primitive_part()
-    if f1:
-        chain.append(f1)
-        while True:
-            r = prem(chain[-2].coeffs, chain[-1].coeffs)
-            if not r:
-                break
-            chain.append(-IntPolynomial(r))
-    return tuple(chain)
+def sturm_chain(p: IntPolynomial) -> tuple[Coeffs, ...]:
+    """The remainder chain of (p, p'), each reduced to its primitive part
+    (positive scaling only, so the sign pattern survives), as coefficient
+    tuples.  Its last member is gcd(p, p') up to a constant; the
+    square-free part, Yun's first step and ``all_roots_real`` read it there."""
+    return tuple(remainder_chain(primitive(p.coeffs), primitive(p.derivative().coeffs)))
 
 
-def _gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """A primitive gcd by the primitive PRS (its sign is not normalised)."""
-    x, y = a.coeffs, b.coeffs
-    while y:
-        x, y = y, prem(x, y)
-    return IntPolynomial(primitive(x))
-
-
-def _quo(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    return IntPolynomial(exact_div(a.coeffs, b.coeffs))
+def _quo(a: IntPolynomial, b: Coeffs) -> IntPolynomial:
+    return IntPolynomial(exact_div(a.coeffs, b))
 
 
 def _normal(f: IntPolynomial) -> IntPolynomial:
@@ -129,7 +112,7 @@ def square_free_part(p: IntPolynomial) -> IntPolynomial:
     if not p:
         raise ValueError("zero polynomial")
     g = sturm_chain(p)[-1]
-    return _normal(p if g.degree == 0 else _quo(p, g))
+    return _normal(p if len(g) == 1 else _quo(p, g))
 
 
 @lru_cache(maxsize=4096)
@@ -142,7 +125,7 @@ def square_free_decomposition(p: IntPolynomial) -> tuple[tuple[IntPolynomial, in
     if p.degree == 0:
         return ()
     g = sturm_chain(p)[-1]
-    if g.degree == 0:
+    if len(g) == 1:
         return ((_normal(p), 1),)    # p is square-free
     # c and d are always divided by the same factor, so d - c' is taken
     # at one common scale, as over the rationals
@@ -152,9 +135,9 @@ def square_free_decomposition(p: IntPolynomial) -> tuple[tuple[IntPolynomial, in
     out = []
     i = 1
     while c.degree >= 1:
-        f = _gcd(c, d)
-        if f.degree >= 1:
-            out.append((_normal(f), i))
+        f = primitive(remainder_chain(c.coeffs, d.coeffs)[-1])
+        if len(f) > 1:
+            out.append((_normal(IntPolynomial(f)), i))
         c = _quo(c, f)
         d = _quo(d, f) - c.derivative()
         i += 1
@@ -164,13 +147,13 @@ def square_free_decomposition(p: IntPolynomial) -> tuple[tuple[IntPolynomial, in
 # -- counting and isolating real roots ---------------------------------------
 
 
-def _variations_at(chain: tuple[IntPolynomial, ...], x: Fraction | None, sign_at_infinity: int) -> int:
+def _variations_at(chain: Sequence[Coeffs], x: Fraction | None, sign_at_infinity: int) -> int:
     """Sign variations at x, or at -inf/+inf when x is None (sign_at_infinity = -1/+1)."""
     if x is not None:
-        signs = [s for s in (sign_at(f.coeffs, x) for f in chain) if s]
+        signs = [s for s in (sign_at(f, x) for f in chain) if s]
     else:
         signs = [
-            (1 if f.leading > 0 else -1) * (sign_at_infinity if f.degree % 2 else 1)
+            (1 if f[-1] > 0 else -1) * (sign_at_infinity if (len(f) - 1) % 2 else 1)
             for f in chain
         ]
     return sum(a != b for a, b in zip(signs, signs[1:]))
@@ -252,7 +235,7 @@ def isolate_real_roots(p: IntPolynomial) -> list[tuple[tuple[Fraction, Fraction]
         """Sign variations of the chain at x = u/2^(k-e), and whether q
         vanishes there (V at a root equals V just right of it)."""
         u, k = (u << e - k, 0) if k < e else (u, k - e)
-        signs = [sign_at_dyadic(f.coeffs, u, k) for f in chain]
+        signs = [sign_at_dyadic(f, u, k) for f in chain]
         nonzero = [s for s in signs if s]
         return sum(s != t for s, t in zip(nonzero, nonzero[1:])), signs[0] == 0
 
@@ -331,10 +314,10 @@ def all_roots_real(p: IntPolynomial) -> bool:
     if not p:
         raise ValueError("zero polynomial")
     chain = sturm_chain(p)
-    return _real_root_count(chain) == p.degree - chain[-1].degree
+    return _real_root_count(chain) == p.degree - (len(chain[-1]) - 1)
 
 
-def _real_root_count(chain: tuple[IntPolynomial, ...]) -> int:
+def _real_root_count(chain: Sequence[Coeffs]) -> int:
     """V(-oo) - V(+oo) on a remainder chain: the distinct real roots of
     its first member when it is a Sturm chain."""
     return _variations_at(chain, None, -1) - _variations_at(chain, None, +1)
@@ -379,18 +362,12 @@ def count_distinct_roots_in_disc(p: IntPolynomial, r: Fraction) -> tuple[int, in
     # i^j is 1, i, -1, -i for j = 0, 1, 2, 3 (mod 4)
     re = IntPolynomial([(c, 0, -c, 0)[j % 4] for j, c in enumerate(q)]).coeffs
     im = IntPolynomial([(0, c, 0, -c)[j % 4] for j, c in enumerate(q)]).coeffs
-    chain = [re, im] if m % 2 == 0 else [im, re]
-    while chain[-1]:
-        chain.append(tuple(-c for c in prem(chain[-2], chain[-1])))
-    chain.pop()
-    # the Cauchy index of chain[1]/chain[0], V(-oo) - V(+oo), from the
-    # leading signs, flipped at -oo for an odd degree
-    plus = [h[-1] > 0 for h in chain]
-    minus = [s == (len(h) % 2 == 1) for s, h in zip(plus, chain)]
-    index = sum(map(ne, minus, minus[1:])) - sum(map(ne, plus, plus[1:]))
+    chain = remainder_chain(re, im) if m % 2 == 0 else remainder_chain(im, re)
+    # the Cauchy index of chain[1]/chain[0] is V(-oo) - V(+oo)
+    index = _real_root_count(chain)
     turn = -index if m % 2 == 0 else index
-    gcd = IntPolynomial(chain[-1])
-    axis = _real_root_count(sturm_chain(gcd)) if gcd.degree >= 1 else 0
+    gcd = chain[-1]
+    axis = _real_root_count(sturm_chain(IntPolynomial(gcd))) if len(gcd) > 1 else 0
     return (m - axis + turn) // 2, axis + d - m
 
 
@@ -413,7 +390,7 @@ def numeric_roots(p: IntPolynomial) -> list[complex]:
     last correction sweep then moves every root, those frozen at the noise
     floor included, and every approximation is validated against a
     coefficient-scaled residual.  Nothing is made real or conjugate here;
-    ``root_report`` decides that from the exact isolation.
+    ``_complex_roots`` decides that from the exact isolation.
     """
     d = p.degree
     if d < 1:
@@ -516,59 +493,37 @@ class BoundCheck(namedtuple("BoundCheck", "name passed note", defaults=("",))):
         }
 
 
-def _real_roots_json(real_roots: list[tuple[Fraction, Fraction, int]]) -> list[dict]:
-    return [{"interval": [str(lo), str(hi)], "multiplicity": m} for lo, hi, m in real_roots]
+class RootReport:
+    """Exact isolating intervals of the real roots, numeric approximations
+    of the nonreal ones (conjugate pairs, lower first) and named bound
+    verdicts for one polynomial.  A root list not given is computed on its
+    first read: the isolation, then the root pass (``_complex_roots``)."""
 
-
-class BoundsReport:
-    """What ``verify_bounds`` returns: I(G), the exact isolating intervals
-    of its real roots, and the named bound verdicts, every one exact;
-    ``real_roots``, when not given, is isolated on its first read."""
-
-    __slots__ = ("polynomial", "_real_roots", "bounds")
+    __slots__ = ("polynomial", "_real", "_complex", "bounds")
 
     def __init__(
         self,
         polynomial: IntPolynomial,
         real_roots: list[tuple[Fraction, Fraction, int]] | None = None,
+        complex_roots: list[tuple[float, float, int]] | None = None,
         bounds: dict[str, BoundCheck] | None = None,
     ):
         self.polynomial = polynomial
-        self._real_roots = real_roots
+        self._real = real_roots
+        self._complex = complex_roots
         self.bounds = {} if bounds is None else bounds
 
     @property
     def real_roots(self) -> list[tuple[Fraction, Fraction, int]]:
-        if self._real_roots is None:
-            self._real_roots = [(lo, hi, m) for (lo, hi), m in isolate_real_roots(self.polynomial)]
-        return self._real_roots
+        if self._real is None:
+            self._real = [(lo, hi, m) for (lo, hi), m in isolate_real_roots(self.polynomial)]
+        return self._real
 
-    def to_json(self) -> dict:
-        return {
-            "polynomial": self.polynomial.to_json_coeffs(),
-            "real_roots": _real_roots_json(self.real_roots),
-            "bounds": [b.to_json() for b in self.bounds.values()],
-            "real_certification": "exact-sturm",
-        }
-
-
-class RootReport:
-    """Exact isolating intervals of the real roots, numeric approximations
-    of the nonreal ones, and named bound verdicts for one polynomial."""
-
-    __slots__ = ("polynomial", "real_roots", "complex_roots", "bounds")
-
-    def __init__(
-        self,
-        polynomial: IntPolynomial,
-        real_roots: list[tuple[Fraction, Fraction, int]],
-        complex_roots: list[tuple[float, float, int]],   # conjugate pairs, lower first
-        bounds: dict[str, BoundCheck] | None = None,
-    ):
-        self.polynomial = polynomial
-        self.real_roots = real_roots
-        self.complex_roots = complex_roots
-        self.bounds = {} if bounds is None else bounds
+    @property
+    def complex_roots(self) -> list[tuple[float, float, int]]:
+        if self._complex is None:
+            self._complex = _complex_roots(self.polynomial, self.real_roots)
+        return self._complex
 
     @property
     def minus_one_multiplicity(self) -> int:
@@ -578,7 +533,10 @@ class RootReport:
         return {
             "polynomial": self.polynomial.to_json_coeffs(),
             "minus_one_multiplicity": self.minus_one_multiplicity,
-            "real_roots": _real_roots_json(self.real_roots),
+            "real_roots": [
+                {"interval": [str(lo), str(hi)], "multiplicity": m}
+                for lo, hi, m in self.real_roots
+            ],
             "complex_roots": [
                 {"re": re, "im": im, "multiplicity": m}
                 for re, im, m in self.complex_roots
@@ -589,12 +547,11 @@ class RootReport:
         }
 
 
-def root_report(
-    p: IntPolynomial, real_roots: list[tuple[Fraction, Fraction, int]] | None = None
-) -> RootReport:
-    """The root pass: the exact isolation of p, then the nonreal roots of
-    each Yun factor.  An isolation already made, as (lo, hi, m) triples
-    (``BoundsReport.real_roots``), is passed as `real_roots` and not redone.
+def _complex_roots(
+    p: IntPolynomial, real_roots: list[tuple[Fraction, Fraction, int]]
+) -> list[tuple[float, float, int]]:
+    """The root pass: the nonreal roots of each Yun factor of p, given the
+    exact isolation of p as (lo, hi, m) triples.
 
     Yun's factors have distinct multiplicities, so the k intervals of
     multiplicity m hold the real roots of the factor f of multiplicity m.
@@ -605,8 +562,6 @@ def root_report(
     across the axis, each one above it reported with its exact conjugate.
     A mismatch raises RootConvergenceError.
     """
-    if real_roots is None:
-        real_roots = [(lo, hi, m) for (lo, hi), m in isolate_real_roots(p)]
     complexes: list[tuple[float, float, int]] = []
     for f, m in square_free_decomposition(p):
         slots = [(lo, hi) for lo, hi, mult in real_roots if mult == m]
@@ -628,7 +583,7 @@ def root_report(
             )
         for z in upper:
             complexes += [(z.real, -z.imag, m), (z.real, z.imag, m)]
-    return RootReport(polynomial=p, real_roots=real_roots, complex_roots=complexes)
+    return complexes
 
 
 # -- the root bijection --------------------------------------------------------
@@ -728,7 +683,7 @@ def _nearest_root_real_unique(
     return False, f"not certified: {_NEAREST_BISECTIONS} bisections left another root within |lo|"
 
 
-def verify_bounds(g: Graph) -> BoundsReport:
+def verify_bounds(g: Graph) -> RootReport:
     """Evaluate every applicable named root-location bound for I(G).
 
     Bounds:
@@ -746,8 +701,8 @@ def verify_bounds(g: Graph) -> BoundsReport:
     the bound's own rationals, and a leg on all roots reads
     ``count_distinct_roots_in_disc``.  The real roots are isolated only
     where a disc count at |lower| leaves the smallest-modulus root open.
-    No root is approximated: ``bounds_root_report`` adds the root pass
-    beside these verdicts.  Inapplicable bounds report ``passed=None``.
+    No root is approximated until the report's ``complex_roots`` are read,
+    by ``roots``.  Inapplicable bounds report ``passed=None``.
     """
     if g.n < 2:
         raise ValueError("bound verification needs n >= 2")
@@ -758,7 +713,7 @@ def verify_bounds(g: Graph) -> BoundsReport:
     wc = is_well_covered(g)
     p = independence_polynomial(g)
     w = alpha(complement(g))
-    report = BoundsReport(p)
+    report = RootReport(p)
     a = p.degree
     # "no real root >= c" is xi_max < c, and "no real root < c" is xi_min >= c
     q = square_free_part(p)
@@ -825,16 +780,6 @@ def verify_bounds(g: Graph) -> BoundsReport:
     report.bounds["smallest_modulus_real_unique"] = BoundCheck(
         "smallest_modulus_real_unique", passed, note
     )
-    return report
-
-
-def bounds_root_report(g: Graph) -> RootReport:
-    """What ``roots`` prints for G on n >= 2 vertices: the root pass of
-    I(G) (``root_report``) beside the exact verdicts of ``verify_bounds``,
-    carried over unchanged."""
-    checks = verify_bounds(g)
-    report = root_report(checks.polynomial, checks.real_roots)
-    report.bounds = checks.bounds
     return report
 
 

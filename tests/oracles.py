@@ -7,7 +7,7 @@ engine, the stability number and the well-coveredness predicates.
 
 Some helpers are deliberate exceptions.  ``unpruned_graph_levels`` uses
 the package's canonical codes.  ``root_matching_notes`` uses the
-package's root core (``root_report``, Sturm counts, interval refinement):
+package's root core (``RootReport``, Sturm counts, interval refinement):
 it matches the roots of I(G) and of the deflated I(G*) one by one under
 x -> x/(1-x), a root-level cross-check of the integer identity behind
 ``root_bijection_check``.  ``isolated_bound_verdicts`` is ``verify_bounds``
@@ -59,7 +59,6 @@ from coronapoly.roots import (
     isolate_real_roots,
     refine_root_interval,
     root_bound_exponent,
-    root_report,
     square_free_decomposition,
     square_free_part,
     sturm_chain,
@@ -294,7 +293,7 @@ def root_matching_notes(p: IntPolynomial, q: IntPolynomial, tol: float = 1e-9) -
     prof_q = sorted((m, f.degree) for f, m in square_free_decomposition(q))
     if prof_p != prof_q:
         notes.append(f"square-free profiles differ: {prof_p} vs {prof_q}")
-    report_p, report_q = root_report(p), root_report(q)
+    report_p, report_q = RootReport(p), RootReport(q)
     _check_real_leg(p, q, report_p.real_roots, report_q.real_roots, notes)
     _check_numeric_leg(report_p, report_q, tol, notes)
     return notes
@@ -645,7 +644,7 @@ def fraction_isolate_real_roots(p: IntPolynomial) -> list[tuple[tuple[Fraction, 
 
     def var(x: Fraction) -> int:
         if x not in var_cache:
-            signs = [s for s in (sign_at(f.coeffs, x) for f in chain) if s]
+            signs = [s for s in (sign_at(f, x) for f in chain) if s]
             var_cache[x] = sum(a != b for a, b in zip(signs, signs[1:]))
         return var_cache[x]
 

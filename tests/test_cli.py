@@ -182,6 +182,31 @@ def test_roots_json(capsys):
     assert {"annulus", "xi_max_window", "modulus_floor"} <= names
 
 
+_SCHEMA_TAIL = '"complex_certification": "numeric-residual", "real_certification": "exact-sturm"'
+# the two graphs under 2 vertices take no bound: K_0 (I = 1) has no root,
+# and K_1 (I = 1 + x) has its root -1 in (-4, 0)
+_ROOTS_UNDER_TWO = {
+    "?": (
+        "graph ?: I = 1\n  multiplicity of -1: 0\n",
+        '{"polynomial": ["1"], "minus_one_multiplicity": 0, "real_roots": [], '
+        f'"complex_roots": [], "bounds": [], {_SCHEMA_TAIL}, "graph": "?"}}\n',
+    ),
+    "@": (
+        "graph @: I = 1 + x\n  multiplicity of -1: 1\n  real root in (-4, 0), multiplicity 1\n",
+        '{"polynomial": ["1", "1"], "minus_one_multiplicity": 1, "real_roots": '
+        '[{"interval": ["-4", "0"], "multiplicity": 1}], '
+        f'"complex_roots": [], "bounds": [], {_SCHEMA_TAIL}, "graph": "@"}}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("g6", _ROOTS_UNDER_TWO)
+def test_roots_under_two_vertices(monkeypatch, capsys, g6):
+    for output, want in zip(("text", "json"), _ROOTS_UNDER_TWO[g6]):
+        monkeypatch.setattr(sys, "stdin", StringIO(g6 + "\n"))
+        assert run(capsys, "roots", "--input", "-", "--output", output) == (0, want, "")
+
+
 def test_gen_families(capsys):
     code, out, _ = run(capsys, "gen", "--family", "spider", "--n", "2")
     assert code == 0
@@ -330,13 +355,15 @@ def test_gen_family_at_the_vertex_cap(capsys, argv):
         (("--family", "star", "--n", "64"), 65),
         (("--family", "spider", "--n", "32"), 66),
         (("--family", "centipede", "--n", "33"), 66),
+        (("--family", "spider", "--n", "70"), 142),
+        (("--family", "centipede", "--n", "70"), 140),
         (("--family", "multipartite", "--sizes", "30,35"), 65),
     ],
 )
 def test_gen_family_over_the_vertex_cap_exit_code(monkeypatch, capsys, argv, n):
     # the closed forms check no size: the family's Graph refuses its order
     # before any closed form, engine run or encoding (a spider or a
-    # centipede from its corona)
+    # centipede names its own order, not its skeleton's)
     from coronapoly import cli
 
     def _must_not_run(*args, **kwargs):
@@ -701,10 +728,11 @@ def test_root_convergence_exit_code(monkeypatch, capsys):
 def test_roots_well_covered_cap_before_root_work(monkeypatch, capsys):
     from coronapoly import roots
 
-    def root_report(*args, **kwargs):
+    def no_root_work(*args, **kwargs):
         raise AssertionError("root work started before the well-covered cap was checked")
 
-    monkeypatch.setattr(roots, "root_report", root_report)
+    monkeypatch.setattr(roots, "numeric_roots", no_root_work)
+    monkeypatch.setattr(roots, "isolate_real_roots", no_root_work)
     code, out, err = run(capsys, "roots", "--family", "star", "--n", "30")
     assert code == 3
     assert out == "" and "31 vertices exceeds limit 24" in err

@@ -76,7 +76,8 @@ _EMPTY_GRAPH6 = {64: "~?@?" + "?" * 336, 65: EMPTY65_GRAPH6}
 
 # Every path that makes a Graph: (build, its argument at 64 vertices, its
 # argument past 64, and the order it is refused at).  A corona doubles, so
-# the spider, the centipede and the corona go from 64 to 66.
+# the spider, the centipede and the corona go from 64 to 66; past its
+# skeleton's own cap, a spider or a centipede still names its own order.
 _GRAPH_PATHS = {
     "Graph": (Graph, 64, 65, 65),
     "empty": (empty_graph, 64, 65, 65),
@@ -86,6 +87,8 @@ _GRAPH_PATHS = {
     "star": (star_graph, 63, 64, 65),
     "spider": (spider_graph, 31, 32, 66),
     "centipede": (centipede_graph, 32, 33, 66),
+    "spider-70": (spider_graph, 31, 70, 142),
+    "centipede-70": (centipede_graph, 32, 70, 140),
     "multipartite": (complete_multipartite_graph, (30, 34), (30, 35), 65),
     "corona": (lambda n: corona(cycle_graph(n)), 32, 33, 66),
     "disjoint_union": (lambda n: disjoint_union(cycle_graph(30), Graph(n - 30)), 64, 65, 65),

@@ -5,7 +5,7 @@ import pytest
 
 from coronapoly.graphs import StreamItem
 from coronapoly.polynomials import IntPolynomial
-from coronapoly.roots import BijectionReport, BoundCheck, BoundsReport, RootReport
+from coronapoly.roots import BijectionReport, BoundCheck, RootReport
 from coronapoly.search import (
     Conjecture2Report,
     EquivalenceReport,
@@ -20,13 +20,6 @@ _CASES = {
     BoundCheck: (
         {"name": "annulus", "passed": False},
         {"note": ""},
-    ),
-    BoundsReport: (
-        {
-            "polynomial": IntPolynomial([1, 2]),
-            "real_roots": [(Fraction(-1, 2), Fraction(-1, 2), 1)],
-        },
-        {"bounds": {}},
     ),
     RootReport: (
         {
@@ -96,7 +89,7 @@ def test_report_class_contract(cls):
     if cls in _IMMUTABLE:
         with pytest.raises(AttributeError):
             setattr(first, names[-1], None)
-    if cls in (BoundsReport, RootReport):
+    if cls is RootReport:
         first.bounds["modulus_floor"] = BoundCheck("modulus_floor", True)
     copy = pickle.loads(pickle.dumps(first))
     assert type(copy) is cls

@@ -21,9 +21,8 @@ from coronapoly.graphs import (
 from coronapoly.indpoly import independence_polynomial, independence_polynomial_tree
 from coronapoly.polynomials import IntPolynomial
 from coronapoly.roots import (
-    BoundsReport,
+    RootReport,
     all_roots_real,
-    bounds_root_report,
     build_hk,
     count_distinct_real_roots,
     count_distinct_roots_in_disc,
@@ -34,7 +33,6 @@ from coronapoly.roots import (
     numeric_roots,
     root_bijection_check,
     root_bound_exponent,
-    root_report,
     square_free_decomposition,
     square_free_part,
     sturm_chain,
@@ -100,7 +98,7 @@ def test_square_free_structure():
 def test_sturm_chain_counts():
     p = IntPolynomial((-2, 0, 1))  # x^2 - 2
     chain = sturm_chain(p)
-    assert chain[0] == p
+    assert chain[0] == p.coeffs
     assert count_distinct_real_roots(p) == 2
     assert count_distinct_real_roots(p, Fraction(0), Fraction(2)) == 1
     assert count_distinct_real_roots(p, Fraction(-2), Fraction(0)) == 1
@@ -260,8 +258,10 @@ def test_numeric_roots_take_zero_roots_exactly():
     f = IntPolynomial((0, -3, -2, 0, -3, 2))
     zs = numeric_roots(f)
     assert len(zs) == 5 and zs.count(0j) == 1
-    rep = root_report(f ** 3 * IntPolynomial((-1, 2)))
+    rep = RootReport(f ** 3 * IntPolynomial((-1, 2)))
     assert (Fraction(0), Fraction(0), 3) in rep.real_roots
+    total = sum(m for *_, m in rep.real_roots) + sum(m for *_, m in rep.complex_roots)
+    assert total == rep.polynomial.degree
     assert numeric_roots(IntPolynomial((0, 0, 5))) == [0j, 0j]
 
 
@@ -299,7 +299,7 @@ def test_all_roots_real_matches_the_yun_weighted_count():
         polys.append(p)
     verdicts = [all_roots_real(p) for p in polys]
     assert verdicts == [yun_weighted_all_roots_real(p) for p in polys]
-    repeated = [v for p, v in zip(polys, verdicts) if sturm_chain(p)[-1].degree > 0]
+    repeated = [v for p, v in zip(polys, verdicts) if len(sturm_chain(p)[-1]) > 1]
     assert True in repeated and False in repeated
 
 
@@ -342,21 +342,24 @@ def test_bijection_degree_bookkeeping():
 
 
 def test_bounds_complete_graph_boundary():
-    annulus = verify_bounds(complete_graph(4)).bounds["annulus"]
+    report = verify_bounds(complete_graph(4))
+    annulus = report.bounds["annulus"]
     assert annulus.applicable and annulus.passed
     assert "boundary" in annulus.note
     # -1/4 lies exactly on the inner circle, and no root inside it
     p = independence_polynomial(complete_graph(4))
     assert count_distinct_roots_in_disc(p, Fraction(1, 4)) == (0, 1)
-    assert bounds_root_report(complete_graph(4)).bounds["annulus"] == annulus
+    # the root pass, as roots prints it, leaves the verdict as it was
+    assert report.to_json()["bounds"][0] == annulus.to_json()
 
 
 def test_bounds_balanced_multipartite():
     # well-covered, not complete: boundary must not be attained
     g = complete_multipartite_graph([2, 2])
-    annulus = verify_bounds(g).bounds["annulus"]
+    report = verify_bounds(g)
+    annulus = report.bounds["annulus"]
     assert annulus.applicable and annulus.passed and not annulus.note
-    assert bounds_root_report(g).bounds["annulus"] == annulus
+    assert report.to_json()["bounds"][0] == annulus.to_json()
 
 
 def test_bounds_applicability():
@@ -410,7 +413,7 @@ def test_bounds_check_their_caps_before_root_work(monkeypatch):
     def no_root_work(*args, **kwargs):
         raise AssertionError("root work ran before the cap check")
 
-    monkeypatch.setattr(roots, "root_report", no_root_work)
+    monkeypatch.setattr(roots, "numeric_roots", no_root_work)
     monkeypatch.setattr(roots, "isolate_real_roots", no_root_work)
     with pytest.raises(ResourceLimitError, match="^maximal stable sets: 25 vertices exceeds limit 24$"):
         verify_bounds(cycle_graph(25))
@@ -419,7 +422,7 @@ def test_bounds_check_their_caps_before_root_work(monkeypatch):
 
 
 def test_report_schema():
-    report = bounds_root_report(corona(star_graph(2)))
+    report = verify_bounds(corona(star_graph(2)))
     payload = report.to_json()
     assert payload["real_certification"] == "exact-sturm"
     assert payload["complex_certification"] == "numeric-residual"
@@ -428,11 +431,13 @@ def test_report_schema():
         c["multiplicity"] for c in payload["complex_roots"]
     )
     assert total == report.polynomial.degree
-    # the exact report: the same intervals and verdicts, no floats
-    exact = verify_bounds(corona(star_graph(2))).to_json()
-    assert set(exact) == {"polynomial", "real_roots", "bounds", "real_certification"}
-    assert exact["real_roots"] == payload["real_roots"]
-    assert payload["bounds"] == exact["bounds"]
+    # the report of I(G) alone: the same intervals and roots, no verdicts
+    bare = RootReport(report.polynomial).to_json()
+    assert set(bare) == set(payload) == {
+        "polynomial", "minus_one_multiplicity", "real_roots", "complex_roots", "bounds",
+        "complex_certification", "real_certification",
+    }
+    assert {**bare, "bounds": payload["bounds"]} == payload
 
 
 def test_bounds_report_isolates_on_first_read_as_the_eager_isolation():
@@ -442,7 +447,7 @@ def test_bounds_report_isolates_on_first_read_as_the_eager_isolation():
         eager = [(lo, hi, m) for (lo, hi), m in isolate_real_roots(report.polynomial)]
         before = pickle.loads(pickle.dumps(report))
         payload = report.to_json()
-        assert payload == BoundsReport(report.polynomial, eager, report.bounds).to_json()
+        assert payload == RootReport(report.polynomial, eager, None, report.bounds).to_json()
         assert report.real_roots is report.real_roots and report.real_roots == eager
         after = pickle.loads(pickle.dumps(report))
         assert before.to_json() == payload == after.to_json()
@@ -452,7 +457,7 @@ def test_bounds_report_isolates_on_first_read_as_the_eager_isolation():
 def test_report_multiplicity_sum():
     for g in [cycle_graph(7), corona(star_graph(3)), TREE8_NONREAL, complete_graph(5)]:
         p = independence_polynomial(g)
-        rep = root_report(p)
+        rep = RootReport(p)
         total = sum(m for *_, m in rep.real_roots) + sum(m for *_, m in rep.complex_roots)
         assert total == p.degree
 
@@ -757,7 +762,7 @@ def test_bounds_suite_runs_no_float_root_pass(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the bounds suite reached the float root pass")
 
-    for name in ("numeric_roots", "root_report"):
+    for name in ("numeric_roots", "_complex_roots"):
         monkeypatch.setattr(roots, name, refuse)
     extra = [corona(path_graph(3)), complete_graph(4), cycle_graph(7), TREE8_NONREAL]
     for g in graphs_upto(6) + extra:
@@ -818,7 +823,7 @@ def test_root_pass_rejects_bad_approximations(monkeypatch, capsys, tmp_path, cor
     real_numeric_roots = roots.numeric_roots
     monkeypatch.setattr(roots, "numeric_roots", lambda f: corrupt(real_numeric_roots(f)))
     with pytest.raises(RootConvergenceError):
-        root_report(independence_polynomial(TREE8_NONREAL))
+        RootReport(independence_polynomial(TREE8_NONREAL)).complex_roots
     stream = tmp_path / "tree8.g6"
     stream.write_text(encode_graph6(TREE8_NONREAL) + "\n")
     assert main(["roots", "--input", str(stream)]) == 4
@@ -829,10 +834,10 @@ def test_reported_roots_are_exact_pairs_and_inside_intervals():
     # the 4-leg spider: its root -1 is a bisection midpoint, isolated as
     # the degenerate [-1, -1]
     spider = spider_graph(4)
-    assert (Fraction(-1), Fraction(-1), 1) in root_report(independence_polynomial(spider)).real_roots
+    assert (Fraction(-1), Fraction(-1), 1) in RootReport(independence_polynomial(spider)).real_roots
     for g in graphs_upto(6) + [TREE8_NONREAL, spider]:
         p = independence_polynomial(g)
-        rep = root_report(p)
+        rep = RootReport(p)
         for lo, hi, _ in rep.real_roots:
             assert count_distinct_real_roots(p, lo, hi) == 1, (g, lo, hi)
         pairs = rep.complex_roots
@@ -869,7 +874,7 @@ def test_root_floats_against_sympy_nroots():
                     ref_real.append((r, m))
                 else:
                     ref_nonreal.append((complex(r), m))
-        rep = root_report(p)
+        rep = RootReport(p)
         for (lo, hi, m), (r, mr) in zip(rep.real_roots, sorted(ref_real), strict=True):
             assert m == mr, (g, lo, hi, r)
             if lo == hi:
@@ -1157,7 +1162,7 @@ def test_path_roots_need_no_aberth(monkeypatch):
 
     monkeypatch.setattr(roots, "numeric_roots", refuse)
     for n in range(45, 65):
-        rep = root_report(independence_polynomial(path_graph(n)))
+        rep = RootReport(independence_polynomial(path_graph(n)))
         assert len(rep.real_roots) == (n + 1) // 2 and not rep.complex_roots
         with mpmath.workdps(60):
             closed = sorted(
