@@ -73,7 +73,6 @@ from .roots import (
     deflate_minus_one,
     isolate_real_roots,
     multiplicity_of_minus_one,
-    negative_tail_sign_check,
     numeric_roots,
     root_bijection_check,
     square_free_decomposition,

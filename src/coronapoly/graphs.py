@@ -540,8 +540,9 @@ def is_well_covered(g: Graph) -> bool:
 def is_very_well_covered(g: Graph) -> bool:
     """True iff g has no isolated vertex, is well-covered and has
     alpha = n/2, as has every graph whose pendant edges form a perfect
-    matching, up to the cap and with no engine call."""
-    if g.n == 0 or not all(g.masks):
+    matching, up to the cap and with no engine call.  A graph of odd
+    order has no alpha = n/2, so it is refused before any enumeration."""
+    if g.n == 0 or g.n % 2 or not all(g.masks):
         return False
     if pendant_edges_form_perfect_matching(g):
         return True

@@ -41,7 +41,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
@@ -53,10 +53,9 @@ from .graphs import (
     alpha,
     complement,
     corona,
-    girth,
-    is_connected,
     is_tree,
     is_well_covered,
+    pendant_edges_form_perfect_matching,
 )
 from .indpoly import independence_polynomial, independence_polynomial_tree
 from .polynomials import Coeffs, IntPolynomial, exact_div, primitive, remainder_chain, sign_at, sign_at_dyadic
@@ -647,10 +646,6 @@ def _is_complete(g: Graph) -> bool:
     return g.num_edges == g.n * (g.n - 1) // 2 and g.n >= 1
 
 
-def _is_cycle7(g: Graph) -> bool:
-    return g.n == 7 and all(m.bit_count() == 2 for m in g.masks) and is_connected(g)
-
-
 _NEAREST_BISECTIONS = 32   # of xi_max's interval, before its uniqueness verdict is left open
 
 
@@ -692,8 +687,10 @@ def verify_bounds(g: Graph) -> RootReport:
       with the boundary attained exactly when G is complete.
     * ``xi_max_window``: max(-alpha/n, -1/omega) <= xi_max < -1/(2n-1).
     * ``modulus_floor``: every root has |z| > 1/(2n-1).
-    * ``real_window``: real roots in [-1, -1/n) for connected well-covered
-      G of girth >= 6 other than C_7, K_1, K_2.
+    * ``real_window``: real roots in [-1, -1/n) for every corona G = H*
+      other than K_2 = K_1*, whose one root -1/2 is the open end: a graph
+      is a corona iff its pendant edges form a perfect matching, and then
+      alpha = n/2.
     * ``smallest_modulus_real_unique``: the minimum-modulus root is real
       and no other root ties it.
 
@@ -752,15 +749,8 @@ def verify_bounds(g: Graph) -> RootReport:
         _clear_closed_disc(p, floor) or count_distinct_roots_in_disc(q, floor) == (0, 0),
     )
 
-    # real window for the almost-very-well-covered case
-    applicable = (
-        is_connected(g)
-        and wc
-        and girth(g) >= 6
-        and not _is_cycle7(g)
-        and not (n == 2 and g.num_edges == 1)
-    )
-    if applicable:
+    # real window on every corona but K_2
+    if n > 2 and pendant_edges_form_perfect_matching(g):
         report.bounds["real_window"] = BoundCheck(
             "real_window",
             count_distinct_real_roots(q, None, Fraction(-1), include_hi=False) == 0
@@ -807,20 +797,3 @@ def build_hk(seed: Graph, k: int) -> tuple[Graph, bool]:
     for _ in range(k):
         h = corona(h)
     return h, sign_at(independence_polynomial_tree(h).coeffs, Fraction(-1, k)) == 0
-
-
-def negative_tail_sign_check(g: Graph, samples: Iterable) -> bool:
-    """At every rational sample x < -1, I(G*;x) must be nonzero with the
-    sign of (-1)^n; requires G to have an edge."""
-    if g.num_edges == 0:
-        raise ValueError("sign statement requires a graph with an edge")
-    q = independence_polynomial(corona(g))
-    want_negative = g.n % 2 == 1
-    for x in samples:
-        x = Fraction(x)
-        if x >= -1:
-            raise ValueError(f"sample {x} is not < -1")
-        v = sign_at(q.coeffs, x)
-        if v == 0 or (v < 0) != want_negative:
-            return False
-    return True

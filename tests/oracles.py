@@ -39,7 +39,10 @@ orbit, then a dedupe by the package's ``canonical_code``.
 ``yun_weighted_all_roots_real`` is the real-rootedness verdict the package
 used before it read the distinct roots off one Sturm chain: the distinct
 real roots of each Yun factor, weighted by its multiplicity, against the
-degree.
+degree.  ``negative_tail_sign_check`` is the sign check that the
+``no-root-below-minus-one`` suite ran after its Sturm count: the sign of
+the package's I(G*) at rationals below -1.  ``is_corona`` decides the
+hypothesis of ``real_window`` by its own pendant count.
 """
 
 import math
@@ -47,7 +50,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from coronapoly.errors import GraphParseError
-from coronapoly.graphs import Graph, alpha, complement, girth, is_connected, is_well_covered
+from coronapoly.graphs import Graph, alpha, complement, corona, is_well_covered
 from coronapoly.indpoly import independence_polynomial
 from coronapoly.polynomials import IntPolynomial, sign_at
 from coronapoly.roots import (
@@ -434,6 +437,21 @@ def _root_sign(q: IntPolynomial, root: tuple[Fraction, Fraction, int], c: Fracti
     return 0 if s == 0 else 1 if s == sign_at(q.coeffs, lo) else -1
 
 
+def is_corona(g: Graph) -> bool:
+    """Whether g = H* for some graph H, the hypothesis of ``real_window``:
+    every vertex lies on exactly one pendant edge, counted from degrees
+    alone.  A vertex of degree 1 lies on one, its own; any other lies on
+    one per neighbour of degree 1."""
+    deg = [bin(m).count("1") for m in g.masks]
+
+    def pendant_at(v: int) -> int:
+        if deg[v] == 1:
+            return 1
+        return sum(1 for u in range(g.n) if g.masks[v] >> u & 1 and deg[u] == 1)
+
+    return g.n > 0 and all(pendant_at(v) == 1 for v in range(g.n))
+
+
 def isolated_bound_verdicts(g: Graph) -> dict[str, tuple[bool | None, str]]:
     """{bound: (passed, note)} of ``verify_bounds`` on G, n >= 2, from the
     exact isolation of every real root of I(G): xi_max and xi_min are its
@@ -469,8 +487,7 @@ def isolated_bound_verdicts(g: Graph) -> dict[str, tuple[bool | None, str]]:
     out["modulus_floor"] = (
         _clear_closed_disc(p, floor) or count_distinct_roots_in_disc(q, floor) == (0, 0), ""
     )
-    cycle7 = n == 7 and all(m.bit_count() == 2 for m in g.masks) and is_connected(g)
-    if is_connected(g) and wc and girth(g) >= 6 and not cycle7 and not (n == 2 and g.num_edges == 1):
+    if n > 2 and is_corona(g):
         out["real_window"] = (
             not real
             or (_root_sign(q, real[0], Fraction(-1)) >= 0 and _root_sign(q, real[-1], -inner) < 0),
@@ -726,3 +743,21 @@ def yun_weighted_all_roots_real(p: IntPolynomial) -> bool:
     weighted by the factor's multiplicity, exhaust the degree of p."""
     total = sum(m * count_distinct_real_roots(f) for f, m in square_free_decomposition(p))
     return total == p.degree
+
+
+def negative_tail_sign_check(g: Graph, samples) -> bool:
+    """At every rational sample x < -1, I(G*;x) must be nonzero with the
+    sign of (-1)^n; requires G to have an edge.  The ``no-root-below-minus-one``
+    suite reads no sign: its exact count of the real roots below -1 fixes it."""
+    if g.num_edges == 0:
+        raise ValueError("sign statement requires a graph with an edge")
+    q = independence_polynomial(corona(g))
+    want_negative = g.n % 2 == 1
+    for x in samples:
+        x = Fraction(x)
+        if x >= -1:
+            raise ValueError(f"sample {x} is not < -1")
+        v = sign_at(q.coeffs, x)
+        if v == 0 or (v < 0) != want_negative:
+            return False
+    return True

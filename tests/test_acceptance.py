@@ -45,7 +45,6 @@ from coronapoly.roots import (
     count_distinct_real_roots,
     deflate_minus_one,
     multiplicity_of_minus_one,
-    negative_tail_sign_check,
     root_bijection_check,
     verify_bounds,
 )
@@ -77,7 +76,7 @@ from knowngraphs import (
     TREE10_REALROOTED,
     TREE10_REALROOTED_POLY,
 )
-from oracles import count_vector, root_matching_notes
+from oracles import count_vector, negative_tail_sign_check, root_matching_notes
 
 NUMERIC_TOL = 1e-9
 

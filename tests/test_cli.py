@@ -17,6 +17,7 @@ from coronapoly.cli import main
 from coronapoly.corona import corona_coefficients, spider_polynomial
 from coronapoly.graphs import (
     Graph,
+    complete_graph,
     corona,
     cycle_graph,
     encode_graph6,
@@ -292,6 +293,44 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     code, out, _ = run(capsys, "verify", "--suite", "divisibility", "--max-n", "3", "--jobs", "1")
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "planted, failed",
+    [
+        # roots -1/4 and (-3 -+ sqrt 5)/2: one below -1, inside the annulus
+        ((1, 7, 13, 4), ["real_window"]),
+        # (1+x)^2 (1+6x): a root at -1/6 = -1/n, the window's open end, which
+        # is the annulus' inner circle too
+        ((1, 8, 13, 6), ["annulus", "real_window"]),
+    ],
+)
+def test_verify_bounds_reports_a_planted_real_window_failure(tmp_path, monkeypatch, capsys, planted, failed):
+    # the corona of K_3 (n = 6, alpha 3, clique number 3), given a
+    # polynomial with a real root outside [-1, -1/6); every other bound holds
+    from coronapoly import roots
+
+    monkeypatch.setattr(roots, "independence_polynomial", lambda g: IntPolynomial(planted))
+    g6 = encode_graph6(corona(complete_graph(3)))
+    stream = tmp_path / "corona3.g6"
+    stream.write_text(g6 + "\n")
+    code, out, err = run(capsys, "verify", "--suite", "bounds", "--input", str(stream), "--jobs", "1")
+    assert code == 1 and err == ""
+    assert out == f"suite bounds: 1 instances, 1 failures: FAIL\n  {g6}: failed bounds {failed}\n"
+
+
+def test_verify_no_root_below_minus_one_reports_a_planted_root(monkeypatch, capsys):
+    # I(G*) replaced by 1 + 3x + x^2, with a root at (-3 - sqrt 5)/2 < -1:
+    # K_2, the one graph with an edge on at most 2 vertices, fails
+    from coronapoly import suites
+
+    monkeypatch.setattr(suites, "independence_polynomial", lambda g: IntPolynomial((1, 3, 1)))
+    code, out, err = run(capsys, "verify", "--suite", "no-root-below-minus-one", "--max-n", "2", "--jobs", "1")
+    assert code == 1 and err == ""
+    assert out == (
+        "suite no-root-below-minus-one: 2 instances, 1 failures: FAIL\n"
+        "  A_: corona polynomial has a real root < -1\n"
+    )
 
 
 def test_verify_resource_exit_code(capsys):
@@ -756,6 +795,19 @@ def test_roots_on_a_forest_corona_past_the_alpha_cap(tmp_path, capsys):
     code, out, err = run(capsys, "roots", "--input", str(stream))
     assert code == 0 and err == ""
     assert "bound real_window: pass" in out and "FAIL" not in out
+
+
+def test_roots_real_window_on_a_corona_of_girth_3_and_on_k2(tmp_path, capsys):
+    # the corona of K_3 meets the paper's hypothesis; K_2 = K_1* does not,
+    # as its one root is the window's open end -1/2
+    stream = tmp_path / "corona3.g6"
+    stream.write_text(encode_graph6(corona(complete_graph(3))) + "\n")
+    code, out, err = run(capsys, "roots", "--input", str(stream))
+    assert code == 0 and err == ""
+    assert "  bound real_window: pass\n" in out and "FAIL" not in out
+    code, out, err = run(capsys, "roots", "--family", "complete", "--n", "2")
+    assert code == 0 and err == ""
+    assert "  bound real_window: N/A (hypotheses not met)\n" in out
 
 
 def test_stream_json_names_a_line_by_its_text(tmp_path, capsys):

@@ -568,6 +568,12 @@ def test_very_well_covered():
     assert not is_very_well_covered(disjoint_union(complete_graph(2), Graph(1)))
 
 
+@pytest.mark.parametrize("g", [path_graph(25), cycle_graph(27)], ids=["P25", "C27"])
+def test_very_well_covered_refuses_odd_order_past_the_enumeration_cap(g):
+    # n = 2 alpha needs n even, so no maximal stable set is enumerated
+    assert not is_very_well_covered(g)
+
+
 def test_very_well_covered_by_its_pendant_matching_past_40_vertices(monkeypatch):
     # no forest, at the vertex cap: the pendant matching alone decides,
     # with no engine call

@@ -12,6 +12,7 @@ from coronapoly.graphs import (
     complete_multipartite_graph,
     corona,
     cycle_graph,
+    disjoint_union,
     empty_graph,
     is_connected,
     path_graph,
@@ -29,7 +30,6 @@ from coronapoly.roots import (
     deflate_minus_one,
     isolate_real_roots,
     multiplicity_of_minus_one,
-    negative_tail_sign_check,
     numeric_roots,
     root_bijection_check,
     root_bound_exponent,
@@ -363,13 +363,55 @@ def test_bounds_balanced_multipartite():
 
 
 def test_bounds_applicability():
-    report = verify_bounds(cycle_graph(7))
-    assert report.bounds["real_window"].applicable is False
-    report = verify_bounds(corona(path_graph(3)))
-    rw = report.bounds["real_window"]
-    assert rw.applicable and rw.passed
+    # real_window applies to every corona, whatever its girth or components,
+    # but K_2 = K_1*: its one root, -1/2, is the window's open end, so the
+    # window would fail there; C_7 is well-covered of girth 7, but no corona
+    for g in (cycle_graph(7), complete_graph(2)):
+        rw = verify_bounds(g).bounds["real_window"]
+        assert (rw.applicable, rw.passed, rw.note) == (False, None, "hypotheses not met"), g
+    assert count_distinct_real_roots(independence_polynomial(complete_graph(2)), Fraction(-1, 2)) == 1
+    coronas = [
+        corona(path_graph(3)),
+        corona(empty_graph(2)),     # 2 K_2
+        disjoint_union(complete_graph(2), corona(complete_graph(3))),
+        corona(complete_graph(3)),     # girth 3
+        corona(cycle_graph(5)),     # girth 5
+    ]
+    for g in coronas:
+        rw = verify_bounds(g).bounds["real_window"]
+        assert (rw.applicable, rw.passed, rw.note) == (True, True, ""), g
     with pytest.raises(ValueError):
         verify_bounds(Graph(1))
+
+
+def test_real_window_on_the_coronas_of_the_catalog():
+    # all 1,252 graphs on 1-7 vertices: the window applies to, and holds
+    # on, every corona but K_2 = K_1*
+    verdicts = {}
+    for g in graphs_upto(7):
+        rw = verify_bounds(corona(g)).bounds["real_window"]
+        verdicts.setdefault(g.n == 1, []).append((rw.applicable, rw.passed))
+    assert verdicts[True] == [(False, None)]
+    assert len(verdicts[False]) == 1251 and set(verdicts[False]) == {(True, True)}
+
+
+def test_real_window_at_the_cap_needs_no_enumeration(monkeypatch):
+    # coronas on 64 vertices: the pendant matching decides both the
+    # well-coveredness and the window's hypothesis, so no maximal stable set
+    # is enumerated
+    from coronapoly import graphs
+
+    def no_enumeration(g):
+        raise AssertionError("maximal stable sets enumerated")
+
+    monkeypatch.setattr(graphs, "maximal_stable_sets", no_enumeration)
+    rng = random.Random(36)
+    tree = Graph(32, [(v, rng.randrange(v)) for v in range(1, 32)])
+    for g in (cycle_graph(32), complete_graph(32), tree, _gnp(rng, 32, 0.2)):
+        report = verify_bounds(corona(g))
+        rw = report.bounds["real_window"]
+        assert rw.applicable and rw.passed, g
+        assert report.bounds["annulus"].applicable, g
 
 
 def test_bounds_hold_on_small_corpus():
@@ -399,7 +441,7 @@ def test_bounds_on_forest_coronas_past_the_alpha_cap():
     for k in (21, 25, 31):
         report = verify_bounds(corona(path_graph(k)))
         assert report.bounds["annulus"].applicable   # well-covered
-        assert report.bounds["real_window"].applicable   # a tree: girth >= 6
+        assert report.bounds["real_window"].applicable   # a corona
         for b in report.bounds.values():
             assert not (b.applicable and b.passed is False), (k, b)
 
@@ -477,6 +519,8 @@ def test_build_hk():
 
 
 def test_negative_tail():
+    from oracles import negative_tail_sign_check
+
     k2 = complete_graph(2)
     assert negative_tail_sign_check(k2, [Fraction(-2), Fraction(-3, 2)])
     assert negative_tail_sign_check(complete_graph(3), [Fraction(-3, 2)])
@@ -570,7 +614,7 @@ def test_real_legs_against_sturm_counts(monkeypatch):
     from coronapoly import roots
     from oracles import brute_alpha, counted_bound_verdicts, counted_real_legs
 
-    skeleton = corona(path_graph(3))     # a tree: well-covered, girth >= 6
+    skeleton = corona(path_graph(3))     # a corona: well-covered, real_window applies
     n = skeleton.n
     non_edges = [(u, v) for v in range(n) for u in range(v) if not skeleton.has_edge(u, v)]
     w = brute_alpha(Graph(n, non_edges))     # the clique number
