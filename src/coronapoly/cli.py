@@ -19,7 +19,9 @@ named in output by its own text; a bad one is named by its line number,
 and ``equal-poly`` records it and exits 2 after its report.  Any option
 that the table ``_COMMANDS`` does not name for the command, and its
 ``--suite``, ``--mode`` or source, is a usage error before any input is
-read, as is a ``--jobs`` below 1.  A process freezes its objects at exit,
+read, as is a ``--jobs`` below 1.  A stream command holds per graph only
+what it prints, and ``equal-poly`` writes its report and evidence one
+class at a time.  A process freezes its objects at exit,
 so the interpreter's final collections skip them; output is unchanged.
 """
 
@@ -31,9 +33,10 @@ import gc
 import json
 import os
 import sys
+from collections import deque
 from contextlib import contextmanager, nullcontext
 from functools import partial
-from itertools import chain, islice
+from itertools import islice
 
 from . import canon, corona as corona_mod, search, suites
 from .errors import (
@@ -124,8 +127,9 @@ def _read_lines(path: str):
 
 
 def _graph6_items(path: str):
-    """One StreamItem per non-blank line of a graph6 stream, named by its line."""
-    return (StreamItem(f"line {n}", line) for n, line in _read_lines(path) if line.strip())
+    """One StreamItem per non-blank line of a graph6 stream, named by its
+    line and holding its stripped text, which ``item_graph6`` returns as is."""
+    return (StreamItem(f"line {n}", text) for n, line in _read_lines(path) if (text := line.strip()))
 
 
 class WorkerLost(Exception):
@@ -257,26 +261,35 @@ def _fork_map(fn, items, workers: int, size: int):
             raise WorkerLost(f"worker process {pid} died with exit code {code}")
 
 
+def _drain(head: deque, rest):
+    """The items of head, each released as it is yielded, then those of rest."""
+    while head:
+        yield head.popleft()
+    yield from rest
+
+
 @contextmanager
 def _scan_map(items, jobs: int | None):
     """(mapper, items) of a scan.  `jobs` is clamped to the CPUs this
     process may run on, and None takes them all.  The mapper is the builtin
     map at one job, without os.fork or for a stream of under _MIN_FORK items
     (read ahead to tell), else _fork_map.  Chunks follow Pool.map's rule,
-    about _CHUNKS_PER_WORKER per worker, on up to _READ_AHEAD items read ahead.
-    A scan that ends early leaves no worker behind."""
+    about _CHUNKS_PER_WORKER per worker, on up to _READ_AHEAD items read ahead;
+    the read-ahead holds each item only until it is dispatched.  A scan that
+    ends early leaves no worker behind."""
     jobs = min(jobs, _default_jobs()) if jobs else _default_jobs()
     if jobs <= 1 or not hasattr(os, "fork"):
         yield map, items
         return
     items = iter(items)
-    head = list(islice(items, _READ_AHEAD))
-    items = chain(head, items)
-    if len(head) < _MIN_FORK:
+    head = deque(islice(items, _READ_AHEAD))
+    count = len(head)
+    items = _drain(head, items)
+    if count < _MIN_FORK:
         yield map, items
         return
-    size = -(-len(head) // (_CHUNKS_PER_WORKER * jobs))
-    workers = min(jobs, -(-len(head) // size))     # no more workers than chunks
+    size = -(-count // (_CHUNKS_PER_WORKER * jobs))
+    workers = min(jobs, -(-count // size))     # no more workers than chunks
     maps = []
 
     def mapper(fn, stream):
@@ -429,30 +442,41 @@ def _cmd_verify(args) -> int:
     return 0 if result.passed else 1
 
 
+def _write_lines(fh, lines) -> None:
+    """Each line and its newline, or one newline for no lines."""
+    empty = True
+    for line in lines:
+        fh.write(f"{line}\n")
+        empty = False
+    if empty:
+        fh.write("\n")
+
+
 def _cmd_search(args) -> int:
-    # --evidence is opened before any work; the text and the evidence lines
-    # are built only when they are written
+    # --evidence is opened before any work; the report's text, JSON and
+    # evidence lines are built only as they are written
     try:
         sink = open(args.evidence, "w", encoding="utf-8") if args.evidence else nullcontext()
     except OSError as exc:
         raise ValueError(f"cannot write --evidence {args.evidence}: {exc.strerror}") from None
+    chunks = lambda: [json.dumps(report.to_json())]
     with sink as fh:
         if args.mode == "equal-poly":
             with _scan_map(_scan_items(args), args.jobs) as (mapper, stream):
                 partition = search.partition_graphs(stream, mapper)
             report = search.report_from_partition(partition, source=args.input)
             status = 2 if partition[1] else 0   # a line that could not be classified
-            text = report.summary_table
-            evidence = lambda: [json.dumps(c.to_json()) for c in report.nontrivial_classes()]
+            text, chunks = report.summary_lines, report.json_chunks
+            evidence = lambda: (json.dumps(c.to_json()) for c in report.nontrivial_classes())
         elif args.mode == "spider-unique":
             report = search.spider_uniqueness_scan(args.max_skeleton)
             status = 1 if report.violations else 0
-            text = lambda: (
+            text = lambda: [
                 f"spider uniqueness up to skeleton {report.max_skeleton}: "
                 f"{report.skeletons_checked} skeletons, {len(report.matches)} star matches, "
                 f"{report.skipped_multiplicity} filtered by multiplicity, "
                 f"{len(report.violations)} violations"
-            )
+            ]
             evidence = lambda: [json.dumps(report.to_json())]
         elif args.mode == "conjecture2":
             # both caps before the corpus
@@ -461,25 +485,29 @@ def _cmd_search(args) -> int:
             with _scan_map(_scan_items(args), args.jobs) as (mapper, stream):
                 report = search.conjecture2_scan(stream, args.max_tree_order, mapper)
             status = 0 if report.clean else 1
-            text = lambda: (
+            text = lambda: [
                 f"conjecture2: {report.graphs_scanned} connected graphs vs well-covered trees "
                 f"<= {report.max_tree_order}; supporting {report.supporting_matches}, "
                 f"counterexamples {len(report.counterexamples)}"
-            )
+            ]
             evidence = report.to_jsonl_lines
-        else:  # hamidoune
+        else:  # hamidoune: the per-graph verdicts are kept only for the evidence
             with _scan_map(_scan_items(args), args.jobs) as (mapper, stream):
-                report = search.hamidoune_scan(stream, mapper=mapper)
+                report = search.hamidoune_scan(stream, mapper=mapper, keep_verdicts=fh is not None)
             status = 0 if report.clean else 1
-            text = lambda: (
+            text = lambda: [
                 f"hamidoune: {report.graphs_scanned} graphs, {report.claw_free_count} claw-free, "
                 f"{len(report.failures)} failures, "
                 f"{report.nonreal_contrast_count} non-claw-free with nonreal roots"
-            )
+            ]
             evidence = report.to_jsonl_lines
-        print(json.dumps(report.to_json()) if args.output == "json" else text())
+        if args.output == "json":
+            sys.stdout.writelines(chunks())
+            sys.stdout.write("\n")
+        else:
+            _write_lines(sys.stdout, text())
         if fh is not None:
-            fh.write("\n".join(evidence()) + "\n")
+            _write_lines(fh, evidence())
     return status
 
 

@@ -15,15 +15,19 @@ stream order.  The fold names an item in graph6 (``item_graph6``) only
 where the report keeps it.  The scan's ``mapper`` argument is the
 builtin ``map`` by default, or any ordered parallel map, such as the
 CLI's forked workers under ``--jobs``, which gives the same report.
-Scans report evidence only: a clean pass means "no counterexample up to
-the stated order", never more.
+A fold keeps per item only what its report prints: ``partition_graphs``
+an item's graph6 and canonical code, ``hamidoune_scan`` its verdicts
+only under ``keep_verdicts``.  An ``EquivalenceReport`` is written one
+class at a time (``json_chunks``, ``summary_lines``), in the bytes of its
+``to_json`` and ``summary_table``.  Scans report evidence only: a clean
+pass means "no counterexample up to the stated order", never more.
 """
 
 from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 
 from .canon import TREE_ENUM_LIMIT, canonical_code, enumerate_trees
 from .corona import spider_polynomial
@@ -103,27 +107,38 @@ class EquivalenceReport:
     def nontrivial_classes(self) -> list[PolynomialClass]:
         return [c for c in self.classes if len(c.members) > 1]
 
-    def to_json(self) -> dict:
-        return {
-            "source": self.source,
-            "graphs": self.graphs_seen,
-            "classes": [c.to_json() for c in self.classes],
-            "errors": self.errors,
-        }
+    def _fields(self, classes) -> dict:
+        """The report's JSON object, with `classes` in the place of its classes."""
+        return {"source": self.source, "graphs": self.graphs_seen, "classes": classes,
+                "errors": self.errors}
 
-    def summary_table(self) -> str:
-        lines = [
-            f"source: {self.source or '-'}",
-            f"graphs: {self.graphs_seen}, classes: {len(self.classes)}, "
-            f"nontrivial: {len(self.nontrivial_classes())}",
-            f"{'size':>5}  {'iso':>5}  polynomial",
-        ]
+    def to_json(self) -> dict:
+        return self._fields([c.to_json() for c in self.classes])
+
+    def json_chunks(self) -> Iterator[str]:
+        """``json.dumps(self.to_json())`` in pieces, one per class between
+        the header and the footer, so a writer holds one class's JSON at a
+        time."""
+        head, tail = json.dumps(self._fields([0])).split('"classes": [0]')
+        yield f'{head}"classes": ['
+        for i, c in enumerate(self.classes):
+            yield f"{', ' if i else ''}{json.dumps(c.to_json())}"
+        yield f"]{tail}"
+
+    def summary_lines(self) -> Iterator[str]:
+        """The lines of the text report, one per class after the header."""
+        yield f"source: {self.source or '-'}"
+        yield (f"graphs: {self.graphs_seen}, classes: {len(self.classes)}, "
+               f"nontrivial: {len(self.nontrivial_classes())}")
+        yield f"{'size':>5}  {'iso':>5}  polynomial"
         for c in self.classes:
             iso = "yes" if c.all_isomorphic else "NO"
-            lines.append(f"{len(c.members):>5}  {iso:>5}  {IntPolynomial(c.coefficients)}")
+            yield f"{len(c.members):>5}  {iso:>5}  {IntPolynomial(c.coefficients)}"
         if self.errors:
-            lines.append(f"errors: {len(self.errors)}")
-        return "\n".join(lines)
+            yield f"errors: {len(self.errors)}"
+
+    def summary_table(self) -> str:
+        return "\n".join(self.summary_lines())
 
 
 _KEY_TABLE_SIZE = 4096      # codes whose coefficient key is kept, per process
@@ -188,11 +203,12 @@ def group_by_polynomial(items: Iterable[Graph | str | StreamItem], source: str =
 def report_from_partition(
     partition: tuple[dict, list[str]], source: str = ""
 ) -> EquivalenceReport:
-    """Finalize a partition_graphs pair into an EquivalenceReport."""
+    """Finalize a partition_graphs pair into an EquivalenceReport.  The
+    buckets are emptied as their classes are made."""
     buckets, errors = partition
     classes = []
     for key in sorted(buckets, key=lambda k: (len(k), k)):
-        pairs = sorted(buckets[key], key=lambda pair: pair[0])
+        pairs = sorted(buckets.pop(key), key=lambda pair: pair[0])
         classes.append(PolynomialClass(key, [g6 for g6, _ in pairs], [code for _, code in pairs]))
     return EquivalenceReport(classes, source, errors)
 
@@ -405,6 +421,11 @@ def conjecture2_scan(
 
 
 class HamidouneReport:
+    """The claw-free real-rootedness scan: counts, every failure, the first
+    _CONTRAST_EXAMPLES contrast examples and, where the scan kept them,
+    every graph's verdicts.  ``to_json`` is the summary;
+    ``to_jsonl_lines`` adds one line per kept verdict."""
+
     __slots__ = (
         "graphs_scanned", "claw_free_count", "failures", "nonreal_contrast",
         "nonreal_contrast_count", "_verdicts",
@@ -425,13 +446,14 @@ class HamidouneReport:
         self.nonreal_contrast = nonreal_contrast
         self.nonreal_contrast_count = nonreal_contrast_count
         # per-graph (graph, claw_free, real_rooted), the graph a Graph or
-        # graph6 text; JSON carries the summary
+        # graph6 text, where the scan kept them; JSON carries the summary
         self._verdicts = [] if verdicts is None else verdicts
 
     @property
     def verdicts(self) -> list[tuple[str, bool, bool]]:
-        """Per-graph (graph6, claw_free, real_rooted), in stream order;
-        a Graph is encoded to graph6 only here."""
+        """Per-graph (graph6, claw_free, real_rooted), in stream order, if
+        the scan kept them (``hamidoune_scan(keep_verdicts=True)``), else
+        empty; a Graph is encoded to graph6 only here."""
         return [(item_graph6(g), cf, rr) for g, cf, rr in self._verdicts]
 
     @property
@@ -468,13 +490,17 @@ def _hamidoune_verdict(item: StreamItem) -> tuple[bool, bool]:
 
 
 def hamidoune_scan(
-    items: Iterable[Graph | str | StreamItem], *, mapper: Callable[..., Iterable] = map
+    items: Iterable[Graph | str | StreamItem],
+    *,
+    mapper: Callable[..., Iterable] = map,
+    keep_verdicts: bool = False,
 ) -> HamidouneReport:
     """Exact all-real-root certificates for every claw-free graph in the
     stream (``all_roots_real``: the Sturm count of distinct real roots
     must equal the count of distinct roots).  Non-claw-free graphs with
-    nonreal roots are tallied for contrast, and every graph's (claw-free,
-    real-rooted) verdict is kept on the report.  The map returns the two
+    nonreal roots are tallied for contrast.  Every graph's (claw-free,
+    real-rooted) verdict is kept on the report only under `keep_verdicts`,
+    so a scan without it holds no per-graph state.  The map returns the two
     verdicts only; the fold encodes a Graph to graph6 only for a failure,
     a contrast example or a read of the report's verdicts."""
     scanned = 0
@@ -485,7 +511,8 @@ def hamidoune_scan(
     verdicts: list[tuple[Graph | str, bool, bool]] = []
     for item, (cf, real_rooted) in map_items(_hamidoune_verdict, items, mapper):
         scanned += 1
-        verdicts.append((item.graph, cf, real_rooted))
+        if keep_verdicts:
+            verdicts.append((item.graph, cf, real_rooted))
         if cf:
             claw_free += 1
             if not real_rooted:

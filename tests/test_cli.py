@@ -75,6 +75,20 @@ def test_poly_from_edgelist(tmp_path, capsys):
     assert out.strip() == "1 + 4x + 3x^2"
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("3 4\n", "line 1: expected vertex count, got '3 4'"),
+    ("x\n", "line 1: bad vertex count 'x'"),
+    ("-1\n", "line 1: negative vertex count"),
+    ("3\n0 a\n", "line 2: non-integer endpoint in '0 a'"),
+])
+def test_edge_list_parse_errors(tmp_path, capsys, text, reason):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "poly", "--format", "edgelist", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == f"coronapoly: parse error: {reason}\n"
+
+
 def test_corona_command(capsys):
     code, out, _ = run(capsys, "corona", "--family", "complete", "--n", "2")
     assert code == 0
@@ -764,6 +778,23 @@ def test_root_convergence_exit_code(monkeypatch, capsys):
     assert err == "coronapoly: root iteration did not converge: no convergence after 500 sweeps\n"
 
 
+@pytest.mark.parametrize("limit, value, reason", [
+    ("_MAX_SWEEPS", 0, r"no convergence after 0 iterations"),
+    ("_RESIDUAL_TOL", 0, r"residual \d\.\d{3}e[-+]\d+ above threshold at \(.+j\)"),
+])
+def test_numeric_roots_raises_through_the_cli(monkeypatch, capsys, limit, value, reason):
+    # numeric_roots' own raises, not a stub's: no sweep at all, or a
+    # residual that no approximation can meet
+    import re
+
+    from coronapoly import roots
+
+    monkeypatch.setattr(roots, limit, value)
+    code, out, err = run(capsys, "roots", "--family", "star", "--n", "3")
+    assert code == 4 and out == ""
+    assert re.fullmatch(f"coronapoly: root iteration did not converge: {reason}\n", err)
+
+
 def test_roots_well_covered_cap_before_root_work(monkeypatch, capsys):
     from coronapoly import roots
 
@@ -1118,6 +1149,33 @@ def test_no_more_workers_than_chunks(tmp_path, capsys, monkeypatch, pools):
     assert pools == [3]
 
 
+def test_read_ahead_releases_each_item_as_it_goes(monkeypatch):
+    # the items read ahead to size the chunks are held only until they
+    # are taken from the scan's stream
+    import weakref
+    from itertools import islice
+
+    from coronapoly import cli
+
+    class Item:
+        pass
+
+    refs = []
+
+    def stream():
+        for _ in range(100):
+            item = Item()
+            refs.append(weakref.ref(item))
+            yield item
+
+    monkeypatch.setattr(cli, "_default_jobs", lambda: 2)
+    with cli._scan_map(stream(), 2) as (_, items):
+        assert len(refs) == 100
+        for _ in islice(items, 50):
+            pass
+        assert [r() is None for r in refs] == [True] * 49 + [False] * 51
+
+
 def test_jobs_clamped_to_the_cpus(tmp_path, capsys, monkeypatch):
     # --jobs 1000 on a 144-line stream would be 144 workers of one line
     # each; the stub map forks nothing
@@ -1324,6 +1382,65 @@ def test_equal_poly_records_a_non_ascii_line(tmp_path, capsys, jobs):
     assert got["errors"] == ["line 41: non-ASCII character at offset 1"]
 
 
+def _one_shot_equal_poly(path):
+    """The JSON, text and evidence of equal-poly on a graph6 file, each
+    built whole: the report as one json.dumps, its table as one string and
+    the evidence lines joined."""
+    from coronapoly import cli, search
+
+    report = search.group_by_polynomial(cli._graph6_items(path), source=path)
+    evidence = "\n".join(json.dumps(c.to_json()) for c in report.nontrivial_classes())
+    return json.dumps(report.to_json()) + "\n", report.summary_table() + "\n", evidence + "\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("stream", ["empty", "bad line", "bulk"])
+def test_equal_poly_streams_the_bytes_of_one_report(tmp_path, capsys, pools, jobs, stream):
+    # the report and the evidence are written one class at a time, in the
+    # bytes of the whole report written at once
+    lines = {"empty": [], "bad line": _bulk_lines()[:70] + ["", "A!"], "bulk": _bulk_lines()}[stream]
+    path = _write_stream(tmp_path / "in.g6", lines)
+    want = _one_shot_equal_poly(path)
+    got = []
+    for output in ("json", "text"):
+        evidence = tmp_path / f"{output}.jsonl"
+        code, out, err = run(capsys, "search", "--mode", "equal-poly", "--jobs", jobs, "--input",
+                             path, "--output", output, "--evidence", str(evidence))
+        assert (code, err) == (2 if stream == "bad line" else 0, "")
+        got.append(out)
+        assert evidence.read_text() == want[2]
+    assert tuple(got) == want[:2]
+    assert pools == ([2, 2] if jobs == "2" and lines else [])
+    if stream == "empty":
+        assert want == (f'{{"source": "{path}", "graphs": 0, "classes": [], "errors": []}}\n',
+                        f"source: {path}\ngraphs: 0, classes: 0, nontrivial: 0\n size    iso  polynomial\n",
+                        "\n")
+    else:
+        assert len(json.loads(want[0])["errors"]) == (stream == "bad line")
+        assert want[2].count("\n") >= 2    # two or more nontrivial classes
+
+
+def test_hamidoune_peak_does_not_grow_with_the_stream(tmp_path, capsys):
+    # without --evidence the scan keeps no per-graph state, so four copies
+    # of the connected catalog at n <= 7 peak within a fixed bound of one
+    # copy; a per-graph verdict list made that gap about 360 KB
+    from coronapoly.suites import default_corpus
+
+    text = "".join(encode_graph6(g) + "\n" for g in default_corpus(7))
+    one, four = tmp_path / "one.g6", tmp_path / "four.g6"
+    one.write_text(text)
+    four.write_text(text * 4)
+    argv = ["search", "--mode", "hamidoune", "--jobs", "1", "--input"]
+    assert main([*argv, str(one)]) == 0    # fills the per-process caches
+    capsys.readouterr()
+    peaks = []
+    for path, graphs in ((one, 996), (four, 3984)):
+        code, out, _, peak = _peak_of_main(capsys, *argv, str(path))
+        assert code == 0 and out.startswith(f"hamidoune: {graphs} graphs,")
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] < 128 << 10
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("scan", ["verify", "hamidoune", "conjecture2"])
 def test_bad_line_exit_names_the_line(tmp_path, capsys, scan, jobs):
@@ -1365,6 +1482,49 @@ def test_search_hamidoune(capsys):
     code, out, _ = run(capsys, "search", "--mode", "hamidoune", "--max-n", "5")
     assert code == 0
     assert "0 failures" in out
+
+
+@pytest.mark.parametrize("name, planted, violations", [
+    ("is_star", lambda t: False, [f"{g6}: non-star skeleton matches the spider polynomial"
+                                  for g6 in ("A_", "Bo", "Cs")]),
+    ("is_star", lambda t: True, ["Cq: star skipped by multiplicity filter"]),
+    ("multiplicity_of_minus_one", lambda q: 2, [
+        f"{g6}: {what}" for g6 in ("A_", "Bo", "Cs") for what in (
+            "multiple root at -1 yet matches a spider polynomial",
+            "star skipped by multiplicity filter",
+        )
+    ]),
+    ("spider_polynomial", lambda n: IntPolynomial((1,)),
+     [f"{g6}: star skeleton fails to match the spider polynomial" for g6 in ("Bo", "Cs")]),
+])
+def test_spider_unique_reports_a_planted_violation(monkeypatch, capsys, name, planted, violations):
+    from coronapoly import search
+
+    monkeypatch.setattr(search, name, planted)
+    code, out, _ = run(capsys, "search", "--mode", "spider-unique", "--max-skeleton", "4",
+                       "--output", "json")
+    assert code == 1
+    assert json.loads(out)["violations"] == violations
+    code, out, _ = run(capsys, "search", "--mode", "spider-unique", "--max-skeleton", "4")
+    assert code == 1 and out.endswith(f", {len(violations)} violations\n")
+
+
+def test_hamidoune_reports_a_planted_failure(monkeypatch, capsys):
+    # every claw-free graph on at most 4 vertices fails; the claw is the
+    # one contrast example
+    from coronapoly import search
+
+    monkeypatch.setattr(search, "all_roots_real", lambda p: False)
+    argv = ["search", "--mode", "hamidoune", "--max-n", "4", "--jobs", "1"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out == "hamidoune: 10 graphs, 9 claw-free, 9 failures, 1 non-claw-free with nonreal roots\n"
+    code, out, _ = run(capsys, *argv, "--output", "json")
+    assert code == 1
+    got = json.loads(out)
+    assert got["verdict"] == "FAILURE FOUND"
+    assert got["failures"] == ["@", "A_", "BW", "Bw", "CU", "CV", "C]", "C^", "C~"]
+    assert got["nonreal_contrast_examples"] == ["CF"]
 
 
 def test_env_var_default(monkeypatch, capsys):

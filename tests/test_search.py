@@ -354,7 +354,7 @@ def test_hamidoune_verdicts_read_the_cache():
 
     corpus = default_corpus(7)
     roots.all_roots_real.cache_clear()
-    report = hamidoune_scan(corpus)
+    report = hamidoune_scan(corpus, keep_verdicts=True)
     info = roots.all_roots_real.cache_info()
     assert info.hits >= 820 and info.hits + info.misses == len(corpus) == 996
     uncached = roots.all_roots_real.__wrapped__
@@ -372,13 +372,25 @@ def test_hamidoune_report_same_from_graphs_and_graph6():
     corpus = default_corpus(6)
     texts = [encode_graph6(g) for g in corpus]
     lines = [(">>graph6<<" if i % 2 else "") + t + "\n" for i, t in enumerate(texts)]
-    from_graphs, from_text = hamidoune_scan(corpus), hamidoune_scan(lines)
+    from_graphs = hamidoune_scan(corpus, keep_verdicts=True)
+    from_text = hamidoune_scan(lines, keep_verdicts=True)
     assert from_graphs.to_json() == from_text.to_json()
     assert from_graphs.to_jsonl_lines() == from_text.to_jsonl_lines()
     for report in (from_graphs, from_text):
         assert [g6 for g6, _, _ in report.verdicts] == texts
         assert all(type(cf) is type(rr) is bool for _, cf, rr in report.verdicts)
     assert from_graphs.graphs_scanned == len(corpus) == 143
+
+
+def test_hamidoune_keeps_verdicts_only_when_asked():
+    # the same summary either way; without the keyword no per-graph state
+    from coronapoly.suites import default_corpus
+
+    corpus = default_corpus(5)
+    kept, summary = hamidoune_scan(corpus, keep_verdicts=True), hamidoune_scan(corpus)
+    assert summary.to_json() == kept.to_json()
+    assert len(kept.verdicts) == len(corpus) and summary.verdicts == []
+    assert summary.to_jsonl_lines() == kept.to_jsonl_lines()[:1]
 
 
 def test_hamidoune_evidence_same_at_two_jobs(tmp_path, monkeypatch):
