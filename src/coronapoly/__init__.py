@@ -34,7 +34,6 @@ from .graphs import (
     path_graph,
     pendant_edges,
     pendant_edges_form_perfect_matching,
-    read_graph6_stream,
     spider_graph,
     star_graph,
 )

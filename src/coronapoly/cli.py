@@ -34,7 +34,7 @@ import json
 import os
 import sys
 from collections import deque
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from functools import partial
 from itertools import islice
 
@@ -75,27 +75,6 @@ _FAMILIES = {
     "spider": lambda n, sizes: spider_graph(n),
     "centipede": lambda n, sizes: centipede_graph(n),
     "multipartite": lambda n, sizes: complete_multipartite_graph(sizes),
-}
-
-def _star_closed_form(n: int, sizes) -> IntPolynomial:
-    # stable sets of K_{1,n}: any leaf subset, or the center alone
-    return IntPolynomial((1, 1)) ** n + IntPolynomial((0, 1))
-
-
-def _multipartite_closed_form(n: int, sizes) -> IntPolynomial | None:
-    if sizes and len(set(sizes)) == 1:
-        p, a = len(sizes), sizes[0]
-        return p * IntPolynomial((1, 1)) ** a + IntPolynomial((1 - p,))
-    return None  # unequal parts: computed by the engine
-
-
-_CLOSED_FORMS = {
-    "path": lambda n, sizes: corona_mod.path_polynomial(n),
-    "spider": lambda n, sizes: corona_mod.spider_polynomial(n),
-    "centipede": lambda n, sizes: corona_mod.centipede_polynomial(n),
-    "complete": lambda n, sizes: IntPolynomial((1, n)),
-    "star": _star_closed_form,
-    "multipartite": _multipartite_closed_form,
 }
 
 
@@ -314,9 +293,9 @@ def _sizes(args: argparse.Namespace) -> list[int] | None:
 
 
 def _graphs_from_args(args: argparse.Namespace):
-    """The input of poly, corona and roots, one StreamItem per graph: the
-    --family graph, an edge list, or the lines of a graph6 stream, which
-    the per-item work parses."""
+    """The input of poly, corona, roots and gen --family, one StreamItem per
+    graph: the --family graph, an edge list, or the lines of a graph6
+    stream, which the per-item work parses."""
     if args.family is not None:
         yield StreamItem(f"--family {args.family}", _FAMILIES[args.family](args.n, _sizes(args)))
     elif args.format == "edgelist":
@@ -407,15 +386,9 @@ def _cmd_gen(args) -> int:
     if args.trees is not None:
         emitted = [(t, None) for t in canon.enumerate_trees(args.trees)]
     elif args.graphs is not None:
-        emitted = [
-            (g, None) for g in canon.enumerate_graphs(args.graphs, connected=args.connected)
-        ]
+        emitted = [(g, None) for g in canon.enumerate_graphs(args.graphs, connected=args.connected)]
     else:
-        n, sizes = args.n, _sizes(args)
-        g = _FAMILIES[args.family](n, sizes)
-        closed = _CLOSED_FORMS.get(args.family)
-        poly = closed(n, sizes) if closed else None
-        emitted = [(g, poly if poly is not None else independence_polynomial(g))]
+        emitted = [(g, independence_polynomial(g)) for _, g in _graphs_from_args(args)]
     for g, poly in emitted:
         if args.output == "json":
             payload = {"graph": encode_graph6(g)}
@@ -452,15 +425,27 @@ def _write_lines(fh, lines) -> None:
         fh.write("\n")
 
 
-def _cmd_search(args) -> int:
-    # --evidence is opened before any work; the report's text, JSON and
-    # evidence lines are built only as they are written
+@contextmanager
+def _evidence_file(path: str | None):
+    """--evidence opened before any work, or a null context; removed if the command raises."""
     try:
-        sink = open(args.evidence, "w", encoding="utf-8") if args.evidence else nullcontext()
+        sink = open(path, "w", encoding="utf-8") if path else nullcontext()
     except OSError as exc:
-        raise ValueError(f"cannot write --evidence {args.evidence}: {exc.strerror}") from None
+        raise ValueError(f"cannot write --evidence {path}: {exc.strerror}") from None
+    try:
+        with sink as fh:
+            yield fh
+    except BaseException:
+        with suppress(OSError):     # a device, a pipe or a link stays
+            if path and os.path.isfile(path) and not os.path.islink(path):
+                os.unlink(path)
+        raise
+
+
+def _cmd_search(args) -> int:
+    # the report's text, JSON and evidence lines are built only as they are written
     chunks = lambda: [json.dumps(report.to_json())]
-    with sink as fh:
+    with _evidence_file(args.evidence) as fh:
         if args.mode == "equal-poly":
             with _scan_map(_scan_items(args), args.jobs) as (mapper, stream):
                 partition = search.partition_graphs(stream, mapper)
@@ -565,7 +550,7 @@ _COMMANDS = {
     "transform": (_cmd_transform, "corona coefficient transform of a vector",
                   {"": "--coeffs --n --inverse --output"}),
     "roots": (partial(_print_each, _roots_text), "root report with bound verdicts", _GRAPH_SOURCES),
-    "gen": (_cmd_gen, "emit graphs (and closed-form polynomials)", {
+    "gen": (_cmd_gen, "emit graphs (a family with its I(G;x))", {
         "--family=multipartite": "--sizes --output",
         "--family": "--n --output",
         "--trees": "--output",

@@ -193,14 +193,6 @@ def encode_graph6(g: Graph) -> str:
     return bytes(out).decode("ascii")
 
 
-def read_graph6_stream(lines: Iterable[str]) -> Iterator[Graph]:
-    """One graph per non-blank line; standard ``>>graph6<<`` headers allowed."""
-    for line in lines:
-        line = line.strip()
-        if line:
-            yield parse_graph6(line)
-
-
 # A stream's graph (Graph) or graph6 line (str), named "line N" or "item i"
 # in errors; per-item work parses it (item_parse), and only a fold that
 # prints it names it in graph6 (item_graph6).

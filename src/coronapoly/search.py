@@ -18,8 +18,8 @@ CLI's forked workers under ``--jobs``, which gives the same report.
 A fold keeps per item only what its report prints: ``partition_graphs``
 an item's graph6 and canonical code, ``hamidoune_scan`` its verdicts
 only under ``keep_verdicts``.  An ``EquivalenceReport`` is written one
-class at a time (``json_chunks``, ``summary_lines``), in the bytes of its
-``to_json`` and ``summary_table``.  Scans report evidence only: a clean
+class at a time: ``summary_lines`` as text, and ``json_chunks`` in the
+bytes of its ``to_json``.  Scans report evidence only: a clean
 pass means "no counterexample up to the stated order", never more.
 """
 
@@ -136,9 +136,6 @@ class EquivalenceReport:
             yield f"{len(c.members):>5}  {iso:>5}  {IntPolynomial(c.coefficients)}"
         if self.errors:
             yield f"errors: {len(self.errors)}"
-
-    def summary_table(self) -> str:
-        return "\n".join(self.summary_lines())
 
 
 _KEY_TABLE_SIZE = 4096      # codes whose coefficient key is kept, per process

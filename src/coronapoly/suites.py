@@ -132,10 +132,7 @@ def check_one(suite: str, g: Graph) -> str | None:
             return f"multiplicity {m} != {expect}"
         return None
     if suite == "bijection":
-        report = root_bijection_check(g)
-        if not report.passed:
-            return "; ".join(report.notes) or "bijection failed"
-        return None
+        return "; ".join(root_bijection_check(g).notes) or None
     if suite == "bounds":
         if n < 2:
             return None

@@ -30,8 +30,8 @@ from coronapoly.graphs import (
     encode_graph6,
     is_claw_free,
     is_star,
+    parse_graph6,
     path_graph,
-    read_graph6_stream,
     star_graph,
 )
 from coronapoly.indpoly import (
@@ -88,7 +88,7 @@ def connected_corpus():
     stream = io.StringIO(
         "".join(encode_graph6(g) + "\n" for g in graphs_upto(8, connected=True))
     )
-    return tuple(read_graph6_stream(stream))
+    return tuple(parse_graph6(line) for line in stream if line.strip())
 
 
 @cache
@@ -379,8 +379,6 @@ def test_criterion_13_equal_polynomial_trees_on_ten_vertices():
     assert len(cls.members) >= 2
     assert cls.all_isomorphic is False
     codes = {canonical_code(t) for t in (EQUAL_TREES10_A, EQUAL_TREES10_B)}
-    from coronapoly.graphs import parse_graph6
-
     member_codes = {canonical_code(parse_graph6(m)) for m in cls.members}
     assert codes <= member_codes
     print(

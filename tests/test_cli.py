@@ -14,16 +14,24 @@ import pytest
 
 import coronapoly
 from coronapoly.cli import main
-from coronapoly.corona import corona_coefficients, spider_polynomial
+from coronapoly.corona import (
+    centipede_polynomial,
+    corona_coefficients,
+    path_polynomial,
+    spider_polynomial,
+)
 from coronapoly.graphs import (
     Graph,
+    centipede_graph,
     complete_graph,
+    complete_multipartite_graph,
     corona,
     cycle_graph,
     encode_graph6,
     parse_graph6,
     path_graph,
     spider_graph,
+    star_graph,
 )
 from coronapoly.indpoly import independence_polynomial
 from coronapoly.polynomials import IntPolynomial
@@ -399,6 +407,44 @@ def test_gen_family_at_the_vertex_cap(capsys, argv):
     assert parse_graph6(out.split("\t")[0]).n == 64
 
 
+def _equal_parts(sizes):
+    # a stable set of K(a, ..., a) with p parts lies in one part
+    p, a = len(sizes), sizes[0]
+    return p * IntPolynomial((1, 1)) ** a + IntPolynomial((1 - p,))
+
+
+# each family's graph and its I(G;x) in closed form, of --n or of --sizes
+_GEN_ORACLES = {
+    "path": (path_graph, path_polynomial),
+    "spider": (spider_graph, spider_polynomial),
+    "centipede": (centipede_graph, centipede_polynomial),
+    "complete": (complete_graph, lambda n: IntPolynomial((1, n))),
+    "star": (star_graph, lambda n: IntPolynomial((1, 1)) ** n + IntPolynomial((0, 1))),
+    "multipartite": (complete_multipartite_graph, _equal_parts),
+}
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+@pytest.mark.parametrize(
+    "family, arg",
+    [("path", 1), ("path", 64), ("spider", 2), ("spider", 31), ("centipede", 1),
+     ("centipede", 32), ("complete", 1), ("complete", 64), ("star", 1), ("star", 63),
+     ("multipartite", [1]), ("multipartite", [3] * 3), ("multipartite", [8] * 8),
+     ("multipartite", [32, 32])],
+)
+def test_gen_family_matches_its_closed_form(capsys, family, arg, output):
+    # gen computes I(G) with the engine; the paper's closed forms check it
+    graph, closed_form = _GEN_ORACLES[family]
+    g, p = graph(arg), closed_form(arg)
+    source = ["--sizes", ",".join(map(str, arg))] if family == "multipartite" else ["--n", str(arg)]
+    code, out, err = run(capsys, "gen", "--family", family, *source, "--output", output)
+    if output == "json":
+        want = json.dumps({"graph": encode_graph6(g), "coefficients": p.to_json_coeffs()})
+    else:
+        want = f"{encode_graph6(g)}\t{p}"
+    assert (code, out, err) == (0, want + "\n", "")
+
+
 @pytest.mark.parametrize(
     "argv, n",
     [
@@ -414,15 +460,14 @@ def test_gen_family_at_the_vertex_cap(capsys, argv):
     ],
 )
 def test_gen_family_over_the_vertex_cap_exit_code(monkeypatch, capsys, argv, n):
-    # the closed forms check no size: the family's Graph refuses its order
-    # before any closed form, engine run or encoding (a spider or a
-    # centipede names its own order, not its skeleton's)
+    # the family's Graph refuses its order before any engine run or
+    # encoding (a spider or a centipede names its own order, not its
+    # skeleton's)
     from coronapoly import cli
 
     def _must_not_run(*args, **kwargs):
         raise AssertionError("work started before the cap was checked")
 
-    monkeypatch.setattr(cli, "_CLOSED_FORMS", dict.fromkeys(cli._CLOSED_FORMS, _must_not_run))
     monkeypatch.setattr(cli, "independence_polynomial", _must_not_run)
     monkeypatch.setattr(cli, "encode_graph6", _must_not_run)
     code, out, err = run(capsys, "gen", *argv)
@@ -1390,7 +1435,8 @@ def _one_shot_equal_poly(path):
 
     report = search.group_by_polynomial(cli._graph6_items(path), source=path)
     evidence = "\n".join(json.dumps(c.to_json()) for c in report.nontrivial_classes())
-    return json.dumps(report.to_json()) + "\n", report.summary_table() + "\n", evidence + "\n"
+    text = "\n".join(report.summary_lines())
+    return json.dumps(report.to_json()) + "\n", text + "\n", evidence + "\n"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -1450,6 +1496,35 @@ def test_bad_line_exit_names_the_line(tmp_path, capsys, scan, jobs):
     assert code == 2
     assert out == ""
     assert err == f"coronapoly: parse error: line 72: {_parse_error('A!')}\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("scan", ["hamidoune", "conjecture2"])
+def test_failed_scan_leaves_no_evidence_file(tmp_path, capsys, pools, scan, jobs):
+    # --evidence is opened before the scan and removed when the scan stops
+    # on an error, so an empty file never stands for a failed run
+    lines = _bulk_lines()
+    dirty = _write_stream(tmp_path / "dirty.g6", [lines[0], "A!", *lines[1:]])
+    evidence = tmp_path / "evidence.jsonl"
+    code, out, err = run(capsys, *STREAM_SCANS[scan], "--input", dirty, "--jobs", jobs,
+                         "--evidence", str(evidence))
+    assert (code, out) == (2, "")
+    assert err == f"coronapoly: parse error: line 2: {_parse_error('A!')}\n"
+    assert not evidence.exists()
+    assert pools == ([2] if jobs == "2" else [])
+
+
+def test_failed_scan_keeps_an_evidence_path_that_is_a_link(tmp_path, capsys):
+    # only a regular file is removed: a link (like a device or a pipe) stays
+    dirty = _write_stream(tmp_path / "dirty.g6", ["A_", "A!"])
+    target = tmp_path / "target.jsonl"
+    target.write_text("old\n")
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    code, _, _ = run(capsys, "search", "--mode", "hamidoune", "--input", dirty,
+                     "--evidence", str(link))
+    assert code == 2
+    assert link.is_symlink() and target.read_text() == ""
 
 
 def test_family_parameter_error_exit_code(capsys):
